@@ -33,6 +33,7 @@ from .baselines import (
 )
 from .bootstrap import block_bootstrap_ci, write_ci_json
 from .dataset import (
+    DEFAULT_LEAD_HOURS,
     DatasetWindow,
     FeatureSpec,
     LabelingConfig,
@@ -211,6 +212,23 @@ def _feature_spec(opts: dict) -> FeatureSpec:
     )
 
 
+def _load_trained_model(opts: dict):
+    """(model, feature spec) of --model. --lead defaults to the lead the model was
+    trained with (meta.lead_hours); an explicit different lead is an error."""
+    path = Path(opts["model"])
+    if not path.exists():
+        raise InputError(f"model file not found: {path} (produce it with 'train')")
+    model, spec, meta = load_model(path, with_meta=True)
+    if spec is None:
+        raise InputError(f"{path} carries no feature spec; re-train with this package's 'train'")
+    trained = meta.get("lead_hours")
+    if opts["lead"] is None:
+        opts["lead"] = DEFAULT_LEAD_HOURS if trained is None else trained
+    elif trained is not None and opts["lead"] != trained:
+        raise InputError(f"--lead {opts['lead']} conflicts with lead_hours {trained} that {path} was trained with")
+    return model, spec
+
+
 def _add_feature_opts(cmd: _Command) -> _Command:
     cmd.opt("--hours", type=int, default=48, help="most recent hourly rainfall values to use")
     cmd.opt("--daily", type=int, default=0, help="antecedent daily totals to use (0..7)")
@@ -259,6 +277,9 @@ def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]
         h = np.array([r[0] for r in rows])
         if np.unique(h).size != h.size:
             raise InputError(f"{path}: duplicate hours for window {wid}")
+        gaps = np.flatnonzero(np.diff(h) != 1)
+        if gaps.size:  # the block bootstrap would wrap blocks across the gap
+            raise InputError(f"{path}: window {wid} has no score for hour {h[gaps[0]] + 1}; hours must be consecutive")
         out.append((wid, h, np.array([r[1] for r in rows]), np.array([r[2] for r in rows])))
     return out
 
@@ -467,12 +488,7 @@ def _run_cv(opts: dict) -> None:
 
 def _run_eval(opts: dict) -> None:
     out = Path(opts["out"])
-    model_path = Path(opts["model"])
-    if not model_path.exists():
-        raise InputError(f"model file not found: {model_path} (produce it with 'train')")
-    model, spec = load_model(model_path)
-    if spec is None:
-        raise InputError(f"{model_path} carries no feature spec; re-train with this package's 'train'")
+    model, spec = _load_trained_model(opts)
     series_by_station = _load_corpus(opts)
     windows, split_map = _load_windows(opts, series_by_station)
     chosen = _select_split(windows, split_map, opts["split"])
@@ -611,11 +627,9 @@ def _run_event_capture(opts: dict) -> None:
 
 def _run_explain(opts: dict) -> None:
     out = Path(opts["out"])
-    model, spec = load_model(Path(opts["model"]))
+    model, spec = _load_trained_model(opts)
     if not isinstance(model, ForestModel):
         raise InputError("explain supports random forest models only")
-    if spec is None:
-        raise InputError("model file carries no feature spec; re-train it first")
     series_by_station = _load_corpus(opts)
     windows, split_map = _load_windows(opts, series_by_station)
     chosen = _select_split(windows, split_map, opts["split"])
@@ -758,7 +772,7 @@ def build_parser() -> _Parser:
     c.opt("--manifest", required=True)
     c.opt("--out", required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
-    c.opt("--lead", type=int, default=12)
+    c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
     c.opt("--impute-missing", action="store_true")
 
     c = _Command(sub, "sweep-baselines", "EAR threshold baselines: curves and official points", _run_sweep_baselines)
@@ -803,7 +817,7 @@ def build_parser() -> _Parser:
     c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
-    c.opt("--lead", type=int, default=12)
+    c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
     c.opt("--max-rows", type=int, default=500,
           help="rows to explain (cost grows with rows x leaves x background)")
     c.opt("--background-rows", type=int, default=64)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._common import InputError, derived_rng, map_indexed
-from .trees import DecisionTree, TreeParams, check_training_inputs, _grow, _GiniCriterion
+from .trees import DecisionTree, TreeParams, check_training_inputs, _grow, _rank_codes, _GiniCriterion
 
 log = logging.getLogger(__name__)
 
@@ -80,15 +80,16 @@ def fit_forest(
         raise InputError("training_weight must be finite and > 0")
     w = np.where(y == 1.0, w * training_weight, w)
     tree_params = params.tree_params(X.shape[1])
+    codes, values = _rank_codes(X)
 
     def build(t: int) -> DecisionTree:
         rng = derived_rng(seed, 4, t)
         if params.bootstrap:
             rows = rng.integers(0, X.shape[0], size=X.shape[0])
-            Xt, yt, wt = X[rows], y[rows], w[rows]
+            ct, yt, wt = codes.take(rows, axis=1), y[rows], w[rows]  # take keeps rows contiguous
         else:
-            Xt, yt, wt = X, y, w
-        return _grow(_GiniCriterion(Xt, yt, wt, tree_params.min_samples_leaf), Xt, tree_params, rng)
+            ct, yt, wt = codes, y, w
+        return _grow(_GiniCriterion(yt, wt), ct, values, tree_params, rng)
 
     trees = map_indexed(build, params.n_trees, threads)
     return ForestModel(tuple(trees), params, seed, float(training_weight), X.shape[1])

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._common import InputError
 from .linear import sigmoid
-from .trees import DecisionTree, TreeParams, check_training_inputs, fit_gradient_tree
+from .trees import DecisionTree, TreeParams, check_training_inputs, _grow, _rank_codes, _GainCriterion
 
 log = logging.getLogger(__name__)
 
@@ -79,11 +79,12 @@ def fit_gbt(
     score = np.full(X.shape[0], base)
     trees: list[DecisionTree] = []
     tree_params = params.tree_params()
+    codes, values = _rank_codes(X)
     for _ in range(params.n_trees):
         p = sigmoid(score)
         grad = w * (p - y)
         hess = w * p * (1.0 - p)
-        tree = fit_gradient_tree(X, grad, hess, tree_params, params.leaf_l2)
+        tree = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, tree_params, None)
         trees.append(tree)
         score = score + params.learning_rate * tree.predict_value(X)
         if not np.isfinite(score).all():

@@ -131,13 +131,15 @@ def save_model(path: str | Path, model: Model, feature_spec: FeatureSpec | None 
     path.write_text(json.dumps(model_to_doc(model, feature_spec, meta), sort_keys=True) + "\n")
 
 
-def load_model(path: str | Path) -> tuple[Model, FeatureSpec | None]:
+def load_model(path: str | Path, with_meta: bool = False) -> tuple:
+    """(model, feature spec), and the document's meta dict as a third item if with_meta."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from None
-    return model_from_doc(doc)
+    model, spec = model_from_doc(doc)
+    return (model, spec, dict(doc.get("meta") or {})) if with_meta else (model, spec)
 
 
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:

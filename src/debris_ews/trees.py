@@ -4,6 +4,9 @@ Split candidates are midpoints between consecutive distinct values of a
 feature; the winner is the weighted-Gini minimizer (classification) or the
 second-order gain maximizer (boosting stages). Ties go to the lowest feature
 index, then the lowest threshold, so training is reproducible bit for bit.
+Features are rank-coded once per fit and one scan sorts the codes of all of a
+node's candidate features together; the trees are those that a per-feature
+stable sort of the float values grows.
 min_samples_leaf bounds the raw (unweighted) row count of every leaf, which
 keeps tree structure invariant under rescaling of the sample weights.
 """
@@ -21,6 +24,9 @@ log = logging.getLogger(__name__)
 
 _NO_FEATURE = -1
 _REL_EPS = 1e-12
+# Codes sorted together in one scan block (features x rows); bounds a node's
+# scratch memory at ~14 MB (27 bytes a code) whatever max_features is.
+_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -121,119 +127,132 @@ def check_training_inputs(
     return X, y, w
 
 
-class _GiniCriterion:
-    """Weighted Gini impurity; leaf value is the weighted positive fraction."""
+def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Feature-major rank codes of X (uint16, or uint32 past 65,536 distinct values in a
+    column) and each feature's sorted distinct values. Equal values share a code, so a
+    stable sort of codes orders rows as one of the floats does. Only nonzeros are searched.
+    """
+    # a column has at most nnz + 1 distinct values; count them only where that passes 65,536
+    wide = np.flatnonzero(np.count_nonzero(X, axis=0) >= 1 << 16)
+    dtype = np.uint32 if any(np.unique(X[:, j]).size > 1 << 16 for j in wide) else np.uint16
+    codes = np.empty(X.shape[::-1], dtype=dtype)
+    values = []
+    for j, col in enumerate(X.T):
+        nz = np.flatnonzero(col)
+        v, inv = np.unique(col[nz], return_inverse=True)
+        zero = int(np.searchsorted(v, 0.0))
+        if nz.size < col.size:  # 0 (and -0.0) takes its rank among the nonzero values
+            v = np.insert(v, zero, 0.0)
+            inv[inv >= zero] += 1
+            codes[j] = zero
+        codes[j, nz] = inv
+        values.append(v)
+    return codes, tuple(values)
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: int):
-        self.X = X
+
+class _GiniCriterion:
+    """Weighted Gini impurity; leaf value is the weighted positive fraction. Channels are
+    the weights and positive weights; the score is the children's impurity, negated."""
+
+    def __init__(self, y: np.ndarray, w: np.ndarray):
         self.y = y
-        self.w = w
-        self.wy = w * y
-        self.min_leaf = min_leaf
+        self.a = w
+        self.b = w * y
 
     def is_pure(self, rows: np.ndarray) -> bool:
         yr = self.y[rows]
         return bool(yr.max() == yr.min())
 
     def leaf(self, rows: np.ndarray) -> tuple[float, float]:
-        wt = float(self.w[rows].sum())
-        return float(self.wy[rows].sum() / wt), wt
+        wt = float(self.a[rows].sum())
+        return float(self.b[rows].sum() / wt), wt
 
-    def best_split(self, rows: np.ndarray, features: np.ndarray) -> tuple[int, float] | None:
-        nr = rows.size
-        wv = self.w[rows]
-        pv = self.wy[rows]
-        W = float(wv.sum())
-        P = float(pv.sum())
-        parent = P * (W - P) / W
-        best_score = parent * (1.0 - _REL_EPS)  # require a real impurity decrease
-        best = None
-        for f in features:
-            vals = self.X[rows, f]
-            order = np.argsort(vals, kind="stable")
-            v = vals[order]
-            cw = np.cumsum(wv[order])[:-1]
-            cp = np.cumsum(pv[order])[:-1]
-            ok = v[1:] > v[:-1]
-            if self.min_leaf > 1:
-                k = np.arange(1, nr)
-                ok &= (k >= self.min_leaf) & (nr - k >= self.min_leaf)
-            idx = np.flatnonzero(ok)
-            if idx.size == 0:
-                continue
-            wl = cw[idx]
-            pl = cp[idx]
-            wr = W - wl
-            pr = P - pl
-            score = pl * (wl - pl) / wl + pr * (wr - pr) / wr
-            j = int(np.argmin(score))
-            if score[j] < best_score:
-                best_score = float(score[j])
-                i = int(idx[j])
-                thr = 0.5 * (v[i] + v[i + 1])
-                if thr <= v[i]:  # adjacent floats can round the midpoint down
-                    thr = float(v[i + 1])
-                best = (int(f), float(thr))
-        return best
+    def floor(self, W: float, P: float) -> float:
+        return -(P * (W - P) / W) * (1.0 - _REL_EPS)  # require a real impurity decrease
+
+    def score(self, wl: np.ndarray, pl: np.ndarray, W: float, P: float) -> np.ndarray:
+        wr = W - wl
+        pr = P - pl
+        return -(pl * (wl - pl) / wl + pr * (wr - pr) / wr)
 
 
 class _GainCriterion:
-    """Second-order boosting gain with L2 leaf regularization."""
+    """Second-order boosting gain with L2 leaf regularization; channels are hessians and gradients."""
 
-    def __init__(self, X: np.ndarray, g: np.ndarray, h: np.ndarray, min_leaf: int, lam: float):
-        self.X = X
-        self.g = g
-        self.h = h
-        self.min_leaf = min_leaf
+    def __init__(self, g: np.ndarray, h: np.ndarray, lam: float):
+        self.a = h
+        self.b = g
         self.lam = lam
 
     def is_pure(self, rows: np.ndarray) -> bool:
         return False
 
     def leaf(self, rows: np.ndarray) -> tuple[float, float]:
-        H = float(self.h[rows].sum())
-        return float(-self.g[rows].sum() / (H + self.lam)), H
+        H = float(self.a[rows].sum())
+        return float(-self.b[rows].sum() / (H + self.lam)), H
 
-    def best_split(self, rows: np.ndarray, features: np.ndarray) -> tuple[int, float] | None:
-        nr = rows.size
-        gv = self.g[rows]
-        hv = self.h[rows]
-        G = float(gv.sum())
-        H = float(hv.sum())
+    def floor(self, H: float, G: float) -> float:
+        return _REL_EPS * max(1.0, abs(G * G / (H + self.lam)))
+
+    def score(self, hl: np.ndarray, gl: np.ndarray, H: float, G: float) -> np.ndarray:
         parent = G * G / (H + self.lam)
-        min_gain = _REL_EPS * max(1.0, abs(parent))
-        best_gain = min_gain
-        best = None
-        for f in features:
-            vals = self.X[rows, f]
-            order = np.argsort(vals, kind="stable")
-            v = vals[order]
-            cg = np.cumsum(gv[order])[:-1]
-            ch = np.cumsum(hv[order])[:-1]
-            ok = v[1:] > v[:-1]
-            if self.min_leaf > 1:
-                k = np.arange(1, nr)
-                ok &= (k >= self.min_leaf) & (nr - k >= self.min_leaf)
-            idx = np.flatnonzero(ok)
-            if idx.size == 0:
-                continue
-            gl = cg[idx]
-            hl = ch[idx]
-            gain = gl * gl / (hl + self.lam) + (G - gl) ** 2 / (H - hl + self.lam) - parent
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                i = int(idx[j])
-                thr = 0.5 * (v[i] + v[i + 1])
-                if thr <= v[i]:
-                    thr = float(v[i + 1])
-
-                best = (int(f), float(thr))
-        return best
+        return gl * gl / (hl + self.lam) + (G - gl) ** 2 / (H - hl + self.lam) - parent
 
 
-def _grow(criterion, X: np.ndarray, params: TreeParams, rng: np.random.Generator | None) -> DecisionTree:
-    n, m = X.shape
+def _best_split(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np.ndarray,
+                features: np.ndarray, min_leaf: int) -> tuple[int, float, int] | None:
+    """Exact scan of all candidate features of a node, _BLOCK_ELEMENTS codes at a time.
+
+    Returns (feature, threshold, code) of the first best-scoring boundary in
+    (feature, position) order, or None if none beats the criterion's floor.
+    The rows with value < threshold are those with code <= code.
+    """
+    nr = rows.size
+    av = criterion.a.take(rows)
+    bv = criterion.b.take(rows)
+    A, B = float(av.sum()), float(bv.sum())
+    # one complex cumsum is the two channels' sequential cumsums, bit for bit
+    ab = av.astype(np.complex128)
+    ab.imag = bv
+    best_score = criterion.floor(A, B)
+    best = None
+    step = max(1, _BLOCK_ELEMENTS // nr)
+    for start in range(0, features.size, step):
+        fb = features[start:start + step]
+        block = np.empty((fb.size, nr), dtype=codes.dtype)
+        for i, f in enumerate(fb):
+            codes[f].take(rows, out=block[i])
+        order = np.argsort(block, axis=1, kind="stable")
+        block.sort(axis=1)
+        ok = block[:, 1:] != block[:, :-1]
+        ok[:, :min_leaf - 1] = False
+        ok[:, nr - min_leaf:] = False
+        idx = np.flatnonzero(ok)
+        if idx.size == 0:
+            continue
+        fi = idx // (nr - 1)
+        sums = ab.take(order)
+        np.cumsum(sums, axis=1, out=sums)
+        sums = sums.take(idx + fi)  # ok has one column fewer
+        score = criterion.score(sums.real, sums.imag, A, B)
+        nan = np.isnan(score)
+        if nan.any():  # a NaN anywhere rules its feature out, as a per-feature argmax would
+            score[np.isin(fi, fi[nan])] = -np.inf
+        j = int(np.argmax(score))
+        if score[j] > best_score:
+            best_score = float(score[j])
+            i, p = divmod(int(idx[j]), nr - 1)
+            lo, hi = values[fb[i]][block[i, p:p + 2]]
+            thr = 0.5 * (lo + hi)
+            if thr <= lo:  # adjacent floats can round the midpoint down
+                thr = hi
+            best = (int(fb[i]), float(thr), int(block[i, p]))
+    return best
+
+
+def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: TreeParams,
+          rng: np.random.Generator | None) -> DecisionTree:
+    m, n = codes.shape
     m_try = m if params.max_features is None else params.max_features
     if m_try > m:
         raise InputError(f"max_features={m_try} exceeds feature count {m}")
@@ -241,56 +260,34 @@ def _grow(criterion, X: np.ndarray, params: TreeParams, rng: np.random.Generator
         raise InputError("feature subsampling requires a seeded generator")
     max_depth = np.inf if params.max_depth is None else params.max_depth
     all_features = np.arange(m)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    weight: list[float] = []
+    nodes: list[list] = []  # [feature, threshold, left, right, value, weight]
 
     def new_node() -> int:
-        feature.append(_NO_FEATURE)
-        threshold.append(np.nan)
-        left.append(_NO_FEATURE)
-        right.append(_NO_FEATURE)
-        value.append(0.0)
-        weight.append(0.0)
-        return len(feature) - 1
+        nodes.append([_NO_FEATURE, np.nan, _NO_FEATURE, _NO_FEATURE, 0.0, 0.0])
+        return len(nodes) - 1
 
     # stack keeps (slot, rows, depth); children pushed right-then-left so the
     # left subtree (and its RNG draws) always comes first
     stack = [(new_node(), np.arange(n), 0)]
     while stack:
         slot, rows, depth = stack.pop()
-        value[slot], weight[slot] = criterion.leaf(rows)
+        node = nodes[slot]
+        node[4], node[5] = criterion.leaf(rows)
         if depth >= max_depth or rows.size < 2 * params.min_samples_leaf or criterion.is_pure(rows):
             continue
         feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
-        split = criterion.best_split(rows, feats)
+        split = _best_split(criterion, codes, values, rows, feats, params.min_samples_leaf)
         if split is None:
             continue
-        f, thr = split
-        go_left = X[rows, f] < thr
-        feature[slot] = f
-        threshold[slot] = thr
-        l_slot = new_node()
-        r_slot = new_node()
-        left[slot] = l_slot
-        right[slot] = r_slot
-        stack.append((r_slot, rows[~go_left], depth + 1))
-        stack.append((l_slot, rows[go_left], depth + 1))
+        f, node[1], code = split
+        go_left = codes[f].take(rows) <= code
+        node[0], node[2], node[3] = f, new_node(), new_node()
+        stack.append((node[3], rows[~go_left], depth + 1))
+        stack.append((node[2], rows[go_left], depth + 1))
 
-    return DecisionTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-        weight=np.asarray(weight, dtype=np.float64),
-        n_features=m,
-        params=params,
-    )
+    dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64, np.float64)
+    arrays = (np.asarray(column, dtype=dt) for column, dt in zip(zip(*nodes), dtypes))
+    return DecisionTree(*arrays, n_features=m, params=params)
 
 
 def fit_tree(
@@ -308,7 +305,7 @@ def fit_tree(
     X, y, w = check_training_inputs(X, y, sample_weight)
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
-    return _grow(_GiniCriterion(X, y, w, params.min_samples_leaf), X, params, rng)
+    return _grow(_GiniCriterion(y, w), *_rank_codes(X), params, rng)
 
 
 def fit_gradient_tree(
@@ -327,4 +324,4 @@ def fit_gradient_tree(
         raise InputError("gradients and hessians must match the number of rows")
     if leaf_l2 < 0:
         raise InputError("leaf_l2 must be >= 0")
-    return _grow(_GainCriterion(X, grad, hess, params.min_samples_leaf, leaf_l2), X, params, rng)
+    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), params, rng)

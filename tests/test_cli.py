@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from debris_ews import InputError
 from debris_ews.cli import main, read_scores_csv
 
 SMALL_SYNTH = ["--stations", "5", "--weeks", "12"]
@@ -270,3 +271,33 @@ def test_train_requires_split_when_manifest_unsplit(pipeline, tmp_path):
         "--out", str(tmp_path / "e"),
         "--split", "all",
     ]) == 0
+
+
+def test_eval_and_explain_take_lead_from_model(pipeline, tmp_path, capsys):
+    data = ["--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+            "--manifest", str(pipeline["data"] / "manifest.json")]
+    model = tmp_path / "lead6"
+    assert main(["train", *data, "--out", str(model), "--seed", "3", "--hours", "6", "--lead", "6",
+                 "--trees", "2", "--max-depth", "3"]) == 0
+    scoring = ["--model", str(model / "model.json"), *data, "--split", "all"]
+    assert main(["eval", *scoring, "--out", str(tmp_path / "e_default")]) == 0
+    resolved = json.loads((tmp_path / "e_default" / "eval_config.json").read_text())
+    assert resolved["options"]["lead"] == 6
+    assert main(["eval", *scoring, "--out", str(tmp_path / "e_six"), "--lead", "6"]) == 0
+    assert (tmp_path / "e_six" / "scores.csv").read_bytes() == (tmp_path / "e_default" / "scores.csv").read_bytes()
+
+    capsys.readouterr()
+    assert main(["eval", *scoring, "--out", str(tmp_path / "e_bad"), "--lead", "12"]) == 1
+    err = capsys.readouterr().err
+    assert "--lead 12" in err and "lead_hours 6" in err
+    assert main(["explain", *scoring, "--out", str(tmp_path / "x_bad"), "--seed", "1", "--lead", "12"]) == 1
+    err = capsys.readouterr().err
+    assert "--lead 12" in err and "lead_hours 6" in err
+
+
+def test_read_scores_csv_rejects_hour_gaps(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("window_id,hour,label,score\nw1,0,0,0.1\nw1,1,0,0.2\nw2,0,1,0.5\nw2,1,0,0.3\nw2,4,0,0.1\nw2,5,1,0.9\n")
+    with pytest.raises(InputError, match=r"window w2 has no score for hour 2"):
+        read_scores_csv(path)
+    assert main(["bootstrap-ci", "--scores", str(path), "--out", str(tmp_path / "ci"), "--seed", "1", "--reps", "10"]) == 1

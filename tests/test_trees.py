@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from debris_ews import DecisionTree, InputError, TreeParams, fit_tree
+import debris_ews.trees as trees
+from debris_ews import DecisionTree, ForestParams, InputError, TreeParams, fit_forest, fit_tree
+from debris_ews._common import derived_rng
+from debris_ews.trees import _GainCriterion, _GiniCriterion, _best_split, _rank_codes, fit_gradient_tree
 
 
 def _rand_data(rng, n=80, m=4):
@@ -131,3 +134,230 @@ def test_split_candidates_are_midpoints():
     tree = fit_tree(X, y)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(6.5)  # midpoint of 3 and 10
+
+
+# --- the exact rank-coded scan against the per-feature float scan ------------
+#
+# _reference_gini / _reference_gain scan one feature at a time: a stable float
+# argsort, a gather and a cumsum per feature. The rank-coded scan must pick the
+# same (feature, threshold) and grow the same node arrays bit for bit.
+
+
+def _reference_gini(X, y, w, min_leaf, rows, features):
+    nr = rows.size
+    wv = w[rows]
+    pv = (w * y)[rows]
+    W = float(wv.sum())
+    P = float(pv.sum())
+    parent = P * (W - P) / W
+    best_score = parent * (1.0 - 1e-12)
+    best = None
+    for f in features:
+        vals = X[rows, f]
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+        cw = np.cumsum(wv[order])[:-1]
+        cp = np.cumsum(pv[order])[:-1]
+        ok = v[1:] > v[:-1]
+        if min_leaf > 1:
+            k = np.arange(1, nr)
+            ok &= (k >= min_leaf) & (nr - k >= min_leaf)
+        idx = np.flatnonzero(ok)
+        if idx.size == 0:
+            continue
+        wl = cw[idx]
+        pl = cp[idx]
+        wr = W - wl
+        pr = P - pl
+        score = pl * (wl - pl) / wl + pr * (wr - pr) / wr
+        j = int(np.argmin(score))
+        if score[j] < best_score:
+            best_score = float(score[j])
+            i = int(idx[j])
+            thr = 0.5 * (v[i] + v[i + 1])
+            if thr <= v[i]:
+                thr = float(v[i + 1])
+            best = (int(f), float(thr))
+    return best
+
+
+def _reference_gain(X, g, h, lam, min_leaf, rows, features):
+    nr = rows.size
+    gv = g[rows]
+    hv = h[rows]
+    G = float(gv.sum())
+    H = float(hv.sum())
+    parent = G * G / (H + lam)
+    best_gain = 1e-12 * max(1.0, abs(parent))
+    best = None
+    for f in features:
+        vals = X[rows, f]
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+        cg = np.cumsum(gv[order])[:-1]
+        ch = np.cumsum(hv[order])[:-1]
+        ok = v[1:] > v[:-1]
+        if min_leaf > 1:
+            k = np.arange(1, nr)
+            ok &= (k >= min_leaf) & (nr - k >= min_leaf)
+        idx = np.flatnonzero(ok)
+        if idx.size == 0:
+            continue
+        gl = cg[idx]
+        hl = ch[idx]
+        gain = gl * gl / (hl + lam) + (G - gl) ** 2 / (H - hl + lam) - parent
+        j = int(np.argmax(gain))
+        if gain[j] > best_gain:
+            best_gain = float(gain[j])
+            i = int(idx[j])
+            thr = 0.5 * (v[i] + v[i + 1])
+            if thr <= v[i]:
+                thr = float(v[i + 1])
+            best = (int(f), float(thr))
+    return best
+
+
+def _reference_grow(X, criterion, split, params, rng=None):
+    """Depth-first, left subtree first, rows partitioned on the float values."""
+    n, m = X.shape
+    m_try = m if params.max_features is None else params.max_features
+    max_depth = np.inf if params.max_depth is None else params.max_depth
+    nodes = ([], [], [], [], [], [])  # feature, threshold, left, right, value, weight
+
+    def new_node():
+        for column, blank in zip(nodes, (-1, np.nan, -1, -1, 0.0, 0.0)):
+            column.append(blank)
+        return len(nodes[0]) - 1
+
+    def grow(slot, rows, depth):
+        nodes[4][slot], nodes[5][slot] = criterion.leaf(rows)
+        if depth >= max_depth or rows.size < 2 * params.min_samples_leaf or criterion.is_pure(rows):
+            return
+        feats = np.arange(m) if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
+        best = split(rows, feats)
+        if best is None:
+            return
+        f, thr = best
+        go_left = X[rows, f] < thr
+        l_slot, r_slot = new_node(), new_node()
+        nodes[0][slot], nodes[1][slot], nodes[2][slot], nodes[3][slot] = f, thr, l_slot, r_slot
+        grow(l_slot, rows[go_left], depth + 1)
+        grow(r_slot, rows[~go_left], depth + 1)
+
+    grow(new_node(), np.arange(n), 0)
+    return nodes
+
+
+def _assert_same_nodes(tree, nodes):
+    for name, column in zip(("feature", "threshold", "left", "right", "value", "weight"), nodes):
+        np.testing.assert_array_equal(getattr(tree, name), np.asarray(column), err_msg=name)
+
+
+def _hard_matrix(rng, n, m=7):
+    """90%-zero columns with heavy ties, negatives and -0.0, a constant column and
+    a column of adjacent floats whose midpoints round down."""
+    X = rng.normal(size=(n, m)).round(1)
+    X[rng.random((n, m)) < 0.9] = 0.0
+    X[:, 1] = np.where(X[:, 1] == 0.0, -0.0, -np.abs(X[:, 1]))
+    X[:, 2] = 3.0
+    X[:, 3] = rng.choice([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)], size=n)
+    return X
+
+
+def _hard_labels(rng, X):
+    return (X[:, 0] - X[:, 1] + 0.3 * (X[:, 3] > 1.0) + 0.3 * rng.normal(size=X.shape[0]) > 0.2).astype(int)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scan_matches_reference_on_random_nodes():
+    rng = np.random.default_rng(10)
+    for trial in range(40):
+        n = int(rng.integers(20, 400))
+        X = _hard_matrix(rng, n)
+        y = _hard_labels(rng, X).astype(float)
+        w = rng.uniform(0.5, 3.0, size=n) if trial % 2 else np.ones(n)
+        g, h = rng.normal(size=n), rng.uniform(0.05, 1.0, size=n)
+        h[rng.random(n) < 0.3] = 0.0  # with leaf_l2=0, zero hessians give inf gains,
+        g[(h == 0.0) & (rng.random(n) < 0.5)] = 0.0  # and NaN ones that rule a feature out
+        codes, values = _rank_codes(X)
+        for min_leaf in (1, 3):
+            rows = np.sort(rng.choice(n, size=int(rng.integers(2 * min_leaf, n + 1)), replace=False))
+            feats = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, X.shape[1] + 1)), replace=False))
+            got = _best_split(_GiniCriterion(y, w), codes, values, rows, feats, min_leaf)
+            assert (got and got[:2]) == _reference_gini(X, y, w, min_leaf, rows, feats)
+            for lam in (1.0, 0.0):
+                if h[rows].sum() + lam == 0.0:
+                    continue
+                got = _best_split(_GainCriterion(g, h, lam), codes, values, rows, feats, min_leaf)
+                assert (got and got[:2]) == _reference_gain(X, g, h, lam, min_leaf, rows, feats)
+
+
+def test_trees_match_reference_grower():
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        n = 600
+        X = _hard_matrix(rng, n)
+        y = _hard_labels(rng, X)
+        w = rng.uniform(0.5, 3.0, size=n)
+        params = TreeParams(max_depth=None if trial % 2 else 8, min_samples_leaf=1 + 2 * (trial % 3))
+        tree = fit_tree(X, y, sample_weight=w, params=params)
+        crit = _GiniCriterion(y.astype(float), w)
+        _assert_same_nodes(tree, _reference_grow(
+            X, crit, lambda rows, f: _reference_gini(X, y.astype(float), w, params.min_samples_leaf, rows, f), params))
+
+        g, h = rng.normal(size=n), rng.uniform(0.05, 1.0, size=n)
+        tree = fit_gradient_tree(X, g, h, params, leaf_l2=0.5)
+        crit = _GainCriterion(g, h, 0.5)
+        _assert_same_nodes(tree, _reference_grow(
+            X, crit, lambda rows, f: _reference_gain(X, g, h, 0.5, params.min_samples_leaf, rows, f), params))
+
+
+def test_seeded_forest_matches_reference_grower():
+    rng = np.random.default_rng(12)
+    X = _hard_matrix(rng, 500)
+    y = _hard_labels(rng, X)
+    w = np.where(y == 1, 2.0, 1.0)  # training_weight 2 on the positives
+    params = ForestParams(n_trees=3, max_depth=10, min_samples_leaf=2, max_features=3)
+    forest = fit_forest(X, y, params, training_weight=2.0, seed=9)
+    for t, tree in enumerate(forest.trees):
+        trng = derived_rng(9, 4, t)
+        rows = trng.integers(0, X.shape[0], size=X.shape[0])
+        Xt, yt, wt = X[rows], y[rows].astype(float), w[rows]
+        nodes = _reference_grow(Xt, _GiniCriterion(yt, wt),
+                                lambda r, f: _reference_gini(Xt, yt, wt, 2, r, f), params.tree_params(7), trng)
+        _assert_same_nodes(tree, nodes)
+
+
+def test_scan_blocks_keep_first_feature_on_ties(monkeypatch):
+    # duplicated columns land in different element-budget blocks: the earlier
+    # block's copy must win, as the lowest feature index does in one pass
+    monkeypatch.setattr(trees, "_BLOCK_ELEMENTS", 150)
+    rng = np.random.default_rng(13)
+    X = _hard_matrix(rng, 120)
+    X = np.column_stack([X, X[:, ::-1]])
+    y = _hard_labels(rng, X)
+    tree = fit_tree(X, y, params=TreeParams(max_depth=6))
+    crit = _GiniCriterion(y.astype(float), np.ones(120))
+    _assert_same_nodes(tree, _reference_grow(
+        X, crit, lambda rows, f: _reference_gini(X, y.astype(float), np.ones(120), 1, rows, f), TreeParams(max_depth=6)))
+
+
+def test_wide_codes_and_several_blocks_match_reference():
+    # > 65,536 distinct values in column 0 need uint32 codes; 70,000 rows x 16
+    # features exceed one element-budget block at the root
+    rng = np.random.default_rng(14)
+    n, m = 70_000, 16
+    assert n * m > trees._BLOCK_ELEMENTS
+    X = _hard_matrix(rng, n, m)
+    X[:, 0] = rng.permutation(n) / 7.0
+    y = _hard_labels(rng, X)
+    assert _rank_codes(X)[0].dtype == np.uint32
+    assert _rank_codes(X[:, 1:])[0].dtype == np.uint16
+    negatives, _ = _rank_codes(-1.0 - np.arange(1 << 16).reshape(-1, 1))  # 65,536 values, no zero
+    assert negatives.dtype == np.uint16 and negatives[0, 0] == (1 << 16) - 1 and negatives[0, -1] == 0
+    params = TreeParams(max_depth=2, min_samples_leaf=5)
+    tree = fit_tree(X, y, params=params)
+    w = np.ones(n)
+    crit = _GiniCriterion(y.astype(float), w)
+    _assert_same_nodes(tree, _reference_grow(
+        X, crit, lambda rows, f: _reference_gini(X, y.astype(float), w, 5, rows, f), params))
