@@ -24,7 +24,6 @@ from .dataset import (
     DatasetWindow,
     ExampleSet,
     FeatureSpec,
-    LabeledExample,
     LabelingConfig,
     WindowConfig,
     WindowKind,

@@ -1,11 +1,15 @@
-"""Shared plumbing: input errors, UTC timestamp handling, derived RNG streams."""
+"""Shared plumbing: input errors, UTC timestamp handling, bulk CSV reading,
+derived RNG streams."""
 from __future__ import annotations
 
+import csv
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
-from typing import Callable, TypeVar
+from itertools import islice, repeat
+from pathlib import Path
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,6 +49,75 @@ def ensure_hour_aligned(dt: datetime, what: str = "timestamp") -> datetime:
     if dt.minute or dt.second or dt.microsecond:
         raise InputError(f"{what} must be aligned to an hour boundary: {dt.isoformat()}")
     return dt
+
+
+# Characters of a CSV file split at once (a CSV read through csv.reader takes
+# rows of ~32 characters): bounds a read's scratch memory to a few MB whatever
+# the file size, so the heap a large file grew is not left for the next step.
+CSV_BLOCK_CHARS = 1 << 21
+
+
+def read_csv_blocks(path: Path, required: Sequence[str], what: str) -> Iterator[dict[str, list[str]]]:
+    """The rows of a CSV file a block at a time, each block as its fields by header name.
+
+    Reads as csv.DictReader does: the first line is the header, blank lines
+    are skipped, a short row reads "" in the columns it lacks and fields past
+    the header are dropped. A file without quote characters is split in bulk,
+    which gives csv.reader's fields; any other file goes through csv.reader.
+    """
+    with path.open(newline="") as fh:
+        quoted = any('"' in chunk for chunk in iter(lambda: fh.read(CSV_BLOCK_CHARS), ""))
+    # universal newlines read "\r\n" and "\r" as "\n", where csv ends a record too
+    with path.open(newline="" if quoted else None) as fh:
+        if quoted:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = filter(None, reader)
+            blocks = iter(lambda: list(islice(rows, CSV_BLOCK_CHARS // 32)), [])
+        else:
+            header = fh.readline().removesuffix("\n").split(",")
+            blocks = iter(lambda: fh.read(CSV_BLOCK_CHARS) + fh.readline(), "")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise InputError(f"{path}: missing {what} CSV columns {missing}")
+        for block in blocks:
+            columns = _pad(block, len(header)) if quoted else _split(list(filter(None, block.split("\n"))), len(header))
+            yield dict(zip(header, columns))  # a repeated name keeps its last column, as in DictReader
+
+
+def _split(lines: list[str], width: int) -> list[list[str]]:
+    """Columns of unquoted lines, in bulk when every line has `width` fields."""
+    if set(map(str.count, lines, repeat(","))) <= {width - 1}:
+        fields = ",".join(lines).split(",") if lines else []
+        return [fields[j::width] for j in range(width)]
+    return _pad([line.split(",") for line in lines], width)
+
+
+def _pad(rows: list[list[str]], width: int) -> list[list[str]]:
+    return [[r[j] if j < len(r) else "" for r in rows] for j in range(width)]
+
+
+def number_keys(code: dict[str, int], keys: list[str]) -> np.ndarray:
+    """Each key's number in code, after numbering the keys new to it in order of first appearance."""
+    for key in dict.fromkeys(keys):
+        code.setdefault(key, len(code))
+    return np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
+
+
+def parse_column(fn: Callable[[str], object], fields: Sequence[str], dtype) -> tuple[np.ndarray, int]:
+    """fn applied to every field, and the index of the first field it rejects
+    (len(fields) if none); entries from that index on are 0."""
+    try:
+        return np.fromiter(map(fn, fields), dtype, len(fields)), len(fields)
+    except (ValueError, OverflowError):
+        pass
+    out = np.zeros(len(fields), dtype)
+    for i, field in enumerate(fields):
+        try:
+            out[i] = fn(field)
+        except (ValueError, OverflowError):
+            return out, i
+    return out, len(fields)
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:

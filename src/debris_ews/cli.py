@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._common import InputError, derived_rng, setup_logging
+from ._common import InputError, derived_rng, number_keys, parse_column, read_csv_blocks, setup_logging
 from .baselines import (
     MARKED_THRESHOLDS_MM,
     AlertPolicy,
@@ -244,11 +244,11 @@ def _add_feature_opts(cmd: _Command) -> _Command:
 def write_scores_csv(path, window_ids, hours, labels, scores) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    ints = [np.asarray(a).astype(np.int64).tolist() for a in (hours, labels)]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_CSV_COLUMNS)
-        for wid, h, y, s in zip(window_ids, hours, labels, scores):
-            writer.writerow((wid, int(h), int(y), repr(float(s))))
+        writer.writerows(zip(window_ids, *ints, map(repr, np.asarray(scores, dtype=np.float64).tolist())))
 
 
 def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
@@ -256,31 +256,34 @@ def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]
     path = Path(path)
     if not path.exists():
         raise InputError(f"scores CSV not found: {path} (expected header {','.join(SCORES_CSV_COLUMNS)})")
-    grouped: dict[str, list[tuple[int, int, float]]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in SCORES_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise InputError(f"{path}: missing scores CSV columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                grouped.setdefault(row["window_id"], []).append(
-                    (int(row["hour"]), int(row["label"]), float(row["score"]))
-                )
-            except (TypeError, ValueError):
-                raise InputError(f"{path}:{lineno}: bad scores row {row!r}") from None
-    if not grouped:
+    code: dict[str, int] = {}  # window -> number in order of first appearance
+    parts = []  # per block: (window numbers, hours, labels, scores)
+    n = 0
+    for columns in read_csv_blocks(path, SCORES_CSV_COLUMNS, "scores"):
+        wids = columns["window_id"]
+        hours, bad_hour = parse_column(int, columns["hour"], np.int64)
+        labels, bad_label = parse_column(int, columns["label"], np.int64)
+        scores, bad_score = parse_column(float, columns["score"], np.float64)
+        bad = min(bad_hour, bad_label, bad_score)
+        if bad < len(wids):
+            row = {name: fields[bad] for name, fields in columns.items()}
+            raise InputError(f"{path}:{n + bad + 2}: bad scores row {row!r}")
+        parts.append((number_keys(code, wids), hours, labels, scores))
+        n += len(wids)
+    if not n:
         raise InputError(f"{path}: no score rows")
+    window, hours, labels, scores = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((hours, window))
     out = []
-    for wid, rows in grouped.items():
-        rows.sort(key=lambda r: r[0])
-        h = np.array([r[0] for r in rows])
-        if np.unique(h).size != h.size:
+    for wid, rows in zip(code, np.split(order, np.cumsum(np.bincount(window))[:-1])):
+        h = hours[rows]
+        step = np.diff(h)
+        if (step == 0).any():
             raise InputError(f"{path}: duplicate hours for window {wid}")
-        gaps = np.flatnonzero(np.diff(h) != 1)
+        gaps = np.flatnonzero(step != 1)
         if gaps.size:  # the block bootstrap would wrap blocks across the gap
             raise InputError(f"{path}: window {wid} has no score for hour {h[gaps[0]] + 1}; hours must be consecutive")
-        out.append((wid, h, np.array([r[1] for r in rows]), np.array([r[2] for r in rows])))
+        out.append((wid, h, labels[rows], scores[rows]))
     return out
 
 

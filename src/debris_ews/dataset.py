@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,15 +135,6 @@ class DatasetWindow:
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    features: np.ndarray
-    label: int
-    station_id: str
-    window_id: str
-    hour: int
-
-
-@dataclass(frozen=True)
 class ExampleSet:
     """Per-hour examples in matrix form; rows are grouped by window."""
 
@@ -156,19 +147,6 @@ class ExampleSet:
 
     def __len__(self) -> int:
         return int(self.y.size)
-
-    def examples(self) -> Iterable[LabeledExample]:
-        for i in range(len(self)):
-            yield LabeledExample(
-                self.X[i], int(self.y[i]), self.station_ids[i], self.window_ids[i], int(self.hours[i])
-            )
-
-    def by_window(self) -> list[tuple[str, np.ndarray]]:
-        """(window_id, row indices) in first-appearance order."""
-        order: dict[str, list[int]] = {}
-        for i, wid in enumerate(self.window_ids):
-            order.setdefault(wid, []).append(i)
-        return [(wid, np.array(rows)) for wid, rows in order.items()]
 
     @staticmethod
     def concat(parts: Sequence["ExampleSet"]) -> "ExampleSet":

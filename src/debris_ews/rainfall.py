@@ -18,14 +18,15 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._common import HOUR, InputError, ensure_hour_aligned, format_ts, parse_ts
+from ._common import HOUR, InputError, ensure_hour_aligned, format_ts, number_keys, parse_column, parse_ts, read_csv_blocks
 
 log = logging.getLogger(__name__)
 
@@ -248,51 +249,81 @@ def ear_series(
 # ---------------------------------------------------------------------------
 
 
+# Canonical timestamps, YYYY-MM-DDTHH:00:00Z, are converted in bulk: each of
+# their characters lies between the two bounds below. Other forms go through
+# parse_ts one at a time.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_LOW, _HIGH = (np.array([ord(c) for c in t], dtype=np.int32) for t in ("0000-00-00T00:00:00Z", "9999-99-99T99:00:00Z"))
+
+
+def _epoch_hours(stamps: list[str]) -> tuple[np.ndarray, int]:
+    """Hours since 1970-01-01T00Z of each timestamp as parse_ts reads it, and the
+    index of the first one that it rejects or that is not hour-aligned
+    (len(stamps) if none); entries from that index on are unset."""
+    n = len(stamps)
+    chars = np.array(stamps, dtype="U20").view(np.int32).reshape(n, 20)  # cuts longer ones, which len rules out
+    canonical = ((chars >= _LOW) & (chars <= _HIGH)).all(1) & (np.fromiter(map(len, stamps), np.intp, n) == 20)
+    year, month, day, hour = ((chars[:, a:b] - ord("0")) @ 10 ** np.arange(b - a - 1, -1, -1)
+                              for a, b in ((0, 4), (5, 7), (8, 10), (11, 13)))
+    months = ((year - 1970) * 12 + month - 1).astype("M8[M]")
+    first_day, next_month = (m.astype("M8[D]").astype(np.int64) for m in (months, months + 1))
+    canonical &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= next_month - first_day) & (hour <= 23)
+    hours = (first_day + day - 1) * 24 + hour
+    for i in np.flatnonzero(~canonical):
+        try:
+            hours[i] = (ensure_hour_aligned(parse_ts(stamps[i])) - _EPOCH) // HOUR
+        except InputError:
+            return hours, int(i)
+    return hours, n
+
+
 def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[RainSeries]:
     path = Path(path)
-    per_station: dict[str, list[tuple[datetime, float]]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in RAINFALL_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise InputError(f"{path}: missing rainfall CSV columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = (row["station_id"] or "").strip()
-            if not sid:
-                raise InputError(f"{path}:{lineno}: empty station_id")
-            ts = ensure_hour_aligned(parse_ts(row["timestamp"]), f"{path}:{lineno}: timestamp")
-            try:
-                mm = float(row["rainfall_mm"])
-            except (TypeError, ValueError):
-                raise InputError(f"{path}:{lineno}: bad rainfall_mm {row['rainfall_mm']!r}") from None
-            if not np.isfinite(mm) or mm < 0:
-                raise InputError(f"{path}:{lineno}: rainfall_mm must be finite and >= 0")
-            per_station.setdefault(sid, []).append((ts, mm))
-    if not per_station:
+    code: dict[str, int] = {}  # station -> number in order of first appearance
+    parts = []  # per block: (station numbers, hours, values)
+    n = 0
+    for columns in read_csv_blocks(path, RAINFALL_CSV_COLUMNS, "rainfall"):
+        sids = [s.strip() for s in columns["station_id"]]
+        stamps, mm = columns["timestamp"], columns["rainfall_mm"]
+        hours, bad_ts = _epoch_hours(stamps)
+        values, bad_mm = parse_column(float, mm, np.float64)
+        out_of_range = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+        row = min(sids.index("") if "" in sids else len(sids), bad_ts, bad_mm, *out_of_range[:1])
+        if row < len(sids):  # the first failing row, with the first of its checks that fails
+            where = f"{path}:{n + row + 2}"
+            if not sids[row]:
+                raise InputError(f"{where}: empty station_id")
+            ensure_hour_aligned(parse_ts(stamps[row]), f"{where}: timestamp")
+            if row == bad_mm:
+                raise InputError(f"{where}: bad rainfall_mm {mm[row]!r}")
+            raise InputError(f"{where}: rainfall_mm must be finite and >= 0")
+        parts.append((number_keys(code, sids), hours, values))
+        n += len(sids)
+    if not n:
         raise InputError(f"{path}: no rainfall rows")
 
+    names = sorted(code)
+    station, hours, values = (np.concatenate(p) for p in zip(*parts))
+    station = np.argsort([code[sid] for sid in names])[station]  # numbered in name order
+    order = np.argsort(station, kind="stable")  # file order within a station
     out = []
-    for sid in sorted(per_station):
-        rows = per_station[sid]
-        start = rows[0][0]
-        values: list[float] = []
-        expected = start
-        for ts, mm in rows:
-            if ts < expected:
-                kind = "duplicate" if ts == expected - HOUR else "out-of-order"
-                raise InputError(f"{path}: {kind} timestamp {format_ts(ts)} for station {sid}")
-            gap = round((ts - expected).total_seconds() / 3600.0)
-            if gap:
-                if not impute_missing:
-                    raise InputError(
-                        f"{path}: station {sid} missing {gap} hour(s) before {format_ts(ts)}; "
-                        "re-run with missing-hour imputation to fill with 0 mm"
-                    )
-                log.warning("station %s: imputing %d missing hour(s) before %s as 0 mm", sid, gap, format_ts(ts))
-                values.extend([0.0] * gap)
-            values.append(mm)
-            expected = ts + HOUR
-        out.append(RainSeries(sid, start, np.array(values)))
+    for sid, rows in zip(names, np.split(order, np.cumsum(np.bincount(station))[:-1])):
+        h = hours[rows]
+        step = np.diff(h)
+        for j in np.flatnonzero(step != 1):
+            ts = format_ts(_EPOCH + int(h[j + 1]) * HOUR)
+            if step[j] < 1:
+                kind = "duplicate" if step[j] == 0 else "out-of-order"
+                raise InputError(f"{path}: {kind} timestamp {ts} for station {sid}")
+            if not impute_missing:
+                raise InputError(
+                    f"{path}: station {sid} missing {step[j] - 1} hour(s) before {ts}; "
+                    "re-run with missing-hour imputation to fill with 0 mm"
+                )
+            log.warning("station %s: imputing %d missing hour(s) before %s as 0 mm", sid, step[j] - 1, ts)
+        filled = np.zeros(h[-1] - h[0] + 1)
+        filled[h - h[0]] = values[rows]
+        out.append(RainSeries(sid, _EPOCH + int(h[0]) * HOUR, filled))
     return out
 
 
@@ -303,5 +334,6 @@ def write_rainfall_csv(path: str | Path, series: Iterable[RainSeries]) -> None:
         writer = csv.writer(fh)
         writer.writerow(RAINFALL_CSV_COLUMNS)
         for s in sorted(series, key=lambda s: s.station_id):
-            for i, mm in enumerate(s.values):
-                writer.writerow((s.station_id, format_ts(s.hour_at(i)), repr(float(mm))))
+            hours = np.datetime64((s.start - _EPOCH) // HOUR, "h") + np.arange(len(s))
+            stamps = np.datetime_as_string(hours, unit="s", timezone="UTC").tolist()
+            writer.writerows(zip(repeat(s.station_id), stamps, map(repr, s.values.tolist())))

@@ -185,10 +185,14 @@ class _GainCriterion:
         self.lam = lam
 
     def is_pure(self, rows: np.ndarray) -> bool:
-        return False
+        return float(self.a[rows].sum()) + self.lam == 0
 
     def leaf(self, rows: np.ndarray) -> tuple[float, float]:
+        # With no curvature (hessians summing to 0 under leaf_l2=0) the Newton
+        # step -G/H is undefined: the node stays a leaf that changes no score.
         H = float(self.a[rows].sum())
+        if H + self.lam == 0:
+            return 0.0, H
         return float(-self.b[rows].sum() / (H + self.lam)), H
 
     def floor(self, H: float, G: float) -> float:

@@ -1,10 +1,12 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from debris_ews import InputError
-from debris_ews.cli import main, read_scores_csv
+from debris_ews.cli import SCORES_CSV_COLUMNS, main, read_scores_csv, write_scores_csv
 
 SMALL_SYNTH = ["--stations", "5", "--weeks", "12"]
 
@@ -301,3 +303,102 @@ def test_read_scores_csv_rejects_hour_gaps(tmp_path):
     with pytest.raises(InputError, match=r"window w2 has no score for hour 2"):
         read_scores_csv(path)
     assert main(["bootstrap-ci", "--scores", str(path), "--out", str(tmp_path / "ci"), "--seed", "1", "--reps", "10"]) == 1
+
+
+# The per-row scores reader and writer that the bulk ones replaced, kept as the
+# reference: groups, file bytes and error messages must match.
+
+
+def _reference_read_scores_csv(path):
+    path = Path(path)
+    grouped = {}
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in SCORES_CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise InputError(f"{path}: missing scores CSV columns {missing}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                grouped.setdefault(row["window_id"], []).append(
+                    (int(row["hour"]), int(row["label"]), float(row["score"]))
+                )
+            except (TypeError, ValueError):
+                raise InputError(f"{path}:{lineno}: bad scores row {row!r}") from None
+    if not grouped:
+        raise InputError(f"{path}: no score rows")
+    out = []
+    for wid, rows in grouped.items():
+        rows.sort(key=lambda r: r[0])
+        h = np.array([r[0] for r in rows])
+        if np.unique(h).size != h.size:
+            raise InputError(f"{path}: duplicate hours for window {wid}")
+        gaps = np.flatnonzero(np.diff(h) != 1)
+        if gaps.size:
+            raise InputError(f"{path}: window {wid} has no score for hour {h[gaps[0]] + 1}; hours must be consecutive")
+        out.append((wid, h, np.array([r[1] for r in rows]), np.array([r[2] for r in rows])))
+    return out
+
+
+def _reference_write_scores_csv(path, window_ids, hours, labels, scores):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCORES_CSV_COLUMNS)
+        for wid, h, y, s in zip(window_ids, hours, labels, scores):
+            writer.writerow((wid, int(h), int(y), repr(float(s))))
+
+
+def _scores_outcome(read, path):
+    try:
+        return [(wid, h.dtype, h.tobytes(), y.dtype, y.tobytes(), s.dtype, s.tobytes()) for wid, h, y, s in read(path)]
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+SCORES_HEADER = "window_id,hour,label,score\n"
+SCORES_FILES = {
+    "interleaved windows, hours unsorted":
+        SCORES_HEADER + "w2,1,0,0.5\nw1,0,1,0.25\nw2,0,1,-0.0\nw1,1,0,1e-300\nw3,7,0,1\n",
+    "reordered and extra columns": "score,extra,hour,window_id,label\n0.5,x,1,w1,0\n0.25,,0,w1,1\n1,y,0,w0,0\n",
+    "crlf, blank lines, padded ints": SCORES_HEADER + "w1,0,1,0.5\r\n\r\nw1, 1 ,0,0.75\r\n\r\n",
+    "bad hour": SCORES_HEADER + "w1,0,1,0.5\nw1,1.0,0,0.5\n",
+    "bad label": SCORES_HEADER + "w1,0,1,0.5\nw1,1,,0.5\n",
+    "bad score": SCORES_HEADER + "w1,0,1,0.5\nw1,1,0,high\nw1,x,0,0.5\n",
+    "late bad row": SCORES_HEADER + "".join(f"w1,{h},0,0.5\n" for h in range(12)) + "\nw2,0,0,\n",
+    "duplicate hour": SCORES_HEADER + "w1,0,1,0.5\nw2,0,0,0.1\nw2,0,1,0.2\n",
+    "missing hour": SCORES_HEADER + "w1,0,1,0.5\nw1,2,0,0.5\n",
+    "missing column": "window_id,hour,score\nw1,0,0.5\n",
+    "no rows": SCORES_HEADER,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORES_FILES))
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_bulk_scores_reader_matches_reference(tmp_path, case, quoted, csv_blocks):
+    text = SCORES_FILES[case]
+    if quoted:  # the same file through csv.reader
+        text = text.replace("hour", '"hour"', 1)
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    assert _scores_outcome(read_scores_csv, path) == _scores_outcome(_reference_read_scores_csv, path)
+
+
+def test_scores_reader_short_row_reads_empty_fields(tmp_path):
+    # the per-row reader showed the missing fields as None
+    path = tmp_path / "scores.csv"
+    path.write_text("window_id,hour,label,score\nw1,0,1,0.5\nw1,1\n")
+    with pytest.raises(InputError) as exc:
+        read_scores_csv(path)
+    assert str(exc.value) == f"{path}:3: bad scores row {{'window_id': 'w1', 'hour': '1', 'label': '', 'score': ''}}"
+
+
+def test_bulk_scores_writer_matches_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 500
+    wids = [f"w,{i // 40}" for i in range(n)]
+    args = (wids, np.arange(n) % 40, rng.random(n) < 0.2, np.r_[rng.random(n - 3), 0.0, -0.0, 5e-324])
+    write_scores_csv(tmp_path / "new.csv", *args)
+    _reference_write_scores_csv(tmp_path / "ref.csv", *args)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert _scores_outcome(read_scores_csv, tmp_path / "new.csv") == _scores_outcome(
+        _reference_read_scores_csv, tmp_path / "new.csv"
+    )

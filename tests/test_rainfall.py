@@ -1,4 +1,7 @@
+import csv
+import logging
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from debris_ews import (
     ear_trace,
     segment_events,
 )
-from debris_ews.rainfall import read_rainfall_csv, write_rainfall_csv
+from debris_ews._common import HOUR, ensure_hour_aligned, format_ts, parse_ts
+from debris_ews.rainfall import RAINFALL_CSV_COLUMNS, read_rainfall_csv, write_rainfall_csv
 
 from conftest import T0, random_rain, series
 
@@ -313,3 +317,244 @@ def test_rainfall_csv_rejects_misaligned_and_nonutc(tmp_path):
     path.write_text("station_id,timestamp,rainfall_mm\nA,2019-05-01T00:00:00+02:00,1.0\n")
     with pytest.raises(InputError, match="UTC"):
         read_rainfall_csv(path)
+
+
+# --- bulk CSV I/O against the per-row reference ---------------------------------
+# The per-row reader and writer that the bulk ones replaced, kept as the
+# reference: the series, file bytes, warnings and error messages must match.
+
+
+def _reference_read_rainfall_csv(path, impute_missing=False):
+    path = Path(path)
+    per_station = {}
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in RAINFALL_CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise InputError(f"{path}: missing rainfall CSV columns {missing}")
+        for lineno, row in enumerate(reader, start=2):
+            sid = (row["station_id"] or "").strip()
+            if not sid:
+                raise InputError(f"{path}:{lineno}: empty station_id")
+            ts = ensure_hour_aligned(parse_ts(row["timestamp"]), f"{path}:{lineno}: timestamp")
+            try:
+                mm = float(row["rainfall_mm"])
+            except (TypeError, ValueError):
+                raise InputError(f"{path}:{lineno}: bad rainfall_mm {row['rainfall_mm']!r}") from None
+            if not np.isfinite(mm) or mm < 0:
+                raise InputError(f"{path}:{lineno}: rainfall_mm must be finite and >= 0")
+            per_station.setdefault(sid, []).append((ts, mm))
+    if not per_station:
+        raise InputError(f"{path}: no rainfall rows")
+
+    out = []
+    for sid in sorted(per_station):
+        rows = per_station[sid]
+        start = rows[0][0]
+        values = []
+        expected = start
+        for ts, mm in rows:
+            if ts < expected:
+                kind = "duplicate" if ts == expected - HOUR else "out-of-order"
+                raise InputError(f"{path}: {kind} timestamp {format_ts(ts)} for station {sid}")
+            gap = round((ts - expected).total_seconds() / 3600.0)
+            if gap:
+                if not impute_missing:
+                    raise InputError(
+                        f"{path}: station {sid} missing {gap} hour(s) before {format_ts(ts)}; "
+                        "re-run with missing-hour imputation to fill with 0 mm"
+                    )
+                logging.getLogger("debris_ews.rainfall").warning(
+                    "station %s: imputing %d missing hour(s) before %s as 0 mm", sid, gap, format_ts(ts)
+                )
+                values.extend([0.0] * gap)
+            values.append(mm)
+            expected = ts + HOUR
+        out.append(RainSeries(sid, start, np.array(values)))
+    return out
+
+
+def _reference_write_rainfall_csv(path, series):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RAINFALL_CSV_COLUMNS)
+        for s in sorted(series, key=lambda s: s.station_id):
+            for i, mm in enumerate(s.values):
+                writer.writerow((s.station_id, format_ts(s.hour_at(i)), repr(float(mm))))
+
+
+def _read_both(path, caplog, impute_missing=False):
+    """Both readers' series (or error text) and warnings, as comparable values."""
+    results = []
+    for read in (read_rainfall_csv, _reference_read_rainfall_csv):
+        caplog.clear()
+        try:
+            out = [(s.station_id, s.start, s.start.tzinfo, s.values.tobytes()) for s in read(path, impute_missing)]
+        except InputError as exc:
+            out = f"InputError: {exc}"
+        results.append((out, [r.getMessage() for r in caplog.records]))
+    return results
+
+
+HEADER = "station_id,timestamp,rainfall_mm\n"
+QUOTED_HEADER = '"station_id",timestamp,rainfall_mm\n'  # same columns through csv.reader
+
+
+READABLE = {
+    "interleaved stations": (
+        "B,2019-05-01T03:00:00Z,1.5\nA,2019-05-01T00:00:00Z,0.0\nB,2019-05-01T04:00:00Z,-0.0\n"
+        "A,2019-05-01T01:00:00Z,2.25\n", False),
+    # +00:00, naive, space-separated, lower-case z, padded, date-only and
+    # year-boundary timestamps, mixed with canonical ones
+    "other timestamp forms": (
+        "A,2019-12-31T22:00:00+00:00,1\nA,2019-12-31 23:00:00,2\nA, 2020-01-01T00:00:00Z ,3\n"
+        "A,2020-01-01T01:00:00z,4\nA,2020-01-01T02:00:00,5\nA,2020-01-01T03:00:00Z\x00,6\n"
+        "B,2020-02-29,7\nB,2020-02-29T01:00Z,8\n", False),
+    # float() spellings that numpy's string cast reads differently; padded ids
+    "float spellings": (
+        "A,2019-05-01T00:00:00Z, 1_000.5 \n A ,2019-05-01T01:00:00Z,1e-3\nA,2019-05-01T02:00:00Z,+.5\n", False),
+    "line ends and blank lines": (
+        "A,2019-05-01T00:00:00Z,1.0\r\n\r\nA,2019-05-01T01:00:00Z,2.0\rA,2019-05-01T02:00:00Z,3.0\r\n\n", False),
+    "imputed gaps": (
+        "B,2019-05-01T00:00:00Z,1\nA,2019-05-01T00:00:00Z,1\nA,2019-05-01T03:00:00Z,2\n"
+        "B,2019-05-01T02:00:00Z,3\nA,2019-05-01T04:00:00Z,4\nA,2019-05-01T09:00:00Z,5\n", True),
+    "extreme years": (
+        "A,1969-12-31T23:00:00Z,1\nA,1970-01-01T00:00:00Z,2\nB,0001-01-01T00:00:00Z,3\nC,9999-12-31T22:00:00Z,4\n",
+        False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READABLE))
+@pytest.mark.parametrize("header", [HEADER, QUOTED_HEADER], ids=["plain", "quoted"])
+def test_bulk_reader_matches_reference(tmp_path, caplog, case, header, csv_blocks):
+    body, impute = READABLE[case]
+    path = tmp_path / "rain.csv"
+    path.write_bytes((header + body).encode())
+    caplog.set_level(logging.WARNING)
+    new, ref = _read_both(path, caplog, impute)
+    assert new == ref
+    assert not isinstance(new[0], str)
+    assert bool(new[1]) == impute
+
+
+def test_bulk_reader_columns_by_name_and_quoted_fields(tmp_path, caplog):
+    path = tmp_path / "rain.csv"
+    path.write_text(
+        "rainfall_mm,note,timestamp,station_id,extra\n"
+        '1.5,"a, b",2019-05-01T00:00:00Z,"S,1",x\n'
+        '2.5,,2019-05-01T01:00:00Z,"S,1",\n'
+        '0.5,"say ""hi""",2019-05-01T00:00:00Z,S2,y\n'
+    )
+    new, ref = _read_both(path, caplog)
+    assert new == ref
+    assert [sid for sid, *_ in new[0]] == ["S,1", "S2"]
+    path.write_text("extra,rainfall_mm,timestamp,station_id\n0,1.5,2019-05-01T00:00:00Z,A\n1,2.5,2019-05-01T01:00:00Z,A\n")
+    new, ref = _read_both(path, caplog)
+    assert new == ref and not isinstance(new[0], str)
+
+
+ROW_ERRORS = {
+    "empty station": "A,2019-05-01T00:00:00Z,1\n  ,2019-05-01T01:00:00Z,1\n",
+    "bad float": "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T01:00:00Z,1.0mm\n",
+    "empty float": "A,2019-05-01T00:00:00Z,\n",
+    "nan": "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T01:00:00Z,nan\n",
+    "inf": "A,2019-05-01T00:00:00Z,1e999\n",
+    "negative": "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T01:00:00Z,-0.1\n",
+    "misaligned": "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T01:30:00Z,1\n",
+    "misaligned seconds": "A,2019-05-01T01:00:01Z,1\n",
+    "non-utc": "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T01:00:00+02:00,1\n",
+    "year 0000": "A,0000-05-01T00:00:00Z,1\n",
+    "month 13": "A,2019-13-01T00:00:00Z,1\n",
+    "feb 29 non-leap": "A,2019-02-28T23:00:00Z,1\nA,2019-02-29T00:00:00Z,1\n",
+    "feb 29 of 1900": "A,1900-02-29T00:00:00Z,1\n",
+    "hour 24": "A,2019-05-01T24:00:00Z,1\n",
+    "garbage timestamp": "A,2019-05-01T0x:00:00Z,1\n",
+    "long timestamp": "A,2019-05-01T00:00:00Z0,1\n",
+    "empty timestamp": "A,,1\n",
+    # the first failing row wins, and within it the first failing check
+    "earlier row wins": "A,2019-05-01T00:00:00Z,-1\n,2019-05-01T01:00:00Z,1\n",
+    "station before timestamp": "A,2019-05-01T00:00:00Z,1\n,bad,bad\n",
+    "timestamp before value": "A,2019-05-01T00:30:00Z,x\n",
+    "duplicate": "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T01:00:00Z,1\nA,2019-05-01T01:00:00Z,2\n",
+    "out-of-order": "A,2019-05-01T03:00:00Z,1\nA,2019-05-01T01:00:00Z,1\n",
+    "gap": "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T05:00:00Z,1\n",
+    "station order decides": "B,2019-05-01T00:00:00Z,1\nB,2019-05-01T00:00:00Z,1\n"
+                             "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T02:00:00Z,1\n",
+    "no rows": "\n\n",
+    "late row": "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(12)) + "\nB,2019-05-01T00:00:00Z,-1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_ERRORS))
+@pytest.mark.parametrize("header", [HEADER, QUOTED_HEADER], ids=["plain", "quoted"])
+def test_bulk_reader_errors_match_reference(tmp_path, caplog, case, header, csv_blocks):
+    path = tmp_path / "rain.csv"
+    path.write_bytes((header + ROW_ERRORS[case]).encode())
+    new, ref = _read_both(path, caplog)
+    assert new == ref
+    assert new[0].startswith("InputError: ")
+
+
+@pytest.mark.parametrize("case", ["gap", "out-of-order"])
+def test_bulk_reader_imputation_errors_match_reference(tmp_path, caplog, case):
+    path = tmp_path / "rain.csv"
+    path.write_text(HEADER + "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T03:00:00Z,1\n" + ROW_ERRORS[case])
+    caplog.set_level(logging.WARNING)
+    new, ref = _read_both(path, caplog, impute_missing=True)
+    assert new == ref
+
+
+@pytest.mark.parametrize("text", [
+    "station_id,rainfall_mm\nA,1\n",
+    "",
+    "\nstation_id,timestamp,rainfall_mm\nA,2019-05-01T00:00:00Z,1\n",
+    HEADER,
+    "\ufeff" + HEADER + "A,2019-05-01T00:00:00Z,1\n",
+])
+def test_bulk_reader_header_errors_match_reference(tmp_path, caplog, text):
+    path = tmp_path / "rain.csv"
+    path.write_bytes(text.encode())
+    new, ref = _read_both(path, caplog)
+    assert new == ref
+    assert new[0].startswith("InputError: ")
+
+
+def test_bulk_reader_short_row_is_an_input_error(tmp_path):
+    # the per-row reader crashed with AttributeError on a row without a timestamp field
+    path = tmp_path / "rain.csv"
+    path.write_text(HEADER + "A,2019-05-01T00:00:00Z,1\nA\n")
+    with pytest.raises(InputError, match="invalid ISO-8601 timestamp: ''"):
+        read_rainfall_csv(path)
+
+
+def test_bulk_writer_matches_reference(tmp_path, caplog, csv_blocks):
+    rng = np.random.default_rng(5)
+    stations = [
+        series(random_rain(rng, 300) * rng.choice([1.0, 1 / 3, 1e-7], size=300), "S,2"),
+        series(np.r_[0.0, -0.0, 1e300, 5e-324, 0.1 + 0.2], "A", start=datetime(1969, 12, 31, 22, tzinfo=timezone.utc)),
+        series(random_rain(rng, 50), 'q"x', start=datetime(2020, 2, 28, 20, tzinfo=timezone.utc)),
+        series([1.0], "Z", start=datetime(9999, 12, 31, 22, tzinfo=timezone.utc)),
+    ]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_rainfall_csv(new, stations)
+    _reference_write_rainfall_csv(ref, stations)
+    assert new.read_bytes() == ref.read_bytes()
+    assert _read_both(new, caplog)[0][0] == [
+        (s.station_id, s.start, timezone.utc, s.values.tobytes()) for s in sorted(stations, key=lambda s: s.station_id)
+    ]
+
+
+def test_csv_round_trip_at_the_ends_of_the_calendar(tmp_path):
+    # the per-row writer wrote year 5 as "5-01-01T00:00:00Z", which no reader
+    # takes, and the per-row reader overflowed past the last hour of 9999
+    path = tmp_path / "rain.csv"
+    stations = [series([1.0, 2.0], "A", start=datetime(5, 1, 1, tzinfo=timezone.utc)),
+                series([3.0, 4.0], "B", start=datetime(9999, 12, 31, 22, tzinfo=timezone.utc))]
+    write_rainfall_csv(path, stations)
+    assert path.read_text().splitlines()[1] == "A,0005-01-01T00:00:00Z,1.0"
+    back = read_rainfall_csv(path)
+    assert [(s.station_id, s.start, s.values.tolist()) for s in back] == [
+        (s.station_id, s.start, s.values.tolist()) for s in stations
+    ]

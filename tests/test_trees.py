@@ -361,3 +361,18 @@ def test_wide_codes_and_several_blocks_match_reference():
     crit = _GiniCriterion(y.astype(float), w)
     _assert_same_nodes(tree, _reference_grow(
         X, crit, lambda rows, f: _reference_gini(X, y.astype(float), w, 5, rows, f), params))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf gains of zero-hessian children
+def test_zero_hessian_nodes_become_zero_leaves():
+    # Rows of a saturated sigmoid have hessian exactly 0; with leaf_l2=0 a node of
+    # only such rows has no Newton step, so it stays a leaf that moves no score.
+    X = np.c_[np.repeat([0.0, 1.0], 10), np.arange(20.0)]
+    g = np.r_[np.full(10, 0.7), np.linspace(-1.0, 1.0, 10)]
+    h = np.r_[np.zeros(10), np.full(10, 0.25)]
+    tree = fit_gradient_tree(X, g, h, TreeParams(max_depth=4), leaf_l2=0.0)
+    assert tree.feature[0] == 0 and np.isfinite(tree.value).all()
+    pred = tree.predict_value(X)
+    assert (pred[:10] == 0.0).all() and (pred[10:] != 0.0).any()
+    root_only = fit_gradient_tree(X, g, np.zeros(20), leaf_l2=0.0)
+    assert root_only.n_nodes == 1 and root_only.value[0] == 0.0
