@@ -16,8 +16,6 @@ from .baselines import (
     etm_scores,
     hm_predict,
     hm_scores,
-    sweep_etm,
-    sweep_hm,
 )
 from .bootstrap import BootstrapCI, block_bootstrap_ci
 from .dataset import (
@@ -43,7 +41,7 @@ from .explain import (
     tree_shap,
     tree_shap_batch,
 )
-from .forest import ForestModel, ForestParams, classify, fit_forest
+from .forest import ForestModel, ForestParams, fit_forest
 from .gbt import GbtModel, GbtParams, fit_gbt
 from .linear import LinearModel, LogisticParams, fit_logistic
 from .metrics import (

@@ -85,6 +85,15 @@ def read_csv_blocks(path: Path, required: Sequence[str], what: str) -> Iterator[
             yield dict(zip(header, columns))  # a repeated name keeps its last column, as in DictReader
 
 
+def read_csv_rows(path: Path, required: Sequence[str], what: str) -> Iterator[tuple[int, dict[str, str]]]:
+    """The rows of read_csv_blocks one at a time, each with its line number (the header is line 1)."""
+    lineno = 1
+    for columns in read_csv_blocks(path, required, what):
+        for fields in zip(*columns.values()):
+            lineno += 1
+            yield lineno, dict(zip(columns, fields))
+
+
 def _split(lines: list[str], width: int) -> list[list[str]]:
     """Columns of unquoted lines, in bulk when every line has `width` fields."""
     if set(map(str.count, lines, repeat(","))) <= {width - 1}:

@@ -2,9 +2,9 @@
 
 The station model alerts when the EAR reaches a per-station threshold; the
 homogeneous model uses one threshold everywhere. Alerts can only fire inside
-main rainfall events (EAR is 0 elsewhere). Curves come from sweeping either a
-common scale factor on the station table or a uniform threshold from zero to
-the maximum EAR.
+main rainfall events (EAR is 0 elsewhere). Curves come from thresholding the
+per-hour scores at every distinct value: EAR over the station threshold for the
+station model, EAR itself for the homogeneous one.
 """
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError
+from ._common import InputError, read_csv_rows
 from .dataset import DatasetWindow
 from .rainfall import DEFAULT_ALPHA, DailyWindowMode, ear_series
 
@@ -39,24 +39,20 @@ class AlertPolicy:
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Per-station EAR thresholds; official tables use 200..600 mm in 50 mm steps."""
+    """Per-station EAR thresholds, each an official value: 200..600 mm in 50 mm steps."""
 
     thresholds: Mapping[str, float]
-    kind: str = "official"  # "official" | "swept"
     year: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("official", "swept"):
-            raise InputError(f"threshold table kind must be official or swept, got {self.kind!r}")
         for sid, thr in self.thresholds.items():
             if not np.isfinite(thr) or thr <= 0:
                 raise InputError(f"station {sid}: threshold must be positive, got {thr!r}")
-            if self.kind == "official":
-                if not (OFFICIAL_MIN_MM <= thr <= OFFICIAL_MAX_MM) or thr % OFFICIAL_STEP_MM:
-                    raise InputError(
-                        f"station {sid}: official threshold must lie in "
-                        f"[{OFFICIAL_MIN_MM:.0f}, {OFFICIAL_MAX_MM:.0f}] mm in {OFFICIAL_STEP_MM:.0f} mm steps"
-                    )
+            if not (OFFICIAL_MIN_MM <= thr <= OFFICIAL_MAX_MM) or thr % OFFICIAL_STEP_MM:
+                raise InputError(
+                    f"station {sid}: official threshold must lie in "
+                    f"[{OFFICIAL_MIN_MM:.0f}, {OFFICIAL_MAX_MM:.0f}] mm in {OFFICIAL_STEP_MM:.0f} mm steps"
+                )
         object.__setattr__(self, "thresholds", dict(self.thresholds))
 
     def __getitem__(self, station_id: str) -> float:
@@ -74,9 +70,6 @@ class WindowEar:
     station_id: str
     ear: np.ndarray
     events: tuple[tuple[int, int], ...]
-
-    def max_event_ear(self) -> float:
-        return max((float(self.ear[e]) for _, e in self.events), default=0.0)
 
 
 def compute_window_ear(
@@ -122,66 +115,25 @@ def hm_scores(wears: Sequence[WindowEar]) -> dict[str, np.ndarray]:
     return {w.window_id: w.ear.copy() for w in wears}
 
 
-def sweep_etm(
-    wears: Sequence[WindowEar],
-    table: ThresholdTable,
-    scale_step: float = 0.001,
-    policy: AlertPolicy = AlertPolicy(),
-) -> Iterator[tuple[float, dict[str, np.ndarray]]]:
-    """Predictions while scaling every station threshold by 0, step, 2*step, ...
-    up to the first scale at which no alert fires anywhere."""
-    if scale_step <= 0:
-        raise InputError("scale_step must be > 0")
-    top = max((w.max_event_ear() / table[w.station_id] for w in wears), default=0.0)
-    n_steps = int(np.ceil(top / scale_step)) + 1
-    for k in range(n_steps + 1):
-        scale = k * scale_step
-        yield scale, {
-            w.window_id: _alerts(w, scale * table[w.station_id], policy) for w in wears
-        }
-
-
-def sweep_hm(
-    wears: Sequence[WindowEar],
-    steps: int = 400,
-    policy: AlertPolicy = AlertPolicy(),
-    include_marked: bool = True,
-) -> Iterator[tuple[float, dict[str, np.ndarray]]]:
-    """Predictions for uniform thresholds from 0 up to the maximum EAR; the nine
-    marked thresholds 200..600 mm are always included."""
-    if steps < 1:
-        raise InputError("steps must be >= 1")
-    top = max((w.max_event_ear() for w in wears), default=0.0)
-    grid = np.arange(steps + 1) * (top / steps if top > 0 else 1.0)
-    if include_marked:
-        grid = np.union1d(grid, np.asarray(MARKED_THRESHOLDS_MM))
-    for thr in grid:
-        yield float(thr), {w.window_id: _alerts(w, float(thr), policy) for w in wears}
-
-
-def read_threshold_csv(path: str | Path, kind: str = "official") -> ThresholdTable:
+def read_threshold_csv(path: str | Path) -> ThresholdTable:
+    """The table of a threshold CSV; its year is the last row's, None when that is empty."""
     path = Path(path)
     thresholds: dict[str, float] = {}
     year: int | None = None
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in THRESHOLD_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise InputError(f"{path}: missing threshold CSV columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = (row["station_id"] or "").strip()
-            if not sid:
-                raise InputError(f"{path}:{lineno}: empty station_id")
-            if sid in thresholds:
-                raise InputError(f"{path}:{lineno}: duplicate station {sid}")
-            try:
-                thresholds[sid] = float(row["ear_threshold_mm"])
-                year = int(row["year"])
-            except (TypeError, ValueError):
-                raise InputError(f"{path}:{lineno}: bad threshold row {row!r}") from None
+    for lineno, row in read_csv_rows(path, THRESHOLD_CSV_COLUMNS, "threshold"):
+        sid = row["station_id"].strip()
+        if not sid:
+            raise InputError(f"{path}:{lineno}: empty station_id")
+        if sid in thresholds:
+            raise InputError(f"{path}:{lineno}: duplicate station {sid}")
+        try:
+            thresholds[sid] = float(row["ear_threshold_mm"])
+            year = int(row["year"]) if row["year"].strip() else None
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad threshold row {row!r}") from None
     if not thresholds:
         raise InputError(f"{path}: no threshold rows")
-    return ThresholdTable(thresholds, kind=kind, year=year)
+    return ThresholdTable(thresholds, year=year)
 
 
 def write_threshold_csv(path: str | Path, table: ThresholdTable) -> None:

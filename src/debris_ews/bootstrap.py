@@ -91,7 +91,7 @@ class _GroupedSample:
 
 def block_bootstrap_ci(
     groups: Sequence[tuple[np.ndarray, np.ndarray]],
-    stat: str | Callable[[np.ndarray, np.ndarray], float] = "auprc",
+    stat: str = "auprc",
     block_hours: int = 6,
     replicates: int = 10000,
     level: float = 0.95,
@@ -111,13 +111,10 @@ def block_bootstrap_ci(
     if not 0.0 < level < 1.0:
         raise InputError("level must be in (0, 1)")
 
-    if callable(stat):
-        stat_fn, stat_name = stat, getattr(stat, "__name__", "custom")
-    else:
-        try:
-            stat_fn, stat_name = _STATS[stat.lower()], stat.lower()
-        except KeyError:
-            raise InputError(f"unknown statistic {stat!r}; expected one of {sorted(_STATS)}") from None
+    try:
+        stat_fn, stat_name = _STATS[stat.lower()], stat.lower()
+    except KeyError:
+        raise InputError(f"unknown statistic {stat!r}; expected one of {sorted(_STATS)}") from None
 
     prepared = []
     for scores, labels in groups:

@@ -177,15 +177,18 @@ def _load_corpus(opts: dict):
     path = Path(opts["rainfall"])
     if not path.exists():
         raise InputError(f"rainfall CSV not found: {path} (expected header station_id,timestamp,rainfall_mm)")
-    series = read_rainfall_csv(path, impute_missing=opts.get("impute_missing", False))
+    series = read_rainfall_csv(path, impute_missing=opts["impute_missing"])
     return {s.station_id: s for s in series}
 
 
-def _load_windows(opts: dict, series_by_station) -> tuple[list[DatasetWindow], dict[str, str]]:
+def _load_windows(opts: dict, which: str = "all") -> tuple[list[DatasetWindow], dict[str, str]]:
+    """The --manifest windows in split `which`, resliced from --rainfall, and the manifest's split map."""
+    series_by_station = _load_corpus(opts)
     path = Path(opts["manifest"])
     if not path.exists():
         raise InputError(f"window manifest not found: {path} (produce it with 'build-dataset')")
-    return read_manifest(path, series_by_station)
+    windows, split_map = read_manifest(path, series_by_station)
+    return _select_split(windows, split_map, which), split_map
 
 
 def _select_split(windows, split_map, which: str):
@@ -237,7 +240,15 @@ def _add_feature_opts(cmd: _Command) -> _Command:
     cmd.opt("--daily-mode", default="calendar_day", choices=[m.value for m in DailyWindowMode],
             help="daily total delimitation")
     cmd.opt("--alpha", type=float, default=0.7, help="antecedent decay factor")
-    cmd.opt("--lead", type=int, default=12, help="lead time in hours for positive labels")
+    cmd.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS, help="lead time in hours for positive labels")
+    return cmd
+
+
+def _add_corpus_opts(cmd: _Command, manifest: bool = True) -> _Command:
+    cmd.opt("--rainfall", required=True, help="rainfall CSV")
+    if manifest:
+        cmd.opt("--manifest", required=True, help="window manifest from 'build-dataset'")
+    cmd.opt("--impute-missing", action="store_true", help="fill missing hours with 0 mm instead of rejecting")
     return cmd
 
 
@@ -436,9 +447,7 @@ def _hyper_params(opts: dict):
 
 def _run_train(opts: dict) -> None:
     out = Path(opts["out"])
-    series_by_station = _load_corpus(opts)
-    windows, split_map = _load_windows(opts, series_by_station)
-    chosen = _select_split(windows, split_map, opts["split"])
+    chosen, _ = _load_windows(opts, opts["split"])
     spec = _feature_spec(opts)
     examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
     params = _hyper_params(opts)
@@ -458,9 +467,7 @@ def _run_train(opts: dict) -> None:
 
 def _run_cv(opts: dict) -> None:
     out = Path(opts["out"])
-    series_by_station = _load_corpus(opts)
-    windows, split_map = _load_windows(opts, series_by_station)
-    chosen = _select_split(windows, split_map, opts["split"])
+    chosen, _ = _load_windows(opts, opts["split"])
     spec = _feature_spec(opts)
     if opts["grid"] == "default":
         grid = default_grid(opts["model"])
@@ -492,9 +499,7 @@ def _run_cv(opts: dict) -> None:
 def _run_eval(opts: dict) -> None:
     out = Path(opts["out"])
     model, spec = _load_trained_model(opts)
-    series_by_station = _load_corpus(opts)
-    windows, split_map = _load_windows(opts, series_by_station)
-    chosen = _select_split(windows, split_map, opts["split"])
+    chosen, _ = _load_windows(opts, opts["split"])
     examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
     scores = predict_proba(model, examples.X)
     write_scores_csv(out / "scores.csv", examples.window_ids, examples.hours, examples.y, scores)
@@ -516,9 +521,7 @@ def _run_eval(opts: dict) -> None:
 
 def _run_sweep_baselines(opts: dict) -> None:
     out = Path(opts["out"])
-    series_by_station = _load_corpus(opts)
-    windows, split_map = _load_windows(opts, series_by_station)
-    chosen = _select_split(windows, split_map, opts["split"])
+    chosen, _ = _load_windows(opts, opts["split"])
     thr_path = Path(opts["thresholds"])
     if not thr_path.exists():
         raise InputError(f"threshold table not found: {thr_path} (expected header station_id,year,ear_threshold_mm)")
@@ -609,8 +612,7 @@ def _run_operating_points(opts: dict) -> None:
 
 def _run_event_capture(opts: dict) -> None:
     out = Path(opts["out"])
-    series_by_station = _load_corpus(opts)
-    windows, _ = _load_windows(opts, series_by_station)
+    windows, _ = _load_windows(opts)
     by_id = {w.id: w for w in windows}
     scores_by_window = {}
     for wid, hours, _, scores in read_scores_csv(opts["scores"]):
@@ -633,8 +635,7 @@ def _run_explain(opts: dict) -> None:
     model, spec = _load_trained_model(opts)
     if not isinstance(model, ForestModel):
         raise InputError("explain supports random forest models only")
-    series_by_station = _load_corpus(opts)
-    windows, split_map = _load_windows(opts, series_by_station)
+    windows, split_map = _load_windows(opts)
     chosen = _select_split(windows, split_map, opts["split"])
     examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
 
@@ -709,21 +710,19 @@ def build_parser() -> _Parser:
     c.opt("--recent-rain-gain", type=float, default=SynthConfig.recent_rain_gain)
 
     c = _Command(sub, "segment", "list main rainfall events per station", _run_segment)
-    c.opt("--rainfall", required=True, help="rainfall CSV")
+    _add_corpus_opts(c, manifest=False)
     c.opt("--out", required=True)
     c.opt("--rain-threshold", type=float, default=4.0)
     c.opt("--quiet-hours", type=int, default=6)
-    c.opt("--impute-missing", action="store_true", help="fill missing hours with 0 mm instead of rejecting")
 
     c = _Command(sub, "ear", "per-hour effective accumulated rainfall", _run_ear)
-    c.opt("--rainfall", required=True)
+    _add_corpus_opts(c, manifest=False)
     c.opt("--out", required=True)
     c.opt("--alpha", type=float, default=0.7)
     c.opt("--daily-mode", default="calendar_day", choices=[m.value for m in DailyWindowMode])
-    c.opt("--impute-missing", action="store_true")
 
     c = _Command(sub, "build-dataset", "build labeled event windows and the train/test split", _run_build_dataset)
-    c.opt("--rainfall", required=True)
+    _add_corpus_opts(c, manifest=False)
     c.opt("--events", required=True, help="debris-flow events CSV")
     c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True, help="split seed")
@@ -734,12 +733,10 @@ def build_parser() -> _Parser:
     c.opt("--quiet-hours", type=int, default=6)
     c.opt("--min-wet-run", type=int, default=2)
     c.opt("--export-features", action="store_true", help="also write the feature matrix CSV")
-    c.opt("--impute-missing", action="store_true")
     _add_feature_opts(c)
 
     c = _Command(sub, "train", "fit a classifier on the training split", _run_train)
-    c.opt("--rainfall", required=True)
-    c.opt("--manifest", required=True)
+    _add_corpus_opts(c)
     c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--model", default="rf", choices=["rf", "gbt", "logistic"])
@@ -752,12 +749,10 @@ def build_parser() -> _Parser:
     c.opt("--l2", type=float, default=0.0, help="L2 penalty for logistic (0 = none)")
     c.opt("--training-weight", type=float, default=1.0)
     c.opt("--threads", type=int, default=1)
-    c.opt("--impute-missing", action="store_true")
     _add_feature_opts(c)
 
     c = _Command(sub, "cv", "grid-search cross-validation on the training split", _run_cv)
-    c.opt("--rainfall", required=True)
-    c.opt("--manifest", required=True)
+    _add_corpus_opts(c)
     c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--model", default="rf", choices=["rf", "gbt", "logistic"])
@@ -766,29 +761,24 @@ def build_parser() -> _Parser:
     c.opt("--k", type=int, default=10)
     c.opt("--training-weight", type=float, default=1.0)
     c.opt("--threads", type=int, default=1)
-    c.opt("--impute-missing", action="store_true")
     _add_feature_opts(c)
 
     c = _Command(sub, "eval", "score a trained model and emit curves and metrics", _run_eval)
     c.opt("--model", required=True)
-    c.opt("--rainfall", required=True)
-    c.opt("--manifest", required=True)
+    _add_corpus_opts(c)
     c.opt("--out", required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
-    c.opt("--impute-missing", action="store_true")
 
     c = _Command(sub, "sweep-baselines", "EAR threshold baselines: curves and official points", _run_sweep_baselines)
-    c.opt("--rainfall", required=True)
-    c.opt("--manifest", required=True)
+    _add_corpus_opts(c)
     c.opt("--thresholds", required=True, help="official threshold table CSV")
     c.opt("--out", required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
-    c.opt("--lead", type=int, default=12)
+    c.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS)
     c.opt("--alpha", type=float, default=0.7)
     c.opt("--daily-mode", default="calendar_day", choices=[m.value for m in DailyWindowMode])
     c.opt("--latch", action="store_true", help="alerts persist until event end")
-    c.opt("--impute-missing", action="store_true")
 
     c = _Command(sub, "bootstrap-ci", "circular block bootstrap CI for a scores file", _run_bootstrap_ci)
     c.opt("--scores", required=True, help="scores CSV from 'eval' or 'sweep-baselines'")
@@ -807,16 +797,13 @@ def build_parser() -> _Parser:
 
     c = _Command(sub, "event-capture", "captured/missed debris flows per alert threshold", _run_event_capture)
     c.opt("--scores", required=True)
-    c.opt("--rainfall", required=True)
-    c.opt("--manifest", required=True)
+    _add_corpus_opts(c)
     c.opt("--out", required=True)
-    c.opt("--lead", type=int, default=12)
-    c.opt("--impute-missing", action="store_true")
+    c.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS)
 
     c = _Command(sub, "explain", "Shapley attributions and importance ranking", _run_explain)
     c.opt("--model", required=True)
-    c.opt("--rainfall", required=True)
-    c.opt("--manifest", required=True)
+    _add_corpus_opts(c)
     c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
@@ -825,7 +812,6 @@ def build_parser() -> _Parser:
           help="rows to explain (cost grows with rows x leaves x background)")
     c.opt("--background-rows", type=int, default=64)
     c.opt("--method", default="mean_abs_shap", choices=["mean_abs_shap", "permutation"])
-    c.opt("--impute-missing", action="store_true")
 
     return parser
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, derived_rng, format_ts, parse_ts
+from ._common import InputError, derived_rng, format_ts, parse_ts, read_csv_rows
 from .rainfall import (
     DEFAULT_ALPHA,
     QUIET_HOURS,
@@ -142,7 +142,6 @@ class ExampleSet:
     y: np.ndarray
     window_ids: tuple[str, ...]
     hours: np.ndarray
-    station_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
 
     def __len__(self) -> int:
@@ -160,7 +159,6 @@ class ExampleSet:
             y=np.concatenate([p.y for p in parts]),
             window_ids=tuple(w for p in parts for w in p.window_ids),
             hours=np.concatenate([p.hours for p in parts]),
-            station_ids=tuple(s for p in parts for s in p.station_ids),
             feature_names=names,
         )
 
@@ -318,7 +316,6 @@ def compose_features(
     window: DatasetWindow,
     spec: FeatureSpec,
     labeling: LabelingConfig = LabelingConfig(),
-    ear_provider: Callable[[RainSeries], np.ndarray] | None = None,
 ) -> ExampleSet:
     """One labeled example per window hour.
 
@@ -345,20 +342,13 @@ def compose_features(
             daily = daily * np.power(spec.alpha, np.arange(1, spec.daily_days + 1))
         blocks.append(daily)
     if spec.include_ear:
-        if ear_provider is None:
-            ear = ear_series(window.series, spec.alpha, spec.daily_mode)[0]
-        else:
-            ear = np.asarray(ear_provider(window.series), dtype=np.float64)
-            if ear.shape != (n,):
-                raise InputError("ear_provider returned a wrong-length trace")
-        blocks.append(ear.reshape(-1, 1))
+        blocks.append(ear_series(window.series, spec.alpha, spec.daily_mode)[0].reshape(-1, 1))
     X = np.hstack(blocks)
     return ExampleSet(
         X=X,
         y=label_hours(window, labeling),
         window_ids=(window.id,) * n,
         hours=np.arange(n),
-        station_ids=(window.station_id,) * n,
         feature_names=spec.feature_names,
     )
 
@@ -367,11 +357,10 @@ def build_examples(
     windows: Sequence[DatasetWindow],
     spec: FeatureSpec,
     labeling: LabelingConfig = LabelingConfig(),
-    ear_provider: Callable[[RainSeries], np.ndarray] | None = None,
 ) -> ExampleSet:
     if not windows:
         raise InputError("no windows to featurize")
-    return ExampleSet.concat([compose_features(w, spec, labeling, ear_provider) for w in windows])
+    return ExampleSet.concat([compose_features(w, spec, labeling) for w in windows])
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +435,14 @@ EVENTS_CSV_COLUMNS = ("station_id", "timestamp")
 def read_events_csv(path: str | Path) -> dict[str, list[datetime]]:
     path = Path(path)
     out: dict[str, list[datetime]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in EVENTS_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise InputError(f"{path}: missing events CSV columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = (row["station_id"] or "").strip()
-            if not sid:
-                raise InputError(f"{path}:{lineno}: empty station_id")
+    for lineno, row in read_csv_rows(path, EVENTS_CSV_COLUMNS, "events"):
+        sid = row["station_id"].strip()
+        if not sid:
+            raise InputError(f"{path}:{lineno}: empty station_id")
+        try:
             out.setdefault(sid, []).append(parse_ts(row["timestamp"]))
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     for sid in out:
         out[sid].sort()
     return out

@@ -93,10 +93,3 @@ def fit_forest(
 
     trees = map_indexed(build, params.n_trees, threads)
     return ForestModel(tuple(trees), params, seed, float(training_weight), X.shape[1])
-
-
-def classify(scores: Sequence[float], threshold: float) -> np.ndarray:
-    """Binary alerts: positive where score >= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise InputError(f"probability threshold must be in [0, 1], got {threshold}")
-    return np.asarray(scores, dtype=np.float64) >= threshold

@@ -22,9 +22,6 @@ from .dataset import DatasetWindow, WindowKind
 
 log = logging.getLogger(__name__)
 
-AUC_METHOD = "trapezoid over achieved curve points, x ascending"
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int

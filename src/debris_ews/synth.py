@@ -180,7 +180,7 @@ def generate_corpus(cfg: SynthConfig = SynthConfig()) -> SynthCorpus:
         events[sid] = [series.hour_at(t) for t in flows]
         thresholds[sid] = _station_threshold(series, rng)
     corpus = SynthCorpus(
-        tuple(series_list), events, ThresholdTable(thresholds, kind="official", year=cfg.start.year)
+        tuple(series_list), events, ThresholdTable(thresholds, year=cfg.start.year)
     )
     if corpus.n_flows == 0:
         raise InputError(

@@ -11,10 +11,9 @@ from debris_ews import (
     etm_predict,
     etm_scores,
     hm_predict,
-    sweep_etm,
-    sweep_hm,
+    hm_scores,
 )
-from debris_ews.baselines import WindowEar, read_threshold_csv, write_threshold_csv
+from debris_ews.baselines import MARKED_THRESHOLDS_MM, WindowEar, read_threshold_csv, write_threshold_csv
 
 from conftest import random_rain, series
 
@@ -80,37 +79,6 @@ def test_threshold_monotonicity_random_traces():
         assert not (hi & ~lo).any()  # raising the threshold never adds alerts
 
 
-def test_sweep_etm_scale_grid():
-    w = _wear([100.0, 250.0, 310.0], [(0, 2)])
-    table = ThresholdTable({"S000": 300.0})
-    points = list(sweep_etm([w], table, scale_step=0.25))
-    scales = [p[0] for p in points]
-    assert scales[0] == 0.0
-    assert scales == sorted(scales)
-    # scale 0: all event hours alert
-    assert points[0][1]["W0"].tolist() == [True, True, True]
-    # scale 1 reproduces official predictions
-    one = [p for p in points if p[0] == pytest.approx(1.0)][0]
-    np.testing.assert_array_equal(one[1]["W0"], etm_predict(w, 300.0))
-    # last scale fires nothing
-    assert not points[-1][1]["W0"].any()
-    # monotone: increasing scale never adds alerts
-    prev = None
-    for _, preds in points:
-        cur = preds["W0"]
-        if prev is not None:
-            assert not (cur & ~prev).any()
-        prev = cur
-
-
-def test_sweep_hm_includes_marked_thresholds():
-    w = _wear([100.0, 450.0, 700.0], [(0, 2)])
-    thresholds = [t for t, _ in sweep_hm([w], steps=7)]
-    for marked in np.arange(200.0, 601.0, 50.0):
-        assert marked in thresholds
-    assert thresholds == sorted(thresholds)
-
-
 def test_scores_match_swept_predictions():
     rng = np.random.default_rng(9)
     from debris_ews import ear_series
@@ -126,6 +94,14 @@ def test_scores_match_swept_predictions():
         for a, b in w.events:
             via_scores[a : b + 1] = scores[a : b + 1] >= scale
         np.testing.assert_array_equal(direct, via_scores)
+    # the homogeneous model at any uniform threshold, the marked ones included,
+    # is its EAR score thresholded; outside events the score is 0 and never alerts
+    ear_scores = hm_scores([w])["W0"]
+    inside = np.zeros(ear_scores.size, dtype=bool)
+    for a, b in w.events:
+        inside[a : b + 1] = True
+    for thr in (1e-9, 30.0, *MARKED_THRESHOLDS_MM, ear_scores.max(), ear_scores.max() + 1.0):
+        np.testing.assert_array_equal(hm_predict(w, float(thr)), inside & (ear_scores >= thr))
 
 
 def test_official_table_validation():
@@ -134,9 +110,8 @@ def test_official_table_validation():
         ThresholdTable({"A": 210.0})
     with pytest.raises(InputError):
         ThresholdTable({"A": 150.0})
-    ThresholdTable({"A": 123.4}, kind="swept")
-    with pytest.raises(InputError):
-        ThresholdTable({"A": -5.0}, kind="swept")
+    with pytest.raises(InputError, match="positive"):
+        ThresholdTable({"A": -5.0})
 
 
 def test_missing_station_is_actionable():
@@ -155,6 +130,41 @@ def test_threshold_csv_roundtrip(tmp_path):
     assert back.year == 2019
 
 
+def test_threshold_csv_roundtrip_without_year(tmp_path):
+    path = tmp_path / "thr.csv"
+    write_threshold_csv(path, ThresholdTable({"A": 250.0, "B": 400.0}))
+    assert path.read_text().splitlines()[1] == "A,,250.0"
+    back = read_threshold_csv(path)
+    assert back.thresholds == {"A": 250.0, "B": 400.0}
+    assert back.year is None
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("A,2019,250.0\n,2019,300.0\n", ":3: empty station_id"),
+        ("A,2019,250.0\nA,2019,300.0\n", ":3: duplicate station A"),
+        ("A,2019,250.0\nB,2019,x\n", ":3: bad threshold row {'station_id': 'B', 'year': '2019', 'ear_threshold_mm': 'x'}"),
+        ("A,20.5,250.0\n", ":2: bad threshold row"),
+        ("", ": no threshold rows"),
+    ],
+    ids=["no station", "duplicate", "bad threshold", "bad year", "no rows"],
+)
+def test_threshold_csv_errors_name_the_row(tmp_path, csv_blocks, body, message):
+    path = tmp_path / "thr.csv"
+    path.write_text("station_id,year,ear_threshold_mm\n" + body)
+    with pytest.raises(InputError) as err:
+        read_threshold_csv(path)
+    assert str(err.value).startswith(f"{path}{message}")
+
+
+def test_threshold_csv_missing_column(tmp_path):
+    path = tmp_path / "thr.csv"
+    path.write_text("station_id,ear_threshold_mm\nA,250.0\n")
+    with pytest.raises(InputError, match=r"missing threshold CSV columns \['year'\]"):
+        read_threshold_csv(path)
+
+
 def test_window_ear_pipeline():
     values = np.zeros(400)
     values[200:210] = 20.0
@@ -162,4 +172,4 @@ def test_window_ear_pipeline():
     wear = compute_window_ear(w)
     assert wear.events == ((200, 209),)
     assert wear.ear[:200].tolist() == [0.0] * 200
-    assert wear.max_event_ear() == pytest.approx(200.0)
+    assert wear.ear[209] == pytest.approx(200.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from debris_ews import InputError, block_bootstrap_ci
+from debris_ews import InputError, block_bootstrap_ci, bootstrap
 from debris_ews.bootstrap import write_ci_json
 
 
@@ -24,9 +24,10 @@ def test_deterministic_given_seed():
     assert (a.lower, a.upper) != (c.lower, c.upper)
 
 
-def test_zero_width_for_constant_statistic():
+def test_zero_width_for_constant_statistic(monkeypatch):
+    monkeypatch.setitem(bootstrap._STATS, "auprc", lambda s, y: 0.42)
     groups = [(np.array([0.9, 0.1, 0.8, 0.2]), np.array([1, 0, 1, 0]))]
-    ci = block_bootstrap_ci(groups, lambda s, y: 0.42, replicates=50, seed=1)
+    ci = block_bootstrap_ci(groups, "auprc", replicates=50, seed=1)
     assert ci.lower == ci.upper == 0.42
 
 
@@ -77,7 +78,7 @@ def test_input_validation():
         block_bootstrap_ci([(np.ones(3), np.array([1, 0, 1]))], block_hours=0)
 
 
-def test_blocks_preserve_within_window_pairs():
+def test_blocks_preserve_within_window_pairs(monkeypatch):
     # scores uniquely identify (window, hour); every resampled pair must exist
     # in the original window, and replicate lengths match the originals
     rng = np.random.default_rng(6)
@@ -94,7 +95,8 @@ def test_blocks_preserve_within_window_pairs():
         seen["labels"] = y.copy()
         return 0.5
 
-    block_bootstrap_ci(groups, probe, block_hours=6, replicates=1, seed=7)
+    monkeypatch.setitem(bootstrap._STATS, "auprc", probe)
+    block_bootstrap_ci(groups, "auprc", block_hours=6, replicates=1, seed=7)
     s, y = seen["scores"], seen["labels"]
     assert s.size == sum(24 + w for w in range(5))
     valid = {(float(sc), int(lb)) for sc_arr, lb_arr in groups for sc, lb in zip(sc_arr, lb_arr)}

@@ -240,6 +240,43 @@ def test_exit_codes_for_input_errors(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "z"), "--seed", "1", "--wat", "3"]) == 1
 
 
+def test_build_dataset_rejects_event_row_without_timestamp(pipeline, tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("station_id,timestamp\nS000\n")
+    capsys.readouterr()
+    assert main(["build-dataset", "--rainfall", str(pipeline["corpus"] / "rainfall.csv"), "--events", str(events),
+                 "--out", str(tmp_path / "data"), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {events}:2: invalid ISO-8601 timestamp: ''\n"
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "eval", "sweep-baselines", "event-capture", "explain"])
+def test_loading_errors_come_in_order(pipeline, tmp_path, capsys, command):
+    """A missing model, then rainfall CSV, then manifest is reported, in that order."""
+    rainfall, manifest = pipeline["corpus"] / "rainfall.csv", pipeline["data"] / "manifest.json"
+    extra = {
+        "train": ["--seed", "1"],
+        "cv": ["--seed", "1"],
+        "eval": ["--model", str(pipeline["model"] / "model.json")],
+        "sweep-baselines": ["--thresholds", str(tmp_path / "none.csv")],
+        "event-capture": ["--scores", str(pipeline["eval"] / "scores.csv")],
+        "explain": ["--model", str(pipeline["model"] / "model.json"), "--seed", "1"],
+    }[command]
+
+    def error(rain, man, *more):
+        capsys.readouterr()
+        argv = [command, "--rainfall", str(rain), "--manifest", str(man), "--out", str(tmp_path / "o"), *extra, *more]
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    absent = tmp_path / "absent"
+    assert error(absent, absent).startswith(f"error: rainfall CSV not found: {absent}")
+    assert error(rainfall, absent).startswith(f"error: window manifest not found: {absent}")
+    if "--model" in extra:
+        assert error(absent, absent, "--model", str(absent)).startswith(f"error: model file not found: {absent}")
+    if command == "sweep-baselines":
+        assert error(rainfall, manifest).startswith("error: threshold table not found")
+
+
 def test_internal_errors_exit_2(tmp_path, monkeypatch):
     import debris_ews.cli as cli
 

@@ -326,6 +326,31 @@ def test_events_csv_roundtrip(tmp_path):
     assert back["A"] == sorted(events["A"])
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("A,2019-05-01T00:00:00Z\nB\n", ":3: invalid ISO-8601 timestamp: ''"),
+        ("A,2019-05-01T00:00:00Z\nB,2019-13-01T00:00:00Z\n", ":3: invalid ISO-8601 timestamp: '2019-13-01T00:00:00Z'"),
+        ("A,2019-05-01T00:00:00+08:00\n", ":2: timestamp must be UTC: '2019-05-01T00:00:00+08:00'"),
+        ("A,2019-05-01T00:00:00Z\n,2019-05-01T00:00:00Z\n", ":3: empty station_id"),
+    ],
+    ids=["no timestamp", "bad timestamp", "not UTC", "no station"],
+)
+def test_events_csv_errors_name_the_row(tmp_path, csv_blocks, body, message):
+    path = tmp_path / "events.csv"
+    path.write_text("station_id,timestamp\n" + body)
+    with pytest.raises(InputError) as err:
+        read_events_csv(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+def test_events_csv_missing_column(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("station_id\nA\n")
+    with pytest.raises(InputError, match=r"missing events CSV columns \['timestamp'\]"):
+        read_events_csv(path)
+
+
 def test_manifest_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     s = series(random_rain(rng, 2000, wet_prob=0.25))

@@ -8,7 +8,6 @@ from debris_ews import (
     ForestParams,
     InputError,
     TreeParams,
-    classify,
     fit_forest,
     fit_tree,
 )
@@ -91,7 +90,7 @@ def test_high_training_weight_raises_training_recall():
     hi = fit_forest(X, y, params, training_weight=1e6, seed=9)
 
     def recall(model):
-        pred = classify(model.predict_proba(X), 0.5)
+        pred = model.predict_proba(X) >= 0.5
         return (pred & (y == 1)).sum() / max(1, y.sum())
 
     assert recall(hi) >= recall(lo)
@@ -106,13 +105,3 @@ def test_degenerate_and_invalid_params():
         fit_forest(X, y, ForestParams(max_features=99), seed=0)
     with pytest.raises(InputError):
         fit_forest(X, y, training_weight=0.0, seed=0)
-
-
-def test_classify_thresholds():
-    scores = [0.4, 0.6]
-    assert classify(scores, 0.5).tolist() == [False, True]
-    assert classify(scores, 0.0).tolist() == [True, True]
-    assert classify(scores, 1.0).tolist() == [False, False]
-    assert classify([1.0], 1.0).tolist() == [True]
-    with pytest.raises(InputError):
-        classify(scores, 1.5)
