@@ -64,14 +64,10 @@ $EWS event-capture \
   --out "$OUT/capture"
 
 echo "== attributions for the test split"
-# exact interventional attributions scale with leaf count x rows x background,
-# so interpretation uses a compact forest rather than the headline model
-$EWS train \
-  --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
-  --out "$OUT/model_interp" --seed $SEED --hours 48 \
-  --trees 20 --max-depth 8 --min-samples-leaf 32
+# exact interventional attributions of the evaluated forest: one pass per leaf
+# over all rows and background rows at once
 $EWS explain \
-  --model "$OUT/model_interp/model.json" \
+  --model "$OUT/model_rf/model.json" \
   --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
   --out "$OUT/explain" --seed $SEED --max-rows 400 --background-rows 64
 

@@ -86,12 +86,29 @@ def read_csv_blocks(path: Path, required: Sequence[str], what: str) -> Iterator[
 
 
 def read_csv_rows(path: Path, required: Sequence[str], what: str) -> Iterator[tuple[int, dict[str, str]]]:
-    """The rows of read_csv_blocks one at a time, each with its line number (the header is line 1)."""
-    lineno = 1
+    """The rows of read_csv_blocks one at a time, each with its number (the first row is 1)."""
+    number = 0
     for columns in read_csv_blocks(path, required, what):
         for fields in zip(*columns.values()):
-            lineno += 1
-            yield lineno, dict(zip(columns, fields))
+            number += 1
+            yield number, dict(zip(columns, fields))
+
+
+def csv_row_ref(path: Path, row: int) -> str:
+    """"path:line" of data row `row` (the first is 1) of a CSV file as
+    read_csv_blocks yields it: the file line it starts on, counting the blank
+    lines that are skipped. Reads the file again, so it is for error messages."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        end = reader.line_num  # the line the previous record ended on
+        for fields in reader:
+            if fields:
+                row -= 1
+                if not row:
+                    break
+            end = reader.line_num
+    return f"{path}:{end + 1}"
 
 
 def _split(lines: list[str], width: int) -> list[list[str]]:
@@ -109,7 +126,10 @@ def _pad(rows: list[list[str]], width: int) -> list[list[str]]:
 def number_keys(code: dict[str, int], keys: list[str]) -> np.ndarray:
     """Each key's number in code, after numbering the keys new to it in order of first appearance."""
     for key in dict.fromkeys(keys):
-        code.setdefault(key, len(code))
+        if key not in code:
+            # a copy: the field string would keep the allocator arena of its
+            # whole block of fields alive for as long as the code lives
+            code[key.encode().decode()] = len(code)
     return np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
 
 

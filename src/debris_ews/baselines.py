@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, read_csv_rows
+from ._common import InputError, csv_row_ref, read_csv_rows
 from .dataset import DatasetWindow
 from .rainfall import DEFAULT_ALPHA, DailyWindowMode, ear_series
 
@@ -120,17 +120,17 @@ def read_threshold_csv(path: str | Path) -> ThresholdTable:
     path = Path(path)
     thresholds: dict[str, float] = {}
     year: int | None = None
-    for lineno, row in read_csv_rows(path, THRESHOLD_CSV_COLUMNS, "threshold"):
+    for i, row in read_csv_rows(path, THRESHOLD_CSV_COLUMNS, "threshold"):
         sid = row["station_id"].strip()
         if not sid:
-            raise InputError(f"{path}:{lineno}: empty station_id")
+            raise InputError(f"{csv_row_ref(path, i)}: empty station_id")
         if sid in thresholds:
-            raise InputError(f"{path}:{lineno}: duplicate station {sid}")
+            raise InputError(f"{csv_row_ref(path, i)}: duplicate station {sid}")
         try:
             thresholds[sid] = float(row["ear_threshold_mm"])
             year = int(row["year"]) if row["year"].strip() else None
         except ValueError:
-            raise InputError(f"{path}:{lineno}: bad threshold row {row!r}") from None
+            raise InputError(f"{csv_row_ref(path, i)}: bad threshold row {row!r}") from None
     if not thresholds:
         raise InputError(f"{path}: no threshold rows")
     return ThresholdTable(thresholds, year=year)

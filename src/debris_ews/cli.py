@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._common import InputError, derived_rng, number_keys, parse_column, read_csv_blocks, setup_logging
+from ._common import InputError, csv_row_ref, derived_rng, number_keys, parse_column, read_csv_blocks, setup_logging
 from .baselines import (
     MARKED_THRESHOLDS_MM,
     AlertPolicy,
@@ -49,7 +49,7 @@ from .dataset import (
     write_feature_csv,
     write_manifest,
 )
-from .explain import importance_ranking, subsample_background, tree_shap_batch, write_attribution_csv
+from .explain import importance_ranking, mean_abs_ranking, subsample_background, tree_shap_batch, write_attribution_csv
 from .forest import ForestModel, ForestParams, fit_forest
 from .gbt import GbtParams, fit_gbt
 from .linear import LogisticParams, fit_logistic
@@ -278,7 +278,7 @@ def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]
         bad = min(bad_hour, bad_label, bad_score)
         if bad < len(wids):
             row = {name: fields[bad] for name, fields in columns.items()}
-            raise InputError(f"{path}:{n + bad + 2}: bad scores row {row!r}")
+            raise InputError(f"{csv_row_ref(path, n + bad + 1)}: bad scores row {row!r}")
         parts.append((number_keys(code, wids), hours, labels, scores))
         n += len(wids)
     if not n:
@@ -656,9 +656,7 @@ def _run_explain(opts: dict) -> None:
     write_attribution_csv(out / "attributions.csv", row_ids, spec.feature_names, X_rows, values)
 
     if opts["method"] == "mean_abs_shap":
-        scores = np.abs(values).mean(axis=0)
-        order = np.argsort(-scores, kind="stable")
-        ranking = [(int(f), float(scores[f])) for f in order]
+        ranking = mean_abs_ranking(values)
     else:
         ranking = importance_ranking(
             model, (X_rows, examples.y[keep]), method=opts["method"], seed=opts["seed"], background=background

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, derived_rng, format_ts, parse_ts, read_csv_rows
+from ._common import InputError, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows
 from .rainfall import (
     DEFAULT_ALPHA,
     QUIET_HOURS,
@@ -435,14 +435,14 @@ EVENTS_CSV_COLUMNS = ("station_id", "timestamp")
 def read_events_csv(path: str | Path) -> dict[str, list[datetime]]:
     path = Path(path)
     out: dict[str, list[datetime]] = {}
-    for lineno, row in read_csv_rows(path, EVENTS_CSV_COLUMNS, "events"):
+    for i, row in read_csv_rows(path, EVENTS_CSV_COLUMNS, "events"):
         sid = row["station_id"].strip()
         if not sid:
-            raise InputError(f"{path}:{lineno}: empty station_id")
+            raise InputError(f"{csv_row_ref(path, i)}: empty station_id")
         try:
             out.setdefault(sid, []).append(parse_ts(row["timestamp"]))
         except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+            raise InputError(f"{csv_row_ref(path, i)}: {exc}") from None
     for sid in out:
         out[sid].sort()
     return out

@@ -1,22 +1,24 @@
 """Exact interventional Shapley attributions for forest models.
 
 For one tree and one background row z, a leaf is reached under coalition S when
-every feature constraint on its path is met by x (for features in S) or by z
-(for the rest). Grouping the path's features into "x-only" (count a) and
-"z-only" (count b) consistent sets collapses the Shapley sum over coalitions to
-a closed form: an x-only feature j gains value * (a-1)! b! / (a+b)! and a
-z-only feature j loses value * a! (b-1)! / (a+b)!; features consistent for both
-sides contribute nothing. Averaging over the background set and the ensemble's
-trees gives attributions that satisfy local accuracy exactly, which
-brute_shap verifies by full coalition enumeration.
+x meets its path's constraints on the features in S and z meets them on the
+rest. The constraints on one feature form an interval, so the leaf is a box
+lo <= x < hi. A pair (x, z) that both leave the box on one feature never reaches
+it; otherwise each of the a features only z leaves gains value * (a-1)! b! /
+(a+b)! and each of the b features only x leaves loses value * a! (b-1)! / (a+b)!.
+Per leaf, one matrix product finds the dead pairs of all rows and background
+rows and one more sums the gains over the background. The weights are scaled to
+integers, so the sums are exact in any order while background rows times
+lcm(1..depth) stay below 2^53 (512 rows to depth 30). Averaging over the
+background and the trees gives exact local accuracy; brute_shap checks the
+values by full coalition enumeration.
 """
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -27,8 +29,6 @@ from .dataset import ExampleSet
 from .forest import ForestModel
 from .metrics import auprc
 from .trees import DecisionTree
-
-log = logging.getLogger(__name__)
 
 BACKGROUND_MAX_ROWS = 512
 BRUTE_MAX_FEATURES = 15
@@ -46,14 +46,16 @@ class ShapAttribution:
         return float(self.values.sum() + self.base)
 
 
-def _pw_table(size: int) -> np.ndarray:
-    """pw[p, q] = p! q! / (p+q+1)! — the coalition-weight sum with p features
-    pinned inside, q pinned outside, and everything else free."""
-    pw = np.empty((size + 1, size + 1))
-    for p in range(size + 1):
-        for q in range(size + 1):
-            pw[p, q] = float(Fraction(factorial(p) * factorial(q), factorial(p + q + 1)))
-    return pw
+def _weight_table(depth: int) -> tuple[np.ndarray, int]:
+    """(w, L): w[p+1, q+1] = L p! q! / (p+q+1)! for p + q < depth, zero in row
+    and column 0. L = lcm(1..depth), a multiple of every denominator, makes the
+    entries integers; past 2^53 the entries could not be exact, and L is 2^53."""
+    scale = min(lcm(*range(1, depth + 1)), 1 << 53)
+    w = np.zeros((depth + 2, depth + 2))
+    for p in range(depth):
+        for q in range(depth - p):
+            w[p + 1, q + 1] = float(Fraction(factorial(p) * factorial(q) * scale, factorial(p + q + 1)))
+    return w, scale
 
 
 def _as_trees(model: ForestModel | DecisionTree) -> tuple[DecisionTree, ...]:
@@ -76,65 +78,29 @@ def _check_background(model_features: int, background: np.ndarray) -> np.ndarray
     Z = np.asarray(background, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] == 0 or Z.shape[1] != model_features:
         raise InputError(f"background must be non-empty with {model_features} columns")
+    if not np.isfinite(Z).all():
+        raise InputError("background contains NaN or infinite values")
     return Z
 
 
-class _CompiledTree:
-    """Per-leaf path constraints with background consistency precomputed, so
-    explaining many rows only re-evaluates the cheap x-side comparisons."""
-
-    def __init__(self, tree: DecisionTree, Z: np.ndarray):
-        self.leaves: list[tuple[float, list[tuple[int, list, np.ndarray]]]] = []
-        # stack of (node, {feature: (x-constraint list, accumulated z_ok rows)})
-        stack: list[tuple[int, dict[int, tuple[list, np.ndarray]]]] = [(0, {})]
-        while stack:
-            node, cons = stack.pop()
-            f = int(tree.feature[node])
-            if f < 0:
-                if cons:  # a root-leaf tree has no feature influence
-                    self.leaves.append(
-                        (float(tree.value[node]), [(feat, c, z) for feat, (c, z) in cons.items()])
-                    )
-                continue
-            thr = float(tree.threshold[node])
-            z_left = Z[:, f] < thr
-            prev = cons.get(f)
-            for go_left, child in ((False, int(tree.right[node])), (True, int(tree.left[node]))):
-                z_ok = z_left if go_left else ~z_left
-                checks = [(thr, go_left)]
-                if prev is not None:
-                    checks = prev[0] + checks
-                    z_ok = prev[1] & z_ok
-                child_cons = dict(cons)
-                child_cons[f] = (checks, z_ok)
-                stack.append((child, child_cons))
-
-    def add_phi(self, x: np.ndarray, pw: np.ndarray, phi: np.ndarray, B: int) -> None:
-        for value, features in self.leaves:
-            if value == 0.0:
-                continue  # every contribution scales with the leaf value
-            a = np.zeros(B, dtype=np.int64)
-            b = np.zeros(B, dtype=np.int64)
-            dead = np.zeros(B, dtype=bool)
-            x_oks = []
-            for feat, checks, z_ok in features:
-                x_ok = all((x[feat] < thr) == go_left for thr, go_left in checks)
-                x_oks.append(x_ok)
-                if x_ok:
-                    a += ~z_ok
-                else:
-                    b += z_ok
-                    dead |= ~z_ok
-            alive = ~dead
-            for (feat, checks, z_ok), x_ok in zip(features, x_oks):
-                if x_ok:
-                    rows = ~z_ok & alive
-                    if rows.any():
-                        phi[feat] += value * pw[a[rows] - 1, b[rows]].sum() / B
-                else:
-                    rows = z_ok & alive
-                    if rows.any():
-                        phi[feat] -= value * pw[a[rows], b[rows] - 1].sum() / B
+def _leaf_boxes(tree: DecisionTree):
+    """(value, features, lo, hi) of each leaf below the root with a non-zero value,
+    in depth-first order: the leaf holds the x with lo <= x[features] < hi, where
+    lo and hi are columns."""
+    stack: list[tuple[int, dict[int, tuple[float, float]]]] = [(0, {})]
+    while stack:
+        node, box = stack.pop()
+        f = int(tree.feature[node])
+        if f < 0:
+            value = float(tree.value[node])
+            if box and value != 0.0:  # every contribution scales with the leaf value
+                lo, hi = np.array(list(box.values())).T[:, :, None]
+                yield value, list(box), lo, hi
+            continue
+        thr = float(tree.threshold[node])
+        lo, hi = box.get(f, (-np.inf, np.inf))
+        stack.append((int(tree.right[node]), {**box, f: (max(lo, thr), hi)}))
+        stack.append((int(tree.left[node]), {**box, f: (lo, min(hi, thr))}))
 
 
 def tree_shap_batch(
@@ -147,23 +113,29 @@ def tree_shap_batch(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise InputError(f"rows must have {n_features} features, got shape {X.shape}")
-    max_path = max(t.depth() for t in trees)
-    pw = _pw_table(max_path + 1)
-    B = Z.shape[0]
+    if not np.isfinite(X).all():
+        raise InputError("rows to explain contain NaN or infinite values")
+    w, scale = _weight_table(max(t.depth() for t in trees))
+    XT, ZT = np.ascontiguousarray(X.T), np.ascontiguousarray(Z.T)  # a leaf reads a few features of all rows
     values = np.zeros((X.shape[0], n_features))
-    base = 0.0
     for tree in trees:
-        compiled = _CompiledTree(tree, Z)
-        for i in range(X.shape[0]):
-            compiled.add_phi(X[i], pw, values[i], B)
-        base += float(tree.predict_value(Z).mean())
-    return values / len(trees), base / len(trees)
+        for value, feats, lo, hi in _leaf_boxes(tree):
+            x_out, z_out = (((M < lo) | (M >= hi)).astype(np.float64) for M in (XT[feats], ZT[feats]))
+            live = x_out.T @ z_out == 0
+            rows = np.flatnonzero(live.any(1))  # the other rows gain and lose nothing
+            live, x_out = live[rows], x_out[:, rows].T
+            a, b = z_out.sum(0).astype(np.intp), x_out.sum(1).astype(np.intp)[:, None]
+            # a live z leaves only features x keeps (so the gain is 0 where x
+            # leaves f) and keeps every feature x leaves (so x loses each of those)
+            gain = np.where(live, w[a, b + 1], 0.0) @ z_out.T
+            loss = x_out * np.where(live, w[a + 1, b], 0.0).sum(1, keepdims=True)
+            values[np.ix_(rows, feats)] += value * ((gain - loss) / scale) / len(Z)
+    return values / len(trees), sum(float(t.predict_value(Z).mean()) for t in trees) / len(trees)
 
 
 def tree_shap(model: ForestModel | DecisionTree, x: np.ndarray, background: np.ndarray) -> ShapAttribution:
     """Exact interventional Shapley values for one row."""
-    x = np.asarray(x, dtype=np.float64)
-    values, base = tree_shap_batch(model, x.reshape(1, -1), background)
+    values, base = tree_shap_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1), background)
     return ShapAttribution(values[0], base)
 
 
@@ -225,19 +197,15 @@ def importance_ranking(
 ) -> list[tuple[int, float]]:
     """Features ordered by importance: mean |phi|, or mean AUPRC drop over
     seeded column permutations."""
-    if isinstance(dataset, ExampleSet):
-        X, y = dataset.X, dataset.y
-    else:
-        X, y = dataset
+    X, y = (dataset.X, dataset.y) if isinstance(dataset, ExampleSet) else dataset
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InputError("importance ranking needs a non-empty dataset")
 
     if method == "mean_abs_shap":
         Z = subsample_background(X, seed=seed) if background is None else background
-        values, _ = tree_shap_batch(model, X, Z)
-        scores = np.abs(values).mean(axis=0)
-    elif method == "permutation":
+        return mean_abs_ranking(tree_shap_batch(model, X, Z)[0])
+    if method == "permutation":
         y = np.asarray(y)
         if y.min() == y.max():
             raise InputError("permutation importance needs both label classes")
@@ -251,10 +219,17 @@ def importance_ranking(
                 Xp[:, f] = X[perm, f]
                 drops.append(base - auprc(_score(model, Xp), y))
             scores[f] = np.mean(drops)
-    else:
-        raise InputError(f"unknown importance method {method!r}")
+        return _ranked(scores)
+    raise InputError(f"unknown importance method {method!r}")
 
-    order = np.argsort(-scores, kind="stable")
+
+def mean_abs_ranking(values: np.ndarray) -> list[tuple[int, float]]:
+    """Features ordered by mean |phi| over the rows of an attribution matrix."""
+    return _ranked(np.abs(values).mean(axis=0))
+
+
+def _ranked(scores: np.ndarray) -> list[tuple[int, float]]:
+    order = np.argsort(-scores, kind="stable")  # ties keep feature order
     return [(int(f), float(scores[f])) for f in order]
 
 

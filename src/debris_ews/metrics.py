@@ -206,40 +206,29 @@ def operating_points(
     metric (precision for recall targets, recall for precision targets), then
     the higher threshold.
     """
-    points: list[OperatingPoint] = []
-    pm = [point_metrics(ConfusionCounts(int(tp), int(fp), int(tn), int(fn)))
-          for tp, fp, tn, fn in zip(curve.tp, curve.fp, curve.tn, curve.fn)]
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:  # NaN stands for None
+        return np.divide(num, den, out=np.full(num.shape, np.nan), where=den != 0)
+
+    tp, fp, tn, fn = (np.asarray(c, dtype=np.int64) for c in (curve.tp, curve.fp, curve.tn, curve.fn))
+    metrics = {"precision": ratio(tp, tp + fp), "recall": ratio(tp, tp + fn)}
+    specificity = ratio(tn, tn + fp)
 
     def pick(target: float, metric: str) -> OperatingPoint:
         if not 0.0 < target <= 1.0:
             raise InputError(f"operating-point target must be in (0, 1], got {target}")
-        companion = "recall" if metric == "precision" else "precision"
-        best = None
-        for i, m in enumerate(pm):
-            val = getattr(m, metric)
-            if val is None or val < target:
-                continue
-            comp = getattr(m, companion)
-            key = (val, -(comp if comp is not None else -1.0), -curve.thresholds[i])
-            if best is None or key < best[0]:
-                best = (key, i)
-        if best is None:
+        val = metrics[metric]
+        comp = np.nan_to_num(metrics["recall" if metric == "precision" else "precision"], nan=-1.0)
+        best = np.flatnonzero(val >= target)  # NaN compares False
+        if not best.size:
             return OperatingPoint(metric, target, feasible=False)
-        i = best[1]
-        m = pm[i]
-        return OperatingPoint(
-            metric,
-            target,
-            feasible=True,
-            threshold=float(curve.thresholds[i]),
-            precision=m.precision,
-            recall=m.recall,
-            specificity=m.specificity,
-        )
+        best = best[val[best] == val[best].min()]  # nearest from above,
+        best = best[comp[best] == comp[best].max()]  # then the better companion metric,
+        i = best[np.argmax(curve.thresholds[best])]  # then the higher threshold
+        m = (metrics["precision"][i], metrics["recall"][i], specificity[i])
+        return OperatingPoint(metric, target, True, float(curve.thresholds[i]),
+                              *(None if np.isnan(v) else float(v) for v in m))
 
-    points.extend(pick(t, "recall") for t in recall_targets)
-    points.extend(pick(t, "precision") for t in precision_targets)
-    return points
+    return [pick(t, "recall") for t in recall_targets] + [pick(t, "precision") for t in precision_targets]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._common import HOUR, InputError, ensure_hour_aligned, format_ts, number_keys, parse_column, parse_ts, read_csv_blocks
+from ._common import (
+    HOUR, InputError, csv_row_ref, ensure_hour_aligned, format_ts, number_keys, parse_column, parse_ts, read_csv_blocks,
+)
 
 log = logging.getLogger(__name__)
 
@@ -290,10 +292,14 @@ def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[Ra
         out_of_range = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
         row = min(sids.index("") if "" in sids else len(sids), bad_ts, bad_mm, *out_of_range[:1])
         if row < len(sids):  # the first failing row, with the first of its checks that fails
-            where = f"{path}:{n + row + 2}"
+            where = csv_row_ref(path, n + row + 1)
             if not sids[row]:
                 raise InputError(f"{where}: empty station_id")
-            ensure_hour_aligned(parse_ts(stamps[row]), f"{where}: timestamp")
+            try:
+                ts = parse_ts(stamps[row])
+            except InputError as exc:
+                raise InputError(f"{where}: {exc}") from None
+            ensure_hour_aligned(ts, f"{where}: timestamp")
             if row == bad_mm:
                 raise InputError(f"{where}: bad rainfall_mm {mm[row]!r}")
             raise InputError(f"{where}: rainfall_mm must be finite and >= 0")

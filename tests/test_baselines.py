@@ -158,6 +158,14 @@ def test_threshold_csv_errors_name_the_row(tmp_path, csv_blocks, body, message):
     assert str(err.value).startswith(f"{path}{message}")
 
 
+def test_threshold_csv_error_lines_count_blank_lines(tmp_path, csv_blocks):
+    path = tmp_path / "thr.csv"
+    path.write_text('station_id,year,ear_threshold_mm\n\n"A",2019,250.0\n\nA,2019,300.0\n')
+    with pytest.raises(InputError) as err:
+        read_threshold_csv(path)
+    assert str(err.value) == f"{path}:5: duplicate station A"
+
+
 def test_threshold_csv_missing_column(tmp_path):
     path = tmp_path / "thr.csv"
     path.write_text("station_id,ear_threshold_mm\nA,250.0\n")

@@ -354,13 +354,13 @@ def _reference_read_scores_csv(path):
         missing = [c for c in SCORES_CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise InputError(f"{path}: missing scores CSV columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 grouped.setdefault(row["window_id"], []).append(
                     (int(row["hour"]), int(row["label"]), float(row["score"]))
                 )
             except (TypeError, ValueError):
-                raise InputError(f"{path}:{lineno}: bad scores row {row!r}") from None
+                raise InputError(f"{path}:{reader.line_num}: bad scores row {row!r}") from None
     if not grouped:
         raise InputError(f"{path}: no score rows")
     out = []

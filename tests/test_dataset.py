@@ -344,6 +344,14 @@ def test_events_csv_errors_name_the_row(tmp_path, csv_blocks, body, message):
     assert str(err.value) == f"{path}{message}"
 
 
+def test_events_csv_error_lines_count_blank_lines(tmp_path, csv_blocks):
+    path = tmp_path / "events.csv"
+    path.write_text("station_id,timestamp\n\nA,2019-05-01T00:00:00Z\n\n\nB,2019-13-01T00:00:00Z\n")
+    with pytest.raises(InputError) as err:
+        read_events_csv(path)
+    assert str(err.value) == f"{path}:6: invalid ISO-8601 timestamp: '2019-13-01T00:00:00Z'"
+
+
 def test_events_csv_missing_column(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("station_id\nA\n")

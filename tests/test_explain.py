@@ -1,7 +1,11 @@
+from fractions import Fraction
+from math import factorial, lcm
+
 import numpy as np
 import pytest
 
 from debris_ews import (
+    ForestModel,
     ForestParams,
     InputError,
     TreeParams,
@@ -13,7 +17,7 @@ from debris_ews import (
     tree_shap,
     tree_shap_batch,
 )
-from debris_ews.explain import write_attribution_csv
+from debris_ews.explain import _weight_table, write_attribution_csv
 from debris_ews.trees import DecisionTree
 
 
@@ -223,3 +227,160 @@ def test_attribution_csv(tmp_path):
     lines = (tmp_path / "shap.csv").read_text().splitlines()
     assert lines[0] == "row_id,feature_name,feature_value,shap_value"
     assert len(lines) == 3
+
+
+# The per-row interpreter that the per-leaf matrix form replaced, kept as the
+# reference: each leaf keeps its path's threshold checks per feature and adds
+# one row's contributions at a time.
+
+
+def _reference_tree_shap_batch(model, X, background):
+    trees = model.trees if isinstance(model, ForestModel) else (model,)
+    Z = np.asarray(background, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    size = max(t.depth() for t in trees) + 1
+    pw = np.array([[float(Fraction(factorial(p) * factorial(q), factorial(p + q + 1))) for q in range(size + 1)]
+                   for p in range(size + 1)])
+    B = Z.shape[0]
+    values = np.zeros((X.shape[0], trees[0].n_features))
+    base = 0.0
+    for tree in trees:
+        leaves = []
+        stack = [(0, {})]  # (node, {feature: (threshold checks, background rows meeting them)})
+        while stack:
+            node, cons = stack.pop()
+            f = int(tree.feature[node])
+            if f < 0:
+                if cons:
+                    leaves.append((float(tree.value[node]), [(g, c, z) for g, (c, z) in cons.items()]))
+                continue
+            thr = float(tree.threshold[node])
+            z_left = Z[:, f] < thr
+            prev = cons.get(f)
+            for go_left, child in ((False, int(tree.right[node])), (True, int(tree.left[node]))):
+                z_ok = z_left if go_left else ~z_left
+                checks = [(thr, go_left)]
+                if prev is not None:
+                    checks = prev[0] + checks
+                    z_ok = prev[1] & z_ok
+                stack.append((child, {**cons, f: (checks, z_ok)}))
+        for i, x in enumerate(X):
+            phi = values[i]
+            for value, features in leaves:
+                if value == 0.0:
+                    continue
+                a = np.zeros(B, dtype=np.int64)
+                b = np.zeros(B, dtype=np.int64)
+                dead = np.zeros(B, dtype=bool)
+                x_oks = []
+                for feat, checks, z_ok in features:
+                    x_ok = all((x[feat] < thr) == go_left for thr, go_left in checks)
+                    x_oks.append(x_ok)
+                    if x_ok:
+                        a += ~z_ok
+                    else:
+                        b += z_ok
+                        dead |= ~z_ok
+                alive = ~dead
+                for (feat, checks, z_ok), x_ok in zip(features, x_oks):
+                    rows = (~z_ok if x_ok else z_ok) & alive
+                    if rows.any() and x_ok:
+                        phi[feat] += value * pw[a[rows] - 1, b[rows]].sum() / B
+                    elif rows.any():
+                        phi[feat] -= value * pw[a[rows], b[rows] - 1].sum() / B
+        base += float(tree.predict_value(Z).mean())
+    return values / len(trees), base / len(trees)
+
+
+@pytest.mark.parametrize("depth", [15, 8])
+def test_matches_reference_on_wide_deep_forests(depth):
+    rng = np.random.default_rng(depth)
+    X = rng.gamma(0.4, 3.0, size=(3000, 48)) * (rng.random((3000, 48)) < 0.4)  # mostly zeros, as rainfall
+    X[:, 7] = np.round(X[:, 7])  # a feature with heavy ties
+    y = (X[:, :6].sum(1) + rng.normal(0.0, 2.0, 3000) > 3.0).astype(int)
+    model = fit_forest(X, y, ForestParams(n_trees=3, max_depth=depth, min_samples_leaf=2), seed=depth)
+    assert max(t.depth() for t in model.trees) == depth
+    rows, Z = X[rng.choice(3000, 25, replace=False)], subsample_background(X, 48, seed=1)
+    values, base = tree_shap_batch(model, rows, Z)
+    ref_values, ref_base = _reference_tree_shap_batch(model, rows, Z)
+    np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-15)
+    assert base == ref_base
+    np.testing.assert_allclose(values.sum(1) + base, model.predict_proba(rows), rtol=0, atol=1e-12)
+
+
+def _one_feature_zigzag_tree():
+    """x0 < 5, then x0 >= 2, then x0 < 4 on one path, so its leaves below see
+    x0 in [2, 4); a split on x1 sits under it."""
+    return DecisionTree(
+        feature=np.array([0, 0, -1, -1, 0, 1, -1, -1, -1], dtype=np.int32),
+        threshold=np.array([5.0, 2.0, np.nan, np.nan, 4.0, 0.0, np.nan, np.nan, np.nan]),
+        left=np.array([1, 3, -1, -1, 5, 7, -1, -1, -1], dtype=np.int32),
+        right=np.array([2, 4, -1, -1, 6, 8, -1, -1, -1], dtype=np.int32),
+        value=np.array([0.0, 0.0, 0.9, 0.1, 0.0, 0.0, 0.3, 0.7, 0.2]),
+        weight=np.ones(9),
+        n_features=3,
+        params=TreeParams(),
+    )
+
+
+def _redundant_splits_tree():
+    """x0 < 3 then x0 < 6, and x0 >= 3 then x0 >= 1: the second split of each
+    pair cannot widen the interval the first one set."""
+    return DecisionTree(
+        feature=np.array([0, 0, 0, -1, -1, -1, 1, -1, -1], dtype=np.int32),
+        threshold=np.array([3.0, 6.0, 1.0, np.nan, np.nan, np.nan, 0.0, np.nan, np.nan]),
+        left=np.array([1, 3, 5, -1, -1, -1, 7, -1, -1], dtype=np.int32),
+        right=np.array([2, 4, 6, -1, -1, -1, 8, -1, -1], dtype=np.int32),
+        value=np.array([0.0, 0.0, 0.0, 0.2, 0.8, 0.5, 0.0, 0.1, 0.9]),
+        weight=np.ones(9),
+        n_features=3,
+        params=TreeParams(),
+    )
+
+
+@pytest.mark.parametrize("tree", [_one_feature_zigzag_tree(), _redundant_splits_tree()], ids=["zigzag", "redundant"])
+def test_feature_split_several_times_on_one_path(tree):
+    grid = np.array([(x0, x1, 0.0) for x0 in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0) for x1 in (-1.0, 0.0, 1.0)])
+    values, base = tree_shap_batch(tree, grid, grid)  # rows and background on every threshold
+    ref_values, ref_base = _reference_tree_shap_batch(tree, grid, grid)
+    np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-15)
+    assert base == ref_base
+    for i, x in enumerate(grid):
+        np.testing.assert_allclose(values[i], brute_shap(tree, x, grid).values, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(values.sum(1) + base, tree.predict_value(grid), rtol=0, atol=1e-15)
+    assert (values[:, 2] == 0.0).all() and np.abs(values[:, :2]).max() > 0.1
+
+
+def test_sums_do_not_depend_on_order():
+    # the weights are integers, so no product depends on the order of its terms
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(400, 10))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(int)
+    model = fit_forest(X, y, ForestParams(n_trees=4, max_depth=10), seed=3)
+    Z = X[:50]
+    values, _ = tree_shap_batch(model, X[:30], Z)
+    np.testing.assert_array_equal(values, tree_shap_batch(model, X[:30], Z[::-1])[0])
+    np.testing.assert_array_equal(values[7], tree_shap(model, X[7], Z).values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_and_background_are_rejected(bad):
+    tree = _one_feature_zigzag_tree()
+    X = np.zeros((4, 3))
+    X[2, 0] = bad
+    with pytest.raises(InputError, match="NaN or infinite"):
+        tree_shap_batch(tree, X, np.zeros((3, 3)))
+    with pytest.raises(InputError, match="NaN or infinite"):
+        tree_shap_batch(tree, np.zeros((3, 3)), X)
+
+
+def test_weight_table_is_exact():
+    for depth in (0, 1, 2, 7, 15, 30, 40):
+        w, scale = _weight_table(depth)
+        assert scale == lcm(*range(1, depth + 1)) < 2**53
+        for p in range(depth):
+            for q in range(depth - p):
+                assert w[p + 1, q + 1] == scale * Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
+        assert not w[0].any() and not w[:, 0].any()
+    w, scale = _weight_table(41)  # lcm(1..41) > 2^53: the weights are rounded
+    assert scale == 2**53 and w[1, 2] == 2**52 and w[2, 2] == float(Fraction(2**53, 6))

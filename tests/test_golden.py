@@ -31,7 +31,7 @@ GOLDEN_PIPELINE = {
         "baselines/hm_marked.csv": "9ed39b7e7394aa17b41bcf04d9d878a4926a95b1d6629f215da47f0b82408818",
         "ci/ci.json": "75da0b14c95259e08e33e6de53a4b0d3617afdde2895127b32719ad6f5baddbc",
         "capture/event_capture.csv": "5fc7a0b09fa5973f7f14aa97d674c4914fad9154f2397edf47c50f23f6e2d1c5",
-        "explain/attributions.csv": "908e7afd893ac826801af4c652cd3d6207d74f72061d8672a1b32cc3721d0c7b",
+        "explain/attributions.csv": "3b8bcb86229e91d31612cc9f923758d10073daaae21a40b51e90044d3dda17cf",
     },
 }
 

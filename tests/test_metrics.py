@@ -16,7 +16,7 @@ from debris_ews import (
     pr_curve,
     roc_curve,
 )
-from debris_ews.metrics import write_capture_csv, write_curve_csv, write_operating_points_csv
+from debris_ews.metrics import Curve, OperatingPoint, write_capture_csv, write_curve_csv, write_operating_points_csv
 
 from conftest import series
 
@@ -221,6 +221,70 @@ def test_operating_point_rejects_bad_target():
     c = pr_curve(scores, labels)
     with pytest.raises(InputError):
         operating_points(c, recall_targets=[0.0])
+
+
+# The per-point loop that the masked search replaced, kept as the reference:
+# every point, threshold and metric must match, None included.
+
+
+def _reference_operating_points(curve, recall_targets=(), precision_targets=()):
+    pm = [point_metrics(ConfusionCounts(int(tp), int(fp), int(tn), int(fn)))
+          for tp, fp, tn, fn in zip(curve.tp, curve.fp, curve.tn, curve.fn)]
+
+    def pick(target, metric):
+        if not 0.0 < target <= 1.0:
+            raise InputError(f"operating-point target must be in (0, 1], got {target}")
+        companion = "recall" if metric == "precision" else "precision"
+        best = None
+        for i, m in enumerate(pm):
+            val = getattr(m, metric)
+            if val is None or val < target:
+                continue
+            comp = getattr(m, companion)
+            key = (val, -(comp if comp is not None else -1.0), -curve.thresholds[i])
+            if best is None or key < best[0]:
+                best = (key, i)
+        if best is None:
+            return OperatingPoint(metric, target, feasible=False)
+        m = pm[best[1]]
+        return OperatingPoint(metric, target, True, float(curve.thresholds[best[1]]), m.precision, m.recall,
+                              m.specificity)
+
+    return [pick(t, "recall") for t in recall_targets] + [pick(t, "precision") for t in precision_targets]
+
+
+def _achieved(num, den):
+    """The ratios a curve reaches, as targets that tie exactly with its points."""
+    num, den = np.asarray(num), np.asarray(den)
+    return sorted({n / d for n, d in zip(num.tolist(), den.tolist()) if d and 0 < n <= d})
+
+
+def test_operating_points_match_reference():
+    rng = np.random.default_rng(12)
+    grid = [0.05, 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.9, 1.0]
+    curves = [
+        # recall None at every point (no positives), precision None at the first
+        Curve("PR", np.array([np.inf, 0.5]), np.zeros(2), np.zeros(2), np.array([0, 0]), np.array([0, 2]),
+              np.array([2, 0]), np.array([0, 0])),
+        # two thresholds with the same counts: only the threshold breaks the tie
+        Curve("PR", np.array([0.9, 0.8, 0.7]), np.zeros(3), np.zeros(3), np.array([1, 1, 2]), np.array([1, 1, 2]),
+              np.array([3, 3, 2]), np.array([2, 2, 1])),
+        # four points with equal recall, two of them with equal precision
+        Curve("PR", np.array([0.9, 0.8, 0.7, 0.6, 0.5]), np.zeros(5), np.zeros(5), np.array([1, 2, 2, 4, 4]),
+              np.array([1, 2, 3, 4, 6]), np.array([9, 8, 7, 6, 4]), np.array([3, 2, 2, 0, 0])),
+    ]
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        scores = rng.integers(0, int(rng.integers(2, 40)), size=n) / 7.0  # many tied scores
+        labels = rng.random(n) < rng.uniform(0.05, 0.6)
+        labels[:2] = [True, False]
+        curves += [pr_curve(scores, labels), roc_curve(scores, labels)]
+    for curve in curves:
+        recall = grid + _achieved(curve.tp, curve.tp + curve.fn)
+        precision = grid + _achieved(curve.tp, curve.tp + curve.fp)
+        got = operating_points(curve, recall, precision)
+        assert list(map(repr, got)) == list(map(repr, _reference_operating_points(curve, recall, precision)))
+    assert any(p.feasible for p in got) and not all(p.feasible for p in got)
 
 
 # --- event capture --------------------------------------------------------------------

@@ -332,11 +332,16 @@ def _reference_read_rainfall_csv(path, impute_missing=False):
         missing = [c for c in RAINFALL_CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise InputError(f"{path}: missing rainfall CSV columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # blank lines count
             sid = (row["station_id"] or "").strip()
             if not sid:
                 raise InputError(f"{path}:{lineno}: empty station_id")
-            ts = ensure_hour_aligned(parse_ts(row["timestamp"]), f"{path}:{lineno}: timestamp")
+            try:
+                ts = parse_ts(row["timestamp"])
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            ts = ensure_hour_aligned(ts, f"{path}:{lineno}: timestamp")
             try:
                 mm = float(row["rainfall_mm"])
             except (TypeError, ValueError):
@@ -527,6 +532,33 @@ def test_bulk_reader_short_row_is_an_input_error(tmp_path):
     path.write_text(HEADER + "A,2019-05-01T00:00:00Z,1\nA\n")
     with pytest.raises(InputError, match="invalid ISO-8601 timestamp: ''"):
         read_rainfall_csv(path)
+
+
+@pytest.mark.parametrize("stamp, message", [
+    ("2019-13-01T00:00:00Z", "invalid ISO-8601 timestamp: '2019-13-01T00:00:00Z'"),
+    ("2019-05-01T01:00:00+02:00", "timestamp must be UTC: '2019-05-01T01:00:00+02:00'"),
+], ids=["does not parse", "not UTC"])
+def test_timestamp_errors_name_the_line(tmp_path, csv_blocks, stamp, message):
+    # parse_ts raised these without the file and line
+    path = tmp_path / "rain.csv"
+    path.write_text(HEADER + f"A,2019-05-01T00:00:00Z,1\nA,{stamp},1\n")
+    with pytest.raises(InputError) as err:
+        read_rainfall_csv(path)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("text, line", [
+    (HEADER + "\n\nA,2019-05-01T00:00:00Z,1\r\n\r\n\rA,2019-05-01T01:00:00Z,x\n", 7),
+    # a quoted field holding a line break, blank lines, and a bad row spanning two lines
+    (QUOTED_HEADER + '\n"A\nB",2019-05-01T00:00:00Z,1\n\n"A\nB",2019-05-01T01:00:00Z,"\nx"\n', 6),
+], ids=["plain", "quoted"])
+def test_error_lines_count_blank_lines(tmp_path, csv_blocks, text, line):
+    # the line numbers counted rows, so blank lines moved them up
+    path = tmp_path / "rain.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(InputError) as err:
+        read_rainfall_csv(path)
+    assert str(err.value).startswith(f"{path}:{line}: bad rainfall_mm")
 
 
 def test_bulk_writer_matches_reference(tmp_path, caplog, csv_blocks):
