@@ -65,8 +65,6 @@ from .rainfall import (
     EarTrace,
     MainEvent,
     RainSeries,
-    antecedent_index,
-    daily_totals,
     ear_series,
     ear_trace,
     segment_events,

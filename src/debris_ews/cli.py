@@ -68,10 +68,10 @@ from .metrics import (
 from .modelio import load_model, predict_proba, save_model
 from .rainfall import (
     DailyWindowMode,
-    ear_series,
     format_ts,
     read_rainfall_csv,
     segment_events,
+    write_ear_csv,
     write_rainfall_csv,
 )
 from .synth import SynthConfig, generate_corpus
@@ -326,7 +326,6 @@ def _run_synth(opts: dict) -> None:
     write_rainfall_csv(out / "rainfall.csv", corpus.series)
     write_events_csv(out / "debris_events.csv", corpus.debris_events)
     write_threshold_csv(out / "thresholds.csv", corpus.thresholds)
-    _write_resolved(out, "synth", opts)
     print(f"synth: {len(corpus.series)} stations, {corpus.n_flows} debris flows -> {out}")
 
 
@@ -346,39 +345,13 @@ def _run_segment(opts: dict) -> None:
                     (sid, i, format_ts(s.hour_at(ev.start_idx)), format_ts(s.hour_at(ev.end_idx)), ev.hours, repr(total))
                 )
                 n += 1
-    _write_resolved(out, "segment", opts)
     print(f"segment: {n} main rainfall events -> {out / 'main_events.csv'}")
 
 
 def _run_ear(opts: dict) -> None:
     out = Path(opts["out"])
     series_by_station = _load_corpus(opts)
-    mode = DailyWindowMode(opts["daily_mode"])
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "ear.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("station_id", "timestamp", "rainfall_mm", "event_id", "ear_mm", "antecedent_mm"))
-        for sid in sorted(series_by_station):
-            s = series_by_station[sid]
-            ear, events = ear_series(s, opts["alpha"], mode)
-            owner = np.full(len(s), -1)
-            ante = np.zeros(len(s))
-            for i, ev in enumerate(events):
-                owner[ev.start_idx : ev.end_idx + 1] = i
-                ante[ev.start_idx : ev.end_idx + 1] = ear[ev.start_idx] - s.values[ev.start_idx]
-            for t in range(len(s)):
-                inside = owner[t] >= 0
-                writer.writerow(
-                    (
-                        sid,
-                        format_ts(s.hour_at(t)),
-                        repr(float(s.values[t])),
-                        int(owner[t]) if inside else "",
-                        repr(float(ear[t])),
-                        repr(float(ante[t])) if inside else "",
-                    )
-                )
-    _write_resolved(out, "ear", opts)
+    write_ear_csv(out / "ear.csv", series_by_station.values(), opts["alpha"], DailyWindowMode(opts["daily_mode"]))
     print(f"ear: wrote per-hour EAR for {len(series_by_station)} stations -> {out / 'ear.csv'}")
 
 
@@ -415,7 +388,6 @@ def _run_build_dataset(opts: dict) -> None:
         spec = _feature_spec(opts)
         examples = build_examples(windows, spec, LabelingConfig(opts["lead"]))
         write_feature_csv(out / "features.csv", examples)
-    _write_resolved(out, "build-dataset", opts)
     n_pos = sum(1 for w in windows if w.kind is WindowKind.POSITIVE)
     print(
         f"build-dataset: {len(windows)} windows ({n_pos} positive, {len(windows) - n_pos} negative), "
@@ -461,7 +433,6 @@ def _run_train(opts: dict) -> None:
         model = fit_logistic(examples.X, examples.y, params=params, training_weight=tw)
     meta = {"trained_on": opts["split"], "n_examples": len(examples), "lead_hours": opts["lead"], "seed": opts["seed"]}
     save_model(out / "model.json", model, feature_spec=spec, meta=meta)
-    _write_resolved(out, "train", opts)
     print(f"train: {kind} on {len(examples)} examples from {len(chosen)} windows -> {out / 'model.json'}")
 
 
@@ -491,7 +462,6 @@ def _run_cv(opts: dict) -> None:
     )
     write_grid_csv(out / "cv_results.csv", result)
     (out / "best_params.json").write_text(json.dumps({"model": result.model_kind, "params": result.best}, indent=2, sort_keys=True) + "\n")
-    _write_resolved(out, "cv", opts)
     best = max(c.mean_auprc for c in result.cells)
     print(f"cv: {len(result.cells)} cells x {opts['k']} folds; best mean AUPRC {best:.4f} -> {out / 'cv_results.csv'}")
 
@@ -515,7 +485,6 @@ def _run_eval(opts: dict) -> None:
         "resolved_config": {k: str(v) if isinstance(v, Path) else v for k, v in sorted(opts.items())},
     }
     (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_resolved(out, "eval", opts)
     print(f"eval: AUPRC {summary['auprc']:.4f}, AUROC {summary['auroc']:.4f} on {len(examples)} hours -> {out}")
 
 
@@ -567,7 +536,6 @@ def _run_sweep_baselines(opts: dict) -> None:
                 )
             )
     (out / "baselines.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_resolved(out, "sweep-baselines", opts)
     print(
         f"sweep-baselines: ETM AUPRC {summary['etm']['auprc']:.4f}, "
         f"HM AUPRC {summary['hm']['auprc']:.4f} -> {out}"
@@ -586,7 +554,6 @@ def _run_bootstrap_ci(opts: dict) -> None:
         seed=opts["seed"],
     )
     write_ci_json(out / "ci.json", ci)
-    _write_resolved(out, "bootstrap-ci", opts)
     print(
         f"bootstrap-ci: {ci.statistic} {ci.point:.4f} "
         f"[{ci.lower:.4f}, {ci.upper:.4f}] at {int(ci.level * 100)}% -> {out / 'ci.json'}"
@@ -605,7 +572,6 @@ def _run_operating_points(opts: dict) -> None:
         precision_targets=_parse_targets(opts["precision_targets"]),
     )
     write_operating_points_csv(out / "operating_points.csv", points)
-    _write_resolved(out, "operating-points", opts)
     infeasible = sum(1 for p in points if not p.feasible)
     print(f"operating-points: {len(points)} targets ({infeasible} infeasible) -> {out / 'operating_points.csv'}")
 
@@ -626,7 +592,6 @@ def _run_event_capture(opts: dict) -> None:
         raise InputError("no positive windows with scores; run 'eval' on a split containing positives")
     rows = event_capture(positives, scores_by_window, lead_hours=opts["lead"])
     write_capture_csv(out / "event_capture.csv", rows)
-    _write_resolved(out, "event-capture", opts)
     print(f"event-capture: {len(positives)} debris flows over {len(rows)} thresholds -> {out / 'event_capture.csv'}")
 
 
@@ -683,7 +648,6 @@ def _run_explain(opts: dict) -> None:
         )
         + "\n"
     )
-    _write_resolved(out, "explain", opts)
     print(f"explain: {keep.size} rows, background {background.shape[0]} -> {out}")
 
 
@@ -822,6 +786,7 @@ def main(argv=None) -> int:
         command: _Command = args._command
         opts = command.resolve(args)
         command.handler(opts)
+        _write_resolved(Path(opts["out"]), command.name, opts)
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

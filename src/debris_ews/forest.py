@@ -75,10 +75,7 @@ def fit_forest(
 ) -> ForestModel:
     """Deterministic given (data, params, training_weight, seed); tree t always
     uses stream (seed, t), so thread scheduling cannot change the model."""
-    X, y, w = check_training_inputs(X, y, sample_weight)
-    if not np.isfinite(training_weight) or training_weight <= 0:
-        raise InputError("training_weight must be finite and > 0")
-    w = np.where(y == 1.0, w * training_weight, w)
+    X, y, w = check_training_inputs(X, y, sample_weight, training_weight)
     tree_params = params.tree_params(X.shape[1])
     codes, values = _rank_codes(X)
 

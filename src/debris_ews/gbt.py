@@ -67,10 +67,7 @@ def fit_gbt(
     params: GbtParams = GbtParams(),
     training_weight: float = 1.0,
 ) -> GbtModel:
-    X, y, w = check_training_inputs(X, y, sample_weight)
-    if not np.isfinite(training_weight) or training_weight <= 0:
-        raise InputError("training_weight must be finite and > 0")
-    w = np.where(y == 1.0, w * training_weight, w)
+    X, y, w = check_training_inputs(X, y, sample_weight, training_weight)
 
     prior = float(np.dot(w, y) / w.sum())
     prior = min(max(prior, _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)

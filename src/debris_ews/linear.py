@@ -95,10 +95,7 @@ def fit_logistic(
     params: LogisticParams = LogisticParams(),
     training_weight: float = 1.0,
 ) -> LinearModel:
-    X, y, w = check_training_inputs(X, y, sample_weight)
-    if not np.isfinite(training_weight) or training_weight <= 0:
-        raise InputError("training_weight must be finite and > 0")
-    w = np.where(y == 1.0, w * training_weight, w)
+    X, y, w = check_training_inputs(X, y, sample_weight, training_weight)
     l2 = params.effective_l2
 
     weights = np.zeros(X.shape[1])

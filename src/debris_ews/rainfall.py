@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +38,7 @@ ANTECEDENT_DAYS = 7
 DEFAULT_ALPHA = 0.7
 
 RAINFALL_CSV_COLUMNS = ("station_id", "timestamp", "rainfall_mm")
+EAR_CSV_COLUMNS = ("station_id", "timestamp", "rainfall_mm", "event_id", "ear_mm", "antecedent_mm")
 
 
 class DailyWindowMode(str, Enum):
@@ -127,8 +128,6 @@ class EarTrace:
     event: MainEvent
     antecedent_mm: float
     ear: np.ndarray
-    alpha: float
-    daily_mode: DailyWindowMode
 
 
 def segment_events(
@@ -153,18 +152,6 @@ def segment_events(
     return [MainEvent(int(wet[s]), int(wet[e])) for s, e in zip(starts, ends)]
 
 
-def _day_start_index(series: RainSeries, anchor_idx: np.ndarray) -> np.ndarray:
-    # index of 00:00 of the calendar day containing each anchor hour
-    return anchor_idx - (series.start.hour + anchor_idx) % 24
-
-
-def _range_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # sums over [lo, hi) with hours outside the record counting as 0 mm
-    cum = np.concatenate(([0.0], np.cumsum(values)))
-    n = values.size
-    return cum[np.clip(hi, 0, n)] - cum[np.clip(lo, 0, n)]
-
-
 def daily_sums_matrix(
     series: RainSeries,
     anchor_idx: np.ndarray,
@@ -181,36 +168,18 @@ def daily_sums_matrix(
         raise InputError("days must be >= 0")
     if anchor_idx.size and (anchor_idx.min() < 0 or anchor_idx.max() > len(series)):
         raise InputError("anchor index outside [0, len(series)]")
-    if days == 0:
-        return np.zeros((anchor_idx.size, 0))
-    mode = DailyWindowMode(mode)
-    if mode is DailyWindowMode.CALENDAR_DAY:
-        base = _day_start_index(series, anchor_idx)
-    else:
-        base = anchor_idx
-    out = np.empty((anchor_idx.size, days))
-    for i in range(1, days + 1):
-        out[:, i - 1] = _range_sums(series.values, base - 24 * i, base - 24 * (i - 1))
-    return out
+    if DailyWindowMode(mode) is DailyWindowMode.CALENDAR_DAY:
+        anchor_idx = anchor_idx - (series.start.hour + anchor_idx) % 24  # 00:00 of the anchor's day
+    # day i back is [edge i, edge i-1): differences of one prefix sum, clipped to the record
+    cum = np.concatenate(([0.0], np.cumsum(series.values)))
+    edges = cum[np.clip(anchor_idx[:, None] - 24 * np.arange(days + 1), 0, len(series))]
+    return edges[:, :-1] - edges[:, 1:]
 
 
-def daily_totals(
-    series: RainSeries,
-    anchor_idx: int,
-    days: int = ANTECEDENT_DAYS,
-    mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY,
-) -> np.ndarray:
-    """R_1..R_days (mm) for a single anchor hour."""
-    return daily_sums_matrix(series, np.array([anchor_idx]), days, mode)[0]
-
-
-def antecedent_index(dailies: Sequence[float], alpha: float = DEFAULT_ALPHA) -> float:
-    """Decayed antecedent precipitation: sum over i of alpha**i * R_i."""
-    r = np.asarray(dailies, dtype=np.float64)
-    if not np.isfinite(r).all() or (r < 0).any():
-        raise InputError("daily totals must be finite and non-negative")
-    weights = np.power(alpha, np.arange(1, r.size + 1, dtype=np.float64))
-    return float(np.dot(weights, r))
+def _antecedents(series: RainSeries, starts, alpha: float, mode: DailyWindowMode) -> np.ndarray:
+    """Antecedent index, sum over i of alpha**i * R_i, before each event start."""
+    weights = np.power(alpha, np.arange(1, ANTECEDENT_DAYS + 1, dtype=np.float64))
+    return np.vecdot(daily_sums_matrix(series, starts, ANTECEDENT_DAYS, mode), weights)
 
 
 def ear_trace(
@@ -222,11 +191,20 @@ def ear_trace(
     """EAR trajectory over one event: running event rain + antecedent index."""
     if event.end_idx >= len(series):
         raise InputError(f"event span ({event.start_idx}, {event.end_idx}) outside series")
-    ante = antecedent_index(
-        daily_totals(series, event.start_idx, ANTECEDENT_DAYS, mode), alpha
-    )
-    running = np.cumsum(series.values[event.start_idx : event.end_idx + 1])
-    return EarTrace(event, ante, running + ante, alpha, DailyWindowMode(mode))
+    (ante,) = _antecedents(series, [event.start_idx], alpha, mode)
+    return EarTrace(event, float(ante), np.cumsum(series.values[event.start_idx : event.end_idx + 1]) + ante)
+
+
+def _ear_pass(
+    series: RainSeries, alpha: float, mode: DailyWindowMode, rain_threshold: float, quiet_hours: int
+) -> tuple[np.ndarray, list[MainEvent], np.ndarray]:
+    """Full-length EAR, the events, and the antecedent index of each event."""
+    events = segment_events(series, rain_threshold, quiet_hours)
+    antes = _antecedents(series, [ev.start_idx for ev in events], alpha, mode)
+    ear = np.zeros(len(series))
+    for ev, ante in zip(events, antes):
+        ear[ev.start_idx : ev.end_idx + 1] = np.cumsum(series.values[ev.start_idx : ev.end_idx + 1]) + ante
+    return ear, events, antes
 
 
 def ear_series(
@@ -237,11 +215,7 @@ def ear_series(
     quiet_hours: int = QUIET_HOURS,
 ) -> tuple[np.ndarray, list[MainEvent]]:
     """Full-length EAR: event traces in place, 0 outside events."""
-    events = segment_events(series, rain_threshold, quiet_hours)
-    ear = np.zeros(len(series))
-    for ev in events:
-        ear[ev.start_idx : ev.end_idx + 1] = ear_trace(series, ev, alpha, mode).ear
-    return ear, events
+    return _ear_pass(series, alpha, mode, rain_threshold, quiet_hours)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +307,12 @@ def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[Ra
     return out
 
 
+def _stamps(s: RainSeries) -> list[str]:
+    """Each hour of a series as YYYY-MM-DDTHH:00:00Z."""
+    hours = np.datetime64((s.start - _EPOCH) // HOUR, "h") + np.arange(len(s))
+    return np.datetime_as_string(hours, unit="s", timezone="UTC").tolist()
+
+
 def write_rainfall_csv(path: str | Path, series: Iterable[RainSeries]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -340,6 +320,29 @@ def write_rainfall_csv(path: str | Path, series: Iterable[RainSeries]) -> None:
         writer = csv.writer(fh)
         writer.writerow(RAINFALL_CSV_COLUMNS)
         for s in sorted(series, key=lambda s: s.station_id):
-            hours = np.datetime64((s.start - _EPOCH) // HOUR, "h") + np.arange(len(s))
-            stamps = np.datetime_as_string(hours, unit="s", timezone="UTC").tolist()
-            writer.writerows(zip(repeat(s.station_id), stamps, map(repr, s.values.tolist())))
+            writer.writerows(zip(repeat(s.station_id), _stamps(s), map(repr, s.values.tolist())))
+
+
+def write_ear_csv(
+    path: str | Path,
+    series: Iterable[RainSeries],
+    alpha: float = DEFAULT_ALPHA,
+    mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY,
+) -> None:
+    """Per-hour EAR of each station. Hours inside an event carry its index among the
+    station's events and its antecedent index; other hours leave both blank."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EAR_CSV_COLUMNS)
+        for s in sorted(series, key=lambda s: s.station_id):
+            ear, events, antes = _ear_pass(s, alpha, mode, RAIN_THRESHOLD_MM, QUIET_HOURS)
+            owner = np.full(len(s), -1)
+            for i, ev in enumerate(events):
+                owner[ev.start_idx : ev.end_idx + 1] = i
+            # owner -1 picks the trailing blank
+            event_ids = np.array([*map(str, range(len(events))), ""])[owner].tolist()
+            ante = np.array([*map(repr, antes.tolist()), ""])[owner].tolist()
+            values = map(repr, s.values.tolist())
+            writer.writerows(zip(repeat(s.station_id), _stamps(s), values, event_ids, map(repr, ear.tolist()), ante))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._common import InputError, derived_rng
 from .baselines import OFFICIAL_MAX_MM, OFFICIAL_MIN_MM, OFFICIAL_STEP_MM, ThresholdTable
-from .rainfall import DailyWindowMode, RainSeries, ear_trace, segment_events
+from .rainfall import DailyWindowMode, RainSeries, ear_series
 
 log = logging.getLogger(__name__)
 
@@ -156,8 +156,8 @@ def _sample_flows(rng: np.random.Generator, hazard: np.ndarray, refractory: int)
 def _station_threshold(series: RainSeries, rng: np.random.Generator) -> float:
     """Official-style threshold near the station's 75th percentile event-max EAR,
     snapped to the 200..600 mm / 50 mm grid with one step of jitter."""
-    events = segment_events(series)
-    maxima = [float(ear_trace(series, ev, mode=DailyWindowMode.CALENDAR_DAY).ear[-1]) for ev in events]
+    ear, events = ear_series(series, mode=DailyWindowMode.CALENDAR_DAY)
+    maxima = [float(ear[ev.end_idx]) for ev in events]
     base = np.quantile(maxima, 0.75) if maxima else 300.0
     base += float(rng.integers(-1, 2)) * OFFICIAL_STEP_MM
     snapped = OFFICIAL_STEP_MM * round(base / OFFICIAL_STEP_MM)

@@ -106,8 +106,10 @@ def _check_matrix(X: np.ndarray, n_features: int | None = None) -> np.ndarray:
 
 
 def check_training_inputs(
-    X: np.ndarray, y: Sequence[int], sample_weight: Sequence[float] | None
+    X: np.ndarray, y: Sequence[int], sample_weight: Sequence[float] | None, training_weight: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (X, float labels, weights), with the weight of each positive row
+    multiplied by training_weight."""
     X = _check_matrix(X)
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
@@ -124,7 +126,9 @@ def check_training_inputs(
             raise InputError("sample weights must match the number of rows")
         if not np.isfinite(w).all() or (w <= 0).any():
             raise InputError("sample weights must be finite and > 0")
-    return X, y, w
+    if not np.isfinite(training_weight) or training_weight <= 0:
+        raise InputError("training_weight must be finite and > 0")
+    return X, y, np.where(y == 1.0, w * training_weight, w)
 
 
 def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

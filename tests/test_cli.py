@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from debris_ews import InputError
+from debris_ews import InputError, ear_trace, segment_events
 from debris_ews.cli import SCORES_CSV_COLUMNS, main, read_scores_csv, write_scores_csv
+from debris_ews.rainfall import read_rainfall_csv
 
 SMALL_SYNTH = ["--stations", "5", "--weeks", "12"]
 
@@ -88,6 +89,33 @@ def test_segment_and_ear_smoke(pipeline, tmp_path):
             assert ear_val >= prev_ear - 1e-12
         prev_key, prev_ear = key, ear_val
     assert saw_event
+
+
+@pytest.mark.parametrize("mode", ["calendar_day", "rolling_24h"])
+def test_ear_csv_columns_match_ear_trace(pipeline, tmp_path, mode):
+    """Each event hour of ear.csv carries its event's EAR and antecedent index
+    exactly as ear_trace gives them; other hours have EAR 0 and blank event columns."""
+    rainfall = pipeline["corpus"] / "rainfall.csv"
+    out = tmp_path / "ear"
+    assert main(["ear", "--rainfall", str(rainfall), "--out", str(out), "--daily-mode", mode, "--alpha", "0.9"]) == 0
+    with (out / "ear.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    events = 0
+    for s in read_rainfall_csv(rainfall):
+        mine, rows = rows[: len(s)], rows[len(s) :]
+        assert [r["station_id"] for r in mine] == [s.station_id] * len(s)
+        assert [float(r["rainfall_mm"]) for r in mine] == s.values.tolist()
+        owner = [""] * len(s)
+        for i, ev in enumerate(segment_events(s)):
+            tr = ear_trace(s, ev, 0.9, mode)
+            for k, t in enumerate(range(ev.start_idx, ev.end_idx + 1)):
+                assert float(mine[t]["ear_mm"]) == tr.ear[k]
+                assert float(mine[t]["antecedent_mm"]) == tr.antecedent_mm
+                owner[t] = str(i)
+            events += 1
+        assert [r["event_id"] for r in mine] == owner
+        assert all(r["ear_mm"] == "0.0" and r["antecedent_mm"] == "" for r, o in zip(mine, owner) if o == "")
+    assert rows == [] and events > 20
 
 
 def test_manifest_and_split(pipeline):
@@ -332,6 +360,24 @@ def test_eval_and_explain_take_lead_from_model(pipeline, tmp_path, capsys):
     assert main(["explain", *scoring, "--out", str(tmp_path / "x_bad"), "--seed", "1", "--lead", "12"]) == 1
     err = capsys.readouterr().err
     assert "--lead 12" in err and "lead_hours 6" in err
+
+
+def test_resolved_config_records_lead_from_model(pipeline, tmp_path):
+    """The resolved config is written after the command ran, with the lead it took from the model."""
+    data = ["--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+            "--manifest", str(pipeline["data"] / "manifest.json")]
+    model = tmp_path / "lead6"
+    assert main(["train", *data, "--out", str(model), "--seed", "3", "--hours", "6", "--lead", "6",
+                 "--trees", "2", "--max-depth", "3"]) == 0
+    scoring = ["--model", str(model / "model.json"), *data, "--split", "all"]
+    explain = ["--seed", "1", "--max-rows", "5", "--background-rows", "4"]
+    for command, extra in (("eval", []), ("explain", explain)):
+        out = tmp_path / command
+        assert main([command, *scoring, "--out", str(out), *extra]) == 0
+        resolved = json.loads((out / f"{command}_config.json").read_text())
+        assert resolved["command"] == command and resolved["options"]["lead"] == 6
+    assert main(["eval", *scoring, "--out", str(tmp_path / "bad"), "--lead", "12"]) == 1
+    assert not (tmp_path / "bad" / "eval_config.json").exists()
 
 
 def test_read_scores_csv_rejects_hour_gaps(tmp_path):

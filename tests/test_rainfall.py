@@ -11,14 +11,12 @@ from debris_ews import (
     InputError,
     MainEvent,
     RainSeries,
-    antecedent_index,
-    daily_totals,
     ear_series,
     ear_trace,
     segment_events,
 )
 from debris_ews._common import HOUR, ensure_hour_aligned, format_ts, parse_ts
-from debris_ews.rainfall import RAINFALL_CSV_COLUMNS, read_rainfall_csv, write_rainfall_csv
+from debris_ews.rainfall import RAINFALL_CSV_COLUMNS, daily_sums_matrix, read_rainfall_csv, write_rainfall_csv
 
 from conftest import T0, random_rain, series
 
@@ -110,19 +108,19 @@ def test_segment_properties_random():
 
 def test_daily_totals_all_zero():
     s = series(np.zeros(400))
-    assert daily_totals(s, 200).tolist() == [0.0] * 7
+    assert daily_sums_matrix(s, [200])[0].tolist() == [0.0] * 7
 
 
 def test_daily_totals_rolling_uniform_rain():
     s = series(np.ones(24 * 10))
-    got = daily_totals(s, 24 * 9, mode=DailyWindowMode.ROLLING_24H)
+    got = daily_sums_matrix(s, [24 * 9], mode=DailyWindowMode.ROLLING_24H)[0]
     assert got.tolist() == [24.0] * 7
 
 
 def test_daily_totals_anchor_at_start_is_padding():
     s = series(np.ones(100))
-    assert daily_totals(s, 0, mode=DailyWindowMode.ROLLING_24H).tolist() == [0.0] * 7
-    assert daily_totals(s, 0, mode=DailyWindowMode.CALENDAR_DAY).tolist() == [0.0] * 7
+    assert daily_sums_matrix(s, [0], mode=DailyWindowMode.ROLLING_24H)[0].tolist() == [0.0] * 7
+    assert daily_sums_matrix(s, [0], mode=DailyWindowMode.CALENDAR_DAY)[0].tolist() == [0.0] * 7
 
 
 def test_daily_totals_calendar_respects_midnight():
@@ -132,7 +130,7 @@ def test_daily_totals_calendar_respects_midnight():
     values[18:42] = 1.0  # exactly calendar day 2019-05-02
     s = RainSeries("S", start, values)
     anchor = 18 + 24 + 5  # 11:00 on 2019-05-03
-    got = daily_totals(s, anchor, mode=DailyWindowMode.CALENDAR_DAY)
+    got = daily_sums_matrix(s, [anchor], mode=DailyWindowMode.CALENDAR_DAY)[0]
     assert got[0] == 24.0
     assert got[1:].tolist() == [0.0] * 6
 
@@ -141,7 +139,7 @@ def test_daily_totals_rolling_windows_partition():
     rng = np.random.default_rng(3)
     s = series(random_rain(rng, 400))
     anchor = 350
-    got = daily_totals(s, anchor, mode=DailyWindowMode.ROLLING_24H)
+    got = daily_sums_matrix(s, [anchor], mode=DailyWindowMode.ROLLING_24H)[0]
     assert got.sum() == pytest.approx(s.values[anchor - 168 : anchor].sum())
 
 
@@ -149,18 +147,115 @@ def test_daily_totals_rolling_windows_partition():
 
 
 def test_antecedent_zero():
-    assert antecedent_index([0.0] * 7) == 0.0
+    values = np.zeros(400)
+    values[200] = 5.0
+    assert ear_trace(series(values), MainEvent(200, 200)).antecedent_mm == 0.0
 
 
 def test_antecedent_single_day():
-    assert antecedent_index([10, 0, 0, 0, 0, 0, 0]) == pytest.approx(7.0)
+    values = np.zeros(400)
+    values[24 * 6 + 7] = 10.0  # R_1 of an event on day 7
+    values[24 * 7 + 3] = 5.0
+    assert ear_trace(series(values), MainEvent(24 * 7 + 3, 24 * 7 + 3)).antecedent_mm == pytest.approx(7.0)
 
 
 def test_antecedent_geometric_sum():
     # independent oracle: direct geometric sum over 7 days of 10 mm
     expected = sum(10.0 * 0.7**i for i in range(1, 8))
     assert expected == pytest.approx(21.4117330, abs=1e-6)
-    assert antecedent_index([10.0] * 7) == pytest.approx(expected, abs=1e-12)
+    values = np.zeros(400)
+    values[np.arange(7) * 24 + 11] = 10.0  # 10 mm on each of the 7 days before day 7
+    values[24 * 7 + 3] = 5.0
+    tr = ear_trace(series(values), MainEvent(24 * 7 + 3, 24 * 7 + 3))
+    assert tr.antecedent_mm == pytest.approx(expected, abs=1e-12)
+
+
+# --- one EAR pass against the per-event computation it replaced ------------------
+
+
+def _reference_range_sums(values, lo, hi):
+    cum = np.concatenate(([0.0], np.cumsum(values)))
+    n = values.size
+    return cum[np.clip(hi, 0, n)] - cum[np.clip(lo, 0, n)]
+
+
+def _reference_daily_sums_matrix(s, anchor_idx, days=7, mode=DailyWindowMode.CALENDAR_DAY):
+    anchor_idx = np.asarray(anchor_idx, dtype=np.int64)
+    if days == 0:
+        return np.zeros((anchor_idx.size, 0))
+    if DailyWindowMode(mode) is DailyWindowMode.CALENDAR_DAY:
+        base = anchor_idx - (s.start.hour + anchor_idx) % 24
+    else:
+        base = anchor_idx
+    out = np.empty((anchor_idx.size, days))
+    for i in range(1, days + 1):
+        out[:, i - 1] = _reference_range_sums(s.values, base - 24 * i, base - 24 * (i - 1))
+    return out
+
+
+def _reference_daily_totals(s, anchor_idx, days=7, mode=DailyWindowMode.CALENDAR_DAY):
+    return _reference_daily_sums_matrix(s, np.array([anchor_idx]), days, mode)[0]
+
+
+def _reference_antecedent_index(dailies, alpha=0.7):
+    r = np.asarray(dailies, dtype=np.float64)
+    weights = np.power(alpha, np.arange(1, r.size + 1, dtype=np.float64))
+    return float(np.dot(weights, r))
+
+
+def _reference_ear_trace(s, event, alpha=0.7, mode=DailyWindowMode.CALENDAR_DAY):
+    """(antecedent, per-hour EAR) of one event."""
+    ante = _reference_antecedent_index(_reference_daily_totals(s, event.start_idx, 7, mode), alpha)
+    return ante, np.cumsum(s.values[event.start_idx : event.end_idx + 1]) + ante
+
+
+def _reference_ear_series(s, alpha=0.7, mode=DailyWindowMode.CALENDAR_DAY):
+    events = segment_events(s)
+    ear = np.zeros(len(s))
+    for ev in events:
+        ear[ev.start_idx : ev.end_idx + 1] = _reference_ear_trace(s, ev, alpha, mode)[1]
+    return ear, events
+
+
+def _random_series(rng, hour, edges):
+    n = int(rng.integers(1, 500))
+    values = random_rain(rng, n)
+    if edges:  # events that start at hour 0 and end at the last hour
+        values[[0, -1]] = 5.0 + rng.random(2)
+    return series(values, start=T0.replace(hour=hour))
+
+
+@pytest.mark.parametrize("mode", list(DailyWindowMode))
+def test_daily_sums_matrix_matches_reference(mode):
+    rng = np.random.default_rng(29)
+    for hour in range(24):
+        for edges in (False, True):
+            s = _random_series(rng, hour, edges)
+            anchors = np.arange(len(s) + 1)  # 0 through len
+            for days in (0, 1, 7):
+                got = daily_sums_matrix(s, anchors, days, mode)
+                want = _reference_daily_sums_matrix(s, anchors, days, mode)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("mode", list(DailyWindowMode))
+def test_ear_matches_reference(mode, alpha):
+    rng = np.random.default_rng(31)
+    traces = 0
+    for hour in range(24):
+        for edges in (False, True):
+            s = _random_series(rng, hour, edges)
+            ear, events = ear_series(s, alpha, mode)
+            want, want_events = _reference_ear_series(s, alpha, mode)
+            assert events == want_events and ear.tobytes() == want.tobytes()
+            for ev in events:
+                tr = ear_trace(s, ev, alpha, mode)
+                ante, trace = _reference_ear_trace(s, ev, alpha, mode)
+                assert tr.antecedent_mm == ante and type(tr.antecedent_mm) is float
+                assert tr.ear.tobytes() == trace.tobytes()
+                traces += 1
+    assert traces > 500
 
 
 # --- EAR ----------------------------------------------------------------------

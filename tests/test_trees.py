@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import debris_ews.trees as trees
-from debris_ews import DecisionTree, ForestParams, InputError, TreeParams, fit_forest, fit_tree
+from debris_ews import DecisionTree, ForestParams, InputError, TreeParams, fit_forest, fit_gbt, fit_logistic, fit_tree
 from debris_ews._common import derived_rng
 from debris_ews.trees import _GainCriterion, _GiniCriterion, _best_split, _rank_codes, fit_gradient_tree
 
@@ -376,3 +376,17 @@ def test_zero_hessian_nodes_become_zero_leaves():
     assert (pred[:10] == 0.0).all() and (pred[10:] != 0.0).any()
     root_only = fit_gradient_tree(X, g, np.zeros(20), leaf_l2=0.0)
     assert root_only.n_nodes == 1 and root_only.value[0] == 0.0
+
+
+def test_training_weight_scales_positive_rows():
+    X = np.arange(8.0).reshape(4, 2)
+    _, y, w = trees.check_training_inputs(X, [0, 1, 1, 0], [1.0, 2.0, 0.5, 3.0], 10.0)
+    assert y.tolist() == [0.0, 1.0, 1.0, 0.0] and w.tolist() == [1.0, 20.0, 5.0, 3.0]
+
+
+@pytest.mark.parametrize("training_weight", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("fit", [fit_forest, fit_gbt, fit_logistic], ids=lambda f: f.__name__)
+def test_every_fitter_rejects_a_bad_training_weight(fit, training_weight):
+    X, y = _rand_data(np.random.default_rng(5), n=20)
+    with pytest.raises(InputError, match=r"^training_weight must be finite and > 0$"):
+        fit(X, y, training_weight=training_weight)
