@@ -21,49 +21,56 @@ EWS="${EWS:-debris-ews}"
 
 mkdir -p "$OUT"
 
-echo "== synthetic corpus (seed $SEED)"
+# "== <title>" opens a section; the seconds the previous one took are printed first
+section() {
+  if [ -n "${SECTION_START:-}" ]; then echo "   ($((SECONDS - SECTION_START)) s)"; fi
+  SECTION_START=$SECONDS
+  [ $# -eq 0 ] || echo "== $*"
+}
+
+section "synthetic corpus (seed $SEED)"
 $EWS synth --seed $SEED --out "$OUT/corpus"
 
-echo "== dataset windows and split"
+section "dataset windows and split"
 $EWS build-dataset \
   --rainfall "$OUT/corpus/rainfall.csv" \
   --events "$OUT/corpus/debris_events.csv" \
   --out "$OUT/data" --seed $SEED
 
-echo "== random forest (48 most recent hours, tuned defaults)"
+section "random forest (48 most recent hours, tuned defaults)"
 $EWS train \
   --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
   --out "$OUT/model_rf" --seed $SEED --hours 48
 
-echo "== test-split evaluation"
+section "test-split evaluation"
 $EWS eval \
   --model "$OUT/model_rf/model.json" \
   --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
   --out "$OUT/eval_rf" --split test
 
-echo "== EAR threshold baselines"
+section "EAR threshold baselines"
 $EWS sweep-baselines \
   --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
   --thresholds "$OUT/corpus/thresholds.csv" \
   --out "$OUT/eval_baselines" --split test
 
-echo "== block-bootstrap confidence intervals ($REPS replicates)"
+section "block-bootstrap confidence intervals ($REPS replicates)"
 $EWS bootstrap-ci --scores "$OUT/eval_rf/scores.csv"            --out "$OUT/ci_rf"  --seed $SEED --reps "$REPS"
 $EWS bootstrap-ci --scores "$OUT/eval_baselines/etm_scores.csv" --out "$OUT/ci_etm" --seed $SEED --reps "$REPS"
 $EWS bootstrap-ci --scores "$OUT/eval_baselines/hm_scores.csv"  --out "$OUT/ci_hm"  --seed $SEED --reps "$REPS"
 
-echo "== operating-point tables"
+section "operating-point tables"
 $EWS operating-points --scores "$OUT/eval_rf/scores.csv"            --out "$OUT/op_rf"
 $EWS operating-points --scores "$OUT/eval_baselines/etm_scores.csv" --out "$OUT/op_etm"
 $EWS operating-points --scores "$OUT/eval_baselines/hm_scores.csv"  --out "$OUT/op_hm"
 
-echo "== captured/missed debris flows per threshold"
+section "captured/missed debris flows per threshold"
 $EWS event-capture \
   --scores "$OUT/eval_rf/scores.csv" \
   --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
   --out "$OUT/capture"
 
-echo "== attributions for the test split"
+section "attributions for the test split"
 # exact interventional attributions of the evaluated forest: one pass per leaf
 # over all rows and background rows at once
 $EWS explain \
@@ -72,7 +79,7 @@ $EWS explain \
   --out "$OUT/explain" --seed $SEED --max-rows 400 --background-rows 64
 
 if [ -z "${SKIP_SLOW:-}" ]; then
-  echo "== training-weight trade-off sweep (reduced corpus)"
+  section "training-weight trade-off sweep (reduced corpus)"
   $EWS synth --seed 7 --stations 18 --weeks 24 --out "$OUT/corpus_small"
   $EWS build-dataset \
     --rainfall "$OUT/corpus_small/rainfall.csv" \
@@ -88,7 +95,7 @@ if [ -z "${SKIP_SLOW:-}" ]; then
       --out "$OUT/tw_sweep/tw_$w" --split test
   done
 
-  echo "== history-length CV table (reduced corpus)"
+  section "history-length CV table (reduced corpus)"
   for h in 6 12 24 48; do
     cat > "$OUT/grid_h.json" <<EOF
 [{"n_trees": 20, "max_depth": 15, "min_samples_leaf": 2}]
@@ -99,4 +106,5 @@ EOF
   done
 fi
 
-echo "done: artifacts under $OUT"
+section
+echo "done: artifacts under $OUT in $SECONDS s"

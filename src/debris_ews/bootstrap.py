@@ -5,6 +5,13 @@ wrap-around blocks of its own hour sequence (block length 6 by default, last
 block truncated so the replicate keeps the window's length), then pools all
 windows and evaluates the statistic. Intervals are percentile-based.
 Replicates whose pooled labels are single-class are skipped and counted.
+
+Replicate r draws its block starts from stream `derived_rng(seed, 3, r)` in
+one call, in a fixed order: windows by ascending length, then in input order,
+then block by block. The replicate is a flat circular index over the pooled
+hours. Its curve comes from counts of (score rank, label) pairs, with the
+scores rank-coded once, so no replicate sorts and the areas are the same
+floats that `metrics.auprc` and `metrics.auroc` give on the resampled hours.
 """
 from __future__ import annotations
 
@@ -17,13 +24,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._common import InputError, derived_rng
-from .metrics import auprc, auroc
+from .metrics import auc, counts_curve
 
 log = logging.getLogger(__name__)
 
+
+def _area(kind: str) -> Callable[[np.ndarray, np.ndarray], float]:
+    def area(thresholds: np.ndarray, counts: np.ndarray) -> float:
+        fp, tp = counts
+        return auc(counts_curve(kind, thresholds, tp, fp, int(tp[-1]), int(fp[-1])))
+
+    return area
+
+
+# statistic of (descending distinct thresholds, rows of cumulative fp and tp at each)
 _STATS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "auprc": auprc,
-    "auroc": auroc,
+    "auprc": _area("PR"),
+    "auroc": _area("ROC"),
 }
 
 
@@ -57,36 +74,31 @@ class BootstrapCI:
         }
 
 
-class _GroupedSample:
-    """Windows stacked by common length so one replicate needs one RNG draw and
-    one gather per distinct window length."""
+class _CircularIndex:
+    """Replicate index over the pooled hours of windows of the given lengths.
 
-    def __init__(self, groups: Sequence[tuple[np.ndarray, np.ndarray]], block: int):
-        self.block = block
-        by_len: dict[int, list[int]] = {}
-        for i, (s, _) in enumerate(groups):
-            by_len.setdefault(s.size, []).append(i)
-        self.chunks = []
-        for n in sorted(by_len):
-            idx = by_len[n]
-            self.chunks.append(
-                (
-                    n,
-                    np.stack([groups[i][0] for i in idx]),
-                    np.stack([groups[i][1] for i in idx]),
-                )
-            )
+    The draw order (see the module docstring) decides which start each block
+    gets, so it is part of what a seed reproduces.
+    """
 
-    def replicate(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        parts_s = []
-        parts_y = []
-        for n, S, Y in self.chunks:
-            n_blocks = -(-n // self.block)
-            starts = rng.integers(0, n, size=(S.shape[0], n_blocks))
-            idx = ((starts[:, :, None] + np.arange(self.block)[None, None, :]) % n).reshape(S.shape[0], -1)[:, :n]
-            parts_s.append(np.take_along_axis(S, idx, axis=1).reshape(-1))
-            parts_y.append(np.take_along_axis(Y, idx, axis=1).reshape(-1))
-        return np.concatenate(parts_s), np.concatenate(parts_y)
+    def __init__(self, lengths: np.ndarray, block: int):
+        order = np.argsort(lengths, kind="stable")
+        blocks = -(-lengths // block)
+        self.highs = np.repeat(lengths[order], blocks[order])
+        first = np.empty_like(blocks)
+        first[order] = np.cumsum(blocks[order]) - blocks[order]
+        window = np.repeat(np.arange(lengths.size), lengths)
+        base = np.cumsum(lengths) - lengths
+        hour = np.arange(window.size) - base[window]
+        # per pooled hour: its block's draw, its offset in the block, its window
+        self.slot = first[window] + hour // block
+        self.off = hour % block
+        self.n = lengths[window]
+        self.base = base[window]
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        starts = rng.integers(0, self.highs)
+        return self.base + (starts[self.slot] + self.off) % self.n
 
 
 def block_bootstrap_ci(
@@ -119,35 +131,38 @@ def block_bootstrap_ci(
     prepared = []
     for scores, labels in groups:
         s = np.asarray(scores, dtype=np.float64)
-        y = np.asarray(labels).astype(np.int8)
+        y = np.asarray(labels).astype(bool)
         if s.shape != y.shape or s.ndim != 1 or s.size == 0:
             raise InputError("each group needs equal-length non-empty scores and labels")
         prepared.append((s, y))
+    pool_s = np.concatenate([s for s, _ in prepared])
+    if not np.isfinite(pool_s).all():
+        raise InputError("scores must be finite")
 
     warnings: list[str] = []
     if replicates < 100:
         warnings.append(f"only {replicates} replicates; interval endpoints are coarse")
 
-    pool_s = np.concatenate([s for s, _ in prepared])
-    pool_y = np.concatenate([y for _, y in prepared])
-    point = float(stat_fn(pool_s, pool_y))
+    # code k + K * label, where k ranks the K distinct scores from the highest
+    neg_thresholds, rank = np.unique(-pool_s, return_inverse=True)
+    thresholds = -neg_thresholds
+    codes = rank + thresholds.size * np.concatenate([y for _, y in prepared])
 
-    sampler = _GroupedSample(prepared, block_hours)
+    def curve_counts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.bincount(c, minlength=2 * thresholds.size).reshape(2, -1)
+        seen = np.flatnonzero(counts[0] + counts[1])
+        return thresholds[seen], counts.cumsum(axis=1)[:, seen]
+
+    point = float(stat_fn(*curve_counts(codes)))
+    sampler = _CircularIndex(np.array([s.size for s, _ in prepared]), block_hours)
     stats = np.empty(replicates)
-    skipped = 0
     kept = 0
     for r in range(replicates):
-        rng = derived_rng(seed, 3, r)
-        rs, ry = sampler.replicate(rng)
-        if ry.min() == ry.max():
-            skipped += 1
-            continue
-        try:
-            stats[kept] = stat_fn(rs, ry)
-        except (InputError, ValueError):
-            skipped += 1
-            continue
-        kept += 1
+        thr, cum = curve_counts(codes[sampler.draw(derived_rng(seed, 3, r))])
+        if cum[:, -1].all():  # both classes drawn
+            stats[kept] = stat_fn(thr, cum)
+            kept += 1
+    skipped = replicates - kept
     if kept == 0:
         raise InputError("every bootstrap replicate was degenerate (single-class labels)")
     if skipped:

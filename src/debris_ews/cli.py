@@ -482,7 +482,6 @@ def _run_eval(opts: dict) -> None:
         "n_hours": len(examples),
         "prevalence": float(examples.y.mean()),
         "split": opts["split"],
-        "resolved_config": {k: str(v) if isinstance(v, Path) else v for k, v in sorted(opts.items())},
     }
     (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"eval: AUPRC {summary['auprc']:.4f}, AUROC {summary['auroc']:.4f} on {len(examples)} hours -> {out}")

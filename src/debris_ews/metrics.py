@@ -126,41 +126,28 @@ def _threshold_counts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarra
     return s[last], tp, fp, pos, neg
 
 
+def counts_curve(kind: str, thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray, pos: int, neg: int) -> Curve:
+    """ROC or PR curve from cumulative tp/fp at descending distinct thresholds."""
+    if pos == 0 or neg == 0:
+        raise InputError(f"{kind} needs at least one positive and one negative label")
+    if kind == "ROC":  # anchored at (0,0); the lowest threshold ends at (1,1)
+        thresholds = np.concatenate(([np.inf], thresholds))
+        tp = np.concatenate(([0], tp))
+        fp = np.concatenate(([0], fp))
+        x, y = fp / neg, tp / pos
+    else:
+        x, y = tp / pos, tp / (tp + fp)
+    return Curve(kind=kind, thresholds=thresholds, x=x, y=y, tp=tp, fp=fp, tn=neg - fp, fn=pos - tp)
+
+
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> Curve:
     """ROC points at every distinct threshold, anchored at (0,0) and ending at (1,1)."""
-    thr, tp, fp, pos, neg = _threshold_counts(np.asarray(scores), np.asarray(labels))
-    if pos == 0 or neg == 0:
-        raise InputError("ROC needs at least one positive and one negative label")
-    thr = np.concatenate(([np.inf], thr))
-    tp = np.concatenate(([0], tp))
-    fp = np.concatenate(([0], fp))
-    return Curve(
-        kind="ROC",
-        thresholds=thr,
-        x=fp / neg,
-        y=tp / pos,
-        tp=tp,
-        fp=fp,
-        tn=neg - fp,
-        fn=pos - tp,
-    )
+    return counts_curve("ROC", *_threshold_counts(np.asarray(scores), np.asarray(labels)))
 
 
 def pr_curve(scores: Sequence[float], labels: Sequence[int]) -> Curve:
     """Precision-recall points at every achieved threshold, descending."""
-    thr, tp, fp, pos, neg = _threshold_counts(np.asarray(scores), np.asarray(labels))
-    if pos == 0 or neg == 0:
-        raise InputError("PR needs at least one positive and one negative label")
-    return Curve(
-        kind="PR",
-        thresholds=thr,
-        x=tp / pos,
-        y=tp / (tp + fp),
-        tp=tp,
-        fp=fp,
-        tn=neg - fp,
-        fn=pos - tp,
-    )
+    return counts_curve("PR", *_threshold_counts(np.asarray(scores), np.asarray(labels)))
 
 
 def auc(curve: Curve) -> float:

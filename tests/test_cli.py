@@ -132,7 +132,9 @@ def test_eval_outputs(pipeline):
     metrics = json.loads((ev / "metrics.json").read_text())
     assert 0.0 <= metrics["auprc"] <= 1.0
     assert 0.0 <= metrics["auroc"] <= 1.0
-    assert "resolved_config" in metrics
+    assert "resolved_config" not in metrics  # eval_config.json holds it, with the run's paths
+    resolved = json.loads((ev / "eval_config.json").read_text())
+    assert resolved["command"] == "eval" and resolved["options"]["out"] == str(ev)
     rows = read_scores_csv(ev / "scores.csv")
     assert rows
     for _, hours, labels, scores in rows:
@@ -155,6 +157,20 @@ def test_eval_rerun_byte_identical(pipeline):
     ]) == 0
     for n in names:
         assert (ev / n).read_bytes() == before[n]
+
+
+def test_eval_into_another_dir_writes_same_metrics(pipeline, tmp_path):
+    # metrics.json holds no paths, so an eval's bytes do not depend on --out
+    out = tmp_path / "elsewhere"
+    assert main([
+        "eval",
+        "--model", str(pipeline["model"] / "model.json"),
+        "--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+        "--manifest", str(pipeline["data"] / "manifest.json"),
+        "--out", str(out),
+        "--split", "test",
+    ]) == 0
+    assert (out / "metrics.json").read_bytes() == (pipeline["eval"] / "metrics.json").read_bytes()
 
 
 def test_sweep_baselines_and_downstream(pipeline, tmp_path):
