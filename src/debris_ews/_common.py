@@ -1,15 +1,16 @@
 """Shared plumbing: input errors, UTC timestamp handling, bulk CSV reading,
-derived RNG streams."""
+artifact writing, derived RNG streams."""
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,9 +41,10 @@ def parse_ts(text: str) -> datetime:
 
 
 def format_ts(dt: datetime) -> str:
+    """YYYY-MM-DDTHH:MM:SSZ, the year zero-padded to 4 digits so parse_ts reads it back."""
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def ensure_hour_aligned(dt: datetime, what: str = "timestamp") -> datetime:
@@ -121,6 +123,28 @@ def _split(lines: list[str], width: int) -> list[list[str]]:
 
 def _pad(rows: list[list[str]], width: int) -> list[list[str]]:
     return [[r[j] if j < len(r) else "" for r in rows] for j in range(width)]
+
+
+def cell(v: float | None) -> str:
+    """A float CSV field: its shortest round-trip repr, or "" for None."""
+    return "" if v is None else repr(float(v))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """A CSV artifact: the header row, then rows, in csv's default dialect (CRLF line ends)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, doc: object, indent: int | None = 2) -> None:
+    """A JSON artifact with sorted keys and a final newline; indent=None is the compact form."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
 def number_keys(code: dict[str, int], keys: list[str]) -> np.ndarray:

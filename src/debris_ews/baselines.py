@@ -8,7 +8,6 @@ station model, EAR itself for the homogeneous one.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, csv_row_ref, read_csv_rows
+from ._common import InputError, cell, csv_row_ref, read_csv_rows, write_csv
 from .dataset import DatasetWindow
 from .rainfall import DEFAULT_ALPHA, DailyWindowMode, ear_series
 
@@ -137,10 +136,6 @@ def read_threshold_csv(path: str | Path) -> ThresholdTable:
 
 
 def write_threshold_csv(path: str | Path, table: ThresholdTable) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(THRESHOLD_CSV_COLUMNS)
-        for sid in sorted(table.thresholds):
-            writer.writerow((sid, table.year if table.year is not None else "", repr(table.thresholds[sid])))
+    year = "" if table.year is None else table.year
+    rows = ((sid, year, cell(table.thresholds[sid])) for sid in sorted(table.thresholds))
+    write_csv(path, THRESHOLD_CSV_COLUMNS, rows)

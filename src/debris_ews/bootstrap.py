@@ -15,7 +15,6 @@ floats that `metrics.auprc` and `metrics.auroc` give on the resampled hours.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._common import InputError, derived_rng
+from ._common import InputError, derived_rng, write_json
 from .metrics import auc, counts_curve
 
 log = logging.getLogger(__name__)
@@ -185,6 +184,4 @@ def block_bootstrap_ci(
 
 
 def write_ci_json(path: str | Path, ci: BootstrapCI) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(ci.as_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, ci.as_dict())

@@ -9,7 +9,6 @@ input, 2 internal error. Set DEBRIS_EWS_LOG=INFO (or DEBUG) for progress logs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -19,7 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._common import InputError, csv_row_ref, derived_rng, number_keys, parse_column, read_csv_blocks, setup_logging
+from ._common import (
+    InputError, cell, csv_row_ref, derived_rng, number_keys, parse_column, read_csv_blocks, setup_logging, write_csv,
+    write_json,
+)
 from .baselines import (
     MARKED_THRESHOLDS_MM,
     AlertPolicy,
@@ -151,8 +153,7 @@ def _write_resolved(out: Path, command: str, options: dict) -> None:
         "options": {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(options.items())},
         "meta": {"generated_at": datetime.now(timezone.utc).isoformat(), "version": __version__},
     }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{command.replace('-', '_')}_config.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(out / f"{command.replace('-', '_')}_config.json", doc)
 
 
 def _parse_depth(text: str):
@@ -253,13 +254,8 @@ def _add_corpus_opts(cmd: _Command, manifest: bool = True) -> _Command:
 
 
 def write_scores_csv(path, window_ids, hours, labels, scores) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ints = [np.asarray(a).astype(np.int64).tolist() for a in (hours, labels)]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_CSV_COLUMNS)
-        writer.writerows(zip(window_ids, *ints, map(repr, np.asarray(scores, dtype=np.float64).tolist())))
+    write_csv(path, SCORES_CSV_COLUMNS, zip(window_ids, *ints, map(repr, np.asarray(scores, dtype=np.float64).tolist())))
 
 
 def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
@@ -332,20 +328,14 @@ def _run_synth(opts: dict) -> None:
 def _run_segment(opts: dict) -> None:
     out = Path(opts["out"])
     series_by_station = _load_corpus(opts)
-    out.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with (out / "main_events.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("station_id", "event_index", "start", "end", "hours", "total_mm"))
-        for sid in sorted(series_by_station):
-            s = series_by_station[sid]
-            for i, ev in enumerate(segment_events(s, opts["rain_threshold"], opts["quiet_hours"])):
-                total = float(s.values[ev.start_idx : ev.end_idx + 1].sum())
-                writer.writerow(
-                    (sid, i, format_ts(s.hour_at(ev.start_idx)), format_ts(s.hour_at(ev.end_idx)), ev.hours, repr(total))
-                )
-                n += 1
-    print(f"segment: {n} main rainfall events -> {out / 'main_events.csv'}")
+    rows = [
+        (sid, i, format_ts(s.hour_at(ev.start_idx)), format_ts(s.hour_at(ev.end_idx)), ev.hours,
+         cell(s.values[ev.start_idx : ev.end_idx + 1].sum()))
+        for sid, s in sorted(series_by_station.items())
+        for i, ev in enumerate(segment_events(s, opts["rain_threshold"], opts["quiet_hours"]))
+    ]
+    write_csv(out / "main_events.csv", ("station_id", "event_index", "start", "end", "hours", "total_mm"), rows)
+    print(f"segment: {len(rows)} main rainfall events -> {out / 'main_events.csv'}")
 
 
 def _run_ear(opts: dict) -> None:
@@ -461,7 +451,7 @@ def _run_cv(opts: dict) -> None:
         threads=opts["threads"],
     )
     write_grid_csv(out / "cv_results.csv", result)
-    (out / "best_params.json").write_text(json.dumps({"model": result.model_kind, "params": result.best}, indent=2, sort_keys=True) + "\n")
+    write_json(out / "best_params.json", {"model": result.model_kind, "params": result.best})
     best = max(c.mean_auprc for c in result.cells)
     print(f"cv: {len(result.cells)} cells x {opts['k']} folds; best mean AUPRC {best:.4f} -> {out / 'cv_results.csv'}")
 
@@ -483,7 +473,7 @@ def _run_eval(opts: dict) -> None:
         "prevalence": float(examples.y.mean()),
         "split": opts["split"],
     }
-    (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / "metrics.json", doc)
     print(f"eval: AUPRC {summary['auprc']:.4f}, AUROC {summary['auroc']:.4f} on {len(examples)} hours -> {out}")
 
 
@@ -519,22 +509,12 @@ def _run_sweep_baselines(opts: dict) -> None:
     official = np.concatenate([etm_predict(w, table[w.station_id], policy) for w in wears])
     summary["official_etm_point"] = point_metrics(confusion(labels, official)).as_dict()
 
-    with (out / "hm_marked.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("threshold_mm", "precision", "recall", "specificity", "FPR"))
-        for thr in MARKED_THRESHOLDS_MM:
-            preds = np.concatenate([hm_predict(w, float(thr), policy) for w in wears])
-            m = point_metrics(confusion(labels, preds))
-            writer.writerow(
-                (
-                    repr(float(thr)),
-                    "" if m.precision is None else repr(m.precision),
-                    "" if m.recall is None else repr(m.recall),
-                    "" if m.specificity is None else repr(m.specificity),
-                    "" if m.fpr is None else repr(m.fpr),
-                )
-            )
-    (out / "baselines.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    marked = []
+    for thr in MARKED_THRESHOLDS_MM:
+        m = point_metrics(confusion(labels, np.concatenate([hm_predict(w, float(thr), policy) for w in wears])))
+        marked.append((cell(thr), cell(m.precision), cell(m.recall), cell(m.specificity), cell(m.fpr)))
+    write_csv(out / "hm_marked.csv", ("threshold_mm", "precision", "recall", "specificity", "FPR"), marked)
+    write_json(out / "baselines.json", summary)
     print(
         f"sweep-baselines: ETM AUPRC {summary['etm']['auprc']:.4f}, "
         f"HM AUPRC {summary['hm']['auprc']:.4f} -> {out}"
@@ -579,12 +559,15 @@ def _run_event_capture(opts: dict) -> None:
     out = Path(opts["out"])
     windows, _ = _load_windows(opts)
     by_id = {w.id: w for w in windows}
+    labeling = LabelingConfig(opts["lead"])
     scores_by_window = {}
-    for wid, hours, _, scores in read_scores_csv(opts["scores"]):
+    for wid, hours, labels, scores in read_scores_csv(opts["scores"]):
         if wid not in by_id:
             raise InputError(f"scores reference unknown window {wid}")
         if hours.size != len(by_id[wid]) or (hours != np.arange(hours.size)).any():
             raise InputError(f"scores for window {wid} do not cover every hour")
+        if (labels != label_hours(by_id[wid], labeling)).any():
+            raise InputError(f"labels of window {wid} in the scores are not those of --lead {opts['lead']}")
         scores_by_window[wid] = scores
     positives = [w for w in windows if w.kind is WindowKind.POSITIVE and w.id in scores_by_window]
     if not positives:
@@ -625,28 +608,15 @@ def _run_explain(opts: dict) -> None:
         ranking = importance_ranking(
             model, (X_rows, examples.y[keep]), method=opts["method"], seed=opts["seed"], background=background
         )
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "importance.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("rank", "feature", "score"))
-        for rank, (f, score) in enumerate(ranking, start=1):
-            writer.writerow((rank, spec.feature_names[f], repr(score)))
-    (out / "explain.json").write_text(
-        json.dumps(
-            {
-                "base_value": base,
-                "rows_explained": int(keep.size),
-                "background_rows": int(background.shape[0]),
-                "method": opts["method"],
-                "local_accuracy_max_error": float(
-                    np.abs(values.sum(axis=1) + base - predict_proba(model, X_rows)).max()
-                ),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    rows = ((rank, spec.feature_names[f], cell(score)) for rank, (f, score) in enumerate(ranking, start=1))
+    write_csv(out / "importance.csv", ("rank", "feature", "score"), rows)
+    write_json(out / "explain.json", {
+        "base_value": base,
+        "rows_explained": int(keep.size),
+        "background_rows": int(background.shape[0]),
+        "method": opts["method"],
+        "local_accuracy_max_error": float(np.abs(values.sum(axis=1) + base - predict_proba(model, X_rows)).max()),
+    })
     print(f"explain: {keep.size} rows, background {background.shape[0]} -> {out}")
 
 

@@ -14,7 +14,6 @@ hourly block, and optionally the EAR at the prediction hour.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows
+from ._common import InputError, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows, write_csv, write_json
 from .rainfall import (
     DEFAULT_ALPHA,
     QUIET_HOURS,
@@ -449,14 +448,8 @@ def read_events_csv(path: str | Path) -> dict[str, list[datetime]]:
 
 
 def write_events_csv(path: str | Path, events: Mapping[str, Sequence[datetime]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_CSV_COLUMNS)
-        for sid in sorted(events):
-            for ts in sorted(events[sid]):
-                writer.writerow((sid, format_ts(ts)))
+    rows = ((sid, format_ts(ts)) for sid in sorted(events) for ts in sorted(events[sid]))
+    write_csv(path, EVENTS_CSV_COLUMNS, rows)
 
 
 MANIFEST_FORMAT = "debris-ews-windows"
@@ -486,9 +479,7 @@ def write_manifest(
             for w in sorted(windows, key=lambda w: w.id)
         ],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_manifest(
@@ -521,14 +512,7 @@ def read_manifest(
 
 def write_feature_csv(path: str | Path, examples: ExampleSet) -> None:
     """Feature matrix export: window_id,hour,label,f0..f{n-1}."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n_feat = examples.X.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_id", "hour", "label"] + [f"f{j}" for j in range(n_feat)])
-        for i in range(len(examples)):
-            writer.writerow(
-                [examples.window_ids[i], int(examples.hours[i]), int(examples.y[i])]
-                + [repr(float(x)) for x in examples.X[i]]
-            )
+    header = ["window_id", "hour", "label"] + [f"f{j}" for j in range(examples.X.shape[1])]
+    hours, labels = (np.asarray(a).astype(np.int64).tolist() for a in (examples.hours, examples.y))
+    X = np.asarray(examples.X, dtype=np.float64).tolist()
+    write_csv(path, header, ([w, h, y, *map(repr, x)] for w, h, y, x in zip(examples.window_ids, hours, labels, X)))

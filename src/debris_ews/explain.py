@@ -15,7 +15,6 @@ values by full coalition enumeration.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import InputError, derived_rng
+from ._common import InputError, cell, derived_rng, write_csv
 from .dataset import ExampleSet
 from .forest import ForestModel
 from .metrics import auprc
@@ -241,11 +240,9 @@ def write_attribution_csv(
     values: np.ndarray,
 ) -> None:
     """Beeswarm-ready export: row_id,feature_name,feature_value,shap_value."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("row_id", "feature_name", "feature_value", "shap_value"))
-        for i, rid in enumerate(row_ids):
-            for j, name in enumerate(feature_names):
-                writer.writerow((rid, name, repr(float(X[i, j])), repr(float(values[i, j]))))
+    rows = (
+        (rid, name, cell(X[i, j]), cell(values[i, j]))
+        for i, rid in enumerate(row_ids)
+        for j, name in enumerate(feature_names)
+    )
+    write_csv(path, ("row_id", "feature_name", "feature_value", "shap_value"), rows)

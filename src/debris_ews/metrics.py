@@ -9,7 +9,6 @@ denominator are reported as None, never NaN.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError
+from ._common import InputError, cell, write_csv
 from .dataset import DatasetWindow, WindowKind
 
 log = logging.getLogger(__name__)
@@ -261,44 +260,18 @@ def event_capture(
 
 
 def write_curve_csv(path: str | Path, curve: Curve) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("kind", "threshold", "x", "y"))
-        for t, x, y in zip(curve.thresholds, curve.x, curve.y):
-            writer.writerow((curve.kind, repr(float(t)), repr(float(x)), repr(float(y))))
+    rows = ((curve.kind, cell(t), cell(x), cell(y)) for t, x, y in zip(curve.thresholds, curve.x, curve.y))
+    write_csv(path, ("kind", "threshold", "x", "y"), rows)
 
 
 def write_operating_points_csv(path: str | Path, points: Iterable[OperatingPoint]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    def cell(v: float | None) -> str:
-        return "" if v is None else repr(float(v))
-
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("metric", "target", "status", "threshold", "precision", "recall", "specificity"))
-        for p in points:
-            writer.writerow(
-                (
-                    p.metric,
-                    repr(float(p.target)),
-                    "ok" if p.feasible else "infeasible",
-                    cell(p.threshold),
-                    cell(p.precision),
-                    cell(p.recall),
-                    cell(p.specificity),
-                )
-            )
+    rows = (
+        (p.metric, cell(p.target), "ok" if p.feasible else "infeasible",
+         cell(p.threshold), cell(p.precision), cell(p.recall), cell(p.specificity))
+        for p in points
+    )
+    write_csv(path, ("metric", "target", "status", "threshold", "precision", "recall", "specificity"), rows)
 
 
 def write_capture_csv(path: str | Path, rows: Iterable[CaptureRow]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("threshold", "captured", "missed"))
-        for r in rows:
-            writer.writerow((repr(float(r.threshold)), r.captured, r.missed))
+    write_csv(path, ("threshold", "captured", "missed"), ((cell(r.threshold), r.captured, r.missed) for r in rows))

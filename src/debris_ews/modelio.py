@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from ._common import InputError
+from ._common import InputError, write_json
 from .dataset import FeatureSpec
 from .forest import ForestModel, ForestParams
 from .gbt import GbtModel, GbtParams
@@ -126,9 +126,7 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
 
 
 def save_model(path: str | Path, model: Model, feature_spec: FeatureSpec | None = None, meta: dict | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(model_to_doc(model, feature_spec, meta), sort_keys=True) + "\n")
+    write_json(path, model_to_doc(model, feature_spec, meta), indent=None)
 
 
 def load_model(path: str | Path, with_meta: bool = False) -> tuple:

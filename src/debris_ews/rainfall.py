@@ -15,12 +15,11 @@ totals.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from ._common import (
     HOUR, InputError, csv_row_ref, ensure_hour_aligned, format_ts, number_keys, parse_column, parse_ts, read_csv_blocks,
+    write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -314,13 +314,11 @@ def _stamps(s: RainSeries) -> list[str]:
 
 
 def write_rainfall_csv(path: str | Path, series: Iterable[RainSeries]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAINFALL_CSV_COLUMNS)
-        for s in sorted(series, key=lambda s: s.station_id):
-            writer.writerows(zip(repeat(s.station_id), _stamps(s), map(repr, s.values.tolist())))
+    rows = (
+        zip(repeat(s.station_id), _stamps(s), map(repr, s.values.tolist()))
+        for s in sorted(series, key=lambda s: s.station_id)
+    )
+    write_csv(path, RAINFALL_CSV_COLUMNS, chain.from_iterable(rows))
 
 
 def write_ear_csv(
@@ -331,18 +329,15 @@ def write_ear_csv(
 ) -> None:
     """Per-hour EAR of each station. Hours inside an event carry its index among the
     station's events and its antecedent index; other hours leave both blank."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EAR_CSV_COLUMNS)
-        for s in sorted(series, key=lambda s: s.station_id):
-            ear, events, antes = _ear_pass(s, alpha, mode, RAIN_THRESHOLD_MM, QUIET_HOURS)
-            owner = np.full(len(s), -1)
-            for i, ev in enumerate(events):
-                owner[ev.start_idx : ev.end_idx + 1] = i
-            # owner -1 picks the trailing blank
-            event_ids = np.array([*map(str, range(len(events))), ""])[owner].tolist()
-            ante = np.array([*map(repr, antes.tolist()), ""])[owner].tolist()
-            values = map(repr, s.values.tolist())
-            writer.writerows(zip(repeat(s.station_id), _stamps(s), values, event_ids, map(repr, ear.tolist()), ante))
+    def rows(s: RainSeries):
+        ear, events, antes = _ear_pass(s, alpha, mode, RAIN_THRESHOLD_MM, QUIET_HOURS)
+        owner = np.full(len(s), -1)
+        for i, ev in enumerate(events):
+            owner[ev.start_idx : ev.end_idx + 1] = i
+        # owner -1 picks the trailing blank
+        event_ids = np.array([*map(str, range(len(events))), ""])[owner].tolist()
+        ante = np.array([*map(repr, antes.tolist()), ""])[owner].tolist()
+        values = map(repr, s.values.tolist())
+        return zip(repeat(s.station_id), _stamps(s), values, event_ids, map(repr, ear.tolist()), ante)
+
+    write_csv(path, EAR_CSV_COLUMNS, chain.from_iterable(map(rows, sorted(series, key=lambda s: s.station_id))))

@@ -7,7 +7,6 @@ shallower, then larger leaves.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from itertools import product
@@ -16,13 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, derived_rng
+from ._common import InputError, derived_rng, write_csv
 from .dataset import (
     DatasetWindow,
     ExampleSet,
     FeatureSpec,
     LabelingConfig,
-    compose_features,
+    build_examples,
     kfold_windows,
 )
 from .forest import ForestParams, fit_forest
@@ -108,9 +107,7 @@ def grid_search_cv(
     if not grid:
         raise InputError("empty hyperparameter grid")
     folds = kfold_windows(windows, k, seed)
-    fold_sets = [
-        ExampleSet.concat([compose_features(w, spec, labeling) for w in fold]) for fold in folds
-    ]
+    fold_sets = [build_examples(fold, spec, labeling) for fold in folds]
 
     cells: list[GridCell] = []
     for ci, cell in enumerate(grid):
@@ -133,16 +130,13 @@ def grid_search_cv(
 
 
 def write_grid_csv(path: str | Path, result: GridResult) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     keys = sorted({k for c in result.cells for k in c.params})
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model"] + keys + ["mean_auprc"] + [f"fold{j}_auprc" for j in range(result.k)])
-        for c in result.cells:
-            row = [result.model_kind]
-            row += ["" if c.params.get(k) is None else c.params.get(k) for k in keys]
-            row += [repr(c.mean_auprc)]
-            row += [repr(s) for s in c.fold_auprc]
-            row += [""] * (result.k - len(c.fold_auprc))
-            writer.writerow(row)
+    header = ["model"] + keys + ["mean_auprc"] + [f"fold{j}_auprc" for j in range(result.k)]
+    rows = (
+        [result.model_kind]
+        + ["" if c.params.get(k) is None else c.params.get(k) for k in keys]
+        + [repr(s) for s in (c.mean_auprc, *c.fold_auprc)]
+        + [""] * (result.k - len(c.fold_auprc))
+        for c in result.cells
+    )
+    write_csv(path, header, rows)

@@ -378,6 +378,25 @@ def test_eval_and_explain_take_lead_from_model(pipeline, tmp_path, capsys):
     assert "--lead 12" in err and "lead_hours 6" in err
 
 
+def test_event_capture_lead_must_match_score_labels(pipeline, tmp_path, capsys):
+    """Scores labeled with lead 6 are rejected by event-capture at its default
+    lead 12, naming the window and the lead, and accepted with --lead 6."""
+    data = ["--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+            "--manifest", str(pipeline["data"] / "manifest.json")]
+    model = tmp_path / "lead6"
+    assert main(["train", *data, "--out", str(model), "--seed", "3", "--hours", "6", "--lead", "6",
+                 "--trees", "2", "--max-depth", "3"]) == 0
+    assert main(["eval", "--model", str(model / "model.json"), *data, "--out", str(tmp_path / "eval")]) == 0
+    capture = ["event-capture", "--scores", str(tmp_path / "eval" / "scores.csv"), *data]
+    capsys.readouterr()
+    assert main([*capture, "--out", str(tmp_path / "cap12")]) == 1
+    err = capsys.readouterr().err
+    assert "labels of window S" in err and "--lead 12" in err
+    assert not (tmp_path / "cap12" / "event_capture.csv").exists()
+    assert main([*capture, "--out", str(tmp_path / "cap6"), "--lead", "6"]) == 0
+    assert (tmp_path / "cap6" / "event_capture.csv").exists()
+
+
 def test_resolved_config_records_lead_from_model(pipeline, tmp_path):
     """The resolved config is written after the command ran, with the lead it took from the model."""
     data = ["--rainfall", str(pipeline["corpus"] / "rainfall.csv"),

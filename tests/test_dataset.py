@@ -376,6 +376,24 @@ def test_manifest_roundtrip(tmp_path):
         assert w.kind == b.kind and w.debris_flow_idx == b.debris_flow_idx
 
 
+def test_timestamps_before_year_1000_round_trip(tmp_path):
+    """format_ts zero-pads the year, so the events CSV, window ids and the
+    manifest of a record before year 1000 read back."""
+    start = T0.replace(year=999)
+    events = {"A": [start, start.replace(day=14, hour=3)]}
+    path = tmp_path / "events.csv"
+    write_events_csv(path, events)
+    assert path.read_text().splitlines()[1:] == ["A,0999-05-01T00:00:00Z", "A,0999-05-14T03:00:00Z"]
+    assert read_events_csv(path) == events
+
+    s = series(_storm(200, 10, 48), start=start)
+    windows = build_windows(s, [s.hour_at(205)])
+    assert [w.id for w in windows] == ["S000/0999-05-02T08:00:00Z"]
+    write_manifest(tmp_path / "manifest.json", windows)
+    back, _ = read_manifest(tmp_path / "manifest.json", {"S000": s})
+    assert [(w.id, len(w), w.debris_flow_idx) for w in back] == [(w.id, len(w), w.debris_flow_idx) for w in windows]
+
+
 def test_feature_csv_export(tmp_path):
     w = _pos_window()
     ex = build_examples([w], FeatureSpec(hourly_hours=2))

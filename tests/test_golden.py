@@ -36,6 +36,33 @@ GOLDEN_PIPELINE = {
 }
 
 
+# numpy major.minor -> {artifact: sha256} of the artifacts no table above
+# covers; "corpus/" is the synth output, "pipeline/" the pipeline fixture's
+# and "run/" the test's own runs
+GOLDEN_ARTIFACTS = {
+    "2.4": {
+        "corpus/debris_events.csv": "4d34bd2bafd55e0df3482f2f07518b29857b66ee60ea3dd0b7355a9ce6b677f7",
+        "corpus/thresholds.csv": "85ec565cb4a388f16f50572ee6afeab230f66ba9577dad3ed6b6f02418bb8760",
+        "run/segment/main_events.csv": "f14d2f13c27235cd41f3e068010ae25f094d009f7847637dd26c1d3510dedc29",
+        "run/ear/ear.csv": "67469663bef008835d70f0e137bad109ca67ac3b4c556ce6d9643b8e5ea93063",
+        "run/features/features.csv": "9b3c6db5ece045c8bfb1f8a7ebf25e86032d878bce5199ded79d0ef363cad84c",
+        "pipeline/eval/model_roc.csv": "d225cac6e609eef11e8196d016a0bcb6fa38f93c7f261a1f53cd2129271e50d5",
+        "pipeline/eval/model_pr.csv": "76844b57a0c8e4de57c7bd73bca1c1037ab62ef8cae39bdd137317432d5500a7",
+        "pipeline/eval/metrics.json": "b42449ca0d759a1d2e3a455016dcb723799e99acb10a0424d9283709fea7ddba",
+        "pipeline/baselines/etm_roc.csv": "7181d0ce8a7247e6d8777d96fd88ebe3382fccf2988fad637a3b060684a1478c",
+        "pipeline/baselines/etm_pr.csv": "4d0aa81734b66995f8bf6178d3ebf2ef843025ba84b0429224a62a1522bd2362",
+        "pipeline/baselines/hm_roc.csv": "4d77ade1960919219147117649881a0d54b823fd9bbb93f3bbdbfe62fd2f7ccf",
+        "pipeline/baselines/hm_pr.csv": "34dd64f628c9605bc6e022a2ec494350b7bd2a30e0498f4830c27b4075744ed8",
+        "pipeline/op/operating_points.csv": "cbba4b823dcb9550b4144cf08fed583ecda39d6a32f7de75dfdfdcb70a4c6020",
+        "pipeline/explain/importance.csv": "2cdc8e122ff895e243c1d95e797d0587a1634c11098fba477e618381acb3cd95",
+        "pipeline/explain/explain.json": "9eac82622e379ba63d289ec87220495c6d276cd0cd7c2851a8ddba20df812246",
+        "run/cv/cv_results.csv": "b83b40afd47ac682f5e1ac273dec23e4ceb6b9d003b27077270c9a9c130a835b",
+        "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
+        "run/gbt/model.json": "fbeb52f9843dca597cb56e9b94e829eece022bc1442e6a9d8e546a9299411244",
+    },
+}
+
+
 def _numpy_version(table):
     version = ".".join(np.__version__.split(".")[:2])
     if version not in table:
@@ -66,23 +93,59 @@ def test_synth_and_build_dataset_fingerprints(corpus):
     assert (_sha256(corpus / "rainfall.csv"), _sha256(data / "manifest.json")) == GOLDEN[version]
 
 
-def test_pipeline_fingerprints(corpus, tmp_path):
-    """A 3-tree forest through eval, both baselines, a 40-rep bootstrap, event
-    capture and 12 explained rows."""
-    version = _numpy_version(GOLDEN_PIPELINE)
+@pytest.fixture(scope="module")
+def pipeline(corpus, tmp_path_factory):
+    """Output dir of a 3-tree forest through eval, both baselines, a 40-rep
+    bootstrap, operating points, event capture and 12 explained rows."""
     corpus, data = corpus
+    out = tmp_path_factory.mktemp("pipeline")
     inputs = ["--rainfall", str(corpus / "rainfall.csv"), "--manifest", str(data / "manifest.json")]
-    model, scores = tmp_path / "model/model.json", tmp_path / "eval/scores.csv"
+    model, scores = out / "model/model.json", out / "eval/scores.csv"
     for argv in (
         ["train", *inputs, "--out", str(model.parent), "--seed", "7", "--trees", "3"],
         ["eval", "--model", str(model), *inputs, "--out", str(scores.parent), "--split", "all"],
         ["sweep-baselines", *inputs, "--thresholds", str(corpus / "thresholds.csv"),
-         "--out", str(tmp_path / "baselines"), "--split", "all"],
-        ["bootstrap-ci", "--scores", str(scores), "--out", str(tmp_path / "ci"), "--seed", "7", "--reps", "40"],
-        ["event-capture", "--scores", str(scores), *inputs, "--out", str(tmp_path / "capture")],
-        ["explain", "--model", str(model), *inputs, "--out", str(tmp_path / "explain"), "--seed", "7",
+         "--out", str(out / "baselines"), "--split", "all"],
+        ["bootstrap-ci", "--scores", str(scores), "--out", str(out / "ci"), "--seed", "7", "--reps", "40"],
+        ["operating-points", "--scores", str(scores), "--out", str(out / "op")],
+        ["event-capture", "--scores", str(scores), *inputs, "--out", str(out / "capture")],
+        ["explain", "--model", str(model), *inputs, "--out", str(out / "explain"), "--seed", "7",
          "--max-rows", "12", "--background-rows", "16"],
     ):
         assert main(argv) == 0, argv
-    digests = {name: _sha256(tmp_path / name) for name in GOLDEN_PIPELINE[version]}
+    return out
+
+
+def test_pipeline_fingerprints(pipeline):
+    version = _numpy_version(GOLDEN_PIPELINE)
+    digests = {name: _sha256(pipeline / name) for name in GOLDEN_PIPELINE[version]}
     assert digests == GOLDEN_PIPELINE[version]
+
+
+def test_artifact_fingerprints(corpus, pipeline, tmp_path):
+    """Every other CSV and JSON artifact: the synthetic event and threshold
+    tables, segment, ear, the exported features, curves, metrics, operating
+    points, importances, a 2-cell CV table and a GBT model."""
+    version = _numpy_version(GOLDEN_ARTIFACTS)
+    corpus, data = corpus
+    rain = ["--rainfall", str(corpus / "rainfall.csv")]
+    inputs = [*rain, "--manifest", str(data / "manifest.json")]
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"n_trees": 2, "max_depth": 4, "min_samples_leaf": 4},'
+                    ' {"n_trees": 2, "max_depth": 2, "min_samples_leaf": 1}]')
+    for argv in (
+        ["segment", *rain, "--out", str(tmp_path / "segment")],
+        ["ear", *rain, "--out", str(tmp_path / "ear")],
+        ["build-dataset", *rain, "--events", str(corpus / "debris_events.csv"), "--out", str(tmp_path / "features"),
+         "--seed", "7", "--hours", "6", "--daily", "2", "--export-features"],
+        ["cv", *inputs, "--out", str(tmp_path / "cv"), "--seed", "7", "--grid", str(grid), "--k", "3", "--hours", "12"],
+        ["train", *inputs, "--out", str(tmp_path / "gbt"), "--seed", "7", "--model", "gbt", "--trees", "3",
+         "--max-depth", "3", "--hours", "12"],
+    ):
+        assert main(argv) == 0, argv
+    files = {"corpus": corpus, "pipeline": pipeline, "run": tmp_path}
+    digests = {}
+    for name in GOLDEN_ARTIFACTS[version]:
+        root, rel = name.split("/", 1)
+        digests[name] = _sha256(files[root] / rel)
+    assert digests == GOLDEN_ARTIFACTS[version]
