@@ -185,7 +185,9 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
 
 def map_indexed(fn: Callable[[int], R], count: int, threads: int = 1) -> list[R]:
     """Apply fn(0..count-1), optionally on a thread pool; output order is by index."""
-    if threads <= 1 or count <= 1:
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
+    if threads == 1 or count <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))

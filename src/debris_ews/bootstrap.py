@@ -96,8 +96,11 @@ class _CircularIndex:
         self.base = base[window]
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        starts = rng.integers(0, self.highs)
-        return self.base + (starts[self.slot] + self.off) % self.n
+        hour = rng.integers(0, self.highs)[self.slot]
+        hour += self.off
+        np.subtract(hour, self.n, out=hour, where=hour >= self.n)  # hour < 2n: one subtraction wraps it
+        hour += self.base
+        return hour
 
 
 def block_bootstrap_ci(

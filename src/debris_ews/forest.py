@@ -86,7 +86,7 @@ def fit_forest(
             ct, yt, wt = codes.take(rows, axis=1), y[rows], w[rows]  # take keeps rows contiguous
         else:
             ct, yt, wt = codes, y, w
-        return _grow(_GiniCriterion(yt, wt), ct, values, tree_params, rng)
+        return _grow(_GiniCriterion(yt, wt), ct, values, tree_params, rng)[0]
 
     trees = map_indexed(build, params.n_trees, threads)
     return ForestModel(tuple(trees), params, seed, float(training_weight), X.shape[1])

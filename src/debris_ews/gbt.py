@@ -81,9 +81,9 @@ def fit_gbt(
         p = sigmoid(score)
         grad = w * (p - y)
         hess = w * p * (1.0 - p)
-        tree = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, tree_params, None)
+        tree, leaf = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, tree_params, None)
         trees.append(tree)
-        score = score + params.learning_rate * tree.predict_value(X)
+        score = score + params.learning_rate * tree.value[leaf]
         if not np.isfinite(score).all():
             raise InputError("boosting diverged to non-finite scores")
     return GbtModel(tuple(trees), params, base, float(training_weight), X.shape[1])

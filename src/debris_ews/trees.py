@@ -7,6 +7,15 @@ index, then the lowest threshold, so training is reproducible bit for bit.
 Features are rank-coded once per fit and one scan sorts the codes of all of a
 node's candidate features together; the trees are those that a per-feature
 stable sort of the float values grows.
+A scan takes one of two paths, picked once per criterion from its weights. If
+every negative row weighs a0 and every positive a1, both integers with
+n * max(a0, a1) < 2**53 (Gini without per-row or fractional weights, as in every
+forest with an integer training weight), the counting scan sorts the keys
+code << 1 | label and counts the positives left of each boundary. A left sum is
+then count * weight, an integer below 2**53, so it is exactly the float that a
+running sum gives. Otherwise (boosting gradients, fractional or per-row weights)
+the sort scan orders the rows by a stable argsort of the codes and takes running
+sums of their weights.
 min_samples_leaf bounds the raw (unweighted) row count of every leaf, which
 keeps tree structure invariant under rescaling of the sample weights.
 """
@@ -25,7 +34,11 @@ log = logging.getLogger(__name__)
 _NO_FEATURE = -1
 _REL_EPS = 1e-12
 # Codes sorted together in one scan block (features x rows); bounds a node's
-# scratch memory at ~14 MB (27 bytes a code) whatever max_features is.
+# scratch memory whatever max_features is. The sort scan keeps 27 bytes a uint16
+# code (the code, its int64 argsort position, a complex128 running sum and a
+# boundary flag), ~14 MB; uint32 codes take 29. The counting scan keeps 6 bytes
+# (a uint32 key, a label bit and a boundary flag) plus 8 per positive, at most
+# 14 (~7 MB); uint32 codes take 64-bit keys, 10 bytes plus 8 per positive.
 _BLOCK_ELEMENTS = 1 << 19
 
 
@@ -154,14 +167,32 @@ def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return codes, tuple(values)
 
 
+def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float, np.ndarray] | None:
+    """(a0, a1, labels as uint8) when every negative weighs a0 and every positive a1, both
+    integers with n * max(a0, a1) < 2**53, so that every weight sum of a node is exact;
+    otherwise None."""
+    positive = y == 1.0
+    a = []
+    for v in (w[~positive], w[positive]):
+        if v.size and v.min() != v.max():
+            return None
+        a.append(float(v[0]) if v.size else 0.0)
+    a0, a1 = a
+    if not (a0.is_integer() and a1.is_integer() and y.size * max(a0, a1) < 2.0 ** 53):
+        return None
+    return a0, a1, positive.view(np.uint8)
+
+
 class _GiniCriterion:
     """Weighted Gini impurity; leaf value is the weighted positive fraction. Channels are
-    the weights and positive weights; the score is the children's impurity, negated."""
+    the weights and positive weights; the score is the children's impurity, negated.
+    counts selects the counting scan (see _counting_weights)."""
 
     def __init__(self, y: np.ndarray, w: np.ndarray):
         self.y = y
         self.a = w
         self.b = w * y
+        self.counts = _counting_weights(y, w)
 
     def is_pure(self, rows: np.ndarray) -> bool:
         yr = self.y[rows]
@@ -182,6 +213,8 @@ class _GiniCriterion:
 
 class _GainCriterion:
     """Second-order boosting gain with L2 leaf regularization; channels are hessians and gradients."""
+
+    counts = None  # gradients are not label weights: always the sort scan
 
     def __init__(self, g: np.ndarray, h: np.ndarray, lam: float):
         self.a = h
@@ -216,22 +249,39 @@ def _best_split(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], ro
     The rows with value < threshold are those with code <= code.
     """
     nr = rows.size
-    av = criterion.a.take(rows)
-    bv = criterion.b.take(rows)
-    A, B = float(av.sum()), float(bv.sum())
-    # one complex cumsum is the two channels' sequential cumsums, bit for bit
-    ab = av.astype(np.complex128)
-    ab.imag = bv
+    counts = criterion.counts
+    if counts is None:
+        av = criterion.a.take(rows)
+        bv = criterion.b.take(rows)
+        A, B = float(av.sum()), float(bv.sum())
+        # one complex cumsum is the two channels' sequential cumsums, bit for bit
+        ab = av.astype(np.complex128)
+        ab.imag = bv
+        dtype = codes.dtype
+    else:
+        a0, a1, labels = counts
+        lab = labels.take(rows)
+        n_pos = int(np.count_nonzero(lab))
+        A, B = (nr - n_pos) * a0 + n_pos * a1, n_pos * a1
+        dtype = np.uint64 if codes.dtype == np.uint32 else np.uint32  # room for code << 1 | label
     best_score = criterion.floor(A, B)
     best = None
     step = max(1, _BLOCK_ELEMENTS // nr)
     for start in range(0, features.size, step):
         fb = features[start:start + step]
-        block = np.empty((fb.size, nr), dtype=codes.dtype)
-        for i, f in enumerate(fb):
-            codes[f].take(rows, out=block[i])
-        order = np.argsort(block, axis=1, kind="stable")
-        block.sort(axis=1)
+        block = np.empty((fb.size, nr), dtype=dtype)
+        if counts is None:
+            for i, f in enumerate(fb):
+                codes[f].take(rows, out=block[i])
+            order = np.argsort(block, axis=1, kind="stable")
+            block.sort(axis=1)
+        else:
+            for i, f in enumerate(fb):
+                np.left_shift(codes[f].take(rows), 1, out=block[i], dtype=dtype)
+            block |= lab
+            block.sort(axis=1)  # rows with one key are alike to the scan: no stability needed
+            positives = np.flatnonzero(np.bitwise_and(block, 1, dtype=np.uint8, casting="unsafe").view(bool))
+            block >>= 1
         ok = block[:, 1:] != block[:, :-1]
         ok[:, :min_leaf - 1] = False
         ok[:, nr - min_leaf:] = False
@@ -239,10 +289,17 @@ def _best_split(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], ro
         if idx.size == 0:
             continue
         fi = idx // (nr - 1)
-        sums = ab.take(order)
-        np.cumsum(sums, axis=1, out=sums)
-        sums = sums.take(idx + fi)  # ok has one column fewer
-        score = criterion.score(sums.real, sums.imag, A, B)
+        if counts is None:
+            sums = ab.take(order)
+            np.cumsum(sums, axis=1, out=sums)
+            sums = sums.take(idx + fi)  # ok has one column fewer
+            wl, pl = sums.real, sums.imag
+        else:
+            # boundary p of feature row i is flat position i * nr + p; every row holds n_pos positives
+            pos_left = np.searchsorted(positives, idx + fi, side="right") - fi * n_pos
+            pl = pos_left * a1
+            wl = (idx - fi * (nr - 1) + 1 - pos_left) * a0 + pl
+        score = criterion.score(wl, pl, A, B)
         nan = np.isnan(score)
         if nan.any():  # a NaN anywhere rules its feature out, as a per-feature argmax would
             score[np.isin(fi, fi[nan])] = -np.inf
@@ -259,7 +316,8 @@ def _best_split(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], ro
 
 
 def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: TreeParams,
-          rng: np.random.Generator | None) -> DecisionTree:
+          rng: np.random.Generator | None) -> tuple[DecisionTree, np.ndarray]:
+    """The tree and the leaf of each training row (the node predict_value routes it to)."""
     m, n = codes.shape
     m_try = m if params.max_features is None else params.max_features
     if m_try > m:
@@ -269,6 +327,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
     max_depth = np.inf if params.max_depth is None else params.max_depth
     all_features = np.arange(m)
     nodes: list[list] = []  # [feature, threshold, left, right, value, weight]
+    leaf = np.empty(n, dtype=np.intp)
 
     def new_node() -> int:
         nodes.append([_NO_FEATURE, np.nan, _NO_FEATURE, _NO_FEATURE, 0.0, 0.0])
@@ -281,11 +340,12 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
         slot, rows, depth = stack.pop()
         node = nodes[slot]
         node[4], node[5] = criterion.leaf(rows)
-        if depth >= max_depth or rows.size < 2 * params.min_samples_leaf or criterion.is_pure(rows):
-            continue
-        feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
-        split = _best_split(criterion, codes, values, rows, feats, params.min_samples_leaf)
+        split = None
+        if depth < max_depth and rows.size >= 2 * params.min_samples_leaf and not criterion.is_pure(rows):
+            feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
+            split = _best_split(criterion, codes, values, rows, feats, params.min_samples_leaf)
         if split is None:
+            leaf[rows] = slot
             continue
         f, node[1], code = split
         go_left = codes[f].take(rows) <= code
@@ -295,7 +355,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
 
     dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64, np.float64)
     arrays = (np.asarray(column, dtype=dt) for column, dt in zip(zip(*nodes), dtypes))
-    return DecisionTree(*arrays, n_features=m, params=params)
+    return DecisionTree(*arrays, n_features=m, params=params), leaf
 
 
 def fit_tree(
@@ -313,7 +373,7 @@ def fit_tree(
     X, y, w = check_training_inputs(X, y, sample_weight)
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
-    return _grow(_GiniCriterion(y, w), *_rank_codes(X), params, rng)
+    return _grow(_GiniCriterion(y, w), *_rank_codes(X), params, rng)[0]
 
 
 def fit_gradient_tree(
@@ -332,4 +392,4 @@ def fit_gradient_tree(
         raise InputError("gradients and hessians must match the number of rows")
     if leaf_l2 < 0:
         raise InputError("leaf_l2 must be >= 0")
-    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), params, rng)
+    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), params, rng)[0]

@@ -284,6 +284,15 @@ def test_exit_codes_for_input_errors(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "z"), "--seed", "1", "--wat", "3"]) == 1
 
 
+@pytest.mark.parametrize("command, threads", [("train", "0"), ("cv", "-1")])
+def test_threads_below_one_fail(pipeline, tmp_path, capsys, command, threads):
+    capsys.readouterr()
+    assert main([command, "--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+                 "--manifest", str(pipeline["data"] / "manifest.json"), "--out", str(tmp_path / command),
+                 "--seed", "1", "--threads", threads]) == 1
+    assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+
+
 def test_build_dataset_rejects_event_row_without_timestamp(pipeline, tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text("station_id,timestamp\nS000\n")

@@ -59,6 +59,8 @@ GOLDEN_ARTIFACTS = {
         "run/cv/cv_results.csv": "b83b40afd47ac682f5e1ac273dec23e4ceb6b9d003b27077270c9a9c130a835b",
         "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
         "run/gbt/model.json": "fbeb52f9843dca597cb56e9b94e829eece022bc1442e6a9d8e546a9299411244",
+        "run/rf_tw0.1/model.json": "a178bea509f161cc9a5cede7b265b0ccdcaa9fc767c534c72183aefb36e80af4",
+        "run/rf_tw10/model.json": "70d01ed100b674d8cc46d7eeb84adeaeac162b4df31f96ec85b9501d6724bd18",
     },
 }
 
@@ -125,7 +127,8 @@ def test_pipeline_fingerprints(pipeline):
 def test_artifact_fingerprints(corpus, pipeline, tmp_path):
     """Every other CSV and JSON artifact: the synthetic event and threshold
     tables, segment, ear, the exported features, curves, metrics, operating
-    points, importances, a 2-cell CV table and a GBT model."""
+    points, importances, a 2-cell CV table, a GBT model and two forests whose
+    training weights (0.1 and 10) take the two split scans."""
     version = _numpy_version(GOLDEN_ARTIFACTS)
     corpus, data = corpus
     rain = ["--rainfall", str(corpus / "rainfall.csv")]
@@ -141,6 +144,9 @@ def test_artifact_fingerprints(corpus, pipeline, tmp_path):
         ["cv", *inputs, "--out", str(tmp_path / "cv"), "--seed", "7", "--grid", str(grid), "--k", "3", "--hours", "12"],
         ["train", *inputs, "--out", str(tmp_path / "gbt"), "--seed", "7", "--model", "gbt", "--trees", "3",
          "--max-depth", "3", "--hours", "12"],
+        # fractional weights take the sort scan, integer ones the counting scan
+        *(["train", *inputs, "--out", str(tmp_path / f"rf_tw{tw}"), "--seed", "7", "--trees", "3",
+           "--training-weight", tw] for tw in ("0.1", "10")),
     ):
         assert main(argv) == 0, argv
     files = {"corpus": corpus, "pipeline": pipeline, "run": tmp_path}

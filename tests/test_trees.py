@@ -4,7 +4,7 @@ import pytest
 import debris_ews.trees as trees
 from debris_ews import DecisionTree, ForestParams, InputError, TreeParams, fit_forest, fit_gbt, fit_logistic, fit_tree
 from debris_ews._common import derived_rng
-from debris_ews.trees import _GainCriterion, _GiniCriterion, _best_split, _rank_codes, fit_gradient_tree
+from debris_ews.trees import _GainCriterion, _GiniCriterion, _counting_weights, _grow, _rank_codes, fit_gradient_tree
 
 
 def _rand_data(rng, n=80, m=4):
@@ -140,7 +140,32 @@ def test_split_candidates_are_midpoints():
 #
 # _reference_gini / _reference_gain scan one feature at a time: a stable float
 # argsort, a gather and a cumsum per feature. The rank-coded scan must pick the
-# same (feature, threshold) and grow the same node arrays bit for bit.
+# same (feature, threshold) and grow the same node arrays bit for bit, on its
+# sort path and on its counting path.
+
+
+def _path_check(monkeypatch, sort_only: bool):
+    """A check that the calls of trees._best_split took the scan paths `chosen`. With
+    sort_only the counting scan is switched off, and every call must sort."""
+    if sort_only:
+        monkeypatch.setattr(trees, "_counting_weights", lambda y, w: None)
+    ran = set()
+    scan = trees._best_split
+
+    def spy(criterion, *args):
+        ran.add("sort" if criterion.counts is None else "counting")
+        return scan(criterion, *args)
+
+    def check(chosen: set[str]) -> None:
+        assert ran == ({"sort"} if sort_only else chosen)
+
+    monkeypatch.setattr(trees, "_best_split", spy)
+    return check
+
+
+@pytest.fixture
+def scan_paths(monkeypatch):
+    return _path_check(monkeypatch, sort_only=False)
 
 
 def _reference_gini(X, y, w, min_leaf, rows, features):
@@ -269,7 +294,7 @@ def _hard_labels(rng, X):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_scan_matches_reference_on_random_nodes():
+def test_scan_matches_reference_on_random_nodes(scan_paths):
     rng = np.random.default_rng(10)
     for trial in range(40):
         n = int(rng.integers(20, 400))
@@ -283,22 +308,23 @@ def test_scan_matches_reference_on_random_nodes():
         for min_leaf in (1, 3):
             rows = np.sort(rng.choice(n, size=int(rng.integers(2 * min_leaf, n + 1)), replace=False))
             feats = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, X.shape[1] + 1)), replace=False))
-            got = _best_split(_GiniCriterion(y, w), codes, values, rows, feats, min_leaf)
+            got = trees._best_split(_GiniCriterion(y, w), codes, values, rows, feats, min_leaf)
             assert (got and got[:2]) == _reference_gini(X, y, w, min_leaf, rows, feats)
             for lam in (1.0, 0.0):
                 if h[rows].sum() + lam == 0.0:
                     continue
-                got = _best_split(_GainCriterion(g, h, lam), codes, values, rows, feats, min_leaf)
+                got = trees._best_split(_GainCriterion(g, h, lam), codes, values, rows, feats, min_leaf)
                 assert (got and got[:2]) == _reference_gain(X, g, h, lam, min_leaf, rows, feats)
+    scan_paths({"sort", "counting"})
 
 
-def test_trees_match_reference_grower():
+def test_trees_match_reference_grower(scan_paths):
     rng = np.random.default_rng(11)
     for trial in range(6):
         n = 600
         X = _hard_matrix(rng, n)
         y = _hard_labels(rng, X)
-        w = rng.uniform(0.5, 3.0, size=n)
+        w = rng.uniform(0.5, 3.0, size=n) if trial % 2 else np.where(y == 1, 7.0, 3.0)
         params = TreeParams(max_depth=None if trial % 2 else 8, min_samples_leaf=1 + 2 * (trial % 3))
         tree = fit_tree(X, y, sample_weight=w, params=params)
         crit = _GiniCriterion(y.astype(float), w)
@@ -310,9 +336,10 @@ def test_trees_match_reference_grower():
         crit = _GainCriterion(g, h, 0.5)
         _assert_same_nodes(tree, _reference_grow(
             X, crit, lambda rows, f: _reference_gain(X, g, h, 0.5, params.min_samples_leaf, rows, f), params))
+    scan_paths({"sort", "counting"})
 
 
-def test_seeded_forest_matches_reference_grower():
+def test_seeded_forest_matches_reference_grower(scan_paths):
     rng = np.random.default_rng(12)
     X = _hard_matrix(rng, 500)
     y = _hard_labels(rng, X)
@@ -326,6 +353,7 @@ def test_seeded_forest_matches_reference_grower():
         nodes = _reference_grow(Xt, _GiniCriterion(yt, wt),
                                 lambda r, f: _reference_gini(Xt, yt, wt, 2, r, f), params.tree_params(7), trng)
         _assert_same_nodes(tree, nodes)
+    scan_paths({"counting"})
 
 
 def test_scan_blocks_keep_first_feature_on_ties(monkeypatch):
@@ -342,7 +370,7 @@ def test_scan_blocks_keep_first_feature_on_ties(monkeypatch):
         X, crit, lambda rows, f: _reference_gini(X, y.astype(float), np.ones(120), 1, rows, f), TreeParams(max_depth=6)))
 
 
-def test_wide_codes_and_several_blocks_match_reference():
+def test_wide_codes_and_several_blocks_match_reference(scan_paths):
     # > 65,536 distinct values in column 0 need uint32 codes; 70,000 rows x 16
     # features exceed one element-budget block at the root
     rng = np.random.default_rng(14)
@@ -361,6 +389,79 @@ def test_wide_codes_and_several_blocks_match_reference():
     crit = _GiniCriterion(y.astype(float), w)
     _assert_same_nodes(tree, _reference_grow(
         X, crit, lambda rows, f: _reference_gini(X, y.astype(float), w, 5, rows, f), params))
+    scan_paths({"counting"})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("test", [
+    test_scan_matches_reference_on_random_nodes, test_trees_match_reference_grower,
+    test_seeded_forest_matches_reference_grower, test_wide_codes_and_several_blocks_match_reference,
+], ids=lambda test: test.__name__)
+def test_sort_scan_alone_matches_reference(monkeypatch, test):
+    test(_path_check(monkeypatch, sort_only=True))
+
+
+@pytest.mark.parametrize("sort_only", [False, True], ids=["chosen", "sort_only"])
+@pytest.mark.parametrize("a1, a0, per_row, counting", [
+    (7.0, 3.0, False, True),
+    (1000.0, 1.0, False, True),
+    (0.1, 1.0, False, False),
+    (1.0, 1.0, True, False),
+    (2.0 ** 50, 1.0, False, False),
+], ids=["class weights 3 and 7", "training weight 1000", "training weight 0.1", "per-row integer weights",
+        "sums past 2**53"])
+def test_scan_paths_by_weights_match_reference(monkeypatch, a1, a0, per_row, counting, sort_only):
+    # a1 / a0 weigh the positive / negative rows; per_row multiplies them by integers 1-3
+    scan_paths = _path_check(monkeypatch, sort_only)
+    rng = np.random.default_rng(15)
+    n = 600
+    X = _hard_matrix(rng, n)
+    y = _hard_labels(rng, X).astype(float)
+    w = np.where(y == 1, a1, a0)
+    if per_row:
+        w *= rng.integers(1, 4, size=n)
+    assert (_counting_weights(y, w) is not None) == counting
+    params = TreeParams(max_depth=10, min_samples_leaf=2)
+    tree = fit_tree(X, y, sample_weight=w, params=params)
+    _assert_same_nodes(tree, _reference_grow(
+        X, _GiniCriterion(y, w), lambda rows, f: _reference_gini(X, y, w, 2, rows, f), params))
+    scan_paths({"counting" if counting else "sort"})
+
+
+@pytest.mark.parametrize("sort_only", [False, True], ids=["chosen", "sort_only"])
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_counting_scan_of_one_class(monkeypatch, label, sort_only):
+    scan_paths = _path_check(monkeypatch, sort_only)
+    # a node, or a whole training set, of one class has no impurity to remove
+    rng = np.random.default_rng(16)
+    X = _hard_matrix(rng, 200)
+    y = _hard_labels(rng, X).astype(float)
+    codes, values = _rank_codes(X)
+    feats = np.arange(X.shape[1])
+    rows = np.flatnonzero(y == label)
+    w = np.where(y == 1, 7.0, 3.0)
+    assert trees._best_split(_GiniCriterion(y, w), codes, values, rows, feats, 1) is None
+    assert _reference_gini(X, y, w, 1, rows, feats) is None
+    y = np.full(200, label)
+    w = np.where(y == 1, 7.0, 3.0)
+    assert _counting_weights(y, w)[:2] == ((0.0, 7.0) if label else (3.0, 0.0))
+    assert trees._best_split(_GiniCriterion(y, w), codes, values, np.arange(200), feats, 1) is None
+    scan_paths({"counting"})
+
+
+def test_grower_leaves_are_where_predict_routes_rows():
+    # fit_gbt updates its scores from the grower's leaves instead of predict_value
+    rng = np.random.default_rng(17)
+    X = _hard_matrix(rng, 600)
+    y = _hard_labels(rng, X).astype(float)
+    g, h = rng.normal(size=600), rng.uniform(0.05, 1.0, size=600)
+    assert (X == 0.0).any() and np.signbit(X[X == 0.0]).any()  # rows with -0.0
+    for criterion in (_GiniCriterion(y, np.ones(600)), _GainCriterion(g, h, 1.0)):
+        tree, leaf = _grow(criterion, *_rank_codes(X), TreeParams(max_depth=12), None)
+        np.testing.assert_array_equal(leaf, _leaf_assignment(tree, X))
+        np.testing.assert_array_equal(tree.value[leaf], tree.predict_value(X))
+        split = tree.feature >= 0
+        assert (X[:, tree.feature[split]] == tree.threshold[split]).any()  # rows at a threshold
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf gains of zero-hessian children
