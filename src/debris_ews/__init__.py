@@ -8,7 +8,6 @@ seeded synthetic corpus generator. The `debris-ews` CLI chains them end to end.
 """
 from ._common import InputError
 from .baselines import (
-    AlertPolicy,
     ThresholdTable,
     WindowEar,
     compute_window_ear,
@@ -52,7 +51,7 @@ from .metrics import (
     auc,
     auprc,
     auroc,
-    confusion,
+    counts_at,
     event_capture,
     operating_points,
     point_metrics,

@@ -1,10 +1,14 @@
 """EAR-threshold alert baselines.
 
-The station model alerts when the EAR reaches a per-station threshold; the
-homogeneous model uses one threshold everywhere. Alerts can only fire inside
-main rainfall events (EAR is 0 elsewhere). Curves come from thresholding the
-per-hour scores at every distinct value: EAR over the station threshold for the
-station model, EAR itself for the homogeneous one.
+The station model (ETM) alerts when the EAR reaches a per-station threshold;
+the homogeneous model (HM) uses one threshold everywhere. Alerts can only fire
+inside main rainfall events (EAR is 0 elsewhere, below every official
+threshold). Each model is a per-hour score, EAR over the station threshold for
+the ETM and EAR itself for the HM, so its curves come from thresholding the
+score at every distinct value, and an alert rule is one point on them: the
+official ETM point is the ETM score >= 1, an HM threshold the HM score >= it.
+Inside an event the EAR never decreases, so an alert, once fired, lasts to the
+event's end.
 """
 from __future__ import annotations
 
@@ -27,13 +31,6 @@ OFFICIAL_STEP_MM = 50.0
 MARKED_THRESHOLDS_MM = tuple(np.arange(OFFICIAL_MIN_MM, OFFICIAL_MAX_MM + 1, OFFICIAL_STEP_MM))
 
 THRESHOLD_CSV_COLUMNS = ("station_id", "year", "ear_threshold_mm")
-
-
-@dataclass(frozen=True)
-class AlertPolicy:
-    """latch=True keeps an alert on until the event ends once it has fired."""
-
-    latch: bool = False
 
 
 @dataclass(frozen=True)
@@ -80,27 +77,23 @@ def compute_window_ear(
     return WindowEar(window.id, window.station_id, ear, tuple((e.start_idx, e.end_idx) for e in events))
 
 
-def _alerts(wear: WindowEar, threshold: float, policy: AlertPolicy) -> np.ndarray:
+def _alerts(wear: WindowEar, threshold: float) -> np.ndarray:
     if not np.isfinite(threshold) or threshold < 0:
         raise InputError(f"threshold must be finite and >= 0, got {threshold!r}")
     out = np.zeros(wear.ear.size, dtype=bool)
     for s, e in wear.events:
-        hit = wear.ear[s : e + 1] >= threshold
-        if policy.latch and hit.any():
-            hit = hit.copy()
-            hit[int(np.argmax(hit)) :] = True
-        out[s : e + 1] = hit
+        out[s : e + 1] = wear.ear[s : e + 1] >= threshold
     return out
 
 
-def etm_predict(wear: WindowEar, threshold: float, policy: AlertPolicy = AlertPolicy()) -> np.ndarray:
+def etm_predict(wear: WindowEar, threshold: float) -> np.ndarray:
     """Per-hour alerts for one window under a station threshold (>= crossing)."""
-    return _alerts(wear, threshold, policy)
+    return _alerts(wear, threshold)
 
 
-def hm_predict(wear: WindowEar, uniform_threshold: float, policy: AlertPolicy = AlertPolicy()) -> np.ndarray:
+def hm_predict(wear: WindowEar, uniform_threshold: float) -> np.ndarray:
     """Per-hour alerts under the shared uniform threshold."""
-    return _alerts(wear, uniform_threshold, policy)
+    return _alerts(wear, uniform_threshold)
 
 
 def etm_scores(wears: Sequence[WindowEar], table: ThresholdTable) -> dict[str, np.ndarray]:

@@ -9,34 +9,35 @@ Replicates whose pooled labels are single-class are skipped and counted.
 Replicate r draws its block starts from stream `derived_rng(seed, 3, r)` in
 one call, in a fixed order: windows by ascending length, then in input order,
 then block by block. The replicate is a flat circular index over the pooled
-hours. Its curve comes from counts of (score rank, label) pairs, with the
-scores rank-coded once, so no replicate sorts and the areas are the same
-floats that `metrics.auprc` and `metrics.auroc` give on the resampled hours.
+hours. The pooled scores are rank-coded once (`metrics.rank_codes`) and the
+point and every replicate are counted by `metrics.threshold_counts`, the
+counter behind `metrics.roc_curve` and `metrics.pr_curve`, so no replicate
+sorts and the areas are the same floats that `metrics.auprc` and
+`metrics.auroc` give on the resampled hours.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._common import InputError, derived_rng, write_json
-from .metrics import auc, counts_curve
+from .metrics import auc, counts_curve, rank_codes, threshold_counts
 
 log = logging.getLogger(__name__)
 
 
 def _area(kind: str) -> Callable[[np.ndarray, np.ndarray], float]:
     def area(thresholds: np.ndarray, counts: np.ndarray) -> float:
-        fp, tp = counts
-        return auc(counts_curve(kind, thresholds, tp, fp, int(tp[-1]), int(fp[-1])))
+        return auc(counts_curve(kind, thresholds, counts))
 
     return area
 
 
-# statistic of (descending distinct thresholds, rows of cumulative fp and tp at each)
+# statistic of the output of metrics.threshold_counts
 _STATS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "auprc": _area("PR"),
     "auroc": _area("ROC"),
@@ -56,21 +57,6 @@ class BootstrapCI:
     skipped_replicates: int = 0
     warnings: tuple[str, ...] = ()
     method: str = "percentile, circular blocks within windows"
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "statistic": self.statistic,
-            "point": self.point,
-            "level": self.level,
-            "lower": self.lower,
-            "upper": self.upper,
-            "block_hours": self.block_hours,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "skipped_replicates": self.skipped_replicates,
-            "warnings": list(self.warnings),
-            "method": self.method,
-        }
 
 
 class _CircularIndex:
@@ -137,32 +123,20 @@ def block_bootstrap_ci(
         if s.shape != y.shape or s.ndim != 1 or s.size == 0:
             raise InputError("each group needs equal-length non-empty scores and labels")
         prepared.append((s, y))
-    pool_s = np.concatenate([s for s, _ in prepared])
-    if not np.isfinite(pool_s).all():
-        raise InputError("scores must be finite")
+    thresholds, codes = rank_codes(*map(np.concatenate, zip(*prepared)))  # pooled scores and labels
 
     warnings: list[str] = []
     if replicates < 100:
         warnings.append(f"only {replicates} replicates; interval endpoints are coarse")
 
-    # code k + K * label, where k ranks the K distinct scores from the highest
-    neg_thresholds, rank = np.unique(-pool_s, return_inverse=True)
-    thresholds = -neg_thresholds
-    codes = rank + thresholds.size * np.concatenate([y for _, y in prepared])
-
-    def curve_counts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.bincount(c, minlength=2 * thresholds.size).reshape(2, -1)
-        seen = np.flatnonzero(counts[0] + counts[1])
-        return thresholds[seen], counts.cumsum(axis=1)[:, seen]
-
-    point = float(stat_fn(*curve_counts(codes)))
+    point = float(stat_fn(*threshold_counts(thresholds, codes)))
     sampler = _CircularIndex(np.array([s.size for s, _ in prepared]), block_hours)
     stats = np.empty(replicates)
     kept = 0
     for r in range(replicates):
-        thr, cum = curve_counts(codes[sampler.draw(derived_rng(seed, 3, r))])
-        if cum[:, -1].all():  # both classes drawn
-            stats[kept] = stat_fn(thr, cum)
+        thr, counts = threshold_counts(thresholds, codes[sampler.draw(derived_rng(seed, 3, r))])
+        if counts[:, -1].all():  # both classes drawn
+            stats[kept] = stat_fn(thr, counts)
             kept += 1
     skipped = replicates - kept
     if kept == 0:
@@ -187,4 +161,4 @@ def block_bootstrap_ci(
 
 
 def write_ci_json(path: str | Path, ci: BootstrapCI) -> None:
-    write_json(path, ci.as_dict())
+    write_json(path, asdict(ci))

@@ -24,11 +24,10 @@ from ._common import (
 )
 from .baselines import (
     MARKED_THRESHOLDS_MM,
-    AlertPolicy,
     compute_window_ear,
-    etm_predict,
+    etm_predict,  # unused here; bench/spans.py traces it by this name
     etm_scores,
-    hm_predict,
+    hm_predict,  # unused here; bench/spans.py traces it by this name
     hm_scores,
     read_threshold_csv,
     write_threshold_csv,
@@ -57,7 +56,7 @@ from .gbt import GbtParams, fit_gbt
 from .linear import LogisticParams, fit_logistic
 from .metrics import (
     auc,
-    confusion,
+    counts_at,
     event_capture,
     operating_points,
     point_metrics,
@@ -102,10 +101,12 @@ class _Command:
         self.handler = handler
         self.defaults: dict[str, object] = {}
         self.required: list[str] = []
-        self.types: dict[str, object] = {}
+        self.actions: dict[str, argparse.Action] = {}
+        self.minimums: dict[str, int] = {}  # checked after the merge, for flags and config values alike
         self.parser.add_argument("--config", default=argparse.SUPPRESS, help="JSON file with option defaults")
 
-    def opt(self, flag: str, *, type=str, default=None, required=False, help="", action=None, choices=None):
+    def opt(self, flag: str, *, type=str, default=None, required=False, help="", action=None, choices=None,
+            minimum=None):
         dest = flag.lstrip("-").replace("-", "_")
         kwargs: dict = {"dest": dest, "default": argparse.SUPPRESS, "help": help}
         if action == "store_true":
@@ -115,12 +116,31 @@ class _Command:
             kwargs["type"] = type
             if choices:
                 kwargs["choices"] = choices
-            self.types[dest] = type
-        self.parser.add_argument(flag, **kwargs)
+        self.actions[dest] = self.parser.add_argument(flag, **kwargs)
         self.defaults[dest] = default
         if required:
             self.required.append(dest)
+        if minimum is not None:
+            self.minimums[dest] = minimum
         return self
+
+    def _config_value(self, path: str, dest: str, value):
+        """A --config value, converted and checked as the flag's text would be."""
+        action = self.actions[dest]
+        if action.nargs == 0:  # store_true
+            if not isinstance(value, bool):
+                raise InputError(f"config {path}: field '{dest}': expected true or false, got {value!r}")
+            return value
+        if value is None and self.defaults[dest] is None:  # null stands for an unset option
+            return None
+        try:
+            value = action.type(str(value))
+        except (TypeError, ValueError):
+            raise InputError(f"config {path}: field '{dest}': invalid {action.type.__name__} value: {value!r}") from None
+        if action.choices and value not in action.choices:
+            raise InputError(f"config {path}: field '{dest}': invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, action.choices))})")
+        return value
 
     def resolve(self, args: argparse.Namespace) -> dict:
         given = {k: v for k, v in vars(args).items() if k not in ("_command", "config")}
@@ -139,11 +159,14 @@ class _Command:
                     f"config {config_path} has unknown fields for '{self.name}': {', '.join(unknown)}"
                 )
             for k, v in doc.items():
-                merged[k] = self.types.get(k, str)(v) if isinstance(v, str) and k in self.types else v
+                merged[k] = self._config_value(config_path, k, v)
         merged.update(given)
         missing = sorted(k for k in self.required if merged.get(k) is None)
         if missing:
             raise InputError(f"'{self.name}' is missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
+        for k, low in self.minimums.items():
+            if merged[k] < low:
+                raise InputError(f"{k.replace('_', '-')} must be >= {low}, got {merged[k]}")
         return merged
 
 
@@ -259,7 +282,7 @@ def write_scores_csv(path, window_ids, hours, labels, scores) -> None:
 
 
 def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-window (window_id, hours, labels, scores), hours ascending."""
+    """Per-window (window_id, hours, labels, scores), hours ascending, labels 0 or 1, scores finite."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"scores CSV not found: {path} (expected header {','.join(SCORES_CSV_COLUMNS)})")
@@ -271,10 +294,13 @@ def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]
         hours, bad_hour = parse_column(int, columns["hour"], np.int64)
         labels, bad_label = parse_column(int, columns["label"], np.int64)
         scores, bad_score = parse_column(float, columns["score"], np.float64)
-        bad = min(bad_hour, bad_label, bad_score)
-        if bad < len(wids):
-            row = {name: fields[bad] for name, fields in columns.items()}
-            raise InputError(f"{csv_row_ref(path, n + bad + 1)}: bad scores row {row!r}")
+        bad = min(bad_hour, bad_label, bad_score)  # unparsed fields read 0, a valid label and score
+        wrong = np.flatnonzero((labels != 0) & (labels != 1) | ~np.isfinite(scores))
+        first = min([bad, *wrong[:1]])
+        if first < len(wids):
+            row = {name: fields[first] for name, fields in columns.items()}
+            problem = "bad scores row" if first == bad else "label must be 0 or 1 and score finite in row"
+            raise InputError(f"{csv_row_ref(path, n + first + 1)}: {problem} {row!r}")
         parts.append((number_keys(code, wids), hours, labels, scores))
         n += len(wids)
     if not n:
@@ -294,12 +320,13 @@ def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]
     return out
 
 
-def _curves_and_metrics(scores: np.ndarray, labels: np.ndarray, out: Path, prefix: str) -> dict:
+def _curves_and_metrics(scores: np.ndarray, labels: np.ndarray, out: Path, prefix: str):
+    """The areas under the ROC and PR curves, written to <prefix>_{roc,pr}.csv, and the ROC curve."""
     roc = roc_curve(scores, labels)
     pr = pr_curve(scores, labels)
     write_curve_csv(out / f"{prefix}_roc.csv", roc)
     write_curve_csv(out / f"{prefix}_pr.csv", pr)
-    return {"auroc": auc(roc), "auprc": auc(pr)}
+    return {"auroc": auc(roc), "auprc": auc(pr)}, roc
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +490,7 @@ def _run_eval(opts: dict) -> None:
     examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
     scores = predict_proba(model, examples.X)
     write_scores_csv(out / "scores.csv", examples.window_ids, examples.hours, examples.y, scores)
-    summary = _curves_and_metrics(scores, examples.y, out, "model")
+    summary, _ = _curves_and_metrics(scores, examples.y, out, "model")
     doc = {
         "auprc": summary["auprc"],
         "auroc": summary["auroc"],
@@ -485,7 +512,6 @@ def _run_sweep_baselines(opts: dict) -> None:
         raise InputError(f"threshold table not found: {thr_path} (expected header station_id,year,ear_threshold_mm)")
     table = read_threshold_csv(thr_path)
     mode = DailyWindowMode(opts["daily_mode"])
-    policy = AlertPolicy(latch=opts["latch"])
     labeling = LabelingConfig(opts["lead"])
 
     wears = [compute_window_ear(w, opts["alpha"], mode) for w in chosen]
@@ -500,18 +526,16 @@ def _run_sweep_baselines(opts: dict) -> None:
     hm = np.concatenate([hm_by_id[i] for i in ids])
     write_scores_csv(out / "etm_scores.csv", wids, hours, labels, etm)
     write_scores_csv(out / "hm_scores.csv", wids, hours, labels, hm)
-    summary = {
-        "policy_latch": opts["latch"],
-        "etm": _curves_and_metrics(etm, labels, out, "etm"),
-        "hm": _curves_and_metrics(hm, labels, out, "hm"),
-    }
+    etm_areas, etm_roc = _curves_and_metrics(etm, labels, out, "etm")
+    hm_areas, hm_roc = _curves_and_metrics(hm, labels, out, "hm")
 
-    official = np.concatenate([etm_predict(w, table[w.station_id], policy) for w in wears])
-    summary["official_etm_point"] = point_metrics(confusion(labels, official)).as_dict()
-
+    # An alert rule is a point on its score's curve: EAR >= the station threshold
+    # is ETM score >= 1, as fl(ear / thr) >= 1 exactly when ear >= thr > 0
+    official = point_metrics(counts_at(etm_roc, 1.0))
+    summary = {"etm": etm_areas, "hm": hm_areas, "official_etm_point": official.as_dict()}
     marked = []
     for thr in MARKED_THRESHOLDS_MM:
-        m = point_metrics(confusion(labels, np.concatenate([hm_predict(w, float(thr), policy) for w in wears])))
+        m = point_metrics(counts_at(hm_roc, thr))
         marked.append((cell(thr), cell(m.precision), cell(m.recall), cell(m.specificity), cell(m.fpr)))
     write_csv(out / "hm_marked.csv", ("threshold_mm", "precision", "recall", "specificity", "FPR"), marked)
     write_json(out / "baselines.json", summary)
@@ -679,7 +703,7 @@ def build_parser() -> _Parser:
     c.opt("--learning-rate", type=float, default=0.1)
     c.opt("--l2", type=float, default=0.0, help="L2 penalty for logistic (0 = none)")
     c.opt("--training-weight", type=float, default=1.0)
-    c.opt("--threads", type=int, default=1)
+    c.opt("--threads", type=int, default=1, minimum=1)
     _add_feature_opts(c)
 
     c = _Command(sub, "cv", "grid-search cross-validation on the training split", _run_cv)
@@ -691,7 +715,7 @@ def build_parser() -> _Parser:
     c.opt("--grid", default="default", help="'default' or a JSON file with a list of parameter objects")
     c.opt("--k", type=int, default=10)
     c.opt("--training-weight", type=float, default=1.0)
-    c.opt("--threads", type=int, default=1)
+    c.opt("--threads", type=int, default=1, minimum=1)
     _add_feature_opts(c)
 
     c = _Command(sub, "eval", "score a trained model and emit curves and metrics", _run_eval)
@@ -709,7 +733,6 @@ def build_parser() -> _Parser:
     c.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS)
     c.opt("--alpha", type=float, default=0.7)
     c.opt("--daily-mode", default="calendar_day", choices=[m.value for m in DailyWindowMode])
-    c.opt("--latch", action="store_true", help="alerts persist until event end")
 
     c = _Command(sub, "bootstrap-ci", "circular block bootstrap CI for a scores file", _run_bootstrap_ci)
     c.opt("--scores", required=True, help="scores CSV from 'eval' or 'sweep-baselines'")
@@ -739,9 +762,9 @@ def build_parser() -> _Parser:
     c.opt("--seed", type=int, required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
-    c.opt("--max-rows", type=int, default=500,
+    c.opt("--max-rows", type=int, default=500, minimum=1,
           help="rows to explain (cost grows with rows x leaves x background)")
-    c.opt("--background-rows", type=int, default=64)
+    c.opt("--background-rows", type=int, default=64, minimum=1)
     c.opt("--method", default="mean_abs_shap", choices=["mean_abs_shap", "permutation"])
 
     return parser

@@ -1,11 +1,16 @@
 """Point metrics, ROC/PR curves, areas, operating-point tables, and per-event
 capture counts.
 
+One counter serves every curve: the scores are rank-coded once (code = rank
+of the score among the K distinct scores, highest first, + K * label) and one
+`bincount` of the codes gives the cumulative false and true positives at each
+distinct threshold. The bootstrap counts its resampled codes the same way.
 Curves carry one point per distinct score threshold (descending) together with
-the full confusion counts at that threshold, so operating-point tables can
-report specificity without re-scoring. Areas are trapezoids over the achieved
-points with x ascending; no interpolation is added. Ratios with a 0/0
-denominator are reported as None, never NaN.
+the full confusion counts at that threshold, so operating-point tables report
+specificity without re-scoring and `counts_at` reads the confusion counts of
+any alert threshold off a curve. Areas are trapezoids over the achieved points,
+whose x never decreases in curve order; no interpolation is added. Ratios with
+a 0/0 denominator are reported as None, never NaN.
 """
 from __future__ import annotations
 
@@ -32,10 +37,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise InputError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class PointMetrics:
@@ -59,18 +60,6 @@ class PointMetrics:
             "FDR": self.fdr,
             "FOR": self.false_omission_rate,
         }
-
-
-def confusion(labels: Sequence[int], predictions: Sequence[int]) -> ConfusionCounts:
-    y = np.asarray(labels).astype(bool)
-    p = np.asarray(predictions).astype(bool)
-    if y.shape != p.shape or y.ndim != 1:
-        raise InputError(f"labels and predictions must be equal-length 1-D, got {y.shape} vs {p.shape}")
-    tp = int(np.count_nonzero(y & p))
-    fp = int(np.count_nonzero(~y & p))
-    fn = int(np.count_nonzero(y & ~p))
-    tn = int(np.count_nonzero(~y & ~p))
-    return ConfusionCounts(tp, fp, tn, fn)
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -106,27 +95,31 @@ class Curve:
         return int(self.thresholds.size)
 
 
-def _threshold_counts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Cumulative tp/fp at each distinct score threshold, descending."""
+def rank_codes(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The K distinct scores, descending, and each score's code k + K * label,
+    where k ranks its score among them from the highest."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
         raise InputError("scores and labels must be equal-length non-empty 1-D")
     if not np.isfinite(scores).all():
         raise InputError("scores must be finite")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    last = np.append(np.flatnonzero(np.diff(s) != 0), s.size - 1)
-    tp = np.cumsum(y)[last].astype(np.int64)
-    fp = (last + 1) - tp
-    pos = int(labels.sum())
-    neg = int(labels.size - pos)
-    return s[last], tp, fp, pos, neg
+    neg_thresholds, rank = np.unique(-scores, return_inverse=True)
+    return -neg_thresholds, rank + neg_thresholds.size * labels
 
 
-def counts_curve(kind: str, thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray, pos: int, neg: int) -> Curve:
-    """ROC or PR curve from cumulative tp/fp at descending distinct thresholds."""
+def threshold_counts(thresholds: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The thresholds some code reaches, descending, and the cumulative counts
+    at each: row 0 the negatives (fp), row 1 the positives (tp) scored at or above it."""
+    counts = np.bincount(codes, minlength=2 * thresholds.size).reshape(2, -1)
+    seen = np.flatnonzero(counts[0] + counts[1])
+    return thresholds[seen], counts.cumsum(axis=1)[:, seen]
+
+
+def counts_curve(kind: str, thresholds: np.ndarray, counts: np.ndarray) -> Curve:
+    """ROC or PR curve from the output of threshold_counts."""
+    fp, tp = counts
+    pos, neg = int(tp[-1]), int(fp[-1])  # the lowest threshold alerts on every hour
     if pos == 0 or neg == 0:
         raise InputError(f"{kind} needs at least one positive and one negative label")
     if kind == "ROC":  # anchored at (0,0); the lowest threshold ends at (1,1)
@@ -141,23 +134,30 @@ def counts_curve(kind: str, thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarr
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> Curve:
     """ROC points at every distinct threshold, anchored at (0,0) and ending at (1,1)."""
-    return counts_curve("ROC", *_threshold_counts(np.asarray(scores), np.asarray(labels)))
+    return counts_curve("ROC", *threshold_counts(*rank_codes(scores, labels)))
 
 
 def pr_curve(scores: Sequence[float], labels: Sequence[int]) -> Curve:
     """Precision-recall points at every achieved threshold, descending."""
-    return counts_curve("PR", *_threshold_counts(np.asarray(scores), np.asarray(labels)))
+    return counts_curve("PR", *threshold_counts(*rank_codes(scores, labels)))
+
+
+def counts_at(curve: Curve, threshold: float) -> ConfusionCounts:
+    """Confusion counts of alerting on every score >= threshold."""
+    i = int(np.count_nonzero(curve.thresholds >= threshold)) - 1  # the lowest threshold that alerts
+    pos, neg = int(curve.tp[-1] + curve.fn[-1]), int(curve.fp[-1] + curve.tn[-1])
+    if i < 0:
+        return ConfusionCounts(0, 0, neg, pos)
+    return ConfusionCounts(int(curve.tp[i]), int(curve.fp[i]), int(curve.tn[i]), int(curve.fn[i]))
 
 
 def auc(curve: Curve) -> float:
-    order = np.argsort(curve.x, kind="stable")
-    x = curve.x[order]
-    y = curve.y[order]
+    x, y = curve.x, curve.y
     if curve.kind == "PR" and x[0] > 0.0:
         # anchor at recall 0 with the precision of the highest-threshold point,
         # so a perfect scorer integrates to exactly 1
         x = np.concatenate(([0.0], x))
-        y = np.concatenate(([curve.y[0]], y))
+        y = np.concatenate(([y[0]], y))
     return float(np.trapezoid(y, x))
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from debris_ews import (
-    AlertPolicy,
     DatasetWindow,
     InputError,
     ThresholdTable,
@@ -39,17 +38,6 @@ def test_alerts_only_inside_events():
     assert got.tolist() == [True, False, False, True]
     # threshold zero still never alerts outside events
     assert hm_predict(w, 0.0).tolist() == [True, False, False, True]
-
-
-def test_latched_alert_persists_to_event_end():
-    # EAR wobbles below the threshold after crossing only if rain keeps falling;
-    # use a synthetic non-monotone trace to exercise the latch contract
-    w = _wear([10.0, 60.0, 20.0, 30.0], [(0, 3)])
-    unlatched = etm_predict(w, 50.0)
-    latched = etm_predict(w, 50.0, AlertPolicy(latch=True))
-    assert unlatched.tolist() == [False, True, False, False]
-    assert latched.tolist() == [False, True, True, True]
-    assert (latched | unlatched).tolist() == latched.tolist()  # superset
 
 
 def test_etm_equals_hm_with_constant_table():

@@ -293,6 +293,55 @@ def test_threads_below_one_fail(pipeline, tmp_path, capsys, command, threads):
     assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
 
 
+CORPUS = ["--rainfall", "{rain}", "--manifest", "{man}", "--seed", "1"]
+SCORES_BODY = "window_id,hour,label,score\nw1,0,0,0.5\n"
+BAD_INPUTS = {
+    "gbt threads flag": (["train", *CORPUS, "--model", "gbt", "--trees", "2", "--threads", "0"], {},
+                         "threads must be >= 1, got 0"),
+    "logistic cv threads flag": (["cv", *CORPUS, "--model", "logistic", "--threads", "0"], {},
+                                 "threads must be >= 1, got 0"),
+    "threads from config": (["cv", *CORPUS, "--model", "gbt", "--config", "{cfg}"], {"cfg": {"threads": -2}},
+                            "threads must be >= 1, got -2"),
+    "int field from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": {"trees": "abc"}},
+                              "config {cfg}: field 'trees': invalid int value: 'abc'"),
+    "float for int field from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": {"threads": 2.5}},
+                                        "config {cfg}: field 'threads': invalid int value: 2.5"),
+    "choice from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": {"model": "svm"}},
+                           "config {cfg}: field 'model': invalid choice: 'svm' (choose from 'rf', 'gbt', 'logistic')"),
+    "switch from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": {"include_ear": "false"}},
+                           "config {cfg}: field 'include_ear': expected true or false, got 'false'"),
+    "explain max rows": (["explain", *CORPUS, "--model", "{model}", "--max-rows", "-3"], {},
+                         "max-rows must be >= 1, got -3"),
+    "explain background rows from config": (["explain", *CORPUS, "--model", "{model}", "--config", "{cfg}"],
+                                            {"cfg": {"background_rows": 0}}, "background-rows must be >= 1, got 0"),
+    "label 2": (["operating-points", "--scores", "{scores}"], {"scores": SCORES_BODY + "w1,1,2,0.25\n"},
+                "{scores}:3: label must be 0 or 1 and score finite in row "
+                "{{'window_id': 'w1', 'hour': '1', 'label': '2', 'score': '0.25'}}"),
+    "negative label": (["bootstrap-ci", "--scores", "{scores}", "--seed", "1"], {"scores": SCORES_BODY + "w1,1,-1,0.25\n"},
+                       "{scores}:3: label must be 0 or 1 and score finite in row "
+                       "{{'window_id': 'w1', 'hour': '1', 'label': '-1', 'score': '0.25'}}"),
+    "nan score": (["bootstrap-ci", "--scores", "{scores}", "--seed", "1"], {"scores": SCORES_BODY + "w1,1,1,nan\n"},
+                  "{scores}:3: label must be 0 or 1 and score finite in row "
+                  "{{'window_id': 'w1', 'hour': '1', 'label': '1', 'score': 'nan'}}"),
+    "inf score before a bad row": (["operating-points", "--scores", "{scores}"],
+                                   {"scores": SCORES_BODY + "w1,1,1,-inf\nw1,x,1,0.5\n"},
+                                   "{scores}:3: label must be 0 or 1 and score finite in row "
+                                   "{{'window_id': 'w1', 'hour': '1', 'label': '1', 'score': '-inf'}}"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_option_and_score_values_exit_1_naming_them(pipeline, tmp_path, capsys, case):
+    argv, files, message = BAD_INPUTS[case]
+    paths = {"rain": pipeline["corpus"] / "rainfall.csv", "man": pipeline["data"] / "manifest.json",
+             "model": pipeline["model"] / "model.json", "cfg": tmp_path / "cfg.json", "scores": tmp_path / "scores.csv"}
+    for name, content in files.items():
+        paths[name].write_text(content if isinstance(content, str) else json.dumps(content))
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
 def test_build_dataset_rejects_event_row_without_timestamp(pipeline, tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text("station_id,timestamp\nS000\n")
@@ -422,6 +471,10 @@ def test_resolved_config_records_lead_from_model(pipeline, tmp_path):
         assert resolved["command"] == command and resolved["options"]["lead"] == 6
     assert main(["eval", *scoring, "--out", str(tmp_path / "bad"), "--lead", "12"]) == 1
     assert not (tmp_path / "bad" / "eval_config.json").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lead": None}))  # null leaves the lead unset, so it comes from the model
+    assert main(["eval", *scoring, "--out", str(tmp_path / "null"), "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "null" / "eval_config.json").read_text())["options"]["lead"] == 6
 
 
 def test_read_scores_csv_rejects_hour_gaps(tmp_path):

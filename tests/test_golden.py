@@ -27,7 +27,7 @@ GOLDEN_PIPELINE = {
         "eval/scores.csv": "f43aa7b0066ce71dd44873f49989ed907bab92815bbd495f6a75ea695748e1a3",
         "baselines/etm_scores.csv": "9a60ef1b336afe1cf19ff47cde97d0a6002e7d461e1ab6dfc03c052b4f71a023",
         "baselines/hm_scores.csv": "2eda2231203bb95da63e1de90427774ea09c7deaa33101f2003a77a7fd2a0666",
-        "baselines/baselines.json": "8d55b19fd42774e2d3ea64f71f0e703169dd4845e7809a65589936d5e55de6bc",
+        "baselines/baselines.json": "4bcbd2b5bd86129790496e3c9d9ab860b453b60d76d856510e19064b91dde38d",
         "baselines/hm_marked.csv": "9ed39b7e7394aa17b41bcf04d9d878a4926a95b1d6629f215da47f0b82408818",
         "ci/ci.json": "75da0b14c95259e08e33e6de53a4b0d3617afdde2895127b32719ad6f5baddbc",
         "capture/event_capture.csv": "5fc7a0b09fa5973f7f14aa97d674c4914fad9154f2397edf47c50f23f6e2d1c5",

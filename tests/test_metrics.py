@@ -9,7 +9,7 @@ from debris_ews import (
     auc,
     auprc,
     auroc,
-    confusion,
+    counts_at,
     event_capture,
     operating_points,
     point_metrics,
@@ -54,15 +54,7 @@ def enumerate_curve_points(scores, labels, kind):
     return points
 
 
-# --- confusion and point metrics ------------------------------------------------
-
-
-def test_confusion_basic():
-    assert confusion([1], [1]) == ConfusionCounts(1, 0, 0, 0)
-    assert confusion([1, 0, 1, 0], [1, 1, 0, 0]) == ConfusionCounts(1, 1, 1, 1)
-    assert confusion([0, 0, 0], [0, 0, 0]) == ConfusionCounts(0, 0, 3, 0)
-    with pytest.raises(InputError):
-        confusion([1, 0], [1])
+# --- point metrics ---------------------------------------------------------------
 
 
 def test_point_metrics_values():
@@ -163,6 +155,24 @@ def test_auroc_equals_mann_whitney_random():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         assert auroc(scores, labels) == pytest.approx(mann_whitney_auroc(scores, labels), abs=1e-12)
+
+
+def test_counts_at_matches_brute_force():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(2, 150))
+        scores = rng.integers(0, int(rng.integers(1, 12)), size=n) / 4.0  # many ties
+        labels = rng.random(n) < rng.uniform(0.05, 0.8)
+        labels[:2] = [True, False]
+        distinct = np.unique(scores)
+        between = (distinct[:-1] + distinct[1:]) / 2.0
+        probes = [*distinct, *between, distinct[0] - 1.0, distinct[-1] + 1.0, -np.inf, np.inf]
+        for curve in (roc_curve(scores, labels), pr_curve(scores, labels)):
+            for t in probes:
+                pred = scores >= t
+                want = ConfusionCounts(int((labels & pred).sum()), int((~labels & pred).sum()),
+                                       int((~labels & ~pred).sum()), int((labels & ~pred).sum()))
+                assert counts_at(curve, t) == want, (trial, curve.kind, t)
 
 
 def test_roc_monotone_coordinates():

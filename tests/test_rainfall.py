@@ -326,6 +326,20 @@ def test_ear_monotone_and_bounded_below():
             assert tr.ear[0] == pytest.approx(s.values[ev.start_idx] + tr.antecedent_mm)
 
 
+@pytest.mark.parametrize("mode", list(DailyWindowMode))
+def test_ear_series_never_decreases_inside_an_event(mode):
+    # so an alert at EAR >= threshold, once fired, lasts to the event's end
+    rng = np.random.default_rng(37)
+    checked = 0
+    for trial in range(40):
+        s = series(random_rain(rng, 400, wet_prob=rng.uniform(0.1, 0.6), scale=rng.uniform(1.0, 30.0)))
+        ear, events = ear_series(s, alpha=rng.uniform(0.0, 1.0), mode=mode)
+        for ev in events:
+            assert (np.diff(ear[ev.start_idx : ev.end_idx + 1]) >= 0).all(), (trial, ev)
+            checked += ev.hours > 1
+    assert checked > 100
+
+
 def test_ear_linearity_under_scaling():
     rng = np.random.default_rng(13)
     s = series(random_rain(rng, 300))
