@@ -27,15 +27,15 @@ from .dataset import (
     build_corpus_windows,
     build_examples,
     build_windows,
-    compose_features,
     kfold_windows,
     label_hours,
     split_windows,
+    window_rows,
 )
 from .explain import (
     ShapAttribution,
     brute_shap,
-    importance_ranking,
+    permutation_ranking,
     subsample_background,
     tree_shap,
     tree_shap_batch,

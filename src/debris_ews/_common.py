@@ -8,9 +8,10 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
+from enum import Enum
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -140,11 +141,48 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerows(rows)
 
 
+def read_json(path: str | Path, what: str) -> object:
+    """The JSON document in path; a file that cannot be read or parsed is an InputError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
+
+
 def write_json(path: str | Path, doc: object, indent: int | None = 2) -> None:
     """A JSON artifact with sorted keys and a final newline; indent=None is the compact form."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+
+
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+def _json_fits(kind: type, value: object) -> bool:
+    if issubclass(kind, Enum):
+        return value in [m.value for m in kind]
+    number = (int, float) if kind is float else kind  # an integer is a number too
+    return isinstance(value, number) and (kind is bool or not isinstance(value, bool))
+
+
+def build_params(cls: Callable[..., T], doc: object, where: str) -> T:
+    """cls(**doc) for a parameter dataclass read from JSON. An unknown field, a value
+    of the wrong JSON type and a value cls rejects are InputErrors naming where and the field."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{where}: expected a JSON object, got {doc!r}")
+    hints = get_type_hints(cls)
+    for key, value in doc.items():
+        if key not in hints:
+            raise InputError(f"{where}: unknown field {key!r} (expected one of {', '.join(hints)})")
+        kinds = getattr(hints[key], "__args__", (hints[key],))  # int | None -> (int, NoneType)
+        if not any(_json_fits(k, value) for k in kinds):
+            expected = " or ".join(_JSON_KINDS.get(k) or f"one of {', '.join(repr(m.value) for m in k)}" for k in kinds)
+            raise InputError(f"{where}: field {key!r}: expected {expected}, got {value!r}")
+    try:
+        return cls(**doc)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def number_keys(code: dict[str, int], keys: list[str]) -> np.ndarray:

@@ -9,7 +9,6 @@ input, 2 internal error. Set DEBRIS_EWS_LOG=INFO (or DEBUG) for progress logs.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from datetime import datetime, timezone
@@ -19,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from ._common import (
-    InputError, cell, csv_row_ref, derived_rng, number_keys, parse_column, read_csv_blocks, setup_logging, write_csv,
-    write_json,
+    InputError, cell, csv_row_ref, derived_rng, number_keys, parse_column, read_csv_blocks, read_json, setup_logging,
+    write_csv, write_json,
 )
 from .baselines import (
     MARKED_THRESHOLDS_MM,
@@ -34,7 +33,10 @@ from .baselines import (
 )
 from .bootstrap import block_bootstrap_ci, write_ci_json
 from .dataset import (
+    DEFAULT_ANTECEDENT_HOURS,
     DEFAULT_LEAD_HOURS,
+    DEFAULT_TAIL_HOURS,
+    DEFAULT_TEST_FRACTION,
     DatasetWindow,
     FeatureSpec,
     LabelingConfig,
@@ -46,11 +48,12 @@ from .dataset import (
     read_events_csv,
     read_manifest,
     split_windows,
+    window_rows,
     write_events_csv,
     write_feature_csv,
     write_manifest,
 )
-from .explain import importance_ranking, mean_abs_ranking, subsample_background, tree_shap_batch, write_attribution_csv
+from .explain import mean_abs_ranking, permutation_ranking, subsample_background, tree_shap_batch, write_attribution_csv
 from .forest import ForestModel, ForestParams, fit_forest
 from .gbt import GbtParams, fit_gbt
 from .linear import LogisticParams, fit_logistic
@@ -68,6 +71,9 @@ from .metrics import (
 )
 from .modelio import load_model, predict_proba, save_model
 from .rainfall import (
+    DEFAULT_ALPHA,
+    QUIET_HOURS,
+    RAIN_THRESHOLD_MM,
     DailyWindowMode,
     format_ts,
     read_rainfall_csv,
@@ -147,10 +153,7 @@ class _Command:
         merged = dict(self.defaults)
         config_path = getattr(args, "config", None)
         if config_path:
-            try:
-                doc = json.loads(Path(config_path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise InputError(f"cannot read config {config_path}: {exc}") from None
+            doc = read_json(config_path, "config")
             if not isinstance(doc, dict):
                 raise InputError(f"config {config_path} must be a JSON object")
             unknown = sorted(set(doc) - set(self.defaults))
@@ -261,9 +264,9 @@ def _add_feature_opts(cmd: _Command) -> _Command:
     cmd.opt("--daily", type=int, default=0, help="antecedent daily totals to use (0..7)")
     cmd.opt("--daily-weighted", action="store_true", help="decay daily totals by alpha**i")
     cmd.opt("--include-ear", action="store_true", help="append the EAR feature")
-    cmd.opt("--daily-mode", default="calendar_day", choices=[m.value for m in DailyWindowMode],
+    cmd.opt("--daily-mode", default=DailyWindowMode.CALENDAR_DAY.value, choices=[m.value for m in DailyWindowMode],
             help="daily total delimitation")
-    cmd.opt("--alpha", type=float, default=0.7, help="antecedent decay factor")
+    cmd.opt("--alpha", type=float, default=DEFAULT_ALPHA, help="antecedent decay factor")
     cmd.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS, help="lead time in hours for positive labels")
     return cmd
 
@@ -463,7 +466,7 @@ def _run_cv(opts: dict) -> None:
         grid_path = Path(opts["grid"])
         if not grid_path.exists():
             raise InputError(f"grid file not found: {grid_path} (a JSON list of hyperparameter objects)")
-        grid = json.loads(grid_path.read_text())
+        grid = read_json(grid_path, "grid file")
         if not isinstance(grid, list):
             raise InputError(f"{grid_path}: grid must be a JSON list of objects")
     result = grid_search_cv(
@@ -476,6 +479,7 @@ def _run_cv(opts: dict) -> None:
         labeling=LabelingConfig(opts["lead"]),
         training_weight=opts["training_weight"],
         threads=opts["threads"],
+        grid_source=opts["grid"],
     )
     write_grid_csv(out / "cv_results.csv", result)
     write_json(out / "best_params.json", {"model": result.model_kind, "params": result.best})
@@ -512,18 +516,14 @@ def _run_sweep_baselines(opts: dict) -> None:
         raise InputError(f"threshold table not found: {thr_path} (expected header station_id,year,ear_threshold_mm)")
     table = read_threshold_csv(thr_path)
     mode = DailyWindowMode(opts["daily_mode"])
-    labeling = LabelingConfig(opts["lead"])
 
     wears = [compute_window_ear(w, opts["alpha"], mode) for w in chosen]
-    labels = np.concatenate([label_hours(w, labeling) for w in chosen])
-    ids = [w.id for w in chosen]
-    hours = np.concatenate([np.arange(len(w)) for w in chosen])
-    wids = [wid for w in chosen for wid in [w.id] * len(w)]
+    wids, hours, labels = window_rows(chosen, LabelingConfig(opts["lead"]))
 
     etm_by_id = etm_scores(wears, table)
     hm_by_id = hm_scores(wears)
-    etm = np.concatenate([etm_by_id[i] for i in ids])
-    hm = np.concatenate([hm_by_id[i] for i in ids])
+    etm = np.concatenate([etm_by_id[w.id] for w in chosen])
+    hm = np.concatenate([hm_by_id[w.id] for w in chosen])
     write_scores_csv(out / "etm_scores.csv", wids, hours, labels, etm)
     write_scores_csv(out / "hm_scores.csv", wids, hours, labels, hm)
     etm_areas, etm_roc = _curves_and_metrics(etm, labels, out, "etm")
@@ -584,7 +584,7 @@ def _run_event_capture(opts: dict) -> None:
     windows, _ = _load_windows(opts)
     by_id = {w.id: w for w in windows}
     labeling = LabelingConfig(opts["lead"])
-    scores_by_window = {}
+    groups = []
     for wid, hours, labels, scores in read_scores_csv(opts["scores"]):
         if wid not in by_id:
             raise InputError(f"scores reference unknown window {wid}")
@@ -592,13 +592,11 @@ def _run_event_capture(opts: dict) -> None:
             raise InputError(f"scores for window {wid} do not cover every hour")
         if (labels != label_hours(by_id[wid], labeling)).any():
             raise InputError(f"labels of window {wid} in the scores are not those of --lead {opts['lead']}")
-        scores_by_window[wid] = scores
-    positives = [w for w in windows if w.kind is WindowKind.POSITIVE and w.id in scores_by_window]
-    if not positives:
-        raise InputError("no positive windows with scores; run 'eval' on a split containing positives")
-    rows = event_capture(positives, scores_by_window, lead_hours=opts["lead"])
+        groups.append((scores, labels))
+    rows = event_capture(groups)
     write_capture_csv(out / "event_capture.csv", rows)
-    print(f"event-capture: {len(positives)} debris flows over {len(rows)} thresholds -> {out / 'event_capture.csv'}")
+    flows = rows[0].captured + rows[0].missed
+    print(f"event-capture: {flows} debris flows over {len(rows)} thresholds -> {out / 'event_capture.csv'}")
 
 
 def _run_explain(opts: dict) -> None:
@@ -629,9 +627,7 @@ def _run_explain(opts: dict) -> None:
     if opts["method"] == "mean_abs_shap":
         ranking = mean_abs_ranking(values)
     else:
-        ranking = importance_ranking(
-            model, (X_rows, examples.y[keep]), method=opts["method"], seed=opts["seed"], background=background
-        )
+        ranking = permutation_ranking(model, X_rows, examples.y[keep], opts["seed"])
     rows = ((rank, spec.feature_names[f], cell(score)) for rank, (f, score) in enumerate(ranking, start=1))
     write_csv(out / "importance.csv", ("rank", "feature", "score"), rows)
     write_json(out / "explain.json", {
@@ -667,26 +663,26 @@ def build_parser() -> _Parser:
     c = _Command(sub, "segment", "list main rainfall events per station", _run_segment)
     _add_corpus_opts(c, manifest=False)
     c.opt("--out", required=True)
-    c.opt("--rain-threshold", type=float, default=4.0)
-    c.opt("--quiet-hours", type=int, default=6)
+    c.opt("--rain-threshold", type=float, default=RAIN_THRESHOLD_MM)
+    c.opt("--quiet-hours", type=int, default=QUIET_HOURS)
 
     c = _Command(sub, "ear", "per-hour effective accumulated rainfall", _run_ear)
     _add_corpus_opts(c, manifest=False)
     c.opt("--out", required=True)
-    c.opt("--alpha", type=float, default=0.7)
-    c.opt("--daily-mode", default="calendar_day", choices=[m.value for m in DailyWindowMode])
+    c.opt("--alpha", type=float, default=DEFAULT_ALPHA)
+    c.opt("--daily-mode", default=DailyWindowMode.CALENDAR_DAY.value, choices=[m.value for m in DailyWindowMode])
 
     c = _Command(sub, "build-dataset", "build labeled event windows and the train/test split", _run_build_dataset)
     _add_corpus_opts(c, manifest=False)
     c.opt("--events", required=True, help="debris-flow events CSV")
     c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True, help="split seed")
-    c.opt("--test-fraction", type=float, default=0.15)
-    c.opt("--antecedent-hours", type=int, default=168)
-    c.opt("--tail-hours", type=int, default=24)
-    c.opt("--rain-threshold", type=float, default=4.0)
-    c.opt("--quiet-hours", type=int, default=6)
-    c.opt("--min-wet-run", type=int, default=2)
+    c.opt("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
+    c.opt("--antecedent-hours", type=int, default=DEFAULT_ANTECEDENT_HOURS)
+    c.opt("--tail-hours", type=int, default=DEFAULT_TAIL_HOURS)
+    c.opt("--rain-threshold", type=float, default=RAIN_THRESHOLD_MM)
+    c.opt("--quiet-hours", type=int, default=QUIET_HOURS)
+    c.opt("--min-wet-run", type=int, default=WindowConfig.min_wet_run_hours)
     c.opt("--export-features", action="store_true", help="also write the feature matrix CSV")
     _add_feature_opts(c)
 
@@ -731,8 +727,8 @@ def build_parser() -> _Parser:
     c.opt("--out", required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS)
-    c.opt("--alpha", type=float, default=0.7)
-    c.opt("--daily-mode", default="calendar_day", choices=[m.value for m in DailyWindowMode])
+    c.opt("--alpha", type=float, default=DEFAULT_ALPHA)
+    c.opt("--daily-mode", default=DailyWindowMode.CALENDAR_DAY.value, choices=[m.value for m in DailyWindowMode])
 
     c = _Command(sub, "bootstrap-ci", "circular block bootstrap CI for a scores file", _run_bootstrap_ci)
     c.opt("--scores", required=True, help="scores CSV from 'eval' or 'sweep-baselines'")

@@ -7,14 +7,14 @@ negative window wraps main events with at least two consecutive wet hours and
 no debris flow. Windows from one station never overlap in time; negative
 windows whose spans collide are merged into one.
 
-Every window hour becomes one example. The label is positive for the debris
-flow hour and the lead_time hours before it. Features are, in order: the most
-recent hourly values (newest first), daily totals for full days before the
-hourly block, and optionally the EAR at the prediction hour.
+Every window hour becomes one example, and window_rows alone orders and labels
+the rows: windows in order, hours ascending, positive for the debris flow hour
+and the lead_time hours before it. Features are, in order: the most recent
+hourly values (newest first), daily totals for full days before the hourly
+block, and optionally the EAR at the prediction hour.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from datetime import datetime
@@ -24,13 +24,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows, write_csv, write_json
+from ._common import (
+    InputError, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows, read_json, write_csv, write_json,
+)
 from .rainfall import (
     DEFAULT_ALPHA,
     QUIET_HOURS,
     RAIN_THRESHOLD_MM,
     DailyWindowMode,
     RainSeries,
+    check_alpha,
     daily_sums_matrix,
     ear_series,
     segment_events,
@@ -92,6 +95,7 @@ class FeatureSpec:
             raise InputError("daily_days must be in 0..7")
         if self.hourly_hours + self.daily_days + int(self.include_ear) < 1:
             raise InputError("feature spec selects no features")
+        check_alpha(self.alpha)
         object.__setattr__(self, "daily_mode", DailyWindowMode(self.daily_mode))
 
     @property
@@ -145,21 +149,6 @@ class ExampleSet:
 
     def __len__(self) -> int:
         return int(self.y.size)
-
-    @staticmethod
-    def concat(parts: Sequence["ExampleSet"]) -> "ExampleSet":
-        if not parts:
-            raise InputError("cannot concatenate zero example sets")
-        names = parts[0].feature_names
-        if any(p.feature_names != names for p in parts):
-            raise InputError("example sets have mismatched feature layouts")
-        return ExampleSet(
-            X=np.vstack([p.X for p in parts]),
-            y=np.concatenate([p.y for p in parts]),
-            window_ids=tuple(w for p in parts for w in p.window_ids),
-            hours=np.concatenate([p.hours for p in parts]),
-            feature_names=names,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +300,24 @@ def label_hours(window: DatasetWindow, cfg: LabelingConfig = LabelingConfig()) -
     return y
 
 
-def compose_features(
-    window: DatasetWindow,
-    spec: FeatureSpec,
-    labeling: LabelingConfig = LabelingConfig(),
-) -> ExampleSet:
-    """One labeled example per window hour.
+def window_rows(
+    windows: Sequence[DatasetWindow], labeling: LabelingConfig = LabelingConfig()
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """(window_ids, hours, labels) of the example rows: every hour of each window,
+    windows in the given order and hours ascending."""
+    if not windows:
+        raise InputError("no windows to take example rows from")
+    window_ids = tuple(wid for w in windows for wid in (w.id,) * len(w))
+    hours = np.concatenate([np.arange(len(w)) for w in windows])
+    return window_ids, hours, np.concatenate([label_hours(w, labeling) for w in windows])
 
-    Hourly features are the spec.hourly_hours most recent values, newest first,
-    zero-padded before the window start. Daily sums cover full days strictly
-    before the hourly block. The EAR feature is 0 outside main events.
-    """
+
+def _fill_features(out: np.ndarray, window: DatasetWindow, spec: FeatureSpec) -> None:
+    """The feature rows of one window's hours, written into the zeroed rows out."""
     v = window.series.values
     n = len(window)
-    blocks: list[np.ndarray] = []
-    if spec.hourly_hours:
-        hourly = np.zeros((n, spec.hourly_hours))
-        for j in range(min(spec.hourly_hours, n)):
-            hourly[j:, j] = v[: n - j]
-        blocks.append(hourly)
+    for j in range(min(spec.hourly_hours, n)):
+        out[j:, j] = v[: n - j]
     if spec.daily_days:
         anchors = np.arange(n) - spec.hourly_hours + 1
         daily = daily_sums_matrix(
@@ -339,17 +327,9 @@ def compose_features(
         daily[anchors < 0] = 0.0
         if spec.daily_weighted:
             daily = daily * np.power(spec.alpha, np.arange(1, spec.daily_days + 1))
-        blocks.append(daily)
+        out[:, spec.hourly_hours : spec.hourly_hours + spec.daily_days] = daily
     if spec.include_ear:
-        blocks.append(ear_series(window.series, spec.alpha, spec.daily_mode)[0].reshape(-1, 1))
-    X = np.hstack(blocks)
-    return ExampleSet(
-        X=X,
-        y=label_hours(window, labeling),
-        window_ids=(window.id,) * n,
-        hours=np.arange(n),
-        feature_names=spec.feature_names,
-    )
+        out[:, -1] = ear_series(window.series, spec.alpha, spec.daily_mode)[0]
 
 
 def build_examples(
@@ -357,9 +337,17 @@ def build_examples(
     spec: FeatureSpec,
     labeling: LabelingConfig = LabelingConfig(),
 ) -> ExampleSet:
-    if not windows:
-        raise InputError("no windows to featurize")
-    return ExampleSet.concat([compose_features(w, spec, labeling) for w in windows])
+    """One labeled example per window hour, in the row order of window_rows.
+
+    Hourly features are the spec.hourly_hours most recent values, newest first,
+    zero-padded before the window start. Daily sums cover full days strictly
+    before the hourly block. The EAR feature is 0 outside main events.
+    """
+    window_ids, hours, y = window_rows(windows, labeling)
+    X = np.zeros((y.size, spec.n_features))
+    for w, rows in zip(windows, np.split(X, np.cumsum([len(w) for w in windows])[:-1])):
+        _fill_features(rows, w, spec)
+    return ExampleSet(X=X, y=y, window_ids=window_ids, hours=hours, feature_names=spec.feature_names)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +475,7 @@ def read_manifest(
 ) -> tuple[list[DatasetWindow], dict[str, str]]:
     """Windows resliced from full station series, plus the stored split map."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read window manifest {path}: {exc}") from None
+    doc = read_json(path, "window manifest")
     if doc.get("format") != MANIFEST_FORMAT:
         raise InputError(f"{path}: not a window manifest (format={doc.get('format')!r})")
     windows: list[DatasetWindow] = []

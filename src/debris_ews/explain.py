@@ -1,4 +1,5 @@
-"""Exact interventional Shapley attributions for forest models.
+"""Exact interventional Shapley attributions for forest models, and permutation
+rankings; both work on feature matrices.
 
 For one tree and one background row z, a leaf is reached under coalition S when
 x meets its path's constraints on the features in S and z meets them on the
@@ -24,13 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from ._common import InputError, cell, derived_rng, write_csv
-from .dataset import ExampleSet
 from .forest import ForestModel
 from .metrics import auprc
 from .trees import DecisionTree
 
 BACKGROUND_MAX_ROWS = 512
 BRUTE_MAX_FEATURES = 15
+PERMUTATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -186,40 +187,24 @@ def subsample_background(X: np.ndarray, max_rows: int = BACKGROUND_MAX_ROWS, see
     return X[np.sort(rows)]
 
 
-def importance_ranking(
-    model,
-    dataset: ExampleSet | tuple[np.ndarray, np.ndarray],
-    method: str = "mean_abs_shap",
-    seed: int = 0,
-    background: np.ndarray | None = None,
-    n_permutations: int = 10,
-) -> list[tuple[int, float]]:
-    """Features ordered by importance: mean |phi|, or mean AUPRC drop over
-    seeded column permutations."""
-    X, y = (dataset.X, dataset.y) if isinstance(dataset, ExampleSet) else dataset
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InputError("importance ranking needs a non-empty dataset")
-
-    if method == "mean_abs_shap":
-        Z = subsample_background(X, seed=seed) if background is None else background
-        return mean_abs_ranking(tree_shap_batch(model, X, Z)[0])
-    if method == "permutation":
-        y = np.asarray(y)
-        if y.min() == y.max():
-            raise InputError("permutation importance needs both label classes")
-        base = auprc(_score(model, X), y)
-        scores = np.empty(X.shape[1])
-        for f in range(X.shape[1]):
-            drops = []
-            for r in range(n_permutations):
-                perm = derived_rng(seed, 8, f, r).permutation(X.shape[0])
-                Xp = X.copy()
-                Xp[:, f] = X[perm, f]
-                drops.append(base - auprc(_score(model, Xp), y))
-            scores[f] = np.mean(drops)
-        return _ranked(scores)
-    raise InputError(f"unknown importance method {method!r}")
+def permutation_ranking(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -> list[tuple[int, float]]:
+    """Features ordered by the mean AUPRC drop over PERMUTATIONS seeded shuffles of their column."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    if X.ndim != 2 or X.shape[0] == 0 or y.shape != X.shape[:1]:
+        raise InputError("permutation ranking needs a non-empty matrix and one label per row")
+    if y.min() == y.max():
+        raise InputError("permutation importance needs both label classes")
+    base = auprc(_score(model, X), y)
+    scores = np.empty(X.shape[1])
+    for f in range(X.shape[1]):
+        drops = []
+        for r in range(PERMUTATIONS):
+            perm = derived_rng(seed, 8, f, r).permutation(X.shape[0])
+            Xp = X.copy()
+            Xp[:, f] = X[perm, f]
+            drops.append(base - auprc(_score(model, Xp), y))
+        scores[f] = np.mean(drops)
+    return _ranked(scores)
 
 
 def mean_abs_ranking(values: np.ndarray) -> list[tuple[int, float]]:

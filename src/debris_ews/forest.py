@@ -38,6 +38,7 @@ class ForestParams:
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise InputError("n_trees must be >= 1")
+        TreeParams(self.max_depth, self.min_samples_leaf, self.max_features)  # checks the tree settings
 
     def tree_params(self, n_features: int) -> TreeParams:
         m = self.max_features

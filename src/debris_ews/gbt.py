@@ -37,6 +37,7 @@ class GbtParams:
             raise InputError("learning_rate must be finite and >= 0")
         if self.leaf_l2 < 0:
             raise InputError("leaf_l2 must be >= 0")
+        self.tree_params()  # checks the tree settings
 
     def tree_params(self) -> TreeParams:
         return TreeParams(self.max_depth, self.min_samples_leaf, None)

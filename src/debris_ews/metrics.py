@@ -1,5 +1,5 @@
 """Point metrics, ROC/PR curves, areas, operating-point tables, and per-event
-capture counts.
+capture counts, all from arrays of scores and labels.
 
 One counter serves every curve: the scores are rank-coded once (code = rank
 of the score among the K distinct scores, highest first, + K * label) and one
@@ -17,12 +17,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._common import InputError, cell, write_csv
-from .dataset import DatasetWindow, WindowKind
 
 log = logging.getLogger(__name__)
 
@@ -225,33 +224,24 @@ class CaptureRow:
 
 
 def event_capture(
-    windows: Sequence[DatasetWindow],
-    scores_by_window: Mapping[str, np.ndarray],
-    thresholds: Sequence[float] | None = None,
-    lead_hours: int = 12,
+    groups: Iterable[tuple[Sequence[float], Sequence[int]]], thresholds: Sequence[float] | None = None
 ) -> list[CaptureRow]:
-    """Per-threshold counts of debris flows with at least one alert-worthy score
-    inside the lead window [flow - lead_hours, flow]."""
-    if thresholds is None:
-        thresholds = np.arange(101) / 100.0
+    """Per-threshold counts of debris flows with at least one score at or above
+    the threshold in their lead window. groups holds one (scores, labels) pair
+    per window; the positive hours of a window are the lead window of its one
+    flow, and a window without positives holds none."""
+    thresholds = np.arange(101) / 100.0 if thresholds is None else np.asarray(thresholds, dtype=np.float64)
     peaks = []
-    for w in windows:
-        if w.kind is not WindowKind.POSITIVE:
-            continue
-        try:
-            s = np.asarray(scores_by_window[w.id], dtype=np.float64)
-        except KeyError:
-            raise InputError(f"no scores for positive window {w.id}") from None
-        if s.size != len(w):
-            raise InputError(f"scores for window {w.id} have wrong length")
-        d = w.debris_flow_idx
-        peaks.append(float(s[max(0, d - lead_hours) : d + 1].max()))
-    peaks_arr = np.asarray(peaks)
-    rows = []
-    for t in thresholds:
-        captured = int(np.count_nonzero(peaks_arr >= t))
-        rows.append(CaptureRow(float(t), captured, len(peaks) - captured))
-    return rows
+    for scores, labels in groups:
+        s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels) == 1
+        if s.shape != y.shape:
+            raise InputError("scores and labels of a window differ in shape")
+        if y.any():
+            peaks.append(s[y].max())
+    if not peaks:
+        raise InputError("no debris flows to capture: no window has a positive label")
+    captured = np.count_nonzero(np.asarray(peaks)[:, None] >= thresholds, axis=0).tolist()
+    return [CaptureRow(float(t), c, len(peaks) - c) for t, c in zip(thresholds, captured)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ seed, optional feature spec, and full node arrays for tree models.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict
 from pathlib import Path
@@ -14,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from ._common import InputError, write_json
+from ._common import InputError, build_params, read_json, write_json
 from .dataset import FeatureSpec
 from .forest import ForestModel, ForestParams
 from .gbt import GbtModel, GbtParams
@@ -92,16 +91,17 @@ def model_to_doc(model: Model, feature_spec: FeatureSpec | None = None, meta: di
 
 
 def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
-    if doc.get("format") != FORMAT:
-        raise InputError(f"not a model document (format={doc.get('format')!r})")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != FORMAT:
+        raise InputError(f"not a model document (format={fmt!r})")
     if doc.get("version") != VERSION:
         raise InputError(f"unsupported model document version {doc.get('version')!r}")
     spec = None
     if doc.get("feature_spec") is not None:
-        spec = FeatureSpec(**doc["feature_spec"])
+        spec = build_params(FeatureSpec, doc["feature_spec"], "feature_spec")
     kind = doc.get("kind")
     if kind == "random_forest":
-        params = ForestParams(**doc["params"])
+        params = build_params(ForestParams, doc["params"], "params")
         tp = params.tree_params(doc["n_features"])
         trees = tuple(_tree_from_doc(t, doc["n_features"], tp) for t in doc["trees"])
         return (
@@ -109,7 +109,7 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
             spec,
         )
     if kind == "gbt":
-        params = GbtParams(**doc["params"])
+        params = build_params(GbtParams, doc["params"], "params")
         tp = params.tree_params()
         trees = tuple(_tree_from_doc(t, doc["n_features"], tp) for t in doc["trees"])
         return (
@@ -117,7 +117,7 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
             spec,
         )
     if kind == "logistic":
-        params = LogisticParams(**doc["params"])
+        params = build_params(LogisticParams, doc["params"], "params")
         return (
             LinearModel(np.asarray(doc["weights"], dtype=np.float64), doc["bias"], params, doc["converged"]),
             spec,
@@ -132,11 +132,13 @@ def save_model(path: str | Path, model: Model, feature_spec: FeatureSpec | None 
 def load_model(path: str | Path, with_meta: bool = False) -> tuple:
     """(model, feature spec), and the document's meta dict as a third item if with_meta."""
     path = Path(path)
+    doc = read_json(path, "model file")
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from None
-    model, spec = model_from_doc(doc)
+        model, spec = model_from_doc(doc)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:  # an InputError, or node arrays numpy cannot read
+        raise InputError(f"{path}: {exc}") from None
     return (model, spec, dict(doc.get("meta") or {})) if with_meta else (model, spec)
 
 

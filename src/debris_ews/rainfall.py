@@ -176,8 +176,14 @@ def daily_sums_matrix(
     return edges[:, :-1] - edges[:, 1:]
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise InputError(f"alpha must be in [0, 1], got {alpha!r}")
+
+
 def _antecedents(series: RainSeries, starts, alpha: float, mode: DailyWindowMode) -> np.ndarray:
     """Antecedent index, sum over i of alpha**i * R_i, before each event start."""
+    check_alpha(alpha)
     weights = np.power(alpha, np.arange(1, ANTECEDENT_DAYS + 1, dtype=np.float64))
     return np.vecdot(daily_sums_matrix(series, starts, ANTECEDENT_DAYS, mode), weights)
 
@@ -329,6 +335,7 @@ def write_ear_csv(
 ) -> None:
     """Per-hour EAR of each station. Hours inside an event carry its index among the
     station's events and its antecedent index; other hours leave both blank."""
+    check_alpha(alpha)  # before the file is opened
     def rows(s: RainSeries):
         ear, events, antes = _ear_pass(s, alpha, mode, RAIN_THRESHOLD_MM, QUIET_HOURS)
         owner = np.full(len(s), -1)

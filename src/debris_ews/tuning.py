@@ -2,8 +2,9 @@
 
 Every grid cell is scored by the mean AUPRC over k held-out folds; folds come
 from the stratified window k-fold, so no window contributes hours to both
-sides of a fit. Ties on mean AUPRC go to the smaller model: fewer trees, then
-shallower, then larger leaves.
+sides of a fit. One example matrix holds the folds in fold order, and a fit
+trains on the rows outside its held-out fold. Ties on mean AUPRC go to the
+smaller model: fewer trees, then shallower, then larger leaves.
 """
 from __future__ import annotations
 
@@ -15,15 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, derived_rng, write_csv
-from .dataset import (
-    DatasetWindow,
-    ExampleSet,
-    FeatureSpec,
-    LabelingConfig,
-    build_examples,
-    kfold_windows,
-)
+from ._common import InputError, build_params, derived_rng, write_csv
+from .dataset import DatasetWindow, FeatureSpec, LabelingConfig, build_examples, kfold_windows
 from .forest import ForestParams, fit_forest
 from .gbt import GbtParams, fit_gbt
 from .linear import LogisticParams, fit_logistic
@@ -31,7 +25,8 @@ from .metrics import auprc
 
 log = logging.getLogger(__name__)
 
-MODEL_KINDS = ("rf", "gbt", "logistic")
+_PARAMS = {"rf": ForestParams, "gbt": GbtParams, "logistic": LogisticParams}
+MODEL_KINDS = tuple(_PARAMS)
 
 _TREE_COUNTS = (10, 40, 70, 100)
 _DEPTHS = (None, 1, 2, 6, 15, 39, 100)
@@ -57,14 +52,22 @@ def default_grid(model_kind: str) -> list[dict]:
     raise InputError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
 
 
-def _fit_cell(model_kind: str, cell: Mapping, X, y, training_weight: float, seed: int, threads: int):
-    if model_kind == "rf":
-        return fit_forest(X, y, ForestParams(**cell), training_weight, seed=seed, threads=threads)
-    if model_kind == "gbt":
-        return fit_gbt(X, y, params=GbtParams(**cell), training_weight=training_weight)
-    if model_kind == "logistic":
-        return fit_logistic(X, y, params=LogisticParams(**cell), training_weight=training_weight)
-    raise InputError(f"unknown model kind {model_kind!r}")
+def _cell_params(model_kind: str, grid: Sequence, source: str) -> list:
+    """Each cell's parameters, checked before any fit; an error names the source,
+    the cell index and the field."""
+    if model_kind not in _PARAMS:
+        raise InputError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
+    if not grid:
+        raise InputError("empty hyperparameter grid")
+    return [build_params(_PARAMS[model_kind], cell, f"{source}: cell {ci}") for ci, cell in enumerate(grid)]
+
+
+def _fit_cell(params, X, y, training_weight: float, seed: int, threads: int):
+    if isinstance(params, ForestParams):
+        return fit_forest(X, y, params, training_weight, seed=seed, threads=threads)
+    if isinstance(params, GbtParams):
+        return fit_gbt(X, y, params=params, training_weight=training_weight)
+    return fit_logistic(X, y, params=params, training_weight=training_weight)
 
 
 def _size_key(model_kind: str, cell: Mapping) -> tuple:
@@ -101,26 +104,29 @@ def grid_search_cv(
     labeling: LabelingConfig = LabelingConfig(),
     training_weight: float = 1.0,
     threads: int = 1,
+    grid_source: str = "grid",
 ) -> GridResult:
+    """The CV table of grid; grid_source names the grid in errors about its cells."""
     if grid is None:
         grid = default_grid(model_kind)
-    if not grid:
-        raise InputError("empty hyperparameter grid")
+    cell_params = _cell_params(model_kind, grid, grid_source)
     folds = kfold_windows(windows, k, seed)
-    fold_sets = [build_examples(fold, spec, labeling) for fold in folds]
+    # one matrix in fold order: fold fi's rows are held out, the rest train in fold order
+    examples = build_examples([w for fold in folds for w in fold], spec, labeling)
+    fold_of_row = np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
 
     cells: list[GridCell] = []
-    for ci, cell in enumerate(grid):
+    for ci, (cell, params) in enumerate(zip(grid, cell_params)):
         scores: list[float] = []
         for fi in range(k):
-            train = ExampleSet.concat([fs for j, fs in enumerate(fold_sets) if j != fi])
-            held = fold_sets[fi]
-            if held.y.max() == held.y.min():
+            held = fold_of_row == fi
+            y_held = examples.y[held]
+            if y_held.max() == y_held.min():
                 log.warning("fold %d has single-class labels; skipped in cell %s", fi, cell)
                 continue
             fit_seed = int(derived_rng(seed, 5, ci, fi).integers(2**63))
-            model = _fit_cell(model_kind, cell, train.X, train.y, training_weight, fit_seed, threads)
-            scores.append(auprc(model.predict_proba(held.X), held.y))
+            model = _fit_cell(params, examples.X[~held], examples.y[~held], training_weight, fit_seed, threads)
+            scores.append(auprc(model.predict_proba(examples.X[held]), y_held))
         if not scores:
             raise InputError("every fold was single-class; cannot score the grid")
         cells.append(GridCell(dict(cell), tuple(scores), float(np.mean(scores))))

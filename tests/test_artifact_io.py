@@ -1,11 +1,13 @@
-"""The artifact writers in _common, and the rule that every CSV and JSON
-artifact goes through them, so the output format lives in one module."""
+"""The artifact writers and the JSON reader in _common, and the rule that every
+CSV and JSON artifact goes through them, so the output format lives in one module."""
 import json
 import re
 from pathlib import Path
 
+import pytest
+
 import debris_ews
-from debris_ews._common import cell, write_csv, write_json
+from debris_ews._common import InputError, cell, read_json, write_csv, write_json
 
 SRC = Path(debris_ews.__file__).parent
 
@@ -38,6 +40,17 @@ def test_write_json_indent_none_is_compact(tmp_path):
     path = tmp_path / "compact.json"
     write_json(path, {"b": 1, "a": [1, 2]}, indent=None)
     assert path.read_text() == '{"a": [1, 2], "b": 1}\n'
+
+
+def test_read_json_reads_back_and_names_a_bad_file(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": [1, None]})
+    assert read_json(path, "doc") == {"a": [1, None]}
+    path.write_text("{")
+    with pytest.raises(InputError, match=f"^cannot read doc {re.escape(str(path))}: Expecting property name"):
+        read_json(path, "doc")
+    with pytest.raises(InputError, match=f"^cannot read doc {re.escape(str(tmp_path / 'gone.json'))}: "):
+        read_json(tmp_path / "gone.json", "doc")
 
 
 def test_only_common_writes_csv_or_json():

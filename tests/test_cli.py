@@ -295,6 +295,9 @@ def test_threads_below_one_fail(pipeline, tmp_path, capsys, command, threads):
 
 CORPUS = ["--rainfall", "{rain}", "--manifest", "{man}", "--seed", "1"]
 SCORES_BODY = "window_id,hour,label,score\nw1,0,0,0.5\n"
+MODEL_DOC = {"format": "debris-ews-model", "version": 1, "kind": "random_forest"}
+EVAL = ["eval", "--model", "{doc}", "--rainfall", "{rain}", "--manifest", "{man}"]
+RF_FIELDS = "n_trees, max_depth, min_samples_leaf, max_features, bootstrap"
 BAD_INPUTS = {
     "gbt threads flag": (["train", *CORPUS, "--model", "gbt", "--trees", "2", "--threads", "0"], {},
                          "threads must be >= 1, got 0"),
@@ -327,6 +330,41 @@ BAD_INPUTS = {
                                    {"scores": SCORES_BODY + "w1,1,1,-inf\nw1,x,1,0.5\n"},
                                    "{scores}:3: label must be 0 or 1 and score finite in row "
                                    "{{'window_id': 'w1', 'hour': '1', 'label': '1', 'score': '-inf'}}"),
+    "grid cell with an unknown key": (["cv", *CORPUS, "--grid", "{grid}"], {"grid": [{"n_trees": 2, "bogus": 1}]},
+                                      f"{{grid}}: cell 0: unknown field 'bogus' (expected one of {RF_FIELDS})"),
+    "grid cell with a string value": (["cv", *CORPUS, "--grid", "{grid}"], {"grid": [{"n_trees": 2}, {"n_trees": "x"}]},
+                                      "{grid}: cell 1: field 'n_trees': expected an integer, got 'x'"),
+    "grid cell with a bad depth": (["cv", *CORPUS, "--grid", "{grid}"], {"grid": [{"max_depth": 1.5}]},
+                                   "{grid}: cell 0: field 'max_depth': expected an integer or null, got 1.5"),
+    "grid cell the params reject": (["cv", *CORPUS, "--model", "gbt", "--grid", "{grid}"],
+                                    {"grid": [{"min_samples_leaf": 0}]}, "{grid}: cell 0: min_samples_leaf must be >= 1"),
+    "tree cell in a logistic grid": (["cv", *CORPUS, "--model", "logistic", "--grid", "{grid}"],
+                                     {"grid": [{"n_trees": 2}]},
+                                     "{grid}: cell 0: unknown field 'n_trees' (expected one of penalty, l2, max_iter, tol)"),
+    "grid that is not JSON": (["cv", *CORPUS, "--grid", "{grid}"], {"grid": "[{"},
+                              "cannot read grid file {grid}: Expecting property name enclosed in double quotes: "
+                              "line 1 column 3 (char 2)"),
+    "model with an unknown params key": (EVAL, {"doc": {**MODEL_DOC, "params": {"n_trees": 3, "bogus": 1}}},
+                                         f"{{doc}}: params: unknown field 'bogus' (expected one of {RF_FIELDS})"),
+    "model with a string n_trees": (EVAL, {"doc": {**MODEL_DOC, "params": {"n_trees": "3"}}},
+                                    "{doc}: params: field 'n_trees': expected an integer, got '3'"),
+    "model with a string hourly_hours": (EVAL, {"doc": {**MODEL_DOC, "feature_spec": {"hourly_hours": "12"}}},
+                                         "{doc}: feature_spec: field 'hourly_hours': expected an integer, got '12'"),
+    "model with a bad daily_mode": (EVAL, {"doc": {**MODEL_DOC, "feature_spec": {"daily_mode": "weekly"}}},
+                                    "{doc}: feature_spec: field 'daily_mode': expected one of 'calendar_day', "
+                                    "'rolling_24h', got 'weekly'"),
+    "model without params": (EVAL, {"doc": MODEL_DOC}, "{doc}: missing field 'params'"),
+    "model that is not an object": (EVAL, {"doc": [MODEL_DOC]}, "{doc}: not a model document (format=None)"),
+    "model with a text node array": (EVAL, {"doc": {**MODEL_DOC, "params": {}, "n_features": 1, "trees": [
+        {"feature": "x", "threshold": [], "left": [], "right": [], "value": [], "weight": []}]}},
+                                     "{doc}: invalid literal for int() with base 10: 'x'"),
+    "negative alpha with the EAR feature": (["train", *CORPUS, "--alpha", "-2", "--include-ear"], {},
+                                            "alpha must be in [0, 1], got -2.0"),
+    "alpha above 1 for weighted daily totals": (["train", *CORPUS, "--daily", "2", "--daily-weighted", "--alpha", "1.5"],
+                                                {}, "alpha must be in [0, 1], got 1.5"),
+    "ear alpha": (["ear", "--rainfall", "{rain}", "--alpha", "5"], {}, "alpha must be in [0, 1], got 5.0"),
+    "sweep-baselines alpha": (["sweep-baselines", "--rainfall", "{rain}", "--manifest", "{man}", "--thresholds", "{thr}",
+                               "--alpha", "nan"], {}, "alpha must be in [0, 1], got nan"),
 }
 
 
@@ -334,7 +372,8 @@ BAD_INPUTS = {
 def test_bad_option_and_score_values_exit_1_naming_them(pipeline, tmp_path, capsys, case):
     argv, files, message = BAD_INPUTS[case]
     paths = {"rain": pipeline["corpus"] / "rainfall.csv", "man": pipeline["data"] / "manifest.json",
-             "model": pipeline["model"] / "model.json", "cfg": tmp_path / "cfg.json", "scores": tmp_path / "scores.csv"}
+             "model": pipeline["model"] / "model.json", "cfg": tmp_path / "cfg.json", "scores": tmp_path / "scores.csv",
+             "grid": tmp_path / "grid.json", "doc": tmp_path / "model.json", "thr": pipeline["corpus"] / "thresholds.csv"}
     for name, content in files.items():
         paths[name].write_text(content if isinstance(content, str) else json.dumps(content))
     capsys.readouterr()

@@ -9,10 +9,10 @@ from debris_ews import (
     WindowKind,
     build_examples,
     build_windows,
-    compose_features,
     kfold_windows,
     label_hours,
     split_windows,
+    window_rows,
 )
 from debris_ews.dataset import (
     read_events_csv,
@@ -185,7 +185,7 @@ def test_label_count_identity_random():
 def test_hourly_feature_most_recent_first():
     values = np.arange(1.0, 11.0)
     w = DatasetWindow("S000", series(values), WindowKind.NEGATIVE)
-    ex = compose_features(w, FeatureSpec(hourly_hours=3))
+    ex = build_examples([w], FeatureSpec(hourly_hours=3))
     assert ex.X[0].tolist() == [1.0, 0.0, 0.0]  # padding before window start
     assert ex.X[5].tolist() == [6.0, 5.0, 4.0]
     assert ex.feature_names == ("hourly_0", "hourly_1", "hourly_2")
@@ -193,7 +193,7 @@ def test_hourly_feature_most_recent_first():
 
 def test_single_hour_feature():
     w = DatasetWindow("S000", series([7.0]), WindowKind.NEGATIVE)
-    ex = compose_features(w, FeatureSpec(hourly_hours=1))
+    ex = build_examples([w], FeatureSpec(hourly_hours=1))
     assert ex.X.tolist() == [[7.0]]
 
 
@@ -202,7 +202,7 @@ def test_daily_weighted_feature():
     values = np.zeros(48)
     values[6] = 10.0
     w = DatasetWindow("S000", series(values), WindowKind.NEGATIVE)
-    ex = compose_features(w, FeatureSpec(hourly_hours=0, daily_days=1, daily_weighted=True))
+    ex = build_examples([w], FeatureSpec(hourly_hours=0, daily_days=1, daily_weighted=True))
     assert ex.X[30, 0] == pytest.approx(7.0)
     assert ex.X[10, 0] == 0.0  # same day: previous full day is empty
 
@@ -212,7 +212,7 @@ def test_daily_features_precede_hourly_block():
     values = np.ones(24 * 6)
     w = DatasetWindow("S000", series(values), WindowKind.NEGATIVE)
     spec = FeatureSpec(hourly_hours=24, daily_days=1, daily_mode="rolling_24h")
-    ex = compose_features(w, spec)
+    ex = build_examples([w], spec)
     t = 24 * 5
     # daily_1 covers hours [t-47 .. t-24]: all ones -> 24
     assert ex.X[t, 24] == pytest.approx(24.0)
@@ -223,7 +223,7 @@ def test_daily_features_precede_hourly_block():
 def test_ear_feature_zero_outside_events():
     values = _storm(200, 6, 40)
     w = DatasetWindow("S000", series(values), WindowKind.NEGATIVE)
-    ex = compose_features(w, FeatureSpec(hourly_hours=0, include_ear=True))
+    ex = build_examples([w], FeatureSpec(hourly_hours=0, include_ear=True))
     assert ex.X[100, 0] == 0.0
     assert ex.X[203, 0] > 0.0
 
@@ -233,12 +233,12 @@ def test_feature_vector_layout_and_invariants():
     values = random_rain(rng, 300)
     w = DatasetWindow("S000", series(values), WindowKind.NEGATIVE)
     spec = FeatureSpec(hourly_hours=6, daily_days=7, daily_weighted=True, include_ear=True)
-    ex = compose_features(w, spec)
+    ex = build_examples([w], spec)
     assert ex.X.shape == (300, 6 + 7 + 1)
     assert np.isfinite(ex.X).all() and (ex.X >= 0).all()
     assert ex.feature_names[-1] == "ear"
     # determinism: pure function of (window, spec)
-    ex2 = compose_features(w, spec)
+    ex2 = build_examples([w], spec)
     np.testing.assert_array_equal(ex.X, ex2.X)
 
 
@@ -249,6 +249,26 @@ def test_feature_spec_validation():
         FeatureSpec(hourly_hours=169)
     with pytest.raises(InputError):
         FeatureSpec(daily_days=8)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+def test_feature_spec_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(InputError, match=r"alpha must be in \[0, 1\]"):
+        FeatureSpec(alpha=alpha)
+    assert FeatureSpec(alpha=0.0).alpha == 0.0 and FeatureSpec(alpha=1.0).alpha == 1.0
+
+
+def test_window_rows_order_and_label_every_hour():
+    neg = DatasetWindow("S001", series(np.zeros(5), station_id="S001"), WindowKind.NEGATIVE)
+    pos = _pos_window(n=30, flow=20)
+    ids, hours, labels = window_rows([neg, pos], LabelingConfig(lead_hours=3))
+    assert ids == (neg.id,) * 5 + (pos.id,) * 30
+    assert hours.tolist() == list(range(5)) + list(range(30))
+    assert labels.tolist() == [0] * 5 + label_hours(pos, LabelingConfig(lead_hours=3)).tolist()
+    ex = build_examples([neg, pos], FeatureSpec(hourly_hours=2), LabelingConfig(lead_hours=3))
+    assert (ex.window_ids, ex.hours.tolist(), ex.y.tolist()) == (ids, hours.tolist(), labels.tolist())
+    with pytest.raises(InputError):
+        window_rows([])
 
 
 # --- splits -----------------------------------------------------------------------

@@ -12,12 +12,12 @@ from debris_ews import (
     brute_shap,
     fit_forest,
     fit_tree,
-    importance_ranking,
+    permutation_ranking,
     subsample_background,
     tree_shap,
     tree_shap_batch,
 )
-from debris_ews.explain import _weight_table, write_attribution_csv
+from debris_ews.explain import _weight_table, mean_abs_ranking, write_attribution_csv
 from debris_ews.trees import DecisionTree
 
 
@@ -166,8 +166,8 @@ def test_importance_single_feature_model_ranks_it_first():
     X = rng.normal(size=(120, 4))
     y = (X[:, 2] > 0.3).astype(int)
     model = fit_forest(X, y, ForestParams(n_trees=5, max_depth=3, max_features=4), seed=3)
-    for method in ("mean_abs_shap", "permutation"):
-        ranking = importance_ranking(model, (X, y), method=method, seed=0)
+    shap = mean_abs_ranking(tree_shap_batch(model, X, subsample_background(X, seed=0))[0])
+    for method, ranking in (("mean_abs_shap", shap), ("permutation", permutation_ranking(model, X, y, seed=0))):
         assert ranking[0][0] == 2, (method, ranking)
 
 
@@ -177,7 +177,7 @@ def test_permutation_importance_of_unused_feature_is_zero():
     y = (X[:, 0] > 0).astype(int)
     tree = fit_tree(X, y, params=TreeParams(max_depth=1))
     assert set(tree.feature[tree.feature >= 0].tolist()) == {0}
-    ranking = dict(importance_ranking(tree, (X, y), method="permutation", seed=1))
+    ranking = dict(permutation_ranking(tree, X, y, seed=1))
     assert ranking[1] == pytest.approx(0.0, abs=1e-12)
     assert ranking[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -187,8 +187,8 @@ def test_importance_deterministic():
     X = rng.normal(size=(80, 3))
     y = (X[:, 0] - X[:, 1] > 0).astype(int)
     model = fit_forest(X, y, ForestParams(n_trees=3, max_depth=3), seed=2)
-    r1 = importance_ranking(model, (X, y), method="permutation", seed=5)
-    r2 = importance_ranking(model, (X, y), method="permutation", seed=5)
+    r1 = permutation_ranking(model, X, y, seed=5)
+    r2 = permutation_ranking(model, X, y, seed=5)
     assert r1 == r2
 
 
@@ -205,7 +205,7 @@ def test_most_recent_hour_ranks_high_on_planted_corpus():
     test = d.build_examples(test_w, spec)
     model = d.fit_forest(train.X, train.y, d.ForestParams(n_trees=10, max_depth=6), seed=5)
     bg = subsample_background(train.X, max_rows=32, seed=5)
-    ranking = importance_ranking(model, (test.X, test.y), method="mean_abs_shap", seed=5, background=bg)
+    ranking = mean_abs_ranking(tree_shap_batch(model, test.X, bg)[0])
     assert 0 in [f for f, _ in ranking[:3]]
 
 

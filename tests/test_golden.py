@@ -56,6 +56,7 @@ GOLDEN_ARTIFACTS = {
         "pipeline/op/operating_points.csv": "cbba4b823dcb9550b4144cf08fed583ecda39d6a32f7de75dfdfdcb70a4c6020",
         "pipeline/explain/importance.csv": "2cdc8e122ff895e243c1d95e797d0587a1634c11098fba477e618381acb3cd95",
         "pipeline/explain/explain.json": "9eac82622e379ba63d289ec87220495c6d276cd0cd7c2851a8ddba20df812246",
+        "run/explain_perm/importance.csv": "26c09cc0a5168effb06ba8e27aec07b5a32efd8daf52ecb18ea4c22b06248d05",
         "run/cv/cv_results.csv": "b83b40afd47ac682f5e1ac273dec23e4ceb6b9d003b27077270c9a9c130a835b",
         "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
         "run/gbt/model.json": "fbeb52f9843dca597cb56e9b94e829eece022bc1442e6a9d8e546a9299411244",
@@ -127,8 +128,9 @@ def test_pipeline_fingerprints(pipeline):
 def test_artifact_fingerprints(corpus, pipeline, tmp_path):
     """Every other CSV and JSON artifact: the synthetic event and threshold
     tables, segment, ear, the exported features, curves, metrics, operating
-    points, importances, a 2-cell CV table, a GBT model and two forests whose
-    training weights (0.1 and 10) take the two split scans."""
+    points, importances, a 2-cell CV table, a GBT model, two forests whose
+    training weights (0.1 and 10) take the two split scans, and a permutation
+    importance ranking."""
     version = _numpy_version(GOLDEN_ARTIFACTS)
     corpus, data = corpus
     rain = ["--rainfall", str(corpus / "rainfall.csv")]
@@ -147,6 +149,9 @@ def test_artifact_fingerprints(corpus, pipeline, tmp_path):
         # fractional weights take the sort scan, integer ones the counting scan
         *(["train", *inputs, "--out", str(tmp_path / f"rf_tw{tw}"), "--seed", "7", "--trees", "3",
            "--training-weight", tw] for tw in ("0.1", "10")),
+        # 300 rows of every split hold both classes, as permutation ranking needs
+        ["explain", "--model", str(pipeline / "model/model.json"), *inputs, "--out", str(tmp_path / "explain_perm"),
+         "--seed", "7", "--split", "all", "--max-rows", "300", "--background-rows", "16", "--method", "permutation"],
     ):
         assert main(argv) == 0, argv
     files = {"corpus": corpus, "pipeline": pipeline, "run": tmp_path}

@@ -5,12 +5,14 @@ from debris_ews import (
     ConfusionCounts,
     DatasetWindow,
     InputError,
+    LabelingConfig,
     WindowKind,
     auc,
     auprc,
     auroc,
     counts_at,
     event_capture,
+    label_hours,
     operating_points,
     point_metrics,
     pr_curve,
@@ -315,9 +317,12 @@ def _capture_fixture():
     return windows, scores
 
 
+def _groups(windows, scores, lead_hours=12):
+    return [(scores[w.id], label_hours(w, LabelingConfig(lead_hours))) for w in windows]
+
+
 def test_event_capture_hand_counts():
-    windows, scores = _capture_fixture()
-    rows = event_capture(windows, scores, thresholds=[0.0, 0.3, 0.5, 1.0])
+    rows = event_capture(_groups(*_capture_fixture()), thresholds=[0.0, 0.3, 0.5, 1.0])
     got = {r.threshold: (r.captured, r.missed) for r in rows}
     assert got[0.0] == (3, 0)
     assert got[0.3] == (2, 1)
@@ -326,8 +331,7 @@ def test_event_capture_hand_counts():
 
 
 def test_event_capture_monotone_full_grid():
-    windows, scores = _capture_fixture()
-    rows = event_capture(windows, scores)
+    rows = event_capture(_groups(*_capture_fixture()))
     captured = [r.captured for r in rows]
     assert len(rows) == 101
     assert all(a >= b for a, b in zip(captured, captured[1:]))
@@ -339,8 +343,48 @@ def test_event_capture_score_outside_lead_ignored():
     w = windows[0]
     sc = np.zeros(200)
     sc[100 - 13] = 0.99  # one hour too early
-    rows = event_capture([w], {w.id: sc}, thresholds=[0.5])
+    rows = event_capture(_groups([w], {w.id: sc}), thresholds=[0.5])
     assert rows[0].captured == 0
+
+
+def test_event_capture_rejects_groups_without_flows_or_matching_shapes():
+    with pytest.raises(InputError, match="no debris flows"):
+        event_capture([(np.ones(4), np.zeros(4, dtype=int))])
+    with pytest.raises(InputError, match="differ in shape"):
+        event_capture([(np.ones(4), np.ones(3, dtype=int))])
+
+
+def _reference_event_capture(windows, scores_by_window, thresholds, lead_hours):
+    """The window-slice rule: a positive window's peak is its highest score over
+    the hours [flow - lead_hours, flow], clipped to the window."""
+    peaks = []
+    for w in windows:
+        if w.kind is WindowKind.POSITIVE:
+            d = w.debris_flow_idx
+            peaks.append(float(scores_by_window[w.id][max(0, d - lead_hours) : d + 1].max()))
+    return [(float(t), sum(p >= t for p in peaks), sum(p < t for p in peaks)) for t in thresholds]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_event_capture_from_labels_matches_window_slice_rule(seed):
+    """Reading each flow's lead window off its labels gives the counts of slicing
+    [flow - lead, flow] out of the window, for every lead 1..24, flows near the
+    window start, negative windows and scores tied at the thresholds."""
+    rng = np.random.default_rng(seed)
+    for lead in range(1, 25):
+        windows, scores = [], {}
+        for i in range(int(rng.integers(1, 8))):
+            n = int(rng.integers(1, 60))
+            kind = WindowKind.POSITIVE if i == 0 or rng.random() < 0.5 else WindowKind.NEGATIVE
+            flow = int(rng.integers(0, n)) if kind is WindowKind.POSITIVE else None
+            w = DatasetWindow(f"S{i}", series(np.zeros(n), station_id=f"S{i}"), kind, flow)
+            windows.append(w)
+            scores[w.id] = rng.integers(0, 11, size=n) / 10.0  # ties, and ties with the thresholds
+        thresholds = np.arange(101) / 100.0
+        got = event_capture(_groups(windows, scores, lead), thresholds)
+        assert [(r.threshold, r.captured, r.missed) for r in got] == _reference_event_capture(
+            windows, scores, thresholds, lead
+        )
 
 
 # --- writers ------------------------------------------------------------------------
@@ -358,6 +402,5 @@ def test_csv_writers(tmp_path):
     write_operating_points_csv(tmp_path / "op.csv", pts)
     text = (tmp_path / "op.csv").read_text()
     assert "infeasible" in text
-    windows, sc = _capture_fixture()
-    write_capture_csv(tmp_path / "cap.csv", event_capture(windows, sc))
+    write_capture_csv(tmp_path / "cap.csv", event_capture(_groups(*_capture_fixture())))
     assert (tmp_path / "cap.csv").read_text().splitlines()[0] == "threshold,captured,missed"

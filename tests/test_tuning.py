@@ -115,6 +115,19 @@ def test_empty_grid_rejected():
         grid_search_cv(windows, FeatureSpec(hourly_hours=4), [], k=3, seed=0)
 
 
+def test_every_grid_cell_is_checked_before_the_first_fit(monkeypatch):
+    import debris_ews.tuning as tuning
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the grid was checked")
+
+    monkeypatch.setattr(tuning, "fit_forest", no_fit)
+    windows = _toy_corpus(np.random.default_rng(5), n_pos=4, n_neg=6)
+    grid = [{"n_trees": 2}, {"n_trees": 2, "max_depth": "deep"}]
+    with pytest.raises(InputError, match="^grid: cell 1: field 'max_depth': expected an integer or null, got 'deep'$"):
+        grid_search_cv(windows, FeatureSpec(hourly_hours=4), grid, k=3, seed=0)
+
+
 def test_grid_csv(tmp_path):
     rng = np.random.default_rng(6)
     windows = _toy_corpus(rng, n_pos=4, n_neg=8, hours=40)
