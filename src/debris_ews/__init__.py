@@ -33,11 +33,8 @@ from .dataset import (
     window_rows,
 )
 from .explain import (
-    ShapAttribution,
-    brute_shap,
     permutation_ranking,
     subsample_background,
-    tree_shap,
     tree_shap_batch,
 )
 from .forest import ForestModel, ForestParams, fit_forest
@@ -61,11 +58,9 @@ from .metrics import (
 from .modelio import load_model, predict_proba, save_model
 from .rainfall import (
     DailyWindowMode,
-    EarTrace,
     MainEvent,
     RainSeries,
     ear_series,
-    ear_trace,
     segment_events,
 )
 from .synth import SynthConfig, SynthCorpus, generate_corpus

@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, get_type_hints
+from typing import Callable, Iterator, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -131,14 +131,64 @@ def cell(v: float | None) -> str:
     return "" if v is None else repr(float(v))
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """A CSV artifact: the header row, then rows, in csv's default dialect (CRLF line ends)."""
+# Rows of a CSV artifact joined and written at once: bounds a write's scratch
+# memory whatever the row count, as CSV_BLOCK_CHARS does for a read.
+CSV_BLOCK_ROWS = 1 << 16
+
+
+def _quoted(field: str, alone: bool) -> str:
+    """field as csv's default dialect writes it: in quotes, with " doubled, when it holds
+    a comma, a quote or a line break, or when it is empty and the only field of its row."""
+    if "," in field or '"' in field or "\r" in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return '""' if alone and not field else field
+
+
+def _fields(column: Sequence, alone: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(text, index): a column's CSV fields are text[index], or text when index is None.
+
+    Each distinct value is formatted once: a float array by repr of each distinct
+    bit pattern (so -0.0 and 0.0 stay apart), an integer or bool array by str.
+    Any other column holds str fields, each distinct one quoted once."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        if column.dtype.kind == "f":
+            bits, index = np.unique(np.asarray(column, dtype=np.float64).view(np.uint64), return_inverse=True)
+            text = map(repr, bits.view(np.float64).tolist())
+        else:
+            distinct, index = np.unique(column, return_inverse=True)
+            text = map(str, distinct.tolist())
+        text = np.array(list(text), dtype=object)
+        return text, index.astype(np.min_scalar_type(text.size))  # 1 or 2 bytes a row for most columns
+    quoted = {}
+    for field in set(column):
+        if not isinstance(field, str):
+            raise TypeError(f"a CSV column holds a numeric array or str fields, not {type(field).__name__}")
+        quoted[field] = _quoted(field, alone)
+    if any(q is not f for f, q in quoted.items()):
+        column = list(map(quoted.__getitem__, column))
+    return np.asarray(column, dtype=object), None
+
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """A CSV artifact: the header row, then row i of every column, in the bytes of
+    csv's default dialect (minimal quoting, CRLF line ends). Columns are formatted
+    as _fields says and written CSV_BLOCK_ROWS rows at a time."""
+    lengths = {len(c) for c in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(f"{len(header)} header names for columns of lengths {[len(c) for c in columns]}")
+    fields = [_fields(c, len(columns) == 1) for c in columns]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(_quoted(name, len(header) == 1) for name in header) + "\r\n")
+        n, k = max(lengths, default=0), len(fields)
+        for a in range(0, n, CSV_BLOCK_ROWS):
+            rows, m = slice(a, a + CSV_BLOCK_ROWS), min(CSV_BLOCK_ROWS, n - a)
+            parts = [","] * (2 * k * m)  # row by row: field, separator, ..., field, line end
+            for j, (text, index) in enumerate(fields):
+                parts[2 * j :: 2 * k] = (text[rows] if index is None else text[index[rows]]).tolist()
+            parts[2 * k - 1 :: 2 * k] = ["\r\n"] * m
+            fh.write("".join(parts))
 
 
 def read_json(path: str | Path, what: str) -> object:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, cell, csv_row_ref, read_csv_rows, write_csv
+from ._common import InputError, csv_row_ref, read_csv_rows, write_csv
 from .dataset import DatasetWindow
 from .rainfall import DEFAULT_ALPHA, DailyWindowMode, ear_series
 
@@ -129,6 +129,7 @@ def read_threshold_csv(path: str | Path) -> ThresholdTable:
 
 
 def write_threshold_csv(path: str | Path, table: ThresholdTable) -> None:
-    year = "" if table.year is None else table.year
-    rows = ((sid, year, cell(table.thresholds[sid])) for sid in sorted(table.thresholds))
-    write_csv(path, THRESHOLD_CSV_COLUMNS, rows)
+    sids = sorted(table.thresholds)
+    year = "" if table.year is None else str(table.year)
+    thresholds = np.array([table.thresholds[sid] for sid in sids], dtype=np.float64)
+    write_csv(path, THRESHOLD_CSV_COLUMNS, (sids, [year] * len(sids), thresholds))

@@ -280,8 +280,8 @@ def _add_corpus_opts(cmd: _Command, manifest: bool = True) -> _Command:
 
 
 def write_scores_csv(path, window_ids, hours, labels, scores) -> None:
-    ints = [np.asarray(a).astype(np.int64).tolist() for a in (hours, labels)]
-    write_csv(path, SCORES_CSV_COLUMNS, zip(window_ids, *ints, map(repr, np.asarray(scores, dtype=np.float64).tolist())))
+    ints = [np.asarray(a).astype(np.int64) for a in (hours, labels)]
+    write_csv(path, SCORES_CSV_COLUMNS, (window_ids, *ints, np.asarray(scores, dtype=np.float64)))
 
 
 def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
@@ -360,11 +360,14 @@ def _run_segment(opts: dict) -> None:
     series_by_station = _load_corpus(opts)
     rows = [
         (sid, i, format_ts(s.hour_at(ev.start_idx)), format_ts(s.hour_at(ev.end_idx)), ev.hours,
-         cell(s.values[ev.start_idx : ev.end_idx + 1].sum()))
+         s.values[ev.start_idx : ev.end_idx + 1].sum())
         for sid, s in sorted(series_by_station.items())
         for i, ev in enumerate(segment_events(s, opts["rain_threshold"], opts["quiet_hours"]))
     ]
-    write_csv(out / "main_events.csv", ("station_id", "event_index", "start", "end", "hours", "total_mm"), rows)
+    sids, index, starts, ends, hours, totals = zip(*rows) if rows else [()] * 6
+    columns = (sids, np.array(index, dtype=np.int64), starts, ends, np.array(hours, dtype=np.int64),
+               np.array(totals, dtype=np.float64))
+    write_csv(out / "main_events.csv", ("station_id", "event_index", "start", "end", "hours", "total_mm"), columns)
     print(f"segment: {len(rows)} main rainfall events -> {out / 'main_events.csv'}")
 
 
@@ -533,11 +536,10 @@ def _run_sweep_baselines(opts: dict) -> None:
     # is ETM score >= 1, as fl(ear / thr) >= 1 exactly when ear >= thr > 0
     official = point_metrics(counts_at(etm_roc, 1.0))
     summary = {"etm": etm_areas, "hm": hm_areas, "official_etm_point": official.as_dict()}
-    marked = []
-    for thr in MARKED_THRESHOLDS_MM:
-        m = point_metrics(counts_at(hm_roc, thr))
-        marked.append((cell(thr), cell(m.precision), cell(m.recall), cell(m.specificity), cell(m.fpr)))
-    write_csv(out / "hm_marked.csv", ("threshold_mm", "precision", "recall", "specificity", "FPR"), marked)
+    marked = [point_metrics(counts_at(hm_roc, thr)) for thr in MARKED_THRESHOLDS_MM]
+    columns = [np.asarray(MARKED_THRESHOLDS_MM, dtype=np.float64)]
+    columns += [[cell(getattr(m, f)) for m in marked] for f in ("precision", "recall", "specificity", "fpr")]
+    write_csv(out / "hm_marked.csv", ("threshold_mm", "precision", "recall", "specificity", "FPR"), columns)
     write_json(out / "baselines.json", summary)
     print(
         f"sweep-baselines: ETM AUPRC {summary['etm']['auprc']:.4f}, "
@@ -628,8 +630,9 @@ def _run_explain(opts: dict) -> None:
         ranking = mean_abs_ranking(values)
     else:
         ranking = permutation_ranking(model, X_rows, examples.y[keep], opts["seed"])
-    rows = ((rank, spec.feature_names[f], cell(score)) for rank, (f, score) in enumerate(ranking, start=1))
-    write_csv(out / "importance.csv", ("rank", "feature", "score"), rows)
+    columns = (np.arange(1, len(ranking) + 1), [spec.feature_names[f] for f, _ in ranking],
+               np.array([score for _, score in ranking], dtype=np.float64))
+    write_csv(out / "importance.csv", ("rank", "feature", "score"), columns)
     write_json(out / "explain.json", {
         "base_value": base,
         "rows_explained": int(keep.size),

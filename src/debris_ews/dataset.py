@@ -436,8 +436,9 @@ def read_events_csv(path: str | Path) -> dict[str, list[datetime]]:
 
 
 def write_events_csv(path: str | Path, events: Mapping[str, Sequence[datetime]]) -> None:
-    rows = ((sid, format_ts(ts)) for sid in sorted(events) for ts in sorted(events[sid]))
-    write_csv(path, EVENTS_CSV_COLUMNS, rows)
+    stations = sorted(events)
+    sids = [sid for sid in stations for _ in events[sid]]
+    write_csv(path, EVENTS_CSV_COLUMNS, (sids, [format_ts(ts) for sid in stations for ts in sorted(events[sid])]))
 
 
 MANIFEST_FORMAT = "debris-ews-windows"
@@ -498,6 +499,5 @@ def read_manifest(
 def write_feature_csv(path: str | Path, examples: ExampleSet) -> None:
     """Feature matrix export: window_id,hour,label,f0..f{n-1}."""
     header = ["window_id", "hour", "label"] + [f"f{j}" for j in range(examples.X.shape[1])]
-    hours, labels = (np.asarray(a).astype(np.int64).tolist() for a in (examples.hours, examples.y))
-    X = np.asarray(examples.X, dtype=np.float64).tolist()
-    write_csv(path, header, ([w, h, y, *map(repr, x)] for w, h, y, x in zip(examples.window_ids, hours, labels, X)))
+    hours, labels = (np.asarray(a).astype(np.int64) for a in (examples.hours, examples.y))
+    write_csv(path, header, [examples.window_ids, hours, labels, *np.asarray(examples.X, dtype=np.float64).T])

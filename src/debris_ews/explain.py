@@ -11,12 +11,11 @@ Per leaf, one matrix product finds the dead pairs of all rows and background
 rows and one more sums the gains over the background. The weights are scaled to
 integers, so the sums are exact in any order while background rows times
 lcm(1..depth) stay below 2^53 (512 rows to depth 30). Averaging over the
-background and the trees gives exact local accuracy; brute_shap checks the
-values by full coalition enumeration.
+background and the trees gives exact local accuracy; the tests check the
+values against full coalition enumeration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from pathlib import Path
@@ -24,26 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import InputError, cell, derived_rng, write_csv
+from ._common import InputError, derived_rng, write_csv
 from .forest import ForestModel
 from .metrics import auprc
 from .trees import DecisionTree
 
 BACKGROUND_MAX_ROWS = 512
-BRUTE_MAX_FEATURES = 15
 PERMUTATIONS = 10
-
-
-@dataclass(frozen=True)
-class ShapAttribution:
-    """Per-feature contributions in probability units plus the background mean."""
-
-    values: np.ndarray
-    base: float
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum() + self.base)
 
 
 def _weight_table(depth: int) -> tuple[np.ndarray, int]:
@@ -133,51 +119,6 @@ def tree_shap_batch(
     return values / len(trees), sum(float(t.predict_value(Z).mean()) for t in trees) / len(trees)
 
 
-def tree_shap(model: ForestModel | DecisionTree, x: np.ndarray, background: np.ndarray) -> ShapAttribution:
-    """Exact interventional Shapley values for one row."""
-    values, base = tree_shap_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1), background)
-    return ShapAttribution(values[0], base)
-
-
-def brute_shap(model: ForestModel | DecisionTree, x: np.ndarray, background: np.ndarray) -> ShapAttribution:
-    """Shapley values by exhaustive coalition enumeration (oracle; <= 15 features)."""
-    trees = _as_trees(model)
-    n = trees[0].n_features
-    if n > BRUTE_MAX_FEATURES:
-        raise InputError(f"brute_shap enumerates 2^n coalitions; {n} features is too many")
-    Z = _check_background(n, background)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise InputError(f"row must have {n} features, got shape {x.shape}")
-
-    def predict_mean(rows: np.ndarray) -> float:
-        total = np.zeros(rows.shape[0])
-        for tree in trees:
-            total += tree.predict_value(rows)
-        return float(total.mean()) / len(trees)
-
-    v = np.empty(1 << n)
-    for mask in range(1 << n):
-        hybrid = Z.copy()
-        for j in range(n):
-            if mask >> j & 1:
-                hybrid[:, j] = x[j]
-        v[mask] = predict_mean(hybrid)
-
-    weights = [float(Fraction(factorial(s) * factorial(n - s - 1), factorial(n))) for s in range(n)]
-    phi = np.zeros(n)
-    full = (1 << n) - 1
-    for j in range(n):
-        rest = full & ~(1 << j)
-        sub = rest
-        while True:  # iterate all subsets of rest, including the empty set
-            phi[j] += weights[bin(sub).count("1")] * (v[sub | 1 << j] - v[sub])
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    return ShapAttribution(phi, v[0])
-
-
 def subsample_background(X: np.ndarray, max_rows: int = BACKGROUND_MAX_ROWS, seed: int = 0) -> np.ndarray:
     """Seeded row subsample used as the default SHAP background."""
     X = np.asarray(X, dtype=np.float64)
@@ -225,9 +166,6 @@ def write_attribution_csv(
     values: np.ndarray,
 ) -> None:
     """Beeswarm-ready export: row_id,feature_name,feature_value,shap_value."""
-    rows = (
-        (rid, name, cell(X[i, j]), cell(values[i, j]))
-        for i, rid in enumerate(row_ids)
-        for j, name in enumerate(feature_names)
-    )
-    write_csv(path, ("row_id", "feature_name", "feature_value", "shap_value"), rows)
+    columns = ([rid for rid in row_ids for _ in feature_names], list(feature_names) * len(row_ids),
+               np.asarray(X, dtype=np.float64).ravel(), np.asarray(values, dtype=np.float64).ravel())
+    write_csv(path, ("row_id", "feature_name", "feature_value", "shap_value"), columns)

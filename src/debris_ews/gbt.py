@@ -88,12 +88,3 @@ def fit_gbt(
         if not np.isfinite(score).all():
             raise InputError("boosting diverged to non-finite scores")
     return GbtModel(tuple(trees), params, base, float(training_weight), X.shape[1])
-
-
-def staged_decision_scores(model: GbtModel, X: np.ndarray) -> np.ndarray:
-    """Decision score after 0, 1, ..., n_trees stages; shape (n_trees+1, rows)."""
-    out = np.empty((len(model.trees) + 1, np.asarray(X).shape[0]))
-    out[0] = model.base_log_odds
-    for t, tree in enumerate(model.trees):
-        out[t + 1] = out[t] + model.params.learning_rate * tree.predict_value(X)
-    return out

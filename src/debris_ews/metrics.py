@@ -250,18 +250,16 @@ def event_capture(
 
 
 def write_curve_csv(path: str | Path, curve: Curve) -> None:
-    rows = ((curve.kind, cell(t), cell(x), cell(y)) for t, x, y in zip(curve.thresholds, curve.x, curve.y))
-    write_csv(path, ("kind", "threshold", "x", "y"), rows)
+    write_csv(path, ("kind", "threshold", "x", "y"), ([curve.kind] * len(curve), curve.thresholds, curve.x, curve.y))
 
 
-def write_operating_points_csv(path: str | Path, points: Iterable[OperatingPoint]) -> None:
-    rows = (
-        (p.metric, cell(p.target), "ok" if p.feasible else "infeasible",
-         cell(p.threshold), cell(p.precision), cell(p.recall), cell(p.specificity))
-        for p in points
-    )
-    write_csv(path, ("metric", "target", "status", "threshold", "precision", "recall", "specificity"), rows)
+def write_operating_points_csv(path: str | Path, points: Sequence[OperatingPoint]) -> None:
+    columns = [[p.metric for p in points], [cell(p.target) for p in points],
+               ["ok" if p.feasible else "infeasible" for p in points]]
+    columns += [[cell(getattr(p, f)) for p in points] for f in ("threshold", "precision", "recall", "specificity")]
+    write_csv(path, ("metric", "target", "status", "threshold", "precision", "recall", "specificity"), columns)
 
 
-def write_capture_csv(path: str | Path, rows: Iterable[CaptureRow]) -> None:
-    write_csv(path, ("threshold", "captured", "missed"), ((cell(r.threshold), r.captured, r.missed) for r in rows))
+def write_capture_csv(path: str | Path, rows: Sequence[CaptureRow]) -> None:
+    columns = [np.array([getattr(r, f) for r in rows]) for f in ("threshold", "captured", "missed")]
+    write_csv(path, ("threshold", "captured", "missed"), columns)

@@ -39,17 +39,43 @@ def _tree_doc(tree: DecisionTree) -> dict[str, Any]:
     }
 
 
-def _tree_from_doc(doc: dict[str, Any], n_features: int, params: TreeParams) -> DecisionTree:
-    return DecisionTree(
-        feature=np.asarray(doc["feature"], dtype=np.int32),
-        threshold=np.asarray(doc["threshold"], dtype=np.float64),
-        left=np.asarray(doc["left"], dtype=np.int32),
-        right=np.asarray(doc["right"], dtype=np.int32),
-        value=np.asarray(doc["value"], dtype=np.float64),
-        weight=np.asarray(doc["weight"], dtype=np.float64),
-        n_features=n_features,
-        params=params,
-    )
+_NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
+                "value": np.float64, "weight": np.float64}
+
+
+def _first(mask: np.ndarray) -> int | None:
+    bad = np.flatnonzero(mask)
+    return int(bad[0]) if bad.size else None
+
+
+def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: TreeParams) -> DecisionTree:
+    """Tree `index` of a model document. Its node arrays must describe a tree that
+    predict_value can walk: a split node's children are numbered after it, as the
+    grower numbers them, which also rules out cycles, and a leaf has none."""
+    arrays = {}
+    for name, dtype in _NODE_ARRAYS.items():
+        try:
+            arrays[name] = np.asarray(doc[name], dtype=dtype)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"tree {index}: {name}: {exc}") from None
+        if arrays[name].ndim != 1:
+            raise InputError(f"tree {index}: {name} is not a list of numbers")
+    n = arrays["feature"].size
+    if n == 0 or any(a.size != n for a in arrays.values()):
+        sizes = {name: a.size for name, a in arrays.items()}
+        raise InputError(f"tree {index}: node arrays of unequal or zero length {sizes}")
+    feature = arrays["feature"]
+    if (i := _first((feature < -1) | (feature >= n_features))) is not None:
+        raise InputError(f"tree {index}: feature[{i}] = {feature[i]} is outside [-1, {n_features})")
+    split = feature >= 0
+    for name in ("left", "right"):
+        child = arrays[name]
+        if (i := _first(np.where(split, (child <= np.arange(n)) | (child >= n), child != -1))) is not None:
+            rule = f"a split node's child is numbered in ({i}, {n})" if split[i] else "a leaf's child is -1"
+            raise InputError(f"tree {index}: {name}[{i}] = {child[i]}, but {rule}")
+    if (i := _first(split & ~np.isfinite(arrays["threshold"]))) is not None:
+        raise InputError(f"tree {index}: threshold[{i}] of a split node is {arrays['threshold'][i]}")
+    return DecisionTree(**arrays, n_features=n_features, params=params)
 
 
 def model_to_doc(model: Model, feature_spec: FeatureSpec | None = None, meta: dict | None = None) -> dict:
@@ -102,20 +128,15 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
     kind = doc.get("kind")
     if kind == "random_forest":
         params = build_params(ForestParams, doc["params"], "params")
-        tp = params.tree_params(doc["n_features"])
-        trees = tuple(_tree_from_doc(t, doc["n_features"], tp) for t in doc["trees"])
-        return (
-            ForestModel(trees, params, doc["seed"], doc["training_weight"], doc["n_features"]),
-            spec,
-        )
+        m = doc["n_features"]
+        tp = params.tree_params(m)
+        trees = tuple(_tree_from_doc(t, i, m, tp) for i, t in enumerate(doc["trees"]))
+        return ForestModel(trees, params, doc["seed"], doc["training_weight"], m), spec
     if kind == "gbt":
         params = build_params(GbtParams, doc["params"], "params")
-        tp = params.tree_params()
-        trees = tuple(_tree_from_doc(t, doc["n_features"], tp) for t in doc["trees"])
-        return (
-            GbtModel(trees, params, doc["base_log_odds"], doc["training_weight"], doc["n_features"]),
-            spec,
-        )
+        m = doc["n_features"]
+        trees = tuple(_tree_from_doc(t, i, m, params.tree_params()) for i, t in enumerate(doc["trees"]))
+        return GbtModel(trees, params, doc["base_log_odds"], doc["training_weight"], m), spec
     if kind == "logistic":
         params = build_params(LogisticParams, doc["params"], "params")
         return (
@@ -137,7 +158,7 @@ def load_model(path: str | Path, with_meta: bool = False) -> tuple:
         model, spec = model_from_doc(doc)
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:  # an InputError, or node arrays numpy cannot read
+    except (TypeError, ValueError) as exc:  # an InputError, or a document of the wrong shape
         raise InputError(f"{path}: {exc}") from None
     return (model, spec, dict(doc.get("meta") or {})) if with_meta else (model, spec)
 

@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -121,15 +120,6 @@ class MainEvent:
         return self.end_idx - self.start_idx + 1
 
 
-@dataclass(frozen=True)
-class EarTrace:
-    """Per-hour EAR over one event, plus the constant antecedent term."""
-
-    event: MainEvent
-    antecedent_mm: float
-    ear: np.ndarray
-
-
 def segment_events(
     series: RainSeries,
     rain_threshold: float = RAIN_THRESHOLD_MM,
@@ -186,19 +176,6 @@ def _antecedents(series: RainSeries, starts, alpha: float, mode: DailyWindowMode
     check_alpha(alpha)
     weights = np.power(alpha, np.arange(1, ANTECEDENT_DAYS + 1, dtype=np.float64))
     return np.vecdot(daily_sums_matrix(series, starts, ANTECEDENT_DAYS, mode), weights)
-
-
-def ear_trace(
-    series: RainSeries,
-    event: MainEvent,
-    alpha: float = DEFAULT_ALPHA,
-    mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY,
-) -> EarTrace:
-    """EAR trajectory over one event: running event rain + antecedent index."""
-    if event.end_idx >= len(series):
-        raise InputError(f"event span ({event.start_idx}, {event.end_idx}) outside series")
-    (ante,) = _antecedents(series, [event.start_idx], alpha, mode)
-    return EarTrace(event, float(ante), np.cumsum(series.values[event.start_idx : event.end_idx + 1]) + ante)
 
 
 def _ear_pass(
@@ -313,18 +290,18 @@ def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[Ra
     return out
 
 
-def _stamps(s: RainSeries) -> list[str]:
-    """Each hour of a series as YYYY-MM-DDTHH:00:00Z."""
-    hours = np.datetime64((s.start - _EPOCH) // HOUR, "h") + np.arange(len(s))
-    return np.datetime_as_string(hours, unit="s", timezone="UTC").tolist()
+def _station_columns(series: list[RainSeries]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The station id, the YYYY-MM-DDTHH:00:00Z stamp and the rainfall of every hour
+    of the series in turn; each distinct hour is formatted once, for every station."""
+    hours = np.concatenate([np.zeros(0, np.int64), *((s.start - _EPOCH) // HOUR + np.arange(len(s)) for s in series)])
+    distinct, index = np.unique(hours, return_inverse=True)
+    stamps = np.datetime_as_string(distinct.astype("datetime64[h]"), unit="s", timezone="UTC").astype(object)
+    ids = np.repeat(np.array([s.station_id for s in series], dtype=object), [len(s) for s in series])
+    return ids, stamps[index], np.concatenate([np.zeros(0), *(s.values for s in series)])
 
 
 def write_rainfall_csv(path: str | Path, series: Iterable[RainSeries]) -> None:
-    rows = (
-        zip(repeat(s.station_id), _stamps(s), map(repr, s.values.tolist()))
-        for s in sorted(series, key=lambda s: s.station_id)
-    )
-    write_csv(path, RAINFALL_CSV_COLUMNS, chain.from_iterable(rows))
+    write_csv(path, RAINFALL_CSV_COLUMNS, _station_columns(sorted(series, key=lambda s: s.station_id)))
 
 
 def write_ear_csv(
@@ -336,15 +313,16 @@ def write_ear_csv(
     """Per-hour EAR of each station. Hours inside an event carry its index among the
     station's events and its antecedent index; other hours leave both blank."""
     check_alpha(alpha)  # before the file is opened
-    def rows(s: RainSeries):
-        ear, events, antes = _ear_pass(s, alpha, mode, RAIN_THRESHOLD_MM, QUIET_HOURS)
+    series = sorted(series, key=lambda s: s.station_id)
+    event_ids, ears, antes = [np.zeros(0, object)], [np.zeros(0)], [np.zeros(0, object)]
+    for s in series:
+        ear, events, ante = _ear_pass(s, alpha, mode, RAIN_THRESHOLD_MM, QUIET_HOURS)
         owner = np.full(len(s), -1)
         for i, ev in enumerate(events):
             owner[ev.start_idx : ev.end_idx + 1] = i
         # owner -1 picks the trailing blank
-        event_ids = np.array([*map(str, range(len(events))), ""])[owner].tolist()
-        ante = np.array([*map(repr, antes.tolist()), ""])[owner].tolist()
-        values = map(repr, s.values.tolist())
-        return zip(repeat(s.station_id), _stamps(s), values, event_ids, map(repr, ear.tolist()), ante)
-
-    write_csv(path, EAR_CSV_COLUMNS, chain.from_iterable(map(rows, sorted(series, key=lambda s: s.station_id))))
+        event_ids.append(np.array([*map(str, range(len(events))), ""], dtype=object)[owner])
+        antes.append(np.array([*map(repr, ante.tolist()), ""], dtype=object)[owner])
+        ears.append(ear)
+    columns = (*_station_columns(series), np.concatenate(event_ids), np.concatenate(ears), np.concatenate(antes))
+    write_csv(path, EAR_CSV_COLUMNS, columns)

@@ -374,22 +374,3 @@ def fit_tree(
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
     return _grow(_GiniCriterion(y, w), *_rank_codes(X), params, rng)[0]
-
-
-def fit_gradient_tree(
-    X: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    params: TreeParams = TreeParams(),
-    leaf_l2: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> DecisionTree:
-    """One boosting stage: regression tree on gradient/hessian sums."""
-    X = _check_matrix(X)
-    grad = np.asarray(grad, dtype=np.float64)
-    hess = np.asarray(hess, dtype=np.float64)
-    if grad.shape != (X.shape[0],) or hess.shape != (X.shape[0],):
-        raise InputError("gradients and hessians must match the number of rows")
-    if leaf_l2 < 0:
-        raise InputError("leaf_l2 must be >= 0")
-    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), params, rng)[0]

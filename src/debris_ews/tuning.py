@@ -138,11 +138,9 @@ def grid_search_cv(
 def write_grid_csv(path: str | Path, result: GridResult) -> None:
     keys = sorted({k for c in result.cells for k in c.params})
     header = ["model"] + keys + ["mean_auprc"] + [f"fold{j}_auprc" for j in range(result.k)]
-    rows = (
-        [result.model_kind]
-        + ["" if c.params.get(k) is None else c.params.get(k) for k in keys]
-        + [repr(s) for s in (c.mean_auprc, *c.fold_auprc)]
-        + [""] * (result.k - len(c.fold_auprc))
-        for c in result.cells
-    )
-    write_csv(path, header, rows)
+    cells = result.cells
+    columns = [[result.model_kind] * len(cells)]
+    columns += [["" if c.params.get(k) is None else str(c.params[k]) for c in cells] for k in keys]
+    columns.append(np.array([c.mean_auprc for c in cells], dtype=np.float64))
+    columns += [[repr(c.fold_auprc[j]) if j < len(c.fold_auprc) else "" for c in cells] for j in range(result.k)]
+    write_csv(path, header, columns)

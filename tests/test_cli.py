@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from debris_ews import InputError, ear_trace, segment_events
+from debris_ews import InputError, segment_events
 from debris_ews.cli import SCORES_CSV_COLUMNS, main, read_scores_csv, write_scores_csv
 from debris_ews.rainfall import read_rainfall_csv
+
+from oracles import ear_trace
 
 SMALL_SYNTH = ["--stations", "5", "--weeks", "12"]
 
@@ -357,7 +359,7 @@ BAD_INPUTS = {
     "model that is not an object": (EVAL, {"doc": [MODEL_DOC]}, "{doc}: not a model document (format=None)"),
     "model with a text node array": (EVAL, {"doc": {**MODEL_DOC, "params": {}, "n_features": 1, "trees": [
         {"feature": "x", "threshold": [], "left": [], "right": [], "value": [], "weight": []}]}},
-                                     "{doc}: invalid literal for int() with base 10: 'x'"),
+                                     "{doc}: tree 0: feature: invalid literal for int() with base 10: 'x'"),
     "negative alpha with the EAR feature": (["train", *CORPUS, "--alpha", "-2", "--include-ear"], {},
                                             "alpha must be in [0, 1], got -2.0"),
     "alpha above 1 for weighted daily totals": (["train", *CORPUS, "--daily", "2", "--daily-weighted", "--alpha", "1.5"],
@@ -451,6 +453,21 @@ def test_train_requires_split_when_manifest_unsplit(pipeline, tmp_path):
         "--out", str(tmp_path / "e"),
         "--split", "all",
     ]) == 0
+
+
+@pytest.mark.parametrize("array, value", [("left", 1000001), ("left", 0), ("feature", 12)])
+def test_eval_rejects_bad_node_arrays_with_exit_1(pipeline, tmp_path, capsys, array, value):
+    """A child out of range, a child that points back at the root (a cycle) and a
+    feature past n_features fail at load, naming the file, the tree and the array."""
+    doc = json.loads((pipeline["model"] / "model.json").read_text())
+    node = next(i for i, f in enumerate(doc["trees"][0]["feature"]) if f >= 0 and i > 0)
+    doc["trees"][0][array][node] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(path), "--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+                 "--manifest", str(pipeline["data"] / "manifest.json"), "--out", str(tmp_path / "e")]) == 1
+    assert f"{path}: tree 0: {array}[{node}] = {value}" in capsys.readouterr().err
 
 
 def test_eval_and_explain_take_lead_from_model(pipeline, tmp_path, capsys):

@@ -9,16 +9,16 @@ from debris_ews import (
     ForestParams,
     InputError,
     TreeParams,
-    brute_shap,
     fit_forest,
     fit_tree,
     permutation_ranking,
     subsample_background,
-    tree_shap,
     tree_shap_batch,
 )
 from debris_ews.explain import _weight_table, mean_abs_ranking, write_attribution_csv
 from debris_ews.trees import DecisionTree
+
+from oracles import brute_shap, tree_shap
 
 
 def _stump(feature, threshold, left_value, right_value, n_features):

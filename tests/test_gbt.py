@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from debris_ews import GbtParams, InputError, fit_gbt
-from debris_ews.gbt import staged_decision_scores
 from debris_ews.linear import sigmoid
+
+
+def staged_decision_scores(model, X):
+    """Decision score after 0, 1, ..., n_trees stages; shape (n_trees+1, rows)."""
+    out = np.empty((len(model.trees) + 1, np.asarray(X).shape[0]))
+    out[0] = model.base_log_odds
+    for t, tree in enumerate(model.trees):
+        out[t + 1] = out[t] + model.params.learning_rate * tree.predict_value(X)
+    return out
 
 
 def _step_data(rng, n=120):

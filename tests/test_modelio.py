@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -63,3 +66,84 @@ def test_load_rejects_garbage(tmp_path):
         load_model(path)
     with pytest.raises(InputError):
         load_model(tmp_path / "missing.json")
+
+
+def _first_node(tree: dict, split: bool) -> int:
+    return next(i for i, f in enumerate(tree["feature"]) if (f >= 0) == split and i > 0)
+
+
+def _short_left(tree, m):
+    tree["left"].pop()
+
+
+def _child_out_of_range(tree, m):
+    tree["left"][0] = 1000001
+
+
+def _feature_too_large(tree, m):
+    tree["feature"][0] = m
+
+
+def _feature_below_leaf(tree, m):
+    tree["feature"][0] = -2
+
+
+def _child_points_back(tree, m):
+    tree["left"][_first_node(tree, split=True)] = 0  # a cycle: predict_value would never return
+
+
+def _child_before_parent(tree, m):
+    k = _first_node(tree, split=True)
+    tree["right"][k] = k - 1
+
+
+def _leaf_with_child(tree, m):
+    k = _first_node(tree, split=False)
+    tree["right"][k] = k + 1
+
+
+def _threshold_not_finite(tree, m):
+    tree["threshold"][0] = float("inf")
+
+
+def _no_nodes(tree, m):
+    for name in tree:
+        tree[name] = []
+
+
+def _not_numbers(tree, m):
+    tree["weight"][0] = "heavy"
+
+
+def _nested(tree, m):
+    tree["value"] = [tree["value"]]
+
+
+@pytest.mark.parametrize("mutate, array", [
+    (_short_left, "unequal"),
+    (_child_out_of_range, r"left\[0\] = 1000001"),
+    (_feature_too_large, r"feature\[0\] = 4 is outside \[-1, 4\)"),
+    (_feature_below_leaf, r"feature\[0\] = -2"),
+    (_child_points_back, r"left\[\d+\] = 0, but a split node's child"),
+    (_child_before_parent, r"right\[\d+\] = \d+, but a split node's child"),
+    (_leaf_with_child, r"right\[\d+\] = \d+, but a leaf's child is -1"),
+    (_threshold_not_finite, r"threshold\[0\] of a split node is inf"),
+    (_no_nodes, "unequal or zero length"),
+    (_not_numbers, "weight: could not convert"),
+    (_nested, "value is not a list of numbers"),
+])
+@pytest.mark.parametrize("kind", ["rf", "gbt"])
+def test_load_rejects_bad_node_arrays_naming_file_tree_and_array(tmp_path, mutate, array, kind):
+    rng = np.random.default_rng(12)
+    X, y = _data(rng)
+    if kind == "rf":
+        model = fit_forest(X, y, ForestParams(n_trees=3, max_depth=4), seed=1)
+    else:
+        model = fit_gbt(X, y, params=GbtParams(n_trees=3, max_depth=4))
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    doc = json.loads(path.read_text())
+    mutate(doc["trees"][1], doc["n_features"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: tree 1: .*{array}"):
+        load_model(path)

@@ -12,13 +12,13 @@ from debris_ews import (
     MainEvent,
     RainSeries,
     ear_series,
-    ear_trace,
     segment_events,
 )
 from debris_ews._common import HOUR, ensure_hour_aligned, format_ts, parse_ts
 from debris_ews.rainfall import RAINFALL_CSV_COLUMNS, daily_sums_matrix, read_rainfall_csv, write_rainfall_csv
 
 from conftest import T0, random_rain, series
+from oracles import ear_trace
 
 
 # --- series container -------------------------------------------------------

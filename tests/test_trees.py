@@ -4,7 +4,13 @@ import pytest
 import debris_ews.trees as trees
 from debris_ews import DecisionTree, ForestParams, InputError, TreeParams, fit_forest, fit_gbt, fit_logistic, fit_tree
 from debris_ews._common import derived_rng
-from debris_ews.trees import _GainCriterion, _GiniCriterion, _counting_weights, _grow, _rank_codes, fit_gradient_tree
+from debris_ews.trees import _GainCriterion, _GiniCriterion, _counting_weights, _grow, _rank_codes
+
+
+def fit_gradient_tree(X, grad, hess, params=TreeParams(), leaf_l2=1.0):
+    """One boosting stage on its own: the regression tree fit_gbt grows on gradient/hessian sums."""
+    X, grad, hess = (np.asarray(a, dtype=np.float64) for a in (X, grad, hess))
+    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), params, None)[0]
 
 
 def _rand_data(rng, n=80, m=4):
