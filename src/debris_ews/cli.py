@@ -601,6 +601,20 @@ def _run_event_capture(opts: dict) -> None:
     print(f"event-capture: {flows} debris flows over {len(rows)} thresholds -> {out / 'event_capture.csv'}")
 
 
+def _example_rows(windows: list[DatasetWindow], spec: FeatureSpec, labeling: LabelingConfig,
+                  rows: np.ndarray) -> np.ndarray:
+    """The feature rows at sorted positions `rows` of the example matrix of windows,
+    building only the windows that hold one of them: a row's features come from its
+    own window alone."""
+    lengths = np.array([len(w) for w in windows])
+    starts = np.cumsum(lengths) - lengths
+    held = np.searchsorted(starts, rows, side="right") - 1
+    used, slot = np.unique(held, return_inverse=True)
+    used_starts = np.cumsum(lengths[used]) - lengths[used]
+    examples = build_examples([windows[i] for i in used], spec, labeling)
+    return examples.X[used_starts[slot] + rows - starts[held]]
+
+
 def _run_explain(opts: dict) -> None:
     out = Path(opts["out"])
     model, spec = _load_trained_model(opts)
@@ -608,20 +622,23 @@ def _run_explain(opts: dict) -> None:
         raise InputError("explain supports random forest models only")
     windows, split_map = _load_windows(opts)
     chosen = _select_split(windows, split_map, opts["split"])
-    examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
+    labeling = LabelingConfig(opts["lead"])
+    # both row draws depend only on row counts: features are built for the drawn rows alone
+    window_ids, hours, labels = window_rows(chosen, labeling)
 
     rng = derived_rng(opts["seed"], 10)
-    n = len(examples)
+    n = labels.size
     if n > opts["max_rows"]:
         keep = np.sort(rng.choice(n, size=opts["max_rows"], replace=False))
     else:
         keep = np.arange(n)
-    X_rows = examples.X[keep]
-    row_ids = [f"{examples.window_ids[i]}:{int(examples.hours[i])}" for i in keep]
+    X_rows = _example_rows(chosen, spec, labeling, keep)
+    row_ids = [f"{window_ids[i]}:{int(hours[i])}" for i in keep]
 
     background_windows = _select_split(windows, split_map, "train") if split_map else chosen
-    bg_examples = build_examples(background_windows, spec, LabelingConfig(opts["lead"]))
-    background = subsample_background(bg_examples.X, max_rows=opts["background_rows"], seed=opts["seed"])
+    n_background = sum(len(w) for w in background_windows)
+    drawn = subsample_background(np.arange(n_background), max_rows=opts["background_rows"], seed=opts["seed"])
+    background = _example_rows(background_windows, spec, labeling, drawn)
 
     values, base = tree_shap_batch(model, X_rows, background)
     write_attribution_csv(out / "attributions.csv", row_ids, spec.feature_names, X_rows, values)
@@ -629,7 +646,7 @@ def _run_explain(opts: dict) -> None:
     if opts["method"] == "mean_abs_shap":
         ranking = mean_abs_ranking(values)
     else:
-        ranking = permutation_ranking(model, X_rows, examples.y[keep], opts["seed"])
+        ranking = permutation_ranking(model, X_rows, labels[keep], opts["seed"])
     columns = (np.arange(1, len(ranking) + 1), [spec.feature_names[f] for f, _ in ranking],
                np.array([score for _, score in ranking], dtype=np.float64))
     write_csv(out / "importance.csv", ("rank", "feature", "score"), columns)

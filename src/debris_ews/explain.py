@@ -120,8 +120,10 @@ def tree_shap_batch(
 
 
 def subsample_background(X: np.ndarray, max_rows: int = BACKGROUND_MAX_ROWS, seed: int = 0) -> np.ndarray:
-    """Seeded row subsample used as the default SHAP background."""
-    X = np.asarray(X, dtype=np.float64)
+    """Seeded row subsample used as the default SHAP background: at most max_rows rows
+    of X, in their order. The draw depends only on the row count, so X may be the row
+    numbers of a matrix not yet built."""
+    X = np.asarray(X)
     if X.shape[0] <= max_rows:
         return X
     rows = derived_rng(seed, 7).choice(X.shape[0], size=max_rows, replace=False)

@@ -77,17 +77,33 @@ def fit_forest(
     """Deterministic given (data, params, training_weight, seed); tree t always
     uses stream (seed, t), so thread scheduling cannot change the model."""
     X, y, w = check_training_inputs(X, y, sample_weight, training_weight)
-    tree_params = params.tree_params(X.shape[1])
     codes, values = _rank_codes(X)
+    return grow_forest(codes, values, y, w, np.arange(X.shape[0]), params, training_weight, seed, threads)
+
+
+def grow_forest(
+    codes: np.ndarray,
+    values: tuple[np.ndarray, ...],
+    y: np.ndarray,
+    w: np.ndarray,
+    rows: np.ndarray,
+    params: ForestParams,
+    training_weight: float,
+    seed: int,
+    threads: int = 1,
+) -> ForestModel:
+    """The forest fit_forest grows on the training set of the given rows, from the
+    output of check_training_inputs and _rank_codes for a set that holds them. The
+    codes may rank more rows than these: a split's threshold is the midpoint of two
+    values adjacent within its node, so the trees are the same."""
+    tree_params = params.tree_params(codes.shape[0])
+    n = rows.size
 
     def build(t: int) -> DecisionTree:
         rng = derived_rng(seed, 4, t)
-        if params.bootstrap:
-            rows = rng.integers(0, X.shape[0], size=X.shape[0])
-            ct, yt, wt = codes.take(rows, axis=1), y[rows], w[rows]  # take keeps rows contiguous
-        else:
-            ct, yt, wt = codes, y, w
-        return _grow(_GiniCriterion(yt, wt), ct, values, tree_params, rng)[0]
+        r = rows.take(rng.integers(0, n, size=n)) if params.bootstrap else rows
+        # take keeps each tree's codes contiguous
+        return _grow(_GiniCriterion(y[r], w[r]), codes.take(r, axis=1), values, tree_params, rng)[0]
 
     trees = map_indexed(build, params.n_trees, threads)
-    return ForestModel(tuple(trees), params, seed, float(training_weight), X.shape[1])
+    return ForestModel(tuple(trees), params, seed, float(training_weight), codes.shape[0])

@@ -7,13 +7,14 @@ seed, optional feature spec, and full node arrays for tree models.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ._common import InputError, build_params, read_json, write_json
+from ._common import InputError, _json_fits, build_params, read_json, write_json
 from .dataset import FeatureSpec
 from .forest import ForestModel, ForestParams
 from .gbt import GbtModel, GbtParams
@@ -78,6 +79,27 @@ def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: Tre
     return DecisionTree(**arrays, n_features=n_features, params=params)
 
 
+def _scalar(doc: dict[str, Any], name: str, kind: type, rule: str, ok=lambda v: True):
+    """doc[name], which must be a JSON value of kind (an integer is a number too, a
+    boolean is neither) that ok accepts; rule says what is expected."""
+    value = doc[name]
+    if not (_json_fits(kind, value) and ok(value)):
+        raise InputError(f"field {name!r}: expected {rule}, got {value!r}")
+    return value
+
+
+def _finite(doc: dict[str, Any], name: str, positive: bool = False) -> float:
+    rule = "a finite number > 0" if positive else "a finite number"
+    return float(_scalar(doc, name, float, rule, lambda v: math.isfinite(v) and (v > 0 or not positive)))
+
+
+def _n_features(doc: dict[str, Any], spec: FeatureSpec | None) -> int:
+    m = _scalar(doc, "n_features", int, "an integer >= 1", lambda v: v >= 1)
+    if spec is not None and m != spec.n_features:
+        raise InputError(f"field 'n_features': {m} differs from the {spec.n_features} features of the feature_spec")
+    return m
+
+
 def model_to_doc(model: Model, feature_spec: FeatureSpec | None = None, meta: dict | None = None) -> dict:
     doc: dict[str, Any] = {"format": FORMAT, "version": VERSION, "meta": dict(meta or {})}
     if feature_spec is not None:
@@ -128,21 +150,25 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
     kind = doc.get("kind")
     if kind == "random_forest":
         params = build_params(ForestParams, doc["params"], "params")
-        m = doc["n_features"]
+        m = _n_features(doc, spec)
         tp = params.tree_params(m)
         trees = tuple(_tree_from_doc(t, i, m, tp) for i, t in enumerate(doc["trees"]))
-        return ForestModel(trees, params, doc["seed"], doc["training_weight"], m), spec
+        seed = _scalar(doc, "seed", int, "an integer")
+        return ForestModel(trees, params, seed, _finite(doc, "training_weight", positive=True), m), spec
     if kind == "gbt":
         params = build_params(GbtParams, doc["params"], "params")
-        m = doc["n_features"]
+        m = _n_features(doc, spec)
         trees = tuple(_tree_from_doc(t, i, m, params.tree_params()) for i, t in enumerate(doc["trees"]))
-        return GbtModel(trees, params, doc["base_log_odds"], doc["training_weight"], m), spec
+        base = _finite(doc, "base_log_odds")
+        return GbtModel(trees, params, base, _finite(doc, "training_weight", positive=True), m), spec
     if kind == "logistic":
         params = build_params(LogisticParams, doc["params"], "params")
-        return (
-            LinearModel(np.asarray(doc["weights"], dtype=np.float64), doc["bias"], params, doc["converged"]),
-            spec,
-        )
+        m = _n_features(doc, spec)
+        weights = np.asarray(doc["weights"], dtype=np.float64)
+        if weights.shape != (m,):
+            raise InputError(f"field 'weights': expected a list of n_features = {m} numbers, "
+                             f"got shape {weights.shape}")
+        return LinearModel(weights, _finite(doc, "bias"), params, doc["converged"]), spec
     raise InputError(f"unknown model kind {kind!r}")
 
 

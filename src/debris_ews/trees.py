@@ -4,18 +4,22 @@ Split candidates are midpoints between consecutive distinct values of a
 feature; the winner is the weighted-Gini minimizer (classification) or the
 second-order gain maximizer (boosting stages). Ties go to the lowest feature
 index, then the lowest threshold, so training is reproducible bit for bit.
-Features are rank-coded once per fit and one scan sorts the codes of all of a
-node's candidate features together; the trees are those that a per-feature
-stable sort of the float values grows.
-A scan takes one of two paths, picked once per criterion from its weights. If
-every negative row weighs a0 and every positive a1, both integers with
-n * max(a0, a1) < 2**53 (Gini without per-row or fractional weights, as in every
-forest with an integer training weight), the counting scan sorts the keys
-code << 1 | label and counts the positives left of each boundary. A left sum is
-then count * weight, an integer below 2**53, so it is exactly the float that a
-running sum gives. Otherwise (boosting gradients, fractional or per-row weights)
-the sort scan orders the rows by a stable argsort of the codes and takes running
-sums of their weights.
+Features are rank-coded once per fit. A node gathers its rows' statistics once
+(labels and/or the two weight channels), and their totals give its leaf value,
+its purity and the scan's parent totals. One scan then gathers the codes of all
+of the node's candidate features with one take, packs each code with low bits
+into an unsigned key and sorts the keys with one sort; the trees are those that
+a per-feature stable sort of the float values grows.
+The low bits depend on the criterion's weights. If every negative row weighs a0
+and every positive a1, both integers with n * max(a0, a1) < 2**53 (Gini without
+per-row or fractional weights, as in every forest with an integer training
+weight), the counting scan sorts code << 1 | label and counts the positives left
+of each boundary. A left sum is then count * weight, an integer below 2**53, so
+it is exactly the float that a running sum gives. Otherwise (boosting gradients,
+fractional or per-row weights) the sort scan sorts code << b | position, b the
+bit length of the node's last position: positions break ties, so the sorted keys
+are the stable argsort of the codes, and the running sums of the weights follow
+that order.
 min_samples_leaf bounds the raw (unweighted) row count of every leaf, which
 keeps tree structure invariant under rescaling of the sample weights.
 """
@@ -34,12 +38,15 @@ log = logging.getLogger(__name__)
 _NO_FEATURE = -1
 _REL_EPS = 1e-12
 # Codes sorted together in one scan block (features x rows); bounds a node's
-# scratch memory whatever max_features is. The sort scan keeps 27 bytes a uint16
-# code (the code, its int64 argsort position, a complex128 running sum and a
-# boundary flag), ~14 MB; uint32 codes take 29. The counting scan keeps 6 bytes
-# (a uint32 key, a label bit and a boundary flag) plus 8 per positive, at most
-# 14 (~7 MB); uint32 codes take 64-bit keys, 10 bytes plus 8 per positive.
-_BLOCK_ELEMENTS = 1 << 19
+# scratch memory whatever max_features is. The gather holds an int64 flat index
+# and the gathered code, 10 bytes a uint16 code (~2.6 MB). The sort scan then
+# keeps 33 bytes a code with uint32 keys (the key, its position bits, the intp
+# copy of those that take makes, a complex128 running sum and a boundary flag),
+# ~8.7 MB; uint64 keys take 41. The counting scan keeps 6 bytes with uint32 keys
+# (the key, a label bit and a boundary flag) plus 8 per positive, at most 14
+# (~3.7 MB); uint32 codes take 64-bit keys, 10 bytes plus 8 per positive. Twice
+# this budget raised the bench's peak RSS by ~8 MB through heap growth.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,11 @@ def check_training_inputs(
             raise InputError("sample weights must be finite and > 0")
     if not np.isfinite(training_weight) or training_weight <= 0:
         raise InputError("training_weight must be finite and > 0")
-    return X, y, np.where(y == 1.0, w * training_weight, w)
+    with np.errstate(over="ignore", under="ignore"):  # checked below
+        w = np.where(y == 1.0, w * training_weight, w)
+    if not np.isfinite(w).all() or (w <= 0).any():
+        raise InputError("training_weight times a sample weight must be finite and > 0")
+    return X, y, w
 
 
 def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -167,10 +178,9 @@ def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return codes, tuple(values)
 
 
-def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float, np.ndarray] | None:
-    """(a0, a1, labels as uint8) when every negative weighs a0 and every positive a1, both
-    integers with n * max(a0, a1) < 2**53, so that every weight sum of a node is exact;
-    otherwise None."""
+def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
+    """(a0, a1) when every negative weighs a0 and every positive a1, both integers with
+    n * max(a0, a1) < 2**53, so that every weight sum of a node is exact; otherwise None."""
     positive = y == 1.0
     a = []
     for v in (w[~positive], w[positive]):
@@ -180,7 +190,16 @@ def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float, np.nd
     a0, a1 = a
     if not (a0.is_integer() and a1.is_integer() and y.size * max(a0, a1) < 2.0 ** 53):
         return None
-    return a0, a1, positive.view(np.uint8)
+    return a0, a1
+
+
+def _channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + ib: one gather takes both channels, and one complex cumsum is the two
+    channels' sequential cumsums, bit for bit."""
+    ab = np.empty(a.size, dtype=np.complex128)
+    ab.real = a
+    ab.imag = b
+    return ab
 
 
 class _GiniCriterion:
@@ -189,18 +208,26 @@ class _GiniCriterion:
     counts selects the counting scan (see _counting_weights)."""
 
     def __init__(self, y: np.ndarray, w: np.ndarray):
-        self.y = y
-        self.a = w
-        self.b = w * y
+        self.labels = (y == 1.0).view(np.uint8)
         self.counts = _counting_weights(y, w)
+        self.ab = _channels(w, w * y) if self.counts is None else None
 
-    def is_pure(self, rows: np.ndarray) -> bool:
-        yr = self.y[rows]
-        return bool(yr.max() == yr.min())
+    def node(self, rows: np.ndarray) -> tuple[float, float, bool, object]:
+        """(W, P, pure, scan data) of a node: its weight and positive weight, whether it
+        holds one class, and the gathered labels and positive count (counting scan) or
+        channels (sort scan)."""
+        lab = self.labels.take(rows)
+        n_pos = int(np.count_nonzero(lab))
+        pure = n_pos == 0 or n_pos == rows.size
+        if self.counts is None:
+            ab = self.ab.take(rows)
+            return float(ab.real.sum()), float(ab.imag.sum()), pure, ab
+        a0, a1 = self.counts
+        # integers below 2**53: the same floats as running sums of the weights
+        return (rows.size - n_pos) * a0 + n_pos * a1, n_pos * a1, pure, (lab, n_pos)
 
-    def leaf(self, rows: np.ndarray) -> tuple[float, float]:
-        wt = float(self.a[rows].sum())
-        return float(self.b[rows].sum() / wt), wt
+    def leaf(self, W: float, P: float) -> tuple[float, float]:
+        return P / W, W
 
     def floor(self, W: float, P: float) -> float:
         return -(P * (W - P) / W) * (1.0 - _REL_EPS)  # require a real impurity decrease
@@ -217,20 +244,21 @@ class _GainCriterion:
     counts = None  # gradients are not label weights: always the sort scan
 
     def __init__(self, g: np.ndarray, h: np.ndarray, lam: float):
-        self.a = h
-        self.b = g
+        self.ab = _channels(h, g)
         self.lam = lam
 
-    def is_pure(self, rows: np.ndarray) -> bool:
-        return float(self.a[rows].sum()) + self.lam == 0
+    def node(self, rows: np.ndarray) -> tuple[float, float, bool, np.ndarray]:
+        """(H, G, pure, gathered channels); a node with H + lam == 0 has no Newton step."""
+        ab = self.ab.take(rows)
+        H = float(ab.real.sum())
+        return H, float(ab.imag.sum()), H + self.lam == 0, ab
 
-    def leaf(self, rows: np.ndarray) -> tuple[float, float]:
+    def leaf(self, H: float, G: float) -> tuple[float, float]:
         # With no curvature (hessians summing to 0 under leaf_l2=0) the Newton
         # step -G/H is undefined: the node stays a leaf that changes no score.
-        H = float(self.a[rows].sum())
         if H + self.lam == 0:
             return 0.0, H
-        return float(-self.b[rows].sum() / (H + self.lam)), H
+        return -G / (H + self.lam), H
 
     def floor(self, H: float, G: float) -> float:
         return _REL_EPS * max(1.0, abs(G * G / (H + self.lam)))
@@ -240,48 +268,41 @@ class _GainCriterion:
         return gl * gl / (hl + self.lam) + (G - gl) ** 2 / (H - hl + self.lam) - parent
 
 
-def _best_split(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np.ndarray,
+def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np.ndarray,
                 features: np.ndarray, min_leaf: int) -> tuple[int, float, int] | None:
-    """Exact scan of all candidate features of a node, _BLOCK_ELEMENTS codes at a time.
+    """Exact scan of all candidate features of a node, _BLOCK_ELEMENTS codes at a time;
+    node is criterion.node(rows).
 
     Returns (feature, threshold, code) of the first best-scoring boundary in
     (feature, position) order, or None if none beats the criterion's floor.
     The rows with value < threshold are those with code <= code.
     """
+    A, B, _, data = node
     nr = rows.size
     counts = criterion.counts
     if counts is None:
-        av = criterion.a.take(rows)
-        bv = criterion.b.take(rows)
-        A, B = float(av.sum()), float(bv.sum())
-        # one complex cumsum is the two channels' sequential cumsums, bit for bit
-        ab = av.astype(np.complex128)
-        ab.imag = bv
-        dtype = codes.dtype
+        # code << shift | position: positions break ties, so one sort is a stable argsort
+        shift = (nr - 1).bit_length()
     else:
-        a0, a1, labels = counts
-        lab = labels.take(rows)
-        n_pos = int(np.count_nonzero(lab))
-        A, B = (nr - n_pos) * a0 + n_pos * a1, n_pos * a1
-        dtype = np.uint64 if codes.dtype == np.uint32 else np.uint32  # room for code << 1 | label
+        a0, a1 = counts
+        lab, n_pos = data
+        shift = 1  # code << 1 | label: rows with one key are alike to the scan
+    dtype = np.uint32 if 8 * codes.itemsize + shift <= 32 else np.uint64
+    low = np.arange(nr, dtype=dtype) if counts is None else lab
+    flat = codes.reshape(-1)
     best_score = criterion.floor(A, B)
     best = None
     step = max(1, _BLOCK_ELEMENTS // nr)
     for start in range(0, features.size, step):
         fb = features[start:start + step]
-        block = np.empty((fb.size, nr), dtype=dtype)
+        block = np.left_shift(flat.take((fb * codes.shape[1])[:, None] + rows), shift, dtype=dtype)
+        block |= low
+        block.sort(axis=1)
         if counts is None:
-            for i, f in enumerate(fb):
-                codes[f].take(rows, out=block[i])
-            order = np.argsort(block, axis=1, kind="stable")
-            block.sort(axis=1)
+            order = block & ((1 << shift) - 1)
         else:
-            for i, f in enumerate(fb):
-                np.left_shift(codes[f].take(rows), 1, out=block[i], dtype=dtype)
-            block |= lab
-            block.sort(axis=1)  # rows with one key are alike to the scan: no stability needed
             positives = np.flatnonzero(np.bitwise_and(block, 1, dtype=np.uint8, casting="unsafe").view(bool))
-            block >>= 1
+        block >>= shift  # the sorted codes
         ok = block[:, 1:] != block[:, :-1]
         ok[:, :min_leaf - 1] = False
         ok[:, nr - min_leaf:] = False
@@ -290,7 +311,7 @@ def _best_split(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], ro
             continue
         fi = idx // (nr - 1)
         if counts is None:
-            sums = ab.take(order)
+            sums = data.take(order)
             np.cumsum(sums, axis=1, out=sums)
             sums = sums.take(idx + fi)  # ok has one column fewer
             wl, pl = sums.real, sums.imag
@@ -339,11 +360,12 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
     while stack:
         slot, rows, depth = stack.pop()
         node = nodes[slot]
-        node[4], node[5] = criterion.leaf(rows)
+        stats = criterion.node(rows)
+        node[4], node[5] = criterion.leaf(stats[0], stats[1])
         split = None
-        if depth < max_depth and rows.size >= 2 * params.min_samples_leaf and not criterion.is_pure(rows):
+        if depth < max_depth and rows.size >= 2 * params.min_samples_leaf and not stats[2]:
             feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
-            split = _best_split(criterion, codes, values, rows, feats, params.min_samples_leaf)
+            split = _best_split(criterion, stats, codes, values, rows, feats, params.min_samples_leaf)
         if split is None:
             leaf[rows] = slot
             continue

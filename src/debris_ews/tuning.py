@@ -3,7 +3,8 @@
 Every grid cell is scored by the mean AUPRC over k held-out folds; folds come
 from the stratified window k-fold, so no window contributes hours to both
 sides of a fit. One example matrix holds the folds in fold order, and a fit
-trains on the rows outside its held-out fold. Ties on mean AUPRC go to the
+trains on the rows outside its held-out fold; forests grow on those rows of one
+rank coding of the whole matrix, made once per run. Ties on mean AUPRC go to the
 smaller model: fewer trees, then shallower, then larger leaves.
 """
 from __future__ import annotations
@@ -18,10 +19,11 @@ import numpy as np
 
 from ._common import InputError, build_params, derived_rng, write_csv
 from .dataset import DatasetWindow, FeatureSpec, LabelingConfig, build_examples, kfold_windows
-from .forest import ForestParams, fit_forest
+from .forest import ForestParams, grow_forest
 from .gbt import GbtParams, fit_gbt
 from .linear import LogisticParams, fit_logistic
 from .metrics import auprc
+from .trees import _rank_codes, check_training_inputs
 
 log = logging.getLogger(__name__)
 
@@ -62,9 +64,13 @@ def _cell_params(model_kind: str, grid: Sequence, source: str) -> list:
     return [build_params(_PARAMS[model_kind], cell, f"{source}: cell {ci}") for ci, cell in enumerate(grid)]
 
 
-def _fit_cell(params, X, y, training_weight: float, seed: int, threads: int):
+def _fit_cell(params, examples, train: np.ndarray, coded: tuple | None, training_weight: float, seed: int,
+              threads: int):
+    """One fold fit on the rows `train` of examples; a forest grows on the rows of coded,
+    the checked and rank-coded examples (see grow_forest)."""
     if isinstance(params, ForestParams):
-        return fit_forest(X, y, params, training_weight, seed=seed, threads=threads)
+        return grow_forest(*coded, np.flatnonzero(train), params, training_weight, seed, threads)
+    X, y = examples.X[train], examples.y[train]
     if isinstance(params, GbtParams):
         return fit_gbt(X, y, params=params, training_weight=training_weight)
     return fit_logistic(X, y, params=params, training_weight=training_weight)
@@ -114,6 +120,10 @@ def grid_search_cv(
     # one matrix in fold order: fold fi's rows are held out, the rest train in fold order
     examples = build_examples([w for fold in folds for w in fold], spec, labeling)
     fold_of_row = np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
+    coded = None
+    if model_kind == "rf":  # every forest fold fit grows on rows of one coding
+        X, y, w = check_training_inputs(examples.X, examples.y, None, training_weight)
+        coded = (*_rank_codes(X), y, w)
 
     cells: list[GridCell] = []
     for ci, (cell, params) in enumerate(zip(grid, cell_params)):
@@ -125,7 +135,7 @@ def grid_search_cv(
                 log.warning("fold %d has single-class labels; skipped in cell %s", fi, cell)
                 continue
             fit_seed = int(derived_rng(seed, 5, ci, fi).integers(2**63))
-            model = _fit_cell(params, examples.X[~held], examples.y[~held], training_weight, fit_seed, threads)
+            model = _fit_cell(params, examples, ~held, coded, training_weight, fit_seed, threads)
             scores.append(auprc(model.predict_proba(examples.X[held]), y_held))
         if not scores:
             raise InputError("every fold was single-class; cannot score the grid")

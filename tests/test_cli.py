@@ -470,6 +470,18 @@ def test_eval_rejects_bad_node_arrays_with_exit_1(pipeline, tmp_path, capsys, ar
     assert f"{path}: tree 0: {array}[{node}] = {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("n_features", 4.0), ("seed", True), ("training_weight", 0)])
+def test_eval_rejects_bad_model_scalars_with_exit_1(pipeline, tmp_path, capsys, field, value):
+    doc = json.loads((pipeline["model"] / "model.json").read_text())
+    doc[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(path), "--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+                 "--manifest", str(pipeline["data"] / "manifest.json"), "--out", str(tmp_path / "e")]) == 1
+    assert f"{path}: field {field!r}: expected " in capsys.readouterr().err
+
+
 def test_eval_and_explain_take_lead_from_model(pipeline, tmp_path, capsys):
     data = ["--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
             "--manifest", str(pipeline["data"] / "manifest.json")]

@@ -11,7 +11,9 @@ from debris_ews import (
     fit_forest,
     fit_tree,
 )
+from debris_ews.forest import grow_forest
 from debris_ews.modelio import model_to_doc
+from debris_ews.trees import _rank_codes, check_training_inputs
 
 
 def _imbalanced(rng, n=400, m=5, pos_rate=0.08):
@@ -105,3 +107,25 @@ def test_degenerate_and_invalid_params():
         fit_forest(X, y, ForestParams(max_features=99), seed=0)
     with pytest.raises(InputError):
         fit_forest(X, y, training_weight=0.0, seed=0)
+
+
+@pytest.mark.parametrize("training_weight", [1.0, 10.0, 2.5])
+@pytest.mark.parametrize("wide", [False, True], ids=["uint16", "uint32"])
+def test_forest_on_rows_of_a_wider_coding_equals_fit_on_the_rows(training_weight, wide):
+    # cv codes its whole matrix once and grows each fold's forests on the fold's rows;
+    # with wide, only the whole matrix has > 65,536 distinct values in a column
+    rng = np.random.default_rng(8)
+    n = 70_000 if wide else 400
+    X, y = _imbalanced(rng, n=n)
+    X = X.round(1)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    if wide:
+        X[:, 0] = rng.permutation(n) / 7.0
+    rows = np.sort(rng.choice(n, size=300, replace=False))
+    Xc, yc, w = check_training_inputs(X, y, None, training_weight)
+    codes, values = _rank_codes(Xc)
+    assert codes.dtype == (np.uint32 if wide else np.uint16)
+    params = ForestParams(n_trees=3, max_depth=8, min_samples_leaf=2)
+    grown = grow_forest(codes, values, yc, w, rows, params, training_weight, seed=4)
+    fit = fit_forest(X[rows], y[rows], params, training_weight, seed=4)
+    assert json.dumps(model_to_doc(grown)) == json.dumps(model_to_doc(fit))

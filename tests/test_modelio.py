@@ -147,3 +147,66 @@ def test_load_rejects_bad_node_arrays_naming_file_tree_and_array(tmp_path, mutat
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError, match=f"^{re.escape(str(path))}: tree 1: .*{array}"):
         load_model(path)
+
+
+def _saved_doc(tmp_path, kind):
+    X, y = _data(np.random.default_rng(13))
+    if kind == "rf":
+        model = fit_forest(X, y, ForestParams(n_trees=2, max_depth=3), seed=1)
+    elif kind == "gbt":
+        model = fit_gbt(X, y, params=GbtParams(n_trees=2, max_depth=3))
+    else:
+        model = fit_logistic(X, y, params=LogisticParams(penalty="l2", l2=0.5))
+    path = tmp_path / "model.json"
+    save_model(path, model, feature_spec=FeatureSpec(hourly_hours=4))
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("kind, field, value, expected", [
+    ("rf", "n_features", 4.0, "an integer >= 1, got 4.0"),
+    ("rf", "n_features", 4.5, "an integer >= 1, got 4.5"),
+    ("rf", "n_features", "4", "an integer >= 1, got '4'"),
+    ("rf", "n_features", True, "an integer >= 1, got True"),
+    ("rf", "n_features", 0, "an integer >= 1, got 0"),
+    ("gbt", "n_features", 4.0, "an integer >= 1, got 4.0"),
+    ("logistic", "n_features", True, "an integer >= 1, got True"),
+    ("rf", "n_features", 5, "5 differs from the 4 features of the feature_spec"),
+    ("gbt", "n_features", 3, "3 differs from the 4 features of the feature_spec"),
+    ("rf", "seed", 1.0, "an integer, got 1.0"),
+    ("rf", "seed", "1", "an integer, got '1'"),
+    ("rf", "training_weight", 0.0, "a finite number > 0, got 0.0"),
+    ("rf", "training_weight", float("inf"), "a finite number > 0, got inf"),
+    ("gbt", "training_weight", -1.0, "a finite number > 0, got -1.0"),
+    ("gbt", "training_weight", True, "a finite number > 0, got True"),
+    ("gbt", "base_log_odds", float("nan"), "a finite number, got nan"),
+    ("gbt", "base_log_odds", "0.5", "a finite number, got '0.5'"),
+    ("logistic", "bias", float("-inf"), "a finite number, got -inf"),
+    ("logistic", "bias", None, "a finite number, got None"),
+])
+def test_load_rejects_bad_scalars_naming_file_and_field(tmp_path, kind, field, value, expected):
+    path, doc = _saved_doc(tmp_path, kind)
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}: field {field!r}: ')}"):
+        load_model(path)
+    with pytest.raises(InputError) as err:
+        load_model(path)
+    assert str(err.value).endswith(expected)
+
+
+def test_load_rejects_logistic_weights_of_another_count(tmp_path):
+    path, doc = _saved_doc(tmp_path, "logistic")
+    doc["weights"].append(0.5)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"field 'weights': expected a list of n_features = 4 numbers, "
+                                         r"got shape \(5,\)"):
+        load_model(path)
+
+
+def test_integer_scalars_load_as_the_floats_a_fit_saves(tmp_path):
+    path, doc = _saved_doc(tmp_path, "gbt")
+    doc["training_weight"], doc["base_log_odds"] = 2, 0
+    path.write_text(json.dumps(doc))
+    model, _ = load_model(path)
+    assert (model.training_weight, model.base_log_odds) == (2.0, 0.0)
+    assert type(model.training_weight) is float and type(model.base_log_odds) is float

@@ -174,6 +174,11 @@ def scan_paths(monkeypatch):
     return _path_check(monkeypatch, sort_only=False)
 
 
+def _scan(criterion, codes, values, rows, features, min_leaf):
+    """trees._best_split on a node, looked up at call time so that _path_check sees it."""
+    return trees._best_split(criterion, criterion.node(rows), codes, values, rows, features, min_leaf)
+
+
 def _reference_gini(X, y, w, min_leaf, rows, features):
     nr = rows.size
     wv = w[rows]
@@ -248,8 +253,27 @@ def _reference_gain(X, g, h, lam, min_leaf, rows, features):
     return best
 
 
-def _reference_grow(X, criterion, split, params, rng=None):
-    """Depth-first, left subtree first, rows partitioned on the float values."""
+def _gini_leaf(y, w):
+    """Leaf (value, weight) and purity of a weighted-Gini node, from its own row sums."""
+    def leaf(rows):
+        W = float(w[rows].sum())
+        return float((w * y)[rows].sum() / W), W, bool(y[rows].max() == y[rows].min())
+    return leaf
+
+
+def _gain_leaf(g, h, lam):
+    """Leaf (value, weight) and purity of a boosting node; no curvature gives a zero leaf."""
+    def leaf(rows):
+        H = float(h[rows].sum())
+        if H + lam == 0:
+            return 0.0, H, True
+        return float(-g[rows].sum() / (H + lam)), H, False
+    return leaf
+
+
+def _reference_grow(X, leaf, split, params, rng=None):
+    """Depth-first, left subtree first, rows partitioned on the float values; leaf(rows)
+    gives a node's (value, weight, pure)."""
     n, m = X.shape
     m_try = m if params.max_features is None else params.max_features
     max_depth = np.inf if params.max_depth is None else params.max_depth
@@ -261,8 +285,8 @@ def _reference_grow(X, criterion, split, params, rng=None):
         return len(nodes[0]) - 1
 
     def grow(slot, rows, depth):
-        nodes[4][slot], nodes[5][slot] = criterion.leaf(rows)
-        if depth >= max_depth or rows.size < 2 * params.min_samples_leaf or criterion.is_pure(rows):
+        nodes[4][slot], nodes[5][slot], pure = leaf(rows)
+        if depth >= max_depth or rows.size < 2 * params.min_samples_leaf or pure:
             return
         feats = np.arange(m) if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
         best = split(rows, feats)
@@ -314,12 +338,12 @@ def test_scan_matches_reference_on_random_nodes(scan_paths):
         for min_leaf in (1, 3):
             rows = np.sort(rng.choice(n, size=int(rng.integers(2 * min_leaf, n + 1)), replace=False))
             feats = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, X.shape[1] + 1)), replace=False))
-            got = trees._best_split(_GiniCriterion(y, w), codes, values, rows, feats, min_leaf)
+            got = _scan(_GiniCriterion(y, w), codes, values, rows, feats, min_leaf)
             assert (got and got[:2]) == _reference_gini(X, y, w, min_leaf, rows, feats)
             for lam in (1.0, 0.0):
                 if h[rows].sum() + lam == 0.0:
                     continue
-                got = trees._best_split(_GainCriterion(g, h, lam), codes, values, rows, feats, min_leaf)
+                got = _scan(_GainCriterion(g, h, lam), codes, values, rows, feats, min_leaf)
                 assert (got and got[:2]) == _reference_gain(X, g, h, lam, min_leaf, rows, feats)
     scan_paths({"sort", "counting"})
 
@@ -333,33 +357,44 @@ def test_trees_match_reference_grower(scan_paths):
         w = rng.uniform(0.5, 3.0, size=n) if trial % 2 else np.where(y == 1, 7.0, 3.0)
         params = TreeParams(max_depth=None if trial % 2 else 8, min_samples_leaf=1 + 2 * (trial % 3))
         tree = fit_tree(X, y, sample_weight=w, params=params)
-        crit = _GiniCriterion(y.astype(float), w)
+        leaf = _gini_leaf(y.astype(float), w)
         _assert_same_nodes(tree, _reference_grow(
-            X, crit, lambda rows, f: _reference_gini(X, y.astype(float), w, params.min_samples_leaf, rows, f), params))
+            X, leaf, lambda rows, f: _reference_gini(X, y.astype(float), w, params.min_samples_leaf, rows, f), params))
 
         g, h = rng.normal(size=n), rng.uniform(0.05, 1.0, size=n)
         tree = fit_gradient_tree(X, g, h, params, leaf_l2=0.5)
-        crit = _GainCriterion(g, h, 0.5)
         _assert_same_nodes(tree, _reference_grow(
-            X, crit, lambda rows, f: _reference_gain(X, g, h, 0.5, params.min_samples_leaf, rows, f), params))
+            X, _gain_leaf(g, h, 0.5), lambda rows, f: _reference_gain(X, g, h, 0.5, params.min_samples_leaf, rows, f),
+            params))
     scan_paths({"sort", "counting"})
 
 
-def test_seeded_forest_matches_reference_grower(scan_paths):
+def _check_seeded_forest(training_weight):
+    """Each bootstrap tree of a seeded forest against the reference grower on its resample."""
     rng = np.random.default_rng(12)
     X = _hard_matrix(rng, 500)
     y = _hard_labels(rng, X)
-    w = np.where(y == 1, 2.0, 1.0)  # training_weight 2 on the positives
+    w = np.where(y == 1, training_weight, 1.0)
     params = ForestParams(n_trees=3, max_depth=10, min_samples_leaf=2, max_features=3)
-    forest = fit_forest(X, y, params, training_weight=2.0, seed=9)
+    forest = fit_forest(X, y, params, training_weight=training_weight, seed=9)
     for t, tree in enumerate(forest.trees):
         trng = derived_rng(9, 4, t)
         rows = trng.integers(0, X.shape[0], size=X.shape[0])
         Xt, yt, wt = X[rows], y[rows].astype(float), w[rows]
-        nodes = _reference_grow(Xt, _GiniCriterion(yt, wt),
+        nodes = _reference_grow(Xt, _gini_leaf(yt, wt),
                                 lambda r, f: _reference_gini(Xt, yt, wt, 2, r, f), params.tree_params(7), trng)
         _assert_same_nodes(tree, nodes)
+
+
+def test_seeded_forest_matches_reference_grower(scan_paths):
+    _check_seeded_forest(2.0)
     scan_paths({"counting"})
+
+
+def test_fractional_weight_forest_matches_reference_grower(scan_paths):
+    # training weight 2.5 takes the sort scan, over bootstrap resamples with repeated rows
+    _check_seeded_forest(2.5)
+    scan_paths({"sort"})
 
 
 def test_scan_blocks_keep_first_feature_on_ties(monkeypatch):
@@ -371,9 +406,10 @@ def test_scan_blocks_keep_first_feature_on_ties(monkeypatch):
     X = np.column_stack([X, X[:, ::-1]])
     y = _hard_labels(rng, X)
     tree = fit_tree(X, y, params=TreeParams(max_depth=6))
-    crit = _GiniCriterion(y.astype(float), np.ones(120))
+    w = np.ones(120)
     _assert_same_nodes(tree, _reference_grow(
-        X, crit, lambda rows, f: _reference_gini(X, y.astype(float), np.ones(120), 1, rows, f), TreeParams(max_depth=6)))
+        X, _gini_leaf(y.astype(float), w), lambda rows, f: _reference_gini(X, y.astype(float), w, 1, rows, f),
+        TreeParams(max_depth=6)))
 
 
 def test_wide_codes_and_several_blocks_match_reference(scan_paths):
@@ -392,16 +428,36 @@ def test_wide_codes_and_several_blocks_match_reference(scan_paths):
     params = TreeParams(max_depth=2, min_samples_leaf=5)
     tree = fit_tree(X, y, params=params)
     w = np.ones(n)
-    crit = _GiniCriterion(y.astype(float), w)
     _assert_same_nodes(tree, _reference_grow(
-        X, crit, lambda rows, f: _reference_gini(X, y.astype(float), w, 5, rows, f), params))
+        X, _gini_leaf(y.astype(float), w), lambda rows, f: _reference_gini(X, y.astype(float), w, 5, rows, f), params))
     scan_paths({"counting"})
+
+
+@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+def test_packed_sort_keys_around_65536_rows_match_reference(monkeypatch, n):
+    # uint16 codes up to 65,535: a root of 65,536 rows packs code << 16 | position
+    # into uint32 keys up to 2**32 - 1, and one more row needs uint64 keys
+    scan_paths = _path_check(monkeypatch, sort_only=True)
+    rng = np.random.default_rng(18)
+    X = _hard_matrix(rng, n, 4)
+    X[:, 0] = rng.permutation(n) % (1 << 16) / 7.0
+    assert _rank_codes(X)[0].dtype == np.uint16 and _rank_codes(X)[0].max() == (1 << 16) - 1
+    y = _hard_labels(rng, X).astype(float)
+    w = np.where(y == 1, 2.5, 1.0)
+    params = TreeParams(max_depth=2, min_samples_leaf=5)
+    _assert_same_nodes(fit_tree(X, y, sample_weight=w, params=params), _reference_grow(
+        X, _gini_leaf(y, w), lambda rows, f: _reference_gini(X, y, w, 5, rows, f), params))
+    g, h = rng.normal(size=n), rng.uniform(0.05, 1.0, size=n)
+    _assert_same_nodes(fit_gradient_tree(X, g, h, params), _reference_grow(
+        X, _gain_leaf(g, h, 1.0), lambda rows, f: _reference_gain(X, g, h, 1.0, 5, rows, f), params))
+    scan_paths({"sort"})
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("test", [
     test_scan_matches_reference_on_random_nodes, test_trees_match_reference_grower,
-    test_seeded_forest_matches_reference_grower, test_wide_codes_and_several_blocks_match_reference,
+    test_seeded_forest_matches_reference_grower, test_fractional_weight_forest_matches_reference_grower,
+    test_wide_codes_and_several_blocks_match_reference,
 ], ids=lambda test: test.__name__)
 def test_sort_scan_alone_matches_reference(monkeypatch, test):
     test(_path_check(monkeypatch, sort_only=True))
@@ -430,7 +486,7 @@ def test_scan_paths_by_weights_match_reference(monkeypatch, a1, a0, per_row, cou
     params = TreeParams(max_depth=10, min_samples_leaf=2)
     tree = fit_tree(X, y, sample_weight=w, params=params)
     _assert_same_nodes(tree, _reference_grow(
-        X, _GiniCriterion(y, w), lambda rows, f: _reference_gini(X, y, w, 2, rows, f), params))
+        X, _gini_leaf(y, w), lambda rows, f: _reference_gini(X, y, w, 2, rows, f), params))
     scan_paths({"counting" if counting else "sort"})
 
 
@@ -446,12 +502,12 @@ def test_counting_scan_of_one_class(monkeypatch, label, sort_only):
     feats = np.arange(X.shape[1])
     rows = np.flatnonzero(y == label)
     w = np.where(y == 1, 7.0, 3.0)
-    assert trees._best_split(_GiniCriterion(y, w), codes, values, rows, feats, 1) is None
+    assert _scan(_GiniCriterion(y, w), codes, values, rows, feats, 1) is None
     assert _reference_gini(X, y, w, 1, rows, feats) is None
     y = np.full(200, label)
     w = np.where(y == 1, 7.0, 3.0)
     assert _counting_weights(y, w)[:2] == ((0.0, 7.0) if label else (3.0, 0.0))
-    assert trees._best_split(_GiniCriterion(y, w), codes, values, np.arange(200), feats, 1) is None
+    assert _scan(_GiniCriterion(y, w), codes, values, np.arange(200), feats, 1) is None
     scan_paths({"counting"})
 
 
@@ -497,3 +553,11 @@ def test_every_fitter_rejects_a_bad_training_weight(fit, training_weight):
     X, y = _rand_data(np.random.default_rng(5), n=20)
     with pytest.raises(InputError, match=r"^training_weight must be finite and > 0$"):
         fit(X, y, training_weight=training_weight)
+
+
+@pytest.mark.parametrize("sample_weight, training_weight", [(1e300, 1e10), (1e-300, 1e-30)], ids=["inf", "zero"])
+@pytest.mark.parametrize("fit", [fit_forest, fit_gbt, fit_logistic], ids=lambda f: f.__name__)
+def test_every_fitter_rejects_positive_weights_out_of_range(fit, sample_weight, training_weight):
+    X, y = _rand_data(np.random.default_rng(5), n=20)
+    with pytest.raises(InputError, match=r"^training_weight times a sample weight must be finite and > 0$"):
+        fit(X, y, sample_weight=np.full(20, sample_weight), training_weight=training_weight)

@@ -121,7 +121,7 @@ def test_every_grid_cell_is_checked_before_the_first_fit(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fit before the grid was checked")
 
-    monkeypatch.setattr(tuning, "fit_forest", no_fit)
+    monkeypatch.setattr(tuning, "grow_forest", no_fit)
     windows = _toy_corpus(np.random.default_rng(5), n_pos=4, n_neg=6)
     grid = [{"n_trees": 2}, {"n_trees": 2, "max_depth": "deep"}]
     with pytest.raises(InputError, match="^grid: cell 1: field 'max_depth': expected an integer or null, got 'deep'$"):
