@@ -304,7 +304,7 @@ def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]
             row = {name: fields[first] for name, fields in columns.items()}
             problem = "bad scores row" if first == bad else "label must be 0 or 1 and score finite in row"
             raise InputError(f"{csv_row_ref(path, n + first + 1)}: {problem} {row!r}")
-        parts.append((number_keys(code, wids), hours, labels, scores))
+        parts.append((number_keys(code, wids.distinct()), hours, labels, scores))
         n += len(wids)
     if not n:
         raise InputError(f"{path}: no score rows")

@@ -69,15 +69,30 @@ def fit_gbt(
     training_weight: float = 1.0,
 ) -> GbtModel:
     X, y, w = check_training_inputs(X, y, sample_weight, training_weight)
+    codes, values = _rank_codes(X)
+    return grow_gbt(codes, values, y, w, np.arange(X.shape[0]), params, training_weight)
 
+
+def grow_gbt(
+    codes: np.ndarray,
+    values: tuple[np.ndarray, ...],
+    y: np.ndarray,
+    w: np.ndarray,
+    rows: np.ndarray,
+    params: GbtParams,
+    training_weight: float,
+) -> GbtModel:
+    """The model fit_gbt boosts on the training set of the given rows, from the output
+    of check_training_inputs and _rank_codes for a set that holds them. The codes may
+    rank more rows than these; the trees are the same, as in forest.grow_forest."""
+    codes, y, w = codes.take(rows, axis=1), y[rows], w[rows]
     prior = float(np.dot(w, y) / w.sum())
     prior = min(max(prior, _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
     base = float(np.log(prior / (1.0 - prior)))
 
-    score = np.full(X.shape[0], base)
+    score = np.full(rows.size, base)
     trees: list[DecisionTree] = []
     tree_params = params.tree_params()
-    codes, values = _rank_codes(X)
     for _ in range(params.n_trees):
         p = sigmoid(score)
         grad = w * (p - y)
@@ -87,4 +102,4 @@ def fit_gbt(
         score = score + params.learning_rate * tree.value[leaf]
         if not np.isfinite(score).all():
             raise InputError("boosting diverged to non-finite scores")
-    return GbtModel(tuple(trees), params, base, float(training_weight), X.shape[1])
+    return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])

@@ -25,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from ._common import (
-    HOUR, InputError, csv_row_ref, ensure_hour_aligned, format_ts, number_keys, parse_column, parse_ts, read_csv_blocks,
-    write_csv,
+    HOUR, CsvColumn, InputError, csv_row_ref, ensure_hour_aligned, format_ts, number_keys, parse_column, parse_ts,
+    read_csv_blocks, write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -208,32 +208,46 @@ def ear_series(
 # ---------------------------------------------------------------------------
 
 
-# Canonical timestamps, YYYY-MM-DDTHH:00:00Z, are converted in bulk: each of
-# their characters lies between the two bounds below. Other forms go through
-# parse_ts one at a time.
+# Canonical timestamps, YYYY-MM-DDTHH:00:00Z, are converted in bulk from their
+# 20 bytes: less _LOW, each is at most _SPAN (the bytes below _LOW wrap round).
+# Other forms go through parse_ts one at a time.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_LOW, _HIGH = (np.array([ord(c) for c in t], dtype=np.int32) for t in ("0000-00-00T00:00:00Z", "9999-99-99T99:00:00Z"))
+_LOW, _HIGH = (np.frombuffer(t.encode(), np.uint8) for t in ("0000-00-00T00:00:00Z", "9999-99-99T99:00:00Z"))
+_SPAN = _HIGH - _LOW
 
 
-def _epoch_hours(stamps: list[str]) -> tuple[np.ndarray, int]:
+def _number(digits: np.ndarray) -> np.ndarray:
+    """The decimal number of each row of digits, most significant first."""
+    out = np.zeros(len(digits), np.int64)
+    for column in digits.T:
+        out *= 10
+        out += column
+    return out
+
+
+def _epoch_hours(stamps: CsvColumn) -> tuple[np.ndarray, int]:
     """Hours since 1970-01-01T00Z of each timestamp as parse_ts reads it, and the
     index of the first one that it rejects or that is not hour-aligned
     (len(stamps) if none); entries from that index on are unset."""
-    n = len(stamps)
-    chars = np.array(stamps, dtype="U20").view(np.int32).reshape(n, 20)  # cuts longer ones, which len rules out
-    canonical = ((chars >= _LOW) & (chars <= _HIGH)).all(1) & (np.fromiter(map(len, stamps), np.intp, n) == 20)
-    year, month, day, hour = ((chars[:, a:b] - ord("0")) @ 10 ** np.arange(b - a - 1, -1, -1)
-                              for a, b in ((0, 4), (5, 7), (8, 10), (11, 13)))
-    months = ((year - 1970) * 12 + month - 1).astype("M8[M]")
-    first_day, next_month = (m.astype("M8[D]").astype(np.int64) for m in (months, months + 1))
-    canonical &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= next_month - first_day) & (hour <= 23)
+    digits = stamps.windows(20) - _LOW
+    canonical = stamps.end - stamps.start == 20
+    canonical[np.flatnonzero(digits > _SPAN) // 20] = False
+    year, month, day, hour = (_number(digits[:, a:b]) for a, b in ((0, 4), (5, 7), (8, 10), (11, 13)))
+    canonical &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23)
+    month_index = year * 12 + month - 1  # since January of year 0
+    known = month_index[canonical]
+    lo, hi = (int(known.min()), int(known.max())) if known.size else (0, 0)
+    first_days = (np.arange(lo, hi + 2) - 1970 * 12).astype("M8[M]").astype("M8[D]").astype(np.int64)
+    month_index = np.clip(month_index - lo, 0, hi - lo)
+    first_day = first_days[month_index]
+    canonical &= day <= first_days[month_index + 1] - first_day
     hours = (first_day + day - 1) * 24 + hour
     for i in np.flatnonzero(~canonical):
         try:
             hours[i] = (ensure_hour_aligned(parse_ts(stamps[i])) - _EPOCH) // HOUR
         except InputError:
             return hours, int(i)
-    return hours, n
+    return hours, len(stamps)
 
 
 def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[RainSeries]:
@@ -242,15 +256,16 @@ def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[Ra
     parts = []  # per block: (station numbers, hours, values)
     n = 0
     for columns in read_csv_blocks(path, RAINFALL_CSV_COLUMNS, "rainfall"):
-        sids = [s.strip() for s in columns["station_id"]]
+        sids = columns["station_id"].distinct()
+        sids = sids._replace(text=[s.strip() for s in sids.text])
         stamps, mm = columns["timestamp"], columns["rainfall_mm"]
         hours, bad_ts = _epoch_hours(stamps)
         values, bad_mm = parse_column(float, mm, np.float64)
         out_of_range = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-        row = min(sids.index("") if "" in sids else len(sids), bad_ts, bad_mm, *out_of_range[:1])
-        if row < len(sids):  # the first failing row, with the first of its checks that fails
+        row = min(sids.first_of(not s for s in sids.text), bad_ts, bad_mm, *out_of_range[:1])
+        if row < len(stamps):  # the first failing row, with the first of its checks that fails
             where = csv_row_ref(path, n + row + 1)
-            if not sids[row]:
+            if not sids.text[sids.index[row]]:
                 raise InputError(f"{where}: empty station_id")
             try:
                 ts = parse_ts(stamps[row])
@@ -261,7 +276,7 @@ def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[Ra
                 raise InputError(f"{where}: bad rainfall_mm {mm[row]!r}")
             raise InputError(f"{where}: rainfall_mm must be finite and >= 0")
         parts.append((number_keys(code, sids), hours, values))
-        n += len(sids)
+        n += len(stamps)
     if not n:
         raise InputError(f"{path}: no rainfall rows")
 

@@ -3,9 +3,10 @@
 Every grid cell is scored by the mean AUPRC over k held-out folds; folds come
 from the stratified window k-fold, so no window contributes hours to both
 sides of a fit. One example matrix holds the folds in fold order, and a fit
-trains on the rows outside its held-out fold; forests grow on those rows of one
-rank coding of the whole matrix, made once per run. Ties on mean AUPRC go to the
-smaller model: fewer trees, then shallower, then larger leaves.
+trains on the rows outside its held-out fold; forests and boosted models grow on
+those rows of one rank coding of the whole matrix, made once per run. Ties on
+mean AUPRC go to the smaller model: fewer trees, then shallower, then larger
+leaves.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from ._common import InputError, build_params, derived_rng, write_csv
 from .dataset import DatasetWindow, FeatureSpec, LabelingConfig, build_examples, kfold_windows
 from .forest import ForestParams, grow_forest
-from .gbt import GbtParams, fit_gbt
+from .gbt import GbtParams, grow_gbt
 from .linear import LogisticParams, fit_logistic
 from .metrics import auprc
 from .trees import _rank_codes, check_training_inputs
@@ -66,14 +67,13 @@ def _cell_params(model_kind: str, grid: Sequence, source: str) -> list:
 
 def _fit_cell(params, examples, train: np.ndarray, coded: tuple | None, training_weight: float, seed: int,
               threads: int):
-    """One fold fit on the rows `train` of examples; a forest grows on the rows of coded,
-    the checked and rank-coded examples (see grow_forest)."""
+    """One fold fit on the rows `train` of examples; a tree ensemble grows on the rows of
+    coded, the checked and rank-coded examples (see grow_forest)."""
     if isinstance(params, ForestParams):
         return grow_forest(*coded, np.flatnonzero(train), params, training_weight, seed, threads)
-    X, y = examples.X[train], examples.y[train]
     if isinstance(params, GbtParams):
-        return fit_gbt(X, y, params=params, training_weight=training_weight)
-    return fit_logistic(X, y, params=params, training_weight=training_weight)
+        return grow_gbt(*coded, np.flatnonzero(train), params, training_weight)
+    return fit_logistic(examples.X[train], examples.y[train], params=params, training_weight=training_weight)
 
 
 def _size_key(model_kind: str, cell: Mapping) -> tuple:
@@ -121,7 +121,7 @@ def grid_search_cv(
     examples = build_examples([w for fold in folds for w in fold], spec, labeling)
     fold_of_row = np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
     coded = None
-    if model_kind == "rf":  # every forest fold fit grows on rows of one coding
+    if model_kind != "logistic":  # every tree fold fit grows on rows of one coding
         X, y, w = check_training_inputs(examples.X, examples.y, None, training_weight)
         coded = (*_rank_codes(X), y, w)
 

@@ -122,6 +122,9 @@ def test_read_json_reads_back_and_names_a_bad_file(tmp_path):
         read_json(path, "doc")
     with pytest.raises(InputError, match=f"^cannot read doc {re.escape(str(tmp_path / 'gone.json'))}: "):
         read_json(tmp_path / "gone.json", "doc")
+    path.write_bytes(b'{"a": "\xe9"}')  # not UTF-8, whatever the locale
+    with pytest.raises(InputError, match=f"^cannot read doc {re.escape(str(path))}: 'utf-8' codec can't decode"):
+        read_json(path, "doc")
 
 
 def test_only_common_writes_csv_or_json():

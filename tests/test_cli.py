@@ -560,7 +560,7 @@ def test_read_scores_csv_rejects_hour_gaps(tmp_path):
 def _reference_read_scores_csv(path):
     path = Path(path)
     grouped = {}
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in SCORES_CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
@@ -616,6 +616,12 @@ SCORES_FILES = {
     "missing hour": SCORES_HEADER + "w1,0,1,0.5\nw1,2,0,0.5\n",
     "missing column": "window_id,hour,score\nw1,0,0.5\n",
     "no rows": SCORES_HEADER,
+    # windows keep their order of first appearance, which feeds the bootstrap groups
+    "first appearance unlike sorted order, non-ASCII ids":
+        SCORES_HEADER + "wz,0,0,0.5\nwé,0,1,0.25\nwa,0,0,0.1\nwé,1,0,0.3\n東京,0,1,0.9\nwz,1,1,0.5\nw\x00,0,0,1\nw,0,1,2\n",
+    # fields of up to 7 bytes share a uint64 key with their length; 8 and more are byte strings
+    "fields of 7, 8 and 9 bytes": SCORES_HEADER + "w234567,0,1,0.12345\nw2345678,0,0,0.123456\nw23456789,0,1,0.1234567\n"
+                                  "w234567,1,0,0.1234567\nw2345678,1,1,0.12345\nw23456789,1,0,1234567.0\n",
 }
 
 
@@ -626,7 +632,7 @@ def test_bulk_scores_reader_matches_reference(tmp_path, case, quoted, csv_blocks
     if quoted:  # the same file through csv.reader
         text = text.replace("hour", '"hour"', 1)
     path = tmp_path / "scores.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     assert _scores_outcome(read_scores_csv, path) == _scores_outcome(_reference_read_scores_csv, path)
 
 

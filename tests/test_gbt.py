@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from debris_ews import GbtParams, InputError, fit_gbt
+from debris_ews.gbt import grow_gbt
 from debris_ews.linear import sigmoid
+from debris_ews.modelio import model_to_doc
+from debris_ews.trees import _rank_codes, check_training_inputs
 
 
 def staged_decision_scores(model, X):
@@ -87,3 +92,25 @@ def test_param_validation():
         GbtParams(n_trees=-1)
     with pytest.raises(InputError):
         GbtParams(leaf_l2=-1.0)
+
+
+@pytest.mark.parametrize("training_weight", [1.0, 2.5])
+@pytest.mark.parametrize("wide", [False, True], ids=["uint16", "uint32"])
+def test_gbt_on_rows_of_a_wider_coding_equals_fit_on_the_rows(training_weight, wide):
+    # cv codes its whole matrix once and boosts each fold on the fold's rows; with
+    # wide, only the whole matrix has > 65,536 distinct values in a column
+    rng = np.random.default_rng(8)
+    n = 70_000 if wide else 400
+    X = rng.normal(size=(n, 4)).round(1)
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=n) > 1.5).astype(int)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    if wide:
+        X[:, 0] = rng.permutation(n) / 7.0
+    rows = np.sort(rng.choice(n, size=300, replace=False))
+    Xc, yc, w = check_training_inputs(X, y, None, training_weight)
+    codes, values = _rank_codes(Xc)
+    assert codes.dtype == (np.uint32 if wide else np.uint16)
+    params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=5, min_samples_leaf=2)
+    grown = grow_gbt(codes, values, yc, w, rows, params, training_weight)
+    fit = fit_gbt(X[rows], y[rows], params=params, training_weight=training_weight)
+    assert json.dumps(model_to_doc(grown)) == json.dumps(model_to_doc(fit))

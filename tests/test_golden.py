@@ -59,6 +59,7 @@ GOLDEN_ARTIFACTS = {
         "run/explain_perm/importance.csv": "26c09cc0a5168effb06ba8e27aec07b5a32efd8daf52ecb18ea4c22b06248d05",
         "run/cv/cv_results.csv": "b83b40afd47ac682f5e1ac273dec23e4ceb6b9d003b27077270c9a9c130a835b",
         "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
+        "run/cv_gbt/cv_results.csv": "f3f51ad034148154e6c0cc36737a1a2fc799539fb1c24868e3ca0a95aa566f36",
         "run/gbt/model.json": "fbeb52f9843dca597cb56e9b94e829eece022bc1442e6a9d8e546a9299411244",
         "run/rf_tw0.1/model.json": "a178bea509f161cc9a5cede7b265b0ccdcaa9fc767c534c72183aefb36e80af4",
         "run/rf_tw10/model.json": "70d01ed100b674d8cc46d7eeb84adeaeac162b4df31f96ec85b9501d6724bd18",
@@ -128,7 +129,7 @@ def test_pipeline_fingerprints(pipeline):
 def test_artifact_fingerprints(corpus, pipeline, tmp_path):
     """Every other CSV and JSON artifact: the synthetic event and threshold
     tables, segment, ear, the exported features, curves, metrics, operating
-    points, importances, a 2-cell CV table, a GBT model, two forests whose
+    points, importances, 2-cell forest and GBT CV tables, a GBT model, two forests whose
     training weights (0.1 and 10) take the two split scans, and a permutation
     importance ranking."""
     version = _numpy_version(GOLDEN_ARTIFACTS)
@@ -138,12 +139,17 @@ def test_artifact_fingerprints(corpus, pipeline, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text('[{"n_trees": 2, "max_depth": 4, "min_samples_leaf": 4},'
                     ' {"n_trees": 2, "max_depth": 2, "min_samples_leaf": 1}]')
+    gbt_grid = tmp_path / "gbt_grid.json"
+    gbt_grid.write_text('[{"n_trees": 3, "max_depth": 3, "min_samples_leaf": 2, "learning_rate": 0.3},'
+                        ' {"n_trees": 2, "max_depth": null, "min_samples_leaf": 1, "learning_rate": 1.0}]')
     for argv in (
         ["segment", *rain, "--out", str(tmp_path / "segment")],
         ["ear", *rain, "--out", str(tmp_path / "ear")],
         ["build-dataset", *rain, "--events", str(corpus / "debris_events.csv"), "--out", str(tmp_path / "features"),
          "--seed", "7", "--hours", "6", "--daily", "2", "--export-features"],
         ["cv", *inputs, "--out", str(tmp_path / "cv"), "--seed", "7", "--grid", str(grid), "--k", "3", "--hours", "12"],
+        ["cv", *inputs, "--out", str(tmp_path / "cv_gbt"), "--seed", "7", "--model", "gbt", "--grid", str(gbt_grid),
+         "--k", "3", "--hours", "12", "--training-weight", "2.5"],
         ["train", *inputs, "--out", str(tmp_path / "gbt"), "--seed", "7", "--model", "gbt", "--trees", "3",
          "--max-depth", "3", "--hours", "12"],
         # fractional weights take the sort scan, integer ones the counting scan

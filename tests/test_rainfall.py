@@ -14,7 +14,9 @@ from debris_ews import (
     ear_series,
     segment_events,
 )
+import debris_ews._common as _common
 from debris_ews._common import HOUR, ensure_hour_aligned, format_ts, parse_ts
+from debris_ews.cli import main
 from debris_ews.rainfall import RAINFALL_CSV_COLUMNS, daily_sums_matrix, read_rainfall_csv, write_rainfall_csv
 
 from conftest import T0, random_rain, series
@@ -436,7 +438,7 @@ def test_rainfall_csv_rejects_misaligned_and_nonutc(tmp_path):
 def _reference_read_rainfall_csv(path, impute_missing=False):
     path = Path(path)
     per_station = {}
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in RAINFALL_CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
@@ -537,6 +539,26 @@ READABLE = {
     "extreme years": (
         "A,1969-12-31T23:00:00Z,1\nA,1970-01-01T00:00:00Z,2\nB,0001-01-01T00:00:00Z,3\nC,9999-12-31T22:00:00Z,4\n",
         False),
+    # fields of up to 7 bytes share a uint64 key with their length; 8 and more are byte strings
+    "fields of 7, 8 and 9 bytes": (
+        "ABCDEFG,2019-05-01T00:00:00Z,1.00000\nABCDEFGH,2019-05-01T00:00:00Z,1.000000\n"
+        "ABCDEFGHI,2019-05-01T00:00:00Z,1.0000000\nABCDEFG,2019-05-01T01:00:00Z,1.0000000\n"
+        "ABCDEFGH,2019-05-01T01:00:00Z,1.00000\nABCDEFGHI,2019-05-01T01:00:00Z,12.5e-1\n", False),
+    # a trailing NUL makes another station, in a short field and in a long one
+    "stations A and A NUL": (
+        "A,2019-05-01T00:00:00Z,1\nA\x00,2019-05-01T00:00:00Z,2\nA,2019-05-01T01:00:00Z,3\n"
+        "ABCDEFGHIJ\x00,2019-05-01T00:00:00Z,4\nABCDEFGHIJ,2019-05-01T00:00:00Z,5\n", False),
+    # multi-byte ids, and Unicode spaces that strip() removes
+    "non-ASCII stations": (
+        "Zürich,2019-05-01T00:00:00Z,1\n東京,2019-05-01T00:00:00Z,2\n\u3000B\u3000,2019-05-01T00:00:00Z,3\n"
+        "B,2019-05-01T01:00:00Z,4\nZürich,2019-05-01T01:00:00Z,5\né,2019-05-01T00:00:00Z,6\n"
+        "東京東京東京,2019-05-01T00:00:00Z,7\n", False),
+    # in one block, keys as wide as the long id would outgrow the block
+    "a long station among short ones": (
+        "".join(f"{s},2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(20) for s in ("A", "A\x00"))
+        + "L" * 1000 + ",2019-05-01T00:00:00Z,1\n" + "L" * 999 + ",2019-05-01T00:00:00Z,2\n", False),
+    "one non-canonical stamp, in the last block": (
+        "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(12)) + "A,2019-05-01T12:00:00+00:00,12\n", False),
 }
 
 
@@ -641,6 +663,50 @@ def test_bulk_reader_short_row_is_an_input_error(tmp_path):
     path.write_text(HEADER + "A,2019-05-01T00:00:00Z,1\nA\n")
     with pytest.raises(InputError, match="invalid ISO-8601 timestamp: ''"):
         read_rainfall_csv(path)
+
+
+def test_line_ends_at_block_ends_match_reference(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(_common, "CSV_BLOCK_CHARS", 64)
+    # a "\r\n" cut by the first block end, then a lone "\r" that ends the second block
+    text = (HEADER + "A,2019-05-01T00:00:00Z,1.00000\r\nA,2019-05-01T01:00:00Z,2." + "0" * 37 + "\r"
+            + "A,2019-05-01T02:00:00Z,3\rA,2019-05-01T03:00:00Z,4\n")
+    assert text[63:65] == "\r\n" and text[127:129] == "\rA"
+    path = tmp_path / "rain.csv"
+    path.write_bytes(text.encode())
+    new, ref = _read_both(path, caplog)
+    assert new == ref
+    assert [values for *_, values in new[0]] == [np.array([1.0, 2.0, 3.0, 4.0]).tobytes()]
+
+
+def test_multibyte_characters_cut_by_block_ends_match_reference(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(_common, "CSV_BLOCK_CHARS", 64)
+    text = HEADER + "".join(f"東京{'é' * (h // 4)},2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(12))
+    data = text.encode()
+    assert any(data[i] >> 6 == 0b10 for i in range(64, len(data), 64))  # a block starts inside a character
+    path = tmp_path / "rain.csv"
+    path.write_bytes(data)
+    new, ref = _read_both(path, caplog)
+    assert new == ref and len(new[0]) == 3
+
+
+@pytest.mark.parametrize("data, line, reason", [
+    (b"A,2019-05-01T00:00:00Z,1\r\n\r\nA\xe9,2019-05-01T01:00:00Z,1\n", 4, "0xe9 (invalid continuation byte)"),
+    (b"A,2019-05-01T00:00:00Z,1\rA,2019-05-01T01:00:00Z,1\xff\n", 3, "0xff (invalid start byte)"),
+    (b"A,2019-05-01T00:00:00Z,1\n\xe6\x9d", 3, "0xe6 (unexpected end of data)"),
+    (b"\xed\xa0\x80,2019-05-01T00:00:00Z,1\n", 2, "0xed (invalid continuation byte)"),  # a UTF-16 surrogate
+], ids=["latin-1 e-acute", "0xff", "cut at the end", "surrogate"])
+@pytest.mark.parametrize("header", [HEADER, QUOTED_HEADER], ids=["plain", "quoted"])
+def test_a_csv_that_is_not_utf8_is_an_input_error_naming_its_line(tmp_path, capsys, csv_blocks, header, data, line,
+                                                                   reason):
+    # the reader decoded with the locale's codec, and the UnicodeDecodeError was an internal error (exit 2)
+    path = tmp_path / "rain.csv"
+    path.write_bytes(header.encode() + data)
+    message = f"{path}:{line}: not UTF-8: byte {reason}"
+    with pytest.raises(InputError) as err:
+        read_rainfall_csv(path)
+    assert str(err.value) == message
+    assert main(["ear", "--rainfall", str(path), "--out", str(tmp_path / "ear")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("stamp, message", [
