@@ -351,11 +351,30 @@ def write_json(path: str | Path, doc: object, indent: int | None = 2) -> None:
 _JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"}
 
 
-def _json_fits(kind: type, value: object) -> bool:
-    if issubclass(kind, Enum):
-        return value in [m.value for m in kind]
-    number = (int, float) if kind is float else kind  # an integer is a number too
-    return isinstance(value, number) and (kind is bool or not isinstance(value, bool))
+def _json_fits(kind, value: object) -> bool:
+    """Whether value is a JSON value of kind, or of one kind of a union such as int | None:
+    an integer is a number too, a boolean is neither, and an Enum takes its members' values."""
+    for k in getattr(kind, "__args__", (kind,)):
+        if issubclass(k, Enum):
+            if value in [m.value for m in k]:
+                return True
+        elif isinstance(value, (int, float) if k is float else k) and (k is bool or not isinstance(value, bool)):
+            return True
+    return False
+
+
+def _expected(kind) -> str:
+    kinds = getattr(kind, "__args__", (kind,))
+    return " or ".join(_JSON_KINDS.get(k) or f"one of {', '.join(repr(m.value) for m in k)}" for k in kinds)
+
+
+def _scalar(doc: dict, name: str, kind, rule: str | None = None, ok: Callable[[object], bool] = lambda v: True):
+    """doc[name], which must be a JSON value of kind (see _json_fits) that ok accepts;
+    rule says what is expected, by default the kind."""
+    value = doc[name]
+    if not (_json_fits(kind, value) and ok(value)):
+        raise InputError(f"field {name!r}: expected {rule or _expected(kind)}, got {value!r}")
+    return value
 
 
 def build_params(cls: Callable[..., T], doc: object, where: str) -> T:
@@ -367,10 +386,8 @@ def build_params(cls: Callable[..., T], doc: object, where: str) -> T:
     for key, value in doc.items():
         if key not in hints:
             raise InputError(f"{where}: unknown field {key!r} (expected one of {', '.join(hints)})")
-        kinds = getattr(hints[key], "__args__", (hints[key],))  # int | None -> (int, NoneType)
-        if not any(_json_fits(k, value) for k in kinds):
-            expected = " or ".join(_JSON_KINDS.get(k) or f"one of {', '.join(repr(m.value) for m in k)}" for k in kinds)
-            raise InputError(f"{where}: field {key!r}: expected {expected}, got {value!r}")
+        if not _json_fits(hints[key], value):
+            raise InputError(f"{where}: field {key!r}: expected {_expected(hints[key])}, got {value!r}")
     try:
         return cls(**doc)
     except InputError as exc:

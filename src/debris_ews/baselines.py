@@ -96,15 +96,16 @@ def hm_predict(wear: WindowEar, uniform_threshold: float) -> np.ndarray:
     return _alerts(wear, uniform_threshold)
 
 
-def etm_scores(wears: Sequence[WindowEar], table: ThresholdTable) -> dict[str, np.ndarray]:
-    """Per-hour EAR/threshold ratios; thresholding at scale s reproduces the
-    station model with every threshold multiplied by s."""
-    return {w.window_id: w.ear / table[w.station_id] for w in wears}
+def etm_scores(wears: Sequence[WindowEar], table: ThresholdTable) -> np.ndarray:
+    """Per-hour EAR/threshold ratios over the windows in the given order; thresholding
+    at scale s reproduces the station model with every threshold multiplied by s."""
+    return np.concatenate([w.ear / table[w.station_id] for w in wears])
 
 
-def hm_scores(wears: Sequence[WindowEar]) -> dict[str, np.ndarray]:
-    """Per-hour EAR values; thresholding reproduces the homogeneous model."""
-    return {w.window_id: w.ear.copy() for w in wears}
+def hm_scores(wears: Sequence[WindowEar]) -> np.ndarray:
+    """Per-hour EAR values over the windows in the given order; thresholding
+    reproduces the homogeneous model."""
+    return np.concatenate([w.ear for w in wears])
 
 
 def read_threshold_csv(path: str | Path) -> ThresholdTable:

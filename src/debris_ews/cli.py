@@ -176,7 +176,7 @@ class _Command:
 def _write_resolved(out: Path, command: str, options: dict) -> None:
     doc = {
         "command": command,
-        "options": {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(options.items())},
+        "options": options,
         "meta": {"generated_at": datetime.now(timezone.utc).isoformat(), "version": __version__},
     }
     write_json(out / f"{command.replace('-', '_')}_config.json", doc)
@@ -221,8 +221,6 @@ def _load_windows(opts: dict, which: str = "all") -> tuple[list[DatasetWindow], 
 def _select_split(windows, split_map, which: str):
     if which == "all":
         return windows
-    if which not in ("train", "test"):
-        raise InputError(f"--split must be train, test, or all, got {which!r}")
     if not split_map:
         raise InputError("manifest has no split assignments; rebuild it with 'build-dataset --seed ...'")
     chosen = [w for w in windows if split_map.get(w.id) == which]
@@ -337,8 +335,7 @@ def _curves_and_metrics(scores: np.ndarray, labels: np.ndarray, out: Path, prefi
 # ---------------------------------------------------------------------------
 
 
-def _run_synth(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_synth(opts: dict, out: Path) -> None:
     cfg = SynthConfig(
         stations=opts["stations"],
         weeks_per_station=opts["weeks"],
@@ -355,8 +352,7 @@ def _run_synth(opts: dict) -> None:
     print(f"synth: {len(corpus.series)} stations, {corpus.n_flows} debris flows -> {out}")
 
 
-def _run_segment(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_segment(opts: dict, out: Path) -> None:
     series_by_station = _load_corpus(opts)
     rows = [
         (sid, i, format_ts(s.hour_at(ev.start_idx)), format_ts(s.hour_at(ev.end_idx)), ev.hours,
@@ -371,15 +367,13 @@ def _run_segment(opts: dict) -> None:
     print(f"segment: {len(rows)} main rainfall events -> {out / 'main_events.csv'}")
 
 
-def _run_ear(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_ear(opts: dict, out: Path) -> None:
     series_by_station = _load_corpus(opts)
     write_ear_csv(out / "ear.csv", series_by_station.values(), opts["alpha"], DailyWindowMode(opts["daily_mode"]))
     print(f"ear: wrote per-hour EAR for {len(series_by_station)} stations -> {out / 'ear.csv'}")
 
 
-def _run_build_dataset(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_build_dataset(opts: dict, out: Path) -> None:
     series_by_station = _load_corpus(opts)
     events_path = Path(opts["events"])
     if not events_path.exists():
@@ -418,49 +412,27 @@ def _run_build_dataset(opts: dict) -> None:
     )
 
 
-def _hyper_params(opts: dict):
-    kind = opts["model"]
-    if kind == "rf":
-        return ForestParams(
-            n_trees=opts["trees"],
-            max_depth=opts["max_depth"],
-            min_samples_leaf=opts["min_samples_leaf"],
-            max_features=opts["max_features"],
-        )
-    if kind == "gbt":
-        return GbtParams(
-            n_trees=opts["trees"],
-            learning_rate=opts["learning_rate"],
-            max_depth=opts["max_depth"],
-            min_samples_leaf=opts["min_samples_leaf"],
-        )
-    if kind == "logistic":
-        penalty = "l2" if opts["l2"] > 0 else "none"
-        return LogisticParams(penalty=penalty, l2=opts["l2"])
-    raise InputError(f"unknown model kind {kind!r}")
-
-
-def _run_train(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_train(opts: dict, out: Path) -> None:
     chosen, _ = _load_windows(opts, opts["split"])
     spec = _feature_spec(opts)
     examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
-    params = _hyper_params(opts)
-    kind = opts["model"]
-    tw = opts["training_weight"]
+    X, y, kind, tw = examples.X, examples.y, opts["model"], opts["training_weight"]
+    tree_opts = {"max_depth": opts["max_depth"], "min_samples_leaf": opts["min_samples_leaf"]}
     if kind == "rf":
-        model = fit_forest(examples.X, examples.y, params, tw, seed=opts["seed"], threads=opts["threads"])
+        params = ForestParams(n_trees=opts["trees"], max_features=opts["max_features"], **tree_opts)
+        model = fit_forest(X, y, params, tw, seed=opts["seed"], threads=opts["threads"])
     elif kind == "gbt":
-        model = fit_gbt(examples.X, examples.y, params=params, training_weight=tw)
+        params = GbtParams(n_trees=opts["trees"], learning_rate=opts["learning_rate"], **tree_opts)
+        model = fit_gbt(X, y, params=params, training_weight=tw)
     else:
-        model = fit_logistic(examples.X, examples.y, params=params, training_weight=tw)
+        params = LogisticParams(penalty="l2" if opts["l2"] > 0 else "none", l2=opts["l2"])
+        model = fit_logistic(X, y, params=params, training_weight=tw)
     meta = {"trained_on": opts["split"], "n_examples": len(examples), "lead_hours": opts["lead"], "seed": opts["seed"]}
     save_model(out / "model.json", model, feature_spec=spec, meta=meta)
     print(f"train: {kind} on {len(examples)} examples from {len(chosen)} windows -> {out / 'model.json'}")
 
 
-def _run_cv(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_cv(opts: dict, out: Path) -> None:
     chosen, _ = _load_windows(opts, opts["split"])
     spec = _feature_spec(opts)
     if opts["grid"] == "default":
@@ -490,8 +462,7 @@ def _run_cv(opts: dict) -> None:
     print(f"cv: {len(result.cells)} cells x {opts['k']} folds; best mean AUPRC {best:.4f} -> {out / 'cv_results.csv'}")
 
 
-def _run_eval(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_eval(opts: dict, out: Path) -> None:
     model, spec = _load_trained_model(opts)
     chosen, _ = _load_windows(opts, opts["split"])
     examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
@@ -511,8 +482,7 @@ def _run_eval(opts: dict) -> None:
     print(f"eval: AUPRC {summary['auprc']:.4f}, AUROC {summary['auroc']:.4f} on {len(examples)} hours -> {out}")
 
 
-def _run_sweep_baselines(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_sweep_baselines(opts: dict, out: Path) -> None:
     chosen, _ = _load_windows(opts, opts["split"])
     thr_path = Path(opts["thresholds"])
     if not thr_path.exists():
@@ -523,10 +493,8 @@ def _run_sweep_baselines(opts: dict) -> None:
     wears = [compute_window_ear(w, opts["alpha"], mode) for w in chosen]
     wids, hours, labels = window_rows(chosen, LabelingConfig(opts["lead"]))
 
-    etm_by_id = etm_scores(wears, table)
-    hm_by_id = hm_scores(wears)
-    etm = np.concatenate([etm_by_id[w.id] for w in chosen])
-    hm = np.concatenate([hm_by_id[w.id] for w in chosen])
+    etm = etm_scores(wears, table)
+    hm = hm_scores(wears)
     write_scores_csv(out / "etm_scores.csv", wids, hours, labels, etm)
     write_scores_csv(out / "hm_scores.csv", wids, hours, labels, hm)
     etm_areas, etm_roc = _curves_and_metrics(etm, labels, out, "etm")
@@ -547,8 +515,7 @@ def _run_sweep_baselines(opts: dict) -> None:
     )
 
 
-def _run_bootstrap_ci(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_bootstrap_ci(opts: dict, out: Path) -> None:
     groups = [(scores, labels) for _, _, labels, scores in read_scores_csv(opts["scores"])]
     ci = block_bootstrap_ci(
         groups,
@@ -565,8 +532,7 @@ def _run_bootstrap_ci(opts: dict) -> None:
     )
 
 
-def _run_operating_points(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_operating_points(opts: dict, out: Path) -> None:
     rows = read_scores_csv(opts["scores"])
     scores = np.concatenate([s for _, _, _, s in rows])
     labels = np.concatenate([y for _, _, y, _ in rows])
@@ -581,8 +547,7 @@ def _run_operating_points(opts: dict) -> None:
     print(f"operating-points: {len(points)} targets ({infeasible} infeasible) -> {out / 'operating_points.csv'}")
 
 
-def _run_event_capture(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_event_capture(opts: dict, out: Path) -> None:
     windows, _ = _load_windows(opts)
     by_id = {w.id: w for w in windows}
     labeling = LabelingConfig(opts["lead"])
@@ -615,8 +580,7 @@ def _example_rows(windows: list[DatasetWindow], spec: FeatureSpec, labeling: Lab
     return examples.X[used_starts[slot] + rows - starts[held]]
 
 
-def _run_explain(opts: dict) -> None:
-    out = Path(opts["out"])
+def _run_explain(opts: dict, out: Path) -> None:
     model, spec = _load_trained_model(opts)
     if not isinstance(model, ForestModel):
         raise InputError("explain supports random forest models only")
@@ -793,8 +757,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         command: _Command = args._command
         opts = command.resolve(args)
-        command.handler(opts)
-        _write_resolved(Path(opts["out"]), command.name, opts)
+        out = Path(opts["out"])
+        command.handler(opts, out)
+        _write_resolved(out, command.name, opts)
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._common import (
-    InputError, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows, read_json, write_csv, write_json,
+    InputError, _scalar, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows, read_json, write_csv,
+    write_json,
 )
 from .rainfall import (
     DEFAULT_ALPHA,
@@ -471,29 +472,50 @@ def write_manifest(
     write_json(path, doc)
 
 
+def _manifest_window(entry: object, series_by_station: Mapping[str, RainSeries]) -> tuple[DatasetWindow, str | None]:
+    """The window of one manifest entry, resliced from its station's series, and its split."""
+    if not isinstance(entry, dict):
+        raise InputError(f"expected a JSON object, got {entry!r}")
+    sid = _scalar(entry, "station_id", str)
+    if (series := series_by_station.get(sid)) is None:
+        raise InputError(f"unknown station {sid}")
+    a, b = (series.index_of(parse_ts(_scalar(entry, name, str, "a timestamp string"))) for name in ("start", "end"))
+    kind = _scalar(entry, "kind", WindowKind)
+    flow = _scalar(entry, "debris_flow_idx", int | None)
+    split = _scalar(entry, "split", str | None, "'train', 'test' or null", lambda v: v in ("train", "test", None))
+    return DatasetWindow(sid, series.slice_hours(a, b), kind, flow), split
+
+
 def read_manifest(
     path: str | Path, series_by_station: Mapping[str, RainSeries]
 ) -> tuple[list[DatasetWindow], dict[str, str]]:
-    """Windows resliced from full station series, plus the stored split map."""
+    """Windows resliced from full station series, plus the stored split map. An entry
+    that is malformed, or whose window another entry already lists, is an InputError
+    naming the manifest and the entry."""
     path = Path(path)
     doc = read_json(path, "window manifest")
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise InputError(f"{path}: not a window manifest (format={doc.get('format')!r})")
-    windows: list[DatasetWindow] = []
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != MANIFEST_FORMAT:
+        raise InputError(f"{path}: not a window manifest (format={fmt!r})")
+    entries = doc.get("windows")
+    if not (isinstance(entries, list) and entries):
+        raise InputError(f"{path}: field 'windows': expected a non-empty list of windows")
+    windows: dict[str, DatasetWindow] = {}
     split: dict[str, str] = {}
-    for entry in doc["windows"]:
-        sid = entry["station_id"]
-        if sid not in series_by_station:
-            raise InputError(f"{path}: manifest references unknown station {sid}")
-        series = series_by_station[sid]
-        a = series.index_of(parse_ts(entry["start"]))
-        b = series.index_of(parse_ts(entry["end"]))
-        w = DatasetWindow(sid, series.slice_hours(a, b), WindowKind(entry["kind"]), entry["debris_flow_idx"])
-        windows.append(w)
-        if entry.get("split"):
-            split[w.id] = entry["split"]
-    windows.sort(key=lambda w: w.id)
-    return windows, split
+    for i, entry in enumerate(entries):
+        try:
+            w, label = _manifest_window(entry, series_by_station)
+        except KeyError as exc:
+            raise InputError(f"{path}: window {i}: missing field {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{path}: window {i}: {exc}") from None
+        wid = w.id
+        if wid in windows:
+            raise InputError(f"{path}: window {i}: window {wid} is listed twice")
+        windows[wid] = w
+        if label is not None:
+            split[wid] = label
+    return [windows[wid] for wid in sorted(windows)], split
 
 
 def write_feature_csv(path: str | Path, examples: ExampleSet) -> None:

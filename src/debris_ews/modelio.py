@@ -14,12 +14,12 @@ from typing import Any
 
 import numpy as np
 
-from ._common import InputError, _json_fits, build_params, read_json, write_json
+from ._common import InputError, _scalar, build_params, read_json, write_json
 from .dataset import FeatureSpec
 from .forest import ForestModel, ForestParams
 from .gbt import GbtModel, GbtParams
 from .linear import LinearModel, LogisticParams
-from .trees import DecisionTree, TreeParams
+from .trees import NODE_ARRAYS, DecisionTree, TreeParams
 
 log = logging.getLogger(__name__)
 
@@ -27,21 +27,6 @@ FORMAT = "debris-ews-model"
 VERSION = 1
 
 Model = ForestModel | GbtModel | LinearModel
-
-
-def _tree_doc(tree: DecisionTree) -> dict[str, Any]:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-        "weight": tree.weight.tolist(),
-    }
-
-
-_NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
-                "value": np.float64, "weight": np.float64}
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -53,8 +38,12 @@ def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: Tre
     """Tree `index` of a model document. Its node arrays must describe a tree that
     predict_value can walk: a split node's children are numbered after it, as the
     grower numbers them, which also rules out cycles, and a leaf has none."""
+    if not isinstance(doc, dict):
+        raise InputError(f"tree {index}: expected a JSON object of node arrays")
     arrays = {}
-    for name, dtype in _NODE_ARRAYS.items():
+    for name, dtype in NODE_ARRAYS.items():
+        if name not in doc:
+            raise InputError(f"tree {index}: missing field {name!r}")
         try:
             arrays[name] = np.asarray(doc[name], dtype=dtype)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -79,15 +68,6 @@ def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: Tre
     return DecisionTree(**arrays, n_features=n_features, params=params)
 
 
-def _scalar(doc: dict[str, Any], name: str, kind: type, rule: str, ok=lambda v: True):
-    """doc[name], which must be a JSON value of kind (an integer is a number too, a
-    boolean is neither) that ok accepts; rule says what is expected."""
-    value = doc[name]
-    if not (_json_fits(kind, value) and ok(value)):
-        raise InputError(f"field {name!r}: expected {rule}, got {value!r}")
-    return value
-
-
 def _finite(doc: dict[str, Any], name: str, positive: bool = False) -> float:
     rule = "a finite number > 0" if positive else "a finite number"
     return float(_scalar(doc, name, float, rule, lambda v: math.isfinite(v) and (v > 0 or not positive)))
@@ -100,39 +80,45 @@ def _n_features(doc: dict[str, Any], spec: FeatureSpec | None) -> int:
     return m
 
 
+def _trees(doc: dict[str, Any], n_trees: int, n_features: int, params: TreeParams) -> tuple[DecisionTree, ...]:
+    docs = doc["trees"]
+    if not isinstance(docs, list):
+        raise InputError("field 'trees': expected a list of trees")
+    trees = tuple(_tree_from_doc(t, i, n_features, params) for i, t in enumerate(docs))
+    if len(trees) != n_trees:
+        raise InputError(f"field 'trees': expected params.n_trees = {n_trees} trees, got {len(trees)}")
+    return trees
+
+
+def _meta(doc: dict[str, Any]) -> dict:
+    """The document's meta object; its lead_hours, when present, is an integer >= 1."""
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InputError(f"field 'meta': expected a JSON object, got {meta!r}")
+    if "lead_hours" in meta:
+        try:
+            _scalar(meta, "lead_hours", int, "an integer >= 1", lambda v: v >= 1)
+        except InputError as exc:
+            raise InputError(f"meta: {exc}") from None
+    return meta
+
+
 def model_to_doc(model: Model, feature_spec: FeatureSpec | None = None, meta: dict | None = None) -> dict:
     doc: dict[str, Any] = {"format": FORMAT, "version": VERSION, "meta": dict(meta or {})}
     if feature_spec is not None:
         spec = asdict(feature_spec)
         spec["daily_mode"] = feature_spec.daily_mode.value
         doc["feature_spec"] = spec
+    if isinstance(model, (ForestModel, GbtModel)):
+        trees = [{name: getattr(t, name).tolist() for name in NODE_ARRAYS} for t in model.trees]
+        doc.update(training_weight=model.training_weight, n_features=model.n_features, trees=trees)
     if isinstance(model, ForestModel):
-        doc.update(
-            kind="random_forest",
-            params=asdict(model.params),
-            seed=model.seed,
-            training_weight=model.training_weight,
-            n_features=model.n_features,
-            trees=[_tree_doc(t) for t in model.trees],
-        )
+        doc.update(kind="random_forest", params=asdict(model.params), seed=model.seed)
     elif isinstance(model, GbtModel):
-        doc.update(
-            kind="gbt",
-            params=asdict(model.params),
-            base_log_odds=model.base_log_odds,
-            training_weight=model.training_weight,
-            n_features=model.n_features,
-            trees=[_tree_doc(t) for t in model.trees],
-        )
+        doc.update(kind="gbt", params=asdict(model.params), base_log_odds=model.base_log_odds)
     elif isinstance(model, LinearModel):
-        doc.update(
-            kind="logistic",
-            params=asdict(model.params),
-            weights=model.weights.tolist(),
-            bias=model.bias,
-            converged=model.converged,
-            n_features=int(model.weights.size),
-        )
+        doc.update(kind="logistic", params=asdict(model.params), weights=model.weights.tolist(), bias=model.bias,
+                   converged=model.converged, n_features=int(model.weights.size))
     else:
         raise InputError(f"cannot serialize model of type {type(model).__name__}")
     return doc
@@ -151,14 +137,13 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
     if kind == "random_forest":
         params = build_params(ForestParams, doc["params"], "params")
         m = _n_features(doc, spec)
-        tp = params.tree_params(m)
-        trees = tuple(_tree_from_doc(t, i, m, tp) for i, t in enumerate(doc["trees"]))
+        trees = _trees(doc, params.n_trees, m, params.tree_params(m))
         seed = _scalar(doc, "seed", int, "an integer")
         return ForestModel(trees, params, seed, _finite(doc, "training_weight", positive=True), m), spec
     if kind == "gbt":
         params = build_params(GbtParams, doc["params"], "params")
         m = _n_features(doc, spec)
-        trees = tuple(_tree_from_doc(t, i, m, params.tree_params()) for i, t in enumerate(doc["trees"]))
+        trees = _trees(doc, params.n_trees, m, params.tree_params())
         base = _finite(doc, "base_log_odds")
         return GbtModel(trees, params, base, _finite(doc, "training_weight", positive=True), m), spec
     if kind == "logistic":
@@ -182,11 +167,12 @@ def load_model(path: str | Path, with_meta: bool = False) -> tuple:
     doc = read_json(path, "model file")
     try:
         model, spec = model_from_doc(doc)
+        meta = _meta(doc)
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:  # an InputError, or a document of the wrong shape
         raise InputError(f"{path}: {exc}") from None
-    return (model, spec, dict(doc.get("meta") or {})) if with_meta else (model, spec)
+    return (model, spec, dict(meta)) if with_meta else (model, spec)
 
 
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:

@@ -179,10 +179,11 @@ def _antecedents(series: RainSeries, starts, alpha: float, mode: DailyWindowMode
 
 
 def _ear_pass(
-    series: RainSeries, alpha: float, mode: DailyWindowMode, rain_threshold: float, quiet_hours: int
+    series: RainSeries, alpha: float, mode: DailyWindowMode
 ) -> tuple[np.ndarray, list[MainEvent], np.ndarray]:
-    """Full-length EAR, the events, and the antecedent index of each event."""
-    events = segment_events(series, rain_threshold, quiet_hours)
+    """Full-length EAR, the events (segmented at the default wet threshold and quiet
+    hours), and the antecedent index of each event."""
+    events = segment_events(series)
     antes = _antecedents(series, [ev.start_idx for ev in events], alpha, mode)
     ear = np.zeros(len(series))
     for ev, ante in zip(events, antes):
@@ -191,14 +192,10 @@ def _ear_pass(
 
 
 def ear_series(
-    series: RainSeries,
-    alpha: float = DEFAULT_ALPHA,
-    mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY,
-    rain_threshold: float = RAIN_THRESHOLD_MM,
-    quiet_hours: int = QUIET_HOURS,
+    series: RainSeries, alpha: float = DEFAULT_ALPHA, mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY
 ) -> tuple[np.ndarray, list[MainEvent]]:
     """Full-length EAR: event traces in place, 0 outside events."""
-    return _ear_pass(series, alpha, mode, rain_threshold, quiet_hours)[:2]
+    return _ear_pass(series, alpha, mode)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,7 @@ def write_ear_csv(
     series = sorted(series, key=lambda s: s.station_id)
     event_ids, ears, antes = [np.zeros(0, object)], [np.zeros(0)], [np.zeros(0, object)]
     for s in series:
-        ear, events, ante = _ear_pass(s, alpha, mode, RAIN_THRESHOLD_MM, QUIET_HOURS)
+        ear, events, ante = _ear_pass(s, alpha, mode)
         owner = np.full(len(s), -1)
         for i, ev in enumerate(events):
             owner[ev.start_idx : ev.end_idx + 1] = i

@@ -16,7 +16,7 @@ byte-identical on every run.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 import numpy as np
 
@@ -27,6 +27,13 @@ from .rainfall import DailyWindowMode, RainSeries, ear_series
 log = logging.getLogger(__name__)
 
 HOURS_PER_WEEK = 168
+START = datetime(2019, 5, 1, tzinfo=timezone.utc)  # first hour of every station's record
+STORM_DURATION_SHAPE, STORM_DURATION_SCALE_H = 2.0, 7.0  # gamma storm length, hours
+INTENSITY_SHAPE, INTENSITY_SCALE_MM = 2.0, 6.0  # gamma storm peak, mm/h
+NOISE_RHO, NOISE_SIGMA = 0.6, 0.45  # AR(1) log-noise on the storm profile
+SOIL_DECAY_PER_DAY = 0.7
+SOIL_MEMORY_DAYS = 7
+REFRACTORY_HOURS = 96  # no second flow at a station this soon after one
 
 
 @dataclass(frozen=True)
@@ -34,42 +41,22 @@ class SynthConfig:
     stations: int = 42
     weeks_per_station: int = 42
     storms_per_week: float = 0.75
-    storm_duration_shape: float = 2.0
-    storm_duration_scale_h: float = 7.0
-    intensity_shape: float = 2.0
-    intensity_scale_mm: float = 6.0
-    noise_rho: float = 0.6
-    noise_sigma: float = 0.45
-    soil_decay_per_day: float = 0.7
-    soil_memory_days: int = 7
     trigger_steepness: float = 0.035
     trigger_threshold_mm: float = 380.0
     recent_rain_gain: float = 0.16
-    refractory_hours: int = 96
     seed: int = 42
-    start: datetime = field(default_factory=lambda: datetime(2019, 5, 1, tzinfo=timezone.utc))
 
     def __post_init__(self) -> None:
         positive = {
             "stations": self.stations,
             "weeks_per_station": self.weeks_per_station,
             "storms_per_week": self.storms_per_week,
-            "storm_duration_shape": self.storm_duration_shape,
-            "storm_duration_scale_h": self.storm_duration_scale_h,
-            "intensity_shape": self.intensity_shape,
-            "intensity_scale_mm": self.intensity_scale_mm,
-            "noise_sigma": self.noise_sigma,
-            "soil_decay_per_day": self.soil_decay_per_day,
-            "soil_memory_days": self.soil_memory_days,
             "trigger_steepness": self.trigger_steepness,
             "trigger_threshold_mm": self.trigger_threshold_mm,
-            "refractory_hours": self.refractory_hours,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise InputError(f"{name} must be > 0, got {value!r}")
-        if not 0 <= self.noise_rho < 1:
-            raise InputError("noise_rho must be in [0, 1)")
         if self.recent_rain_gain < 0:
             raise InputError("recent_rain_gain must be >= 0")
 
@@ -100,15 +87,15 @@ def storm_arrivals(rng: np.random.Generator, n_hours: int, storms_per_week: floa
     return np.asarray(starts, dtype=np.int64)
 
 
-def _storm_profile(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
-    duration = max(2, int(round(rng.gamma(cfg.storm_duration_shape, cfg.storm_duration_scale_h))))
-    peak = rng.gamma(cfg.intensity_shape, cfg.intensity_scale_mm)
+def _storm_profile(rng: np.random.Generator) -> np.ndarray:
+    duration = max(2, int(round(rng.gamma(STORM_DURATION_SHAPE, STORM_DURATION_SCALE_H))))
+    peak = rng.gamma(INTENSITY_SHAPE, INTENSITY_SCALE_MM)
     shape = np.sin(np.pi * (np.arange(duration) + 0.5) / duration)
     noise = np.empty(duration)
-    eps = rng.normal(0.0, cfg.noise_sigma, size=duration)
+    eps = rng.normal(0.0, NOISE_SIGMA, size=duration)
     noise[0] = eps[0]
     for k in range(1, duration):
-        noise[k] = cfg.noise_rho * noise[k - 1] + eps[k]
+        noise[k] = NOISE_RHO * noise[k - 1] + eps[k]
     return peak * shape * np.exp(noise)
 
 
@@ -116,16 +103,17 @@ def station_rainfall(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     n = cfg.hours_per_station
     rain = np.zeros(n)
     for start in storm_arrivals(rng, n, cfg.storms_per_week):
-        profile = _storm_profile(rng, cfg)
+        profile = _storm_profile(rng)
         end = min(n, start + profile.size)
         rain[start:end] += profile[: end - start]
     return np.round(rain, 3)  # gauge-like 0.001 mm resolution keeps CSVs exact
 
 
-def soil_state(rain: np.ndarray, decay_per_day: float = 0.7, memory_days: int = 7) -> np.ndarray:
-    """Latent wetness: rain at lag i (hours, i >= 1) weighted by decay**ceil(i/24)."""
-    lags = np.arange(1, memory_days * 24 + 1)
-    kernel = np.power(decay_per_day, np.ceil(lags / 24.0))
+def soil_state(rain: np.ndarray) -> np.ndarray:
+    """Latent wetness: rain at lag i (hours, 1 <= i <= 24 * SOIL_MEMORY_DAYS) weighted
+    by SOIL_DECAY_PER_DAY**ceil(i/24)."""
+    lags = np.arange(1, SOIL_MEMORY_DAYS * 24 + 1)
+    kernel = np.power(SOIL_DECAY_PER_DAY, np.ceil(lags / 24.0))
     n = rain.size
     out = np.zeros(n)
     for i, k in zip(lags, kernel):
@@ -137,7 +125,7 @@ def hazard_curve(rain: np.ndarray, cfg: SynthConfig) -> np.ndarray:
     """Per-hour debris-flow probability; monotone in every rainfall value."""
     from .linear import sigmoid
 
-    s = soil_state(rain, cfg.soil_decay_per_day, cfg.soil_memory_days)
+    s = soil_state(rain)
     z = cfg.trigger_steepness * (s - cfg.trigger_threshold_mm) + cfg.recent_rain_gain * rain
     return sigmoid(z)
 
@@ -174,13 +162,13 @@ def generate_corpus(cfg: SynthConfig = SynthConfig()) -> SynthCorpus:
         sid = f"S{s:03d}"
         rng = derived_rng(cfg.seed, 9, s)
         rain = station_rainfall(rng, cfg)
-        series = RainSeries(sid, cfg.start, rain)
-        flows = _sample_flows(rng, hazard_curve(rain, cfg), cfg.refractory_hours)
+        series = RainSeries(sid, START, rain)
+        flows = _sample_flows(rng, hazard_curve(rain, cfg), REFRACTORY_HOURS)
         series_list.append(series)
         events[sid] = [series.hour_at(t) for t in flows]
         thresholds[sid] = _station_threshold(series, rng)
     corpus = SynthCorpus(
-        tuple(series_list), events, ThresholdTable(thresholds, year=cfg.start.year)
+        tuple(series_list), events, ThresholdTable(thresholds, year=START.year)
     )
     if corpus.n_flows == 0:
         raise InputError(

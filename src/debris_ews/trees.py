@@ -47,6 +47,9 @@ _REL_EPS = 1e-12
 # (~3.7 MB); uint32 codes take 64-bit keys, 10 bytes plus 8 per positive. Twice
 # this budget raised the bench's peak RSS by ~8 MB through heap growth.
 _BLOCK_ELEMENTS = 1 << 18
+# DecisionTree's node arrays, in field order, and their dtypes
+NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
+               "value": np.float64, "weight": np.float64}
 
 
 @dataclass(frozen=True)
@@ -347,7 +350,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
         raise InputError("feature subsampling requires a seeded generator")
     max_depth = np.inf if params.max_depth is None else params.max_depth
     all_features = np.arange(m)
-    nodes: list[list] = []  # [feature, threshold, left, right, value, weight]
+    nodes: list[list] = []  # one list a node, its fields in NODE_ARRAYS order
     leaf = np.empty(n, dtype=np.intp)
 
     def new_node() -> int:
@@ -375,8 +378,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
         stack.append((node[3], rows[~go_left], depth + 1))
         stack.append((node[2], rows[go_left], depth + 1))
 
-    dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64, np.float64)
-    arrays = (np.asarray(column, dtype=dt) for column, dt in zip(zip(*nodes), dtypes))
+    arrays = (np.asarray(column, dtype=dt) for column, dt in zip(zip(*nodes), NODE_ARRAYS.values()))
     return DecisionTree(*arrays, n_features=m, params=params), leaf
 
 

@@ -354,6 +354,7 @@ def test_criterion_07_rf_beats_baselines(pipeline42):
                      f"(margins {rf - etm:+.3f}, {rf - hm:+.3f}, need >= 0.05); {core:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_08_cv_score_trend():
     start = time.time()
     corpus = d.generate_corpus(d.SynthConfig(stations=24, weeks_per_station=24, seed=7))
@@ -376,6 +377,7 @@ def test_criterion_08_cv_score_trend():
     _announce(8, ok, f"10-fold CV non-decreasing within one pooled SE [{trend}], {elapsed:.0f}s (< 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_bootstrap_ci():
     start = time.time()
     # determinism

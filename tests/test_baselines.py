@@ -75,7 +75,7 @@ def test_scores_match_swept_predictions():
     ear, events = ear_series(s)
     w = _wear(ear, [(e.start_idx, e.end_idx) for e in events])
     table = ThresholdTable({"S000": 250.0})
-    scores = etm_scores([w], table)["W0"]
+    scores = etm_scores([w], table)
     for scale in (0.1, 0.5, 1.0, 2.0):
         direct = etm_predict(w, scale * 250.0)
         via_scores = np.zeros_like(direct)
@@ -84,12 +84,23 @@ def test_scores_match_swept_predictions():
         np.testing.assert_array_equal(direct, via_scores)
     # the homogeneous model at any uniform threshold, the marked ones included,
     # is its EAR score thresholded; outside events the score is 0 and never alerts
-    ear_scores = hm_scores([w])["W0"]
+    ear_scores = hm_scores([w])
     inside = np.zeros(ear_scores.size, dtype=bool)
     for a, b in w.events:
         inside[a : b + 1] = True
     for thr in (1e-9, 30.0, *MARKED_THRESHOLDS_MM, ear_scores.max(), ear_scores.max() + 1.0):
         np.testing.assert_array_equal(hm_predict(w, float(thr)), inside & (ear_scores >= thr))
+
+
+def test_scores_follow_the_order_of_the_windows_given():
+    a = _wear([0.0, 120.0, 300.0], [(1, 2)], wid="W0", sid="S000")
+    b = _wear([400.0, 0.0], [(0, 0)], wid="W1", sid="S001")
+    table = ThresholdTable({"S000": 200.0, "S001": 400.0})
+    np.testing.assert_array_equal(etm_scores([a, b], table), [0.0, 0.6, 1.5, 1.0, 0.0])
+    np.testing.assert_array_equal(hm_scores([a, b]), [0.0, 120.0, 300.0, 400.0, 0.0])
+    for scores in (lambda wears: etm_scores(wears, table), hm_scores):
+        ab, ba = scores([a, b]), scores([b, a])
+        np.testing.assert_array_equal(ba, np.concatenate([ab[3:], ab[:3]]))  # swapped windows, swapped blocks
 
 
 def test_official_table_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -15,6 +16,7 @@ from debris_ews import (
     fit_logistic,
 )
 from debris_ews.modelio import load_model, predict_proba, save_model
+from debris_ews.trees import NODE_ARRAYS, DecisionTree
 
 
 def _data(rng, n=150, m=4):
@@ -210,3 +212,24 @@ def test_integer_scalars_load_as_the_floats_a_fit_saves(tmp_path):
     model, _ = load_model(path)
     assert (model.training_weight, model.base_log_odds) == (2.0, 0.0)
     assert type(model.training_weight) is float and type(model.base_log_odds) is float
+
+
+def test_node_arrays_are_the_tree_fields_in_order_and_the_saved_keys(tmp_path):
+    names = [f.name for f in dataclasses.fields(DecisionTree)]
+    assert names == [*NODE_ARRAYS, "n_features", "params"]
+    path, doc = _saved_doc(tmp_path, "rf")
+    assert all(list(tree) == sorted(NODE_ARRAYS) for tree in doc["trees"])
+    X, y = _data(np.random.default_rng(13))
+    grown = fit_forest(X, y, ForestParams(n_trees=2, max_depth=3), seed=1)
+    loaded, _ = load_model(path)
+    for tree in (*grown.trees, *loaded.trees):
+        assert {name: getattr(tree, name).dtype for name in NODE_ARRAYS} == NODE_ARRAYS
+
+
+def test_a_boosted_model_of_no_stages_loads_with_no_trees(tmp_path):
+    X, y = _data(np.random.default_rng(14))
+    model = fit_gbt(X, y, params=GbtParams(n_trees=0))
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert json.loads(path.read_text())["trees"] == []
+    np.testing.assert_array_equal(predict_proba(load_model(path)[0], X), predict_proba(model, X))

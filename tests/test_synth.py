@@ -9,7 +9,10 @@ from debris_ews import (
     generate_corpus,
 )
 from debris_ews.rainfall import write_rainfall_csv
-from debris_ews.synth import hazard_curve, soil_state, station_rainfall, storm_arrivals
+from debris_ews.synth import (
+    REFRACTORY_HOURS, SOIL_DECAY_PER_DAY, SOIL_MEMORY_DAYS, hazard_curve, soil_state, station_rainfall,
+    storm_arrivals,
+)
 
 SMALL = SynthConfig(stations=4, weeks_per_station=10, seed=123)
 
@@ -31,7 +34,8 @@ def test_deterministic_corpus_and_csv_bytes(tmp_path):
 def test_soil_state_decay_weights():
     rain = np.zeros(200)
     rain[10] = 1.0
-    s = soil_state(rain, decay_per_day=0.7, memory_days=7)
+    assert (SOIL_DECAY_PER_DAY, SOIL_MEMORY_DAYS) == (0.7, 7)
+    s = soil_state(rain)
     assert s[10] == 0.0  # current hour excluded
     assert s[11] == pytest.approx(0.7)  # lag 1 h -> day 1 weight
     assert s[34] == pytest.approx(0.7)  # lag 24 h -> still day 1
@@ -62,7 +66,7 @@ def test_refractory_blocks_back_to_back_flows():
     corpus = generate_corpus(SMALL)
     for sid, flows in corpus.debris_events.items():
         for a, b in zip(flows, flows[1:]):
-            assert (b - a).total_seconds() / 3600.0 > SMALL.refractory_hours
+            assert (b - a).total_seconds() / 3600.0 > REFRACTORY_HOURS
 
 
 def test_thresholds_are_official_grid():
@@ -85,7 +89,7 @@ def test_hard_trigger_limit_flows_only_above_threshold():
     corpus = generate_corpus(cfg)
     checked = 0
     for s in corpus.series:
-        soil = soil_state(s.values, cfg.soil_decay_per_day, cfg.soil_memory_days)
+        soil = soil_state(s.values)
         alerts = soil > cfg.trigger_threshold_mm
         for ts in corpus.debris_events[s.station_id]:
             assert alerts[s.index_of(ts)], "flow fired below the soil threshold"
@@ -114,7 +118,5 @@ def test_default_corpus_window_statistics():
 def test_config_validation():
     with pytest.raises(InputError):
         SynthConfig(stations=0)
-    with pytest.raises(InputError):
-        SynthConfig(noise_rho=1.0)
     with pytest.raises(InputError):
         SynthConfig(recent_rain_gain=-0.1)
