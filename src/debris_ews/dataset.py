@@ -483,7 +483,11 @@ def _manifest_window(entry: object, series_by_station: Mapping[str, RainSeries])
     kind = _scalar(entry, "kind", WindowKind)
     flow = _scalar(entry, "debris_flow_idx", int | None)
     split = _scalar(entry, "split", str | None, "'train', 'test' or null", lambda v: v in ("train", "test", None))
-    return DatasetWindow(sid, series.slice_hours(a, b), kind, flow), split
+    window = DatasetWindow(sid, series.slice_hours(a, b), kind, flow)
+    for name, value in (("id", window.id), ("hours", len(window))):
+        if _scalar(entry, name, type(value)) != value:
+            raise InputError(f"field {name!r}: {entry[name]!r}, but station_id, start and end give {value!r}")
+    return window, split
 
 
 def read_manifest(

@@ -153,7 +153,7 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
         if weights.shape != (m,):
             raise InputError(f"field 'weights': expected a list of n_features = {m} numbers, "
                              f"got shape {weights.shape}")
-        return LinearModel(weights, _finite(doc, "bias"), params, doc["converged"]), spec
+        return LinearModel(weights, _finite(doc, "bias"), params, _scalar(doc, "converged", bool)), spec
     raise InputError(f"unknown model kind {kind!r}")
 
 

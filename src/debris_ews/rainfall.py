@@ -98,10 +98,15 @@ class RainSeries:
         return idx
 
     def slice_hours(self, start_idx: int, end_idx: int) -> "RainSeries":
-        """Sub-series covering hours start_idx..end_idx inclusive."""
+        """Sub-series covering hours start_idx..end_idx inclusive. Its values are a
+        read-only view of this series', which were checked when it was made, so
+        the slice is neither copied nor checked again."""
         if not (0 <= start_idx <= end_idx < len(self)):
             raise InputError(f"slice [{start_idx}, {end_idx}] out of range (len {len(self)})")
-        return RainSeries(self.station_id, self.hour_at(start_idx), self.values[start_idx : end_idx + 1])
+        part = object.__new__(RainSeries)
+        part.__dict__.update(station_id=self.station_id, start=self.hour_at(start_idx),
+                             values=self.values[start_idx : end_idx + 1])
+        return part
 
 
 @dataclass(frozen=True, order=True)

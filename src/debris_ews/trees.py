@@ -95,15 +95,13 @@ class DecisionTree:
         return int(np.count_nonzero(self.feature == _NO_FEATURE))
 
     def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int32)
-        out = 0
-        for i in range(self.n_nodes):
-            if self.feature[i] != _NO_FEATURE:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-            else:
-                out = max(out, int(depths[i]))
-        return out
+        """Length of the longest root-to-leaf path, found one level of nodes at a time."""
+        nodes, depth = np.zeros(1, dtype=np.intp), 0
+        while True:
+            split = nodes[self.feature[nodes] != _NO_FEATURE]
+            if split.size == 0:
+                return depth
+            nodes, depth = np.concatenate([self.left[split], self.right[split]]), depth + 1
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         X = _check_matrix(X, self.n_features)

@@ -1,5 +1,6 @@
 """Slow, direct implementations the tests check the package against: Shapley
-values by full coalition enumeration, and the EAR of one event on its own."""
+values by full coalition enumeration and by one tree leaf at a time, and the EAR
+of one event on its own."""
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -7,7 +8,7 @@ from math import factorial
 import numpy as np
 
 from debris_ews import DailyWindowMode, ForestModel, InputError, MainEvent, RainSeries, tree_shap_batch
-from debris_ews.explain import _as_trees, _check_background
+from debris_ews.explain import _as_trees, _check_background, _weight_table
 from debris_ews.rainfall import DEFAULT_ALPHA, _antecedents
 from debris_ews.trees import DecisionTree
 
@@ -69,6 +70,51 @@ def brute_shap(model: ForestModel | DecisionTree, x: np.ndarray, background: np.
                 break
             sub = (sub - 1) & rest
     return ShapAttribution(phi, v[0])
+
+
+def per_leaf_boxes(tree: DecisionTree):
+    """(value, features, lo, hi) of each leaf below the root with a non-zero value,
+    in depth-first order: the leaf holds the x with lo <= x[features] < hi, where
+    lo and hi are columns."""
+    stack: list[tuple[int, dict[int, tuple[float, float]]]] = [(0, {})]
+    while stack:
+        node, box = stack.pop()
+        f = int(tree.feature[node])
+        if f < 0:
+            value = float(tree.value[node])
+            if box and value != 0.0:
+                lo, hi = np.array(list(box.values())).T[:, :, None]
+                yield value, list(box), lo, hi
+            continue
+        thr = float(tree.threshold[node])
+        lo, hi = box.get(f, (-np.inf, np.inf))
+        stack.append((int(tree.right[node]), {**box, f: (max(lo, thr), hi)}))
+        stack.append((int(tree.left[node]), {**box, f: (lo, min(hi, thr))}))
+
+
+def per_leaf_tree_shap_batch(
+    model: ForestModel | DecisionTree, X: np.ndarray, background: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """tree_shap_batch's attributions worked one leaf at a time, each leaf's
+    contributions added to the rows that reach it before the next leaf's, in each
+    tree's depth-first order: the same sums in the same order, so the same bits."""
+    trees = _as_trees(model)
+    Z = _check_background(trees[0].n_features, background)
+    X = np.asarray(X, dtype=np.float64)
+    w, scale = _weight_table(max(t.depth() for t in trees))
+    XT, ZT = np.ascontiguousarray(X.T), np.ascontiguousarray(Z.T)
+    values = np.zeros((X.shape[0], trees[0].n_features))
+    for tree in trees:
+        for value, feats, lo, hi in per_leaf_boxes(tree):
+            x_out, z_out = (((M < lo) | (M >= hi)).astype(np.float64) for M in (XT[feats], ZT[feats]))
+            live = x_out.T @ z_out == 0
+            rows = np.flatnonzero(live.any(1))
+            live, x_out = live[rows], x_out[:, rows].T
+            a, b = z_out.sum(0).astype(np.intp), x_out.sum(1).astype(np.intp)[:, None]
+            gain = np.where(live, w[a, b + 1], 0.0) @ z_out.T
+            loss = x_out * np.where(live, w[a + 1, b], 0.0).sum(1, keepdims=True)
+            values[np.ix_(rows, feats)] += value * ((gain - loss) / scale) / len(Z)
+    return values / len(trees), sum(float(t.predict_value(Z).mean()) for t in trees) / len(trees)
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,19 @@ def test_manifest_roundtrip(tmp_path):
         assert w.kind == b.kind and w.debris_flow_idx == b.debris_flow_idx
 
 
+def test_manifest_windows_are_read_only_views_of_the_station_series(tmp_path):
+    s = series(random_rain(np.random.default_rng(18), 2000, wet_prob=0.25))
+    windows = build_windows(s, [s.hour_at(i) for i in (500, 1200)])
+    write_manifest(tmp_path / "manifest.json", windows)
+    back, _ = read_manifest(tmp_path / "manifest.json", {"S000": s})
+    assert back
+    for w in back:
+        assert np.shares_memory(w.series.values, s.values)
+        assert not w.series.values.flags.writeable
+        start = s.index_of(w.series.start)
+        np.testing.assert_array_equal(w.series.values, s.values[start : start + len(w)])
+
+
 def test_timestamps_before_year_1000_round_trip(tmp_path):
     """format_ts zero-pads the year, so the events CSV, window ids and the
     manifest of a record before year 1000 read back."""

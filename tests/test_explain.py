@@ -15,10 +15,11 @@ from debris_ews import (
     subsample_background,
     tree_shap_batch,
 )
+import debris_ews.explain as explain
 from debris_ews.explain import _weight_table, mean_abs_ranking, write_attribution_csv
 from debris_ews.trees import DecisionTree
 
-from oracles import brute_shap, tree_shap
+from oracles import brute_shap, per_leaf_boxes, per_leaf_tree_shap_batch, tree_shap
 
 
 def _stump(feature, threshold, left_value, right_value, n_features):
@@ -384,3 +385,83 @@ def test_weight_table_is_exact():
         assert not w[0].any() and not w[:, 0].any()
     w, scale = _weight_table(41)  # lcm(1..41) > 2^53: the weights are rounded
     assert scale == 2**53 and w[1, 2] == 2**52 and w[2, 2] == float(Fraction(2**53, 6))
+
+
+# The leaf-chunked kernel against the per-leaf form it replaced: the same bits.
+
+
+def _same_as_per_leaf(model, X, Z) -> tuple[np.ndarray, float]:
+    values, base = tree_shap_batch(model, X, Z)
+    ref_values, ref_base = per_leaf_tree_shap_batch(model, X, Z)
+    assert values.tobytes() == ref_values.tobytes() and base == ref_base
+    return values, base
+
+
+def _rain_like_forest(seed, n_trees=4, max_depth=9, features=24):
+    rng = np.random.default_rng(seed)
+    X = rng.gamma(0.4, 3.0, size=(1500, features)) * (rng.random((1500, features)) < 0.4)
+    X[:, 3] = np.round(X[:, 3])  # ties
+    y = (X[:, :5].sum(1) + rng.normal(0.0, 2.0, 1500) > 3.0).astype(int)
+    params = ForestParams(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=3)
+    return fit_forest(X, y, params, seed=seed), X, rng
+
+
+def _box_widths(model):
+    return {len(feats) for tree in model.trees for _, feats, _, _ in per_leaf_boxes(tree)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunked_kernel_is_bit_identical_on_forests_of_mixed_box_widths(seed):
+    model, X, rng = _rain_like_forest(seed)
+    assert len(_box_widths(model)) >= 4
+    rows = X[rng.choice(len(X), 40, replace=False)]
+    for Z in (subsample_background(X, 64, seed=seed), X[:7]):
+        values, base = _same_as_per_leaf(model, rows, Z)
+        np.testing.assert_allclose(values.sum(1) + base, model.predict_proba(rows), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("leaves", [1, 3, 10])
+def test_chunk_edges_inside_a_tree_do_not_change_the_bits(monkeypatch, leaves):
+    model, X, rng = _rain_like_forest(5, n_trees=3)
+    rows, Z = X[rng.choice(len(X), 9, replace=False)], X[-13:]
+    assert min(t.n_leaves for t in model.trees) > 3 * leaves  # each tree spans several chunks
+    monkeypatch.setattr(explain, "_CHUNK_ELEMENTS", leaves * len(rows) * len(Z))
+    assert explain._CHUNK_ELEMENTS < model.trees[0].n_nodes * model.trees[0].n_features  # one tree a group
+    _same_as_per_leaf(model, rows, Z)
+
+
+def test_box_sets_of_several_code_words_do_not_change_the_bits(monkeypatch):
+    model, X, rng = _rain_like_forest(7)
+    rows, Z = X[rng.choice(len(X), 20, replace=False)], X[-30:]
+    expected, _ = _same_as_per_leaf(model, rows, Z)
+    monkeypatch.setattr(explain, "_CODE_BITS", 2)  # boxes of 3+ features take several words
+    assert max(_box_widths(model)) > 2 * explain._CODE_BITS
+    np.testing.assert_array_equal(_same_as_per_leaf(model, rows, Z)[0], expected)
+
+
+def test_root_only_and_zero_value_trees_add_nothing():
+    root_only = DecisionTree(np.array([-1], dtype=np.int32), np.array([np.nan]), np.array([-1], dtype=np.int32),
+                             np.array([-1], dtype=np.int32), np.array([0.4]), np.array([1.0]), 3, TreeParams())
+    zero_left = _stump(1, 0.5, left_value=0.0, right_value=0.6, n_features=3)
+    all_zero = _stump(2, 0.0, left_value=0.0, right_value=0.0, n_features=3)
+    trees = (root_only, zero_left, all_zero, _one_feature_zigzag_tree())
+    forest = ForestModel(trees, ForestParams(n_trees=len(trees)), 0, 1.0, 3)
+    rng = np.random.default_rng(3)
+    X, Z = rng.uniform(-1.0, 6.0, size=(11, 3)), rng.uniform(-1.0, 6.0, size=(5, 3))
+    values, base = _same_as_per_leaf(forest, X, Z)
+    assert (values[:, 2] == 0.0).all()  # only all_zero splits on x2
+    np.testing.assert_array_equal(_same_as_per_leaf(root_only, X, Z)[0], np.zeros_like(X))
+    np.testing.assert_allclose(values.sum(1) + base, forest.predict_proba(X), rtol=0, atol=1e-15)
+
+
+def test_one_background_row_and_rows_with_no_live_pair():
+    tree = _one_feature_zigzag_tree()
+    z = np.array([[0.5, 1.0, 0.0]])  # x0 < 2: z leaves every leaf box below x0 >= 2 on x0
+    X = np.array([[0.0, 1.0, 0.0], [1.5, -1.0, 0.0], [3.0, -1.0, 0.0], [5.5, 1.0, 0.0]])
+    # the first two rows leave those boxes on x0 too, so no pair (x, z) reaches them
+    values, _ = _same_as_per_leaf(tree, X, z)
+    np.testing.assert_array_equal(values[:2], 0.0)
+    assert np.abs(values[2:]).max() > 0.1
+    assert _same_as_per_leaf(tree, X[:0], z)[0].shape == (0, 3)
+    model, data, rng = _rain_like_forest(9)
+    _same_as_per_leaf(model, data[rng.choice(len(data), 25, replace=False)], data[:1])

@@ -116,6 +116,14 @@ BAD_MANIFESTS = {
                               "is listed twice"),
     "an unknown station": (lambda d: _edited(d, lambda e: e["windows"][0].update(station_id="nowhere")),
                            "window 0: unknown station nowhere"),
+    "hours that disagree with start and end": (
+        lambda d: _edited(d, lambda e: e["windows"][0].update(hours=1)),
+        "window 0: field 'hours': 1, but station_id, start and end give "),
+    "an id that disagrees with station_id and start": (
+        lambda d: _edited(d, lambda e: e["windows"][0].update(id="bogus")),
+        "window 0: field 'id': 'bogus', but station_id, start and end give 'S"),
+    "an entry without hours": (lambda d: _edited(d, lambda e: e["windows"][0].pop("hours")),
+                               "window 0: missing field 'hours'"),
     "a negative window with a flow hour": (
         lambda d: _edited(d, lambda e: _manifest_window(e, "negative").update(debris_flow_idx=3)),
         "negative window must not carry debris_flow_idx"),

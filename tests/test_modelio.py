@@ -15,6 +15,7 @@ from debris_ews import (
     fit_gbt,
     fit_logistic,
 )
+from debris_ews.linear import LinearModel
 from debris_ews.modelio import load_model, predict_proba, save_model
 from debris_ews.trees import NODE_ARRAYS, DecisionTree
 
@@ -194,6 +195,20 @@ def test_load_rejects_bad_scalars_naming_file_and_field(tmp_path, kind, field, v
     with pytest.raises(InputError) as err:
         load_model(path)
     assert str(err.value).endswith(expected)
+
+
+@pytest.mark.parametrize("value", ["x", 1, None])
+def test_load_rejects_a_logistic_converged_that_is_not_a_boolean(tmp_path, value):
+    model = LinearModel(np.array([0.5, -1.0, 0.0, 2.0]), 0.25, LogisticParams(penalty="l2", l2=0.5), converged=False)
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert load_model(path)[0].converged is False
+    doc = json.loads(path.read_text())
+    doc["converged"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: field 'converged': expected true or false, got {value!r}"
 
 
 def test_load_rejects_logistic_weights_of_another_count(tmp_path):
