@@ -74,7 +74,7 @@ def _score(model, X: np.ndarray) -> np.ndarray:
 
 
 def _check_background(model_features: int, background: np.ndarray) -> np.ndarray:
-    Z = np.asarray(background, dtype=np.float64)
+    Z = np.asarray(background, dtype=np.float64, order="C")  # row-major, as DecisionTree.leaves reads it
     if Z.ndim != 2 or Z.shape[0] == 0 or Z.shape[1] != model_features:
         raise InputError(f"background must be non-empty with {model_features} columns")
     if not np.isfinite(Z).all():
@@ -216,7 +216,7 @@ def tree_shap_batch(
         value, lo, hi = _leaf_boxes(group)
         for s in range(0, value.size, chunk):
             _add_chunk(values, value[s : s + chunk], lo[s : s + chunk], hi[s : s + chunk], XT, ZT, w, scale)
-    return values / len(trees), sum(float(t.predict_value(Z).mean()) for t in trees) / len(trees)
+    return values / len(trees), sum(float(t.value.take(t.leaves(Z)).mean()) for t in trees) / len(trees)
 
 
 def subsample_background(X: np.ndarray, max_rows: int = BACKGROUND_MAX_ROWS, seed: int = 0) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._common import InputError, derived_rng, map_indexed
-from .trees import DecisionTree, TreeParams, check_training_inputs, _grow, _rank_codes, _GiniCriterion
+from .trees import DecisionTree, TreeParams, check_rows, check_training_inputs, _grow, _rank_codes, _GiniCriterion
 
 log = logging.getLogger(__name__)
 
@@ -59,9 +59,10 @@ class ForestModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf positive fraction over all trees, in [0, 1]."""
-        total = np.zeros(np.asarray(X).shape[0])
+        X = check_rows(X, self.n_features)
+        total = np.zeros(X.shape[0])
         for tree in self.trees:
-            total += tree.predict_value(X)
+            total += tree.value.take(tree.leaves(X))
         return total / len(self.trees)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._common import InputError
 from .linear import sigmoid
-from .trees import DecisionTree, TreeParams, check_training_inputs, _grow, _rank_codes, _GainCriterion
+from .trees import DecisionTree, TreeParams, check_rows, check_training_inputs, _grow, _rank_codes, _GainCriterion
 
 log = logging.getLogger(__name__)
 
@@ -52,9 +52,10 @@ class GbtModel:
     n_features: int
 
     def decision_score(self, X: np.ndarray) -> np.ndarray:
-        score = np.full(np.asarray(X).shape[0], self.base_log_odds)
+        X = check_rows(X, self.n_features)  # also when there are no stages
+        score = np.full(X.shape[0], self.base_log_odds)
         for tree in self.trees:
-            score += self.params.learning_rate * tree.predict_value(X)
+            score += self.params.learning_rate * tree.value.take(tree.leaves(X))
         return score
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -35,9 +35,10 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: TreeParams) -> DecisionTree:
-    """Tree `index` of a model document. Its node arrays must describe a tree that
-    predict_value can walk: a split node's children are numbered after it, as the
-    grower numbers them, which also rules out cycles, and a leaf has none."""
+    """Tree `index` of a model document. Its node arrays must describe a tree as the
+    grower numbers it: a split node's children are numbered after it, which rules out
+    cycles, a leaf has none, and every node but the root is the child of exactly one
+    split node, so that depth() and the walks over levels visit each node once."""
     if not isinstance(doc, dict):
         raise InputError(f"tree {index}: expected a JSON object of node arrays")
     arrays = {}
@@ -63,6 +64,19 @@ def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: Tre
         if (i := _first(np.where(split, (child <= np.arange(n)) | (child >= n), child != -1))) is not None:
             rule = f"a split node's child is numbered in ({i}, {n})" if split[i] else "a leaf's child is -1"
             raise InputError(f"tree {index}: {name}[{i}] = {child[i]}, but {rule}")
+    # the left children of the split nodes, then their right children; sorted stably,
+    # a child named twice sits next to itself, its first naming first
+    parents = np.flatnonzero(split)
+    refs = np.concatenate([arrays["left"][parents], arrays["right"][parents]])
+    order = np.argsort(refs, kind="stable")
+    if (d := _first(np.diff(refs[order]) == 0)) is not None:
+        (j, earlier), (i, name) = ((parents[p % parents.size], ("left", "right")[p // parents.size])
+                                   for p in order[d:d + 2])
+        raise InputError(f"tree {index}: {name}[{i}] = {refs[order[d]]}, but {earlier}[{j}] = {refs[order[d]]} "
+                         "too; a node is the child of one split node")
+    if (i := _first(np.bincount(refs, minlength=n)[1:] == 0)) is not None:
+        raise InputError(f"tree {index}: no split node's left or right is {i + 1}, but every node "
+                         "other than the root is the child of one split node")
     if (i := _first(split & ~np.isfinite(arrays["threshold"]))) is not None:
         raise InputError(f"tree {index}: threshold[{i}] of a split node is {arrays['threshold'][i]}")
     return DecisionTree(**arrays, n_features=n_features, params=params)

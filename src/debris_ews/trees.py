@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -103,16 +104,38 @@ class DecisionTree:
                 return depth
             nodes, depth = np.concatenate([self.left[split], self.right[split]]), depth + 1
 
+    @cached_property
+    def _route(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(feature, threshold, child, depth) for leaves(): node arrays in which each
+        leaf loops to itself, with feature 0, threshold +inf and both children the
+        leaf. child[2 * i + 1] is node i's left child and child[2 * i] its right.
+        Derived once per tree and never saved."""
+        leaf = self.feature == _NO_FEATURE
+        nodes = np.arange(self.n_nodes)
+        child = np.empty(2 * nodes.size, dtype=np.intp)
+        child[0::2] = np.where(leaf, nodes, self.right)
+        child[1::2] = np.where(leaf, nodes, self.left)
+        feature = np.where(leaf, 0, self.feature).astype(np.intp)
+        return feature, np.where(leaf, np.inf, self.threshold), child, self.depth()
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each row of X reaches; X is a matrix that check_rows returned.
+
+        All rows walk depth() levels together, three gathers and a compare a level,
+        straight from the row-major matrix; a row that reaches a leaf early stays
+        there, since both of a leaf's children are the leaf."""
+        feature, threshold, child, depth = self._route
+        n, m = X.shape
+        flat = X.reshape(-1)
+        row_base = np.arange(0, n * m, m)
+        idx = np.zeros(n, dtype=np.intp)
+        for _ in range(depth):
+            go_left = flat.take(feature.take(idx) + row_base) < threshold.take(idx)
+            idx = child.take(2 * idx + go_left)
+        return idx
+
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, self.n_features)
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            active = np.flatnonzero(self.feature[idx] != _NO_FEATURE)
-            if active.size == 0:
-                return self.value[idx]
-            cur = idx[active]
-            go_left = X[active, self.feature[cur]] < self.threshold[cur]
-            idx[active] = np.where(go_left, self.left[cur], self.right[cur])
+        return self.value.take(self.leaves(check_rows(X, self.n_features)))
 
 
 def _check_matrix(X: np.ndarray, n_features: int | None = None) -> np.ndarray:
@@ -124,6 +147,12 @@ def _check_matrix(X: np.ndarray, n_features: int | None = None) -> np.ndarray:
     if n_features is not None and X.shape[1] != n_features:
         raise InputError(f"expected {n_features} features, got {X.shape[1]}")
     return X
+
+
+def check_rows(X: np.ndarray, n_features: int) -> np.ndarray:
+    """X checked for scoring by a model of n_features, as the C-contiguous float64
+    matrix that DecisionTree.leaves walks; a model checks it once for all its trees."""
+    return np.ascontiguousarray(_check_matrix(X, n_features))
 
 
 def check_training_inputs(
@@ -339,7 +368,7 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
 
 def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: TreeParams,
           rng: np.random.Generator | None) -> tuple[DecisionTree, np.ndarray]:
-    """The tree and the leaf of each training row (the node predict_value routes it to)."""
+    """The tree and the leaf of each training row (the node that leaves() routes it to)."""
     m, n = codes.shape
     m_try = m if params.max_features is None else params.max_features
     if m_try > m:

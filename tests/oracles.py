@@ -1,6 +1,6 @@
-"""Slow, direct implementations the tests check the package against: Shapley
-values by full coalition enumeration and by one tree leaf at a time, and the EAR
-of one event on its own."""
+"""Slow, direct implementations the tests check the package against: a tree walk
+that drops the rows at a leaf after each level, Shapley values by full coalition
+enumeration and by one tree leaf at a time, and the EAR of one event on its own."""
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -25,6 +25,20 @@ class ShapAttribution:
     @property
     def total(self) -> float:
         return float(self.values.sum() + self.base)
+
+
+def compacting_leaves(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of X reaches, walked one level at a time over the rows
+    that are still at a split node: DecisionTree.leaves without its looping leaves."""
+    X = np.asarray(X, dtype=np.float64)
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        active = np.flatnonzero(tree.feature[idx] != -1)
+        if active.size == 0:
+            return idx
+        cur = idx[active]
+        go_left = X[active, tree.feature[cur]] < tree.threshold[cur]
+        idx[active] = np.where(go_left, tree.left[cur], tree.right[cur])
 
 
 def tree_shap(model: ForestModel | DecisionTree, x: np.ndarray, background: np.ndarray) -> ShapAttribution:

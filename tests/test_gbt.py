@@ -9,13 +9,16 @@ from debris_ews.linear import sigmoid
 from debris_ews.modelio import model_to_doc
 from debris_ews.trees import _rank_codes, check_training_inputs
 
+from oracles import compacting_leaves
+
 
 def staged_decision_scores(model, X):
-    """Decision score after 0, 1, ..., n_trees stages; shape (n_trees+1, rows)."""
+    """Decision score after 0, 1, ..., n_trees stages, each tree walked by the
+    compacting reference walk; shape (n_trees+1, rows)."""
     out = np.empty((len(model.trees) + 1, np.asarray(X).shape[0]))
     out[0] = model.base_log_odds
     for t, tree in enumerate(model.trees):
-        out[t + 1] = out[t] + model.params.learning_rate * tree.predict_value(X)
+        out[t + 1] = out[t] + model.params.learning_rate * tree.value[compacting_leaves(tree, X)]
     return out
 
 
@@ -31,6 +34,36 @@ def test_zero_rounds_is_prior():
     model = fit_gbt(X, y, params=GbtParams(n_trees=0))
     prior = y.mean()
     np.testing.assert_allclose(model.predict_proba(X), prior, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[np.nan, 1.0, 0.0]], "feature matrix contains NaN or infinite values"),
+    ([[np.nan, 1.0]], "feature matrix contains NaN or infinite values"),
+    ([[0.5, 1.0]], "expected 3 features, got 2"),
+    (np.zeros((0, 3)), "feature matrix must be non-empty 2-D, got shape (0, 3)"),
+])
+def test_zero_stage_model_checks_the_matrix_as_one_stage_does(bad, message):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] > 0).astype(int)
+    for n_trees in (0, 1):
+        model = fit_gbt(X, y, params=GbtParams(n_trees=n_trees))
+        assert len(model.trees) == n_trees
+        with pytest.raises(InputError) as err:
+            model.predict_proba(bad)
+        assert str(err.value) == message
+
+
+def test_stage_sums_are_the_decision_score_bit_for_bit():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(400, 5)).round(1)
+    X[rng.random(X.shape) < 0.6] = 0.0
+    y = (X[:, 0] - X[:, 3] + 0.5 * rng.normal(size=400) > 0.3).astype(int)
+    model = fit_gbt(X, y, params=GbtParams(n_trees=12, learning_rate=0.3, max_depth=7))
+    X_test = np.r_[X[:50], rng.normal(size=(150, 5)).round(1)]
+    staged = staged_decision_scores(model, X_test)
+    assert staged[-1].tobytes() == model.decision_score(X_test).tobytes()
+    assert sigmoid(staged[-1]).tobytes() == model.predict_proba(X_test).tobytes()
 
 
 def test_zero_learning_rate_stays_at_prior():

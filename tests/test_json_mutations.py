@@ -135,6 +135,9 @@ BAD_MODELS = {
     "fewer trees than n_trees": (lambda d: dict(d, trees=d["trees"][:1]),
                                  "field 'trees': expected params.n_trees = 2 trees, got 1"),
     "trees that are not a list": (lambda d: dict(d, trees={}), "field 'trees': expected a list of trees"),
+    "a root whose children are one node": (
+        lambda d: _edited(d, lambda e: e["trees"][0]["right"].__setitem__(0, e["trees"][0]["left"][0])),
+        "tree 0: right[0] = 1, but left[0] = 1 too; a node is the child of one split node"),
     "meta that is a list": (lambda d: dict(d, meta=[1]), "field 'meta': expected a JSON object, got [1]"),
     "meta that is a string": (lambda d: dict(d, meta="x"), "field 'meta': expected a JSON object, got 'x'"),
     "a text lead": (lambda d: dict(d, meta=dict(d["meta"], lead_hours="12")),

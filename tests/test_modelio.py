@@ -105,6 +105,28 @@ def _leaf_with_child(tree, m):
     tree["right"][k] = k + 1
 
 
+def _left_equals_right(tree, m):
+    k = _first_node(tree, split=True)
+    tree["right"][k] = tree["left"][k]
+
+
+def _two_parents(tree, m):
+    k = _first_node(tree, split=True)
+    tree["right"][0] = tree["left"][k]  # numbered after both parents
+
+
+def _orphan(tree, m):
+    for name, value in zip(NODE_ARRAYS, (-1, None, -1, -1, 0.5, 1.0)):
+        tree[name].append(value)
+
+
+def _chain_of_shared_children(tree, m):
+    # 21 nodes, each split node's two children the next node: 2^20 root-to-leaf paths
+    n = 21
+    tree.update(feature=[0] * (n - 1) + [-1], threshold=[0.5] * (n - 1) + [None], left=[*range(1, n), -1],
+                right=[*range(1, n), -1], value=[0.5] * n, weight=[1.0] * n)
+
+
 def _threshold_not_finite(tree, m):
     tree["threshold"][0] = float("inf")
 
@@ -130,6 +152,10 @@ def _nested(tree, m):
     (_child_points_back, r"left\[\d+\] = 0, but a split node's child"),
     (_child_before_parent, r"right\[\d+\] = \d+, but a split node's child"),
     (_leaf_with_child, r"right\[\d+\] = \d+, but a leaf's child is -1"),
+    (_left_equals_right, r"right\[(\d+)\] = (\d+), but left\[\1\] = \2 too; a node is the child of one split node"),
+    (_two_parents, r"right\[0\] = (\d+), but left\[\d+\] = \1 too; a node is the child of one split node"),
+    (_orphan, r"no split node's left or right is \d+, but every node other than the root is the child of one"),
+    (_chain_of_shared_children, r"right\[0\] = 1, but left\[0\] = 1 too"),
     (_threshold_not_finite, r"threshold\[0\] of a split node is inf"),
     (_no_nodes, "unequal or zero length"),
     (_not_numbers, "weight: could not convert"),

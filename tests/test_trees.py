@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 import debris_ews.trees as trees
-from debris_ews import DecisionTree, ForestParams, InputError, TreeParams, fit_forest, fit_gbt, fit_logistic, fit_tree
+from debris_ews import (DecisionTree, ForestParams, GbtParams, InputError, TreeParams, fit_forest, fit_gbt,
+                        fit_logistic, fit_tree)
 from debris_ews._common import derived_rng
-from debris_ews.trees import _GainCriterion, _GiniCriterion, _counting_weights, _grow, _rank_codes
+from debris_ews.modelio import load_model, save_model
+from debris_ews.trees import _GainCriterion, _GiniCriterion, _counting_weights, _grow, _rank_codes, check_rows
+
+from oracles import compacting_leaves
 
 
 def fit_gradient_tree(X, grad, hess, params=TreeParams(), leaf_l2=1.0):
@@ -57,20 +61,9 @@ def test_max_depth_and_min_samples_leaf():
         assert tree.depth() <= depth
     tree = fit_tree(X, y, params=TreeParams(min_samples_leaf=17))
     # raw row counts per leaf respect the bound: verify by routing rows
-    leaf_of = _leaf_assignment(tree, X)
+    leaf_of = compacting_leaves(tree, X)
     _, counts = np.unique(leaf_of, return_counts=True)
     assert counts.min() >= 17
-
-
-def _leaf_assignment(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    idx = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        active = np.flatnonzero(tree.feature[idx] >= 0)
-        if active.size == 0:
-            return idx
-        cur = idx[active]
-        go_left = X[active, tree.feature[cur]] < tree.threshold[cur]
-        idx[active] = np.where(go_left, tree.left[cur], tree.right[cur])
 
 
 def test_weight_scaling_invariance():
@@ -520,10 +513,127 @@ def test_grower_leaves_are_where_predict_routes_rows():
     assert (X == 0.0).any() and np.signbit(X[X == 0.0]).any()  # rows with -0.0
     for criterion in (_GiniCriterion(y, np.ones(600)), _GainCriterion(g, h, 1.0)):
         tree, leaf = _grow(criterion, *_rank_codes(X), TreeParams(max_depth=12), None)
-        np.testing.assert_array_equal(leaf, _leaf_assignment(tree, X))
+        np.testing.assert_array_equal(leaf, compacting_leaves(tree, X))
+        np.testing.assert_array_equal(leaf, tree.leaves(X))
         np.testing.assert_array_equal(tree.value[leaf], tree.predict_value(X))
         split = tree.feature >= 0
         assert (X[:, tree.feature[split]] == tree.threshold[split]).any()  # rows at a threshold
+
+
+def _random_tree(rng, X, depth):
+    """A tree of at most depth levels whose leaves lie at mixed depths, numbered as
+    the grower numbers its nodes; a threshold is a value of its feature's column
+    (so rows sit exactly at it) or a zero of either sign."""
+    nodes = []  # [feature, threshold, left, right]
+
+    def grow(level):
+        i = len(nodes)
+        nodes.append([-1, np.nan, -1, -1])
+        if level < depth and (level == 0 or rng.random() < 0.75):
+            f = int(rng.integers(X.shape[1]))
+            thr = rng.choice(np.r_[X[:, f], 0.0, -0.0])
+            nodes[i][:2] = f, thr
+            nodes[i][2] = grow(level + 1)
+            nodes[i][3] = grow(level + 1)
+        return i
+
+    grow(0)
+    feature, threshold, left, right = (np.array(c) for c in zip(*nodes))
+    n = feature.size
+    return DecisionTree(feature.astype(np.int32), threshold.astype(np.float64), left.astype(np.int32),
+                        right.astype(np.int32), rng.normal(size=n), np.ones(n), X.shape[1], TreeParams())
+
+
+def _assert_walks_agree(tree, X):
+    """leaves() and predict_value on X give the compacting walk's leaves and their values, bit for bit."""
+    expected = compacting_leaves(tree, X)
+    np.testing.assert_array_equal(tree.leaves(check_rows(X, tree.n_features)), expected)
+    value = tree.predict_value(X)
+    assert value.tobytes() == tree.value[expected].tobytes()
+
+
+def test_level_walk_matches_the_compacting_walk_on_random_trees():
+    rng = np.random.default_rng(30)
+    X = _hard_matrix(rng, 300)
+    depths = set()
+    for trial in range(60):
+        tree = _random_tree(rng, X, depth=int(rng.integers(0, 13)))
+        depths.add(tree.depth())
+        _assert_walks_agree(tree, X)
+        _assert_walks_agree(tree, X[7:8])  # a single row
+        split = tree.feature >= 0
+        assert not split.any() or (X[:, tree.feature[split]] == tree.threshold[split]).any()
+    assert 0 in depths and len(depths) > 8  # root-only trees and a spread of depths
+
+
+def test_rows_at_a_threshold_go_right_whatever_the_sign_of_zero():
+    X = np.array([[-0.0], [0.0], [-5e-324], [5e-324], [-1.5], [1.5]])
+    for thr in (0.0, -0.0):
+        stump = DecisionTree(np.array([0, -1, -1], dtype=np.int32), np.array([thr, np.nan, np.nan]),
+                             np.array([1, -1, -1], dtype=np.int32), np.array([2, -1, -1], dtype=np.int32),
+                             np.array([0.0, 0.25, 0.75]), np.ones(3), 1, TreeParams())
+        assert stump.leaves(check_rows(X, 1)).tolist() == [2, 2, 1, 2, 1, 2]
+        _assert_walks_agree(stump, X)
+    at = np.array([[1.5], [np.nextafter(1.5, 0.0)]])
+    stump = fit_tree(np.array([[1.0], [2.0]]), [0, 1])
+    assert stump.threshold[0] == 1.5 and stump.predict_value(at).tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column slice", "row slice", "list"])
+def test_level_walk_reads_any_layout_of_the_matrix(layout):
+    rng = np.random.default_rng(31)
+    X = _hard_matrix(rng, 400, m=8)
+    y = _hard_labels(rng, X)
+    forest = fit_forest(X[:, ::2], y, ForestParams(n_trees=4, max_depth=9), seed=3)
+    gbt = fit_gbt(X[:, ::2], y, params=GbtParams(n_trees=3, max_depth=5))
+    view = {"fortran": np.asfortranarray(X[:, ::2]), "column slice": X[:, ::2], "row slice": X[::-2, ::2],
+            "list": X[:, ::2].tolist()}[layout]
+    dense = np.ascontiguousarray(view, dtype=np.float64)
+    assert dense.flags.c_contiguous and (layout == "list" or not view.flags.c_contiguous)
+    for tree in (*forest.trees, *gbt.trees):
+        np.testing.assert_array_equal(tree.predict_value(view), tree.value[compacting_leaves(tree, dense)])
+    assert forest.predict_proba(view).tobytes() == forest.predict_proba(dense).tobytes()
+    assert gbt.predict_proba(view).tobytes() == gbt.predict_proba(dense).tobytes()
+
+
+def test_level_walk_matches_the_compacting_walk_on_loaded_trees(tmp_path):
+    rng = np.random.default_rng(32)
+    X = _hard_matrix(rng, 500)
+    y = _hard_labels(rng, X)
+    X_test = _hard_matrix(rng, 300)
+    for i, model in enumerate([fit_forest(X, y, ForestParams(n_trees=5, max_depth=12), seed=4),
+                               fit_gbt(X, y, params=GbtParams(n_trees=4, max_depth=6))]):
+        save_model(tmp_path / f"{i}.json", model)
+        loaded, _ = load_model(tmp_path / f"{i}.json")
+        for tree in loaded.trees:
+            assert tree.left.dtype == tree.right.dtype == np.int32
+            _assert_walks_agree(tree, X_test)
+        assert loaded.predict_proba(X_test).tobytes() == model.predict_proba(X_test).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0.0, np.nan, 1.0, 2.0]], "feature matrix contains NaN or infinite values"),
+    ([[0.0, np.inf, 1.0]], "feature matrix contains NaN or infinite values"),
+    (np.ones((3, 5)), "expected 4 features, got 5"),
+    (np.ones((3, 3)).T[:, :2], "expected 4 features, got 2"),
+    (np.zeros((0, 4)), "feature matrix must be non-empty 2-D, got shape (0, 4)"),
+    (np.zeros((2, 0)), "feature matrix must be non-empty 2-D, got shape (2, 0)"),
+    (np.ones(4), "feature matrix must be non-empty 2-D, got shape (4,)"),
+], ids=["nan", "inf", "wide", "narrow view", "no rows", "no columns", "1-D"])
+def test_every_tree_scorer_rejects_a_bad_matrix_before_any_walk(monkeypatch, bad, message):
+    X, y = _rand_data(np.random.default_rng(33), n=60)
+    tree = fit_tree(X, y, params=TreeParams(max_depth=3))
+    forest = fit_forest(X, y, ForestParams(n_trees=2, max_depth=3), seed=0)
+    gbt = fit_gbt(X, y, params=GbtParams(n_trees=2, max_depth=3))
+
+    def no_walk(self, X):
+        raise AssertionError("walked a matrix that fails its check")
+
+    monkeypatch.setattr(DecisionTree, "leaves", no_walk)
+    for score in (tree.predict_value, forest.predict_proba, gbt.predict_proba):
+        with pytest.raises(InputError) as err:
+            score(bad)
+        assert str(err.value) == message
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf gains of zero-hessian children
