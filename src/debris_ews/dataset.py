@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._common import (
     InputError, _scalar, csv_row_ref, derived_rng, format_ts, parse_ts, read_csv_rows, read_json, write_csv,
@@ -317,8 +318,12 @@ def _fill_features(out: np.ndarray, window: DatasetWindow, spec: FeatureSpec) ->
     """The feature rows of one window's hours, written into the zeroed rows out."""
     v = window.series.values
     n = len(window)
-    for j in range(min(spec.hourly_hours, n)):
-        out[j:, j] = v[: n - j]
+    h = spec.hourly_hours
+    if h:
+        # window n-1-t of the reversed values, zero-padded past the window start,
+        # is v[t], v[t-1], ...: one copy fills the block
+        padded = np.concatenate([v[::-1], np.zeros(h - 1)])
+        out[:, :h] = sliding_window_view(padded, h)[::-1]
     if spec.daily_days:
         anchors = np.arange(n) - spec.hourly_hours + 1
         daily = daily_sums_matrix(

@@ -79,6 +79,9 @@ def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: Tre
                          "other than the root is the child of one split node")
     if (i := _first(split & ~np.isfinite(arrays["threshold"]))) is not None:
         raise InputError(f"tree {index}: threshold[{i}] of a split node is {arrays['threshold'][i]}")
+    for name in ("value", "weight"):
+        if (i := _first(~split & ~np.isfinite(arrays[name]))) is not None:
+            raise InputError(f"tree {index}: {name}[{i}] of a leaf is {arrays[name][i]}")
     return DecisionTree(**arrays, n_features=n_features, params=params)
 
 

@@ -48,6 +48,8 @@ _REL_EPS = 1e-12
 # (~3.7 MB); uint32 codes take 64-bit keys, 10 bytes plus 8 per positive. Twice
 # this budget raised the bench's peak RSS by ~8 MB through heap growth.
 _BLOCK_ELEMENTS = 1 << 18
+# Rows of X whose nonzero mask _rank_codes transposes at a time
+_MASK_BLOCK_ROWS = 1 << 14
 # DecisionTree's node arrays, in field order, and their dtypes
 NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
                "value": np.float64, "weight": np.float64}
@@ -182,24 +184,36 @@ def check_training_inputs(
         w = np.where(y == 1.0, w * training_weight, w)
     if not np.isfinite(w).all() or (w <= 0).any():
         raise InputError("training_weight times a sample weight must be finite and > 0")
+    with np.errstate(over="ignore"):  # checked below
+        total = w.sum()
+    if not np.isfinite(total):
+        raise InputError(f"the weights sum to {total} with training_weight {training_weight:g}; "
+                         "their sum must be finite")
     return X, y, w
 
 
 def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Feature-major rank codes of X (uint16, or uint32 past 65,536 distinct values in a
     column) and each feature's sorted distinct values. Equal values share a code, so a
-    stable sort of codes orders rows as one of the floats does. Only nonzeros are searched.
+    stable sort of codes orders rows as one of the floats does. Only nonzeros are searched:
+    a feature-major nonzero mask (an eighth of X's bytes) finds each column's nonzero rows
+    with a contiguous pass, and only those are gathered from X.
     """
+    # transposed a block of rows at a time: ~5 ms against ~15 ms for one whole transpose
+    # at 129,099 x 48, and no second mask-sized array
+    nonzero = np.empty(X.shape[::-1], dtype=bool)
+    for start in range(0, X.shape[0], _MASK_BLOCK_ROWS):
+        nonzero[:, start:start + _MASK_BLOCK_ROWS] = (X[start:start + _MASK_BLOCK_ROWS] != 0).T
     # a column has at most nnz + 1 distinct values; count them only where that passes 65,536
-    wide = np.flatnonzero(np.count_nonzero(X, axis=0) >= 1 << 16)
+    wide = np.flatnonzero(np.count_nonzero(nonzero, axis=1) >= 1 << 16)
     dtype = np.uint32 if any(np.unique(X[:, j]).size > 1 << 16 for j in wide) else np.uint16
     codes = np.empty(X.shape[::-1], dtype=dtype)
     values = []
-    for j, col in enumerate(X.T):
-        nz = np.flatnonzero(col)
-        v, inv = np.unique(col[nz], return_inverse=True)
+    for j, mask in enumerate(nonzero):
+        nz = np.flatnonzero(mask)
+        v, inv = np.unique(X[nz, j], return_inverse=True)
         zero = int(np.searchsorted(v, 0.0))
-        if nz.size < col.size:  # 0 (and -0.0) takes its rank among the nonzero values
+        if nz.size < mask.size:  # 0 (and -0.0) takes its rank among the nonzero values
             v = np.insert(v, zero, 0.0)
             inv[inv >= zero] += 1
             codes[j] = zero

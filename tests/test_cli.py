@@ -1,11 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from debris_ews import InputError, segment_events
+from debris_ews import InputError, __version__, segment_events
 from debris_ews.cli import SCORES_CSV_COLUMNS, main, read_scores_csv, write_scores_csv
 from debris_ews.rainfall import read_rainfall_csv
 
@@ -381,6 +384,27 @@ def test_bad_option_and_score_values_exit_1_naming_them(pipeline, tmp_path, caps
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
+@pytest.mark.parametrize("model", ["rf", "gbt"])
+def test_train_rejects_weights_that_sum_past_the_largest_float(pipeline, tmp_path, capsys, model):
+    """Each positive row's weight of 1e308 is finite, their sum is not: train fails
+    before growing a tree, where it once saved NaN leaves (RF) or diverged (GBT)."""
+    out = tmp_path / model
+    capsys.readouterr()
+    assert main(["train", "--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+                 "--manifest", str(pipeline["data"] / "manifest.json"), "--out", str(out), "--seed", "1",
+                 "--model", model, "--trees", "2", "--training-weight", "1e308"]) == 1
+    assert capsys.readouterr().err == ("error: the weights sum to inf with training_weight 1e+308; "
+                                         "their sum must be finite\n")
+    assert not (out / "model.json").exists()
+
+
+def test_python_m_runs_the_cli_from_the_sources():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "debris_ews", "--version"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"debris-ews {__version__}\n", "")
 
 
 def test_build_dataset_rejects_event_row_without_timestamp(pipeline, tmp_path, capsys):

@@ -21,6 +21,7 @@ from debris_ews.dataset import (
     write_feature_csv,
     write_manifest,
 )
+from debris_ews.rainfall import daily_sums_matrix, ear_series
 
 from conftest import T0, random_rain, series
 
@@ -240,6 +241,45 @@ def test_feature_vector_layout_and_invariants():
     # determinism: pure function of (window, spec)
     ex2 = build_examples([w], spec)
     np.testing.assert_array_equal(ex.X, ex2.X)
+
+
+def _reference_examples_X(windows, spec):
+    """The feature matrix as a loop over the hourly lags builds it, one strided column
+    write a lag; daily and EAR columns as build_examples computes them."""
+    X = np.zeros((sum(len(w) for w in windows), spec.n_features))
+    start = 0
+    for w in windows:
+        v, n = w.series.values, len(w)
+        out = X[start:start + n]
+        for j in range(min(spec.hourly_hours, n)):
+            out[j:, j] = v[: n - j]
+        if spec.daily_days:
+            anchors = np.arange(n) - spec.hourly_hours + 1
+            daily = daily_sums_matrix(w.series, np.clip(anchors, 0, n), spec.daily_days, spec.daily_mode)
+            daily[anchors < 0] = 0.0
+            if spec.daily_weighted:
+                daily = daily * np.power(spec.alpha, np.arange(1, spec.daily_days + 1))
+            out[:, spec.hourly_hours : spec.hourly_hours + spec.daily_days] = daily
+        if spec.include_ear:
+            out[:, -1] = ear_series(w.series, spec.alpha, spec.daily_mode)[0]
+        start += n
+    return X
+
+
+@pytest.mark.parametrize("hourly_hours, daily_and_ear", [
+    (h, extra) for h in (0, 1, 48, 168) for extra in (False, True) if h or extra  # a spec selects some feature
+])
+def test_hourly_block_matches_the_per_lag_loop(hourly_hours, daily_and_ear):
+    rng = np.random.default_rng(43)
+    windows = []
+    for i, n in enumerate([1, 5, 47, 48, 49, 167, 200, 400]):  # shorter and longer than each hourly block
+        values = random_rain(rng, n)
+        values[values == 0.0] = rng.choice([0.0, -0.0], size=int((values == 0.0).sum()))
+        windows.append(DatasetWindow(f"S{i:03d}", series(values), WindowKind.NEGATIVE))
+    spec = FeatureSpec(hourly_hours=hourly_hours, daily_days=3 if daily_and_ear else 0, daily_weighted=daily_and_ear,
+                       include_ear=daily_and_ear)
+    X = build_examples(windows, spec).X
+    assert X.tobytes() == _reference_examples_X(windows, spec).tobytes()  # -0.0 kept, +0.0 padding
 
 
 def test_feature_spec_validation():

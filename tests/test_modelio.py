@@ -131,6 +131,14 @@ def _threshold_not_finite(tree, m):
     tree["threshold"][0] = float("inf")
 
 
+def _leaf_value_nan(tree, m):
+    tree["value"][_first_node(tree, split=False)] = float("nan")
+
+
+def _leaf_weight_inf(tree, m):
+    tree["weight"][_first_node(tree, split=False)] = float("-inf")
+
+
 def _no_nodes(tree, m):
     for name in tree:
         tree[name] = []
@@ -157,6 +165,8 @@ def _nested(tree, m):
     (_orphan, r"no split node's left or right is \d+, but every node other than the root is the child of one"),
     (_chain_of_shared_children, r"right\[0\] = 1, but left\[0\] = 1 too"),
     (_threshold_not_finite, r"threshold\[0\] of a split node is inf"),
+    (_leaf_value_nan, r"value\[\d+\] of a leaf is nan"),
+    (_leaf_weight_inf, r"weight\[\d+\] of a leaf is -inf"),
     (_no_nodes, "unequal or zero length"),
     (_not_numbers, "weight: could not convert"),
     (_nested, "value is not a list of numbers"),

@@ -426,6 +426,47 @@ def test_wide_codes_and_several_blocks_match_reference(scan_paths):
     scan_paths({"counting"})
 
 
+def _reference_rank_codes(X):
+    """Per-column np.unique over the whole column; adding 0.0 turns -0.0 into the 0.0
+    that _rank_codes keeps for the zeros."""
+    uniques = [np.unique(col + 0.0, return_inverse=True) for col in np.asarray(X, dtype=np.float64).T]
+    dtype = np.uint32 if any(v.size > 1 << 16 for v, _ in uniques) else np.uint16
+    return np.array([inv for _, inv in uniques], dtype=dtype).reshape(X.shape[::-1]), [v for v, _ in uniques]
+
+
+def _rank_code_cases():
+    rng = np.random.default_rng(19)
+    hard = _hard_matrix(rng, 300, m=7)
+    mixed = np.array([[-0.0, 2.0, 0.0, -1.5, 0.0, 0.0], [0.0, -3.0, 0.0, 4.0, 0.0, -0.0],
+                      [-0.0, 2.0, 0.0, 7.0, 0.0, 0.0], [1.0, -3.0, 0.0, -1.5, -0.0, -0.0]])
+    wide = np.zeros((70_000, 3))
+    wide[:, 0] = rng.permutation(70_000) - 30_000.5  # > 65,536 distinct values, negatives, no zero
+    wide[::3, 1] = -rng.permutation(70_000)[::3] / 3.0
+    return {
+        "hard": hard,
+        "signed zeros, an all-zero column, a column with no zero": mixed,
+        "one row": hard[:1],
+        "one row, no zero": np.array([[-2.0, 5.0, 0.5]]),
+        "fortran": np.asfortranarray(hard),
+        "column slice": hard[:, ::2],
+        "row slice": hard[::-3, 1:],
+        "wide": wide,
+        "wide, no column past 65,536": wide[:, 1:],
+    }
+
+
+@pytest.mark.parametrize("case", list(_rank_code_cases()))
+def test_rank_codes_match_a_unique_over_each_whole_column(case):
+    X = _rank_code_cases()[case]
+    codes, values = _rank_codes(X)
+    ref_codes, ref_values = _reference_rank_codes(X)
+    assert codes.dtype == ref_codes.dtype and codes.flags.c_contiguous
+    np.testing.assert_array_equal(codes, ref_codes)
+    assert len(values) == len(ref_values)
+    for v, ref in zip(values, ref_values):
+        assert v.view(np.uint64).tolist() == ref.view(np.uint64).tolist()  # +0.0 for every zero
+
+
 @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
 def test_packed_sort_keys_around_65536_rows_match_reference(monkeypatch, n):
     # uint16 codes up to 65,535: a root of 65,536 rows packs code << 16 | position
@@ -671,3 +712,14 @@ def test_every_fitter_rejects_positive_weights_out_of_range(fit, sample_weight, 
     X, y = _rand_data(np.random.default_rng(5), n=20)
     with pytest.raises(InputError, match=r"^training_weight times a sample weight must be finite and > 0$"):
         fit(X, y, sample_weight=np.full(20, sample_weight), training_weight=training_weight)
+
+
+@pytest.mark.parametrize("fit", [fit_forest, fit_gbt, fit_logistic], ids=lambda f: f.__name__)
+def test_every_fitter_rejects_weights_that_sum_past_the_largest_float(fit):
+    X, y = _rand_data(np.random.default_rng(5), n=20)
+    assert 2 <= y.sum()
+    message = "^the weights sum to inf with training_weight {}; their sum must be finite$"
+    with pytest.raises(InputError, match=message.format(r"1e\+308")):
+        fit(X, y, training_weight=1e308)
+    with pytest.raises(InputError, match=message.format("1")):  # sample weights alone
+        fit(X, y, sample_weight=np.full(20, 1e307))
