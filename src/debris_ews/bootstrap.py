@@ -5,15 +5,19 @@ wrap-around blocks of its own hour sequence (block length 6 by default, last
 block truncated so the replicate keeps the window's length), then pools all
 windows and evaluates the statistic. Intervals are percentile-based.
 Replicates whose pooled labels are single-class are skipped and counted.
+A run takes at most MAX_REPLICATES replicates.
 
 Replicate r draws its block starts from stream `derived_rng(seed, 3, r)` in
 one call, in a fixed order: windows by ascending length, then in input order,
-then block by block. The replicate is a flat circular index over the pooled
-hours. The pooled scores are rank-coded once (`metrics.rank_codes`) and the
-point and every replicate are counted by `metrics.threshold_counts`, the
-counter behind `metrics.roc_curve` and `metrics.pr_curve`, so no replicate
-sorts and the areas are the same floats that `metrics.auprc` and
-`metrics.auroc` give on the resampled hours.
+then block by block. The pooled scores are rank-coded once
+(`metrics.rank_codes`) and the codes laid out once more with every window
+followed by its first min(block, n) - 1 codes again, so a replicate is its
+drawn starts plus fixed offsets into that wrap-padded copy and one gather,
+with no wrap-around arithmetic. The point and every replicate are counted by
+`metrics.threshold_counts`, the counter behind `metrics.roc_curve` and
+`metrics.pr_curve`, which compacts the counts to the thresholds drawn before
+its cumulative sum. So no replicate sorts, and the areas are the same floats
+that `metrics.auprc` and `metrics.auroc` give on the resampled hours.
 """
 from __future__ import annotations
 
@@ -28,6 +32,9 @@ from ._common import InputError, derived_rng, write_json
 from .metrics import auc, counts_curve, rank_codes, threshold_counts
 
 log = logging.getLogger(__name__)
+
+# about an hour of work at a few tenths of a millisecond a replicate; the kept statistics take 80 MB
+MAX_REPLICATES = 10**7
 
 
 def _area(kind: str) -> Callable[[np.ndarray, np.ndarray], float]:
@@ -63,7 +70,8 @@ class _CircularIndex:
     """Replicate index over the pooled hours of windows of the given lengths.
 
     The draw order (see the module docstring) decides which start each block
-    gets, so it is part of what a seed reproduces.
+    gets, so it is part of what a seed reproduces. A replicate is a set of
+    positions into the wrap-padded layout of the module docstring.
     """
 
     def __init__(self, lengths: np.ndarray, block: int):
@@ -75,18 +83,24 @@ class _CircularIndex:
         window = np.repeat(np.arange(lengths.size), lengths)
         base = np.cumsum(lengths) - lengths
         hour = np.arange(window.size) - base[window]
-        # per pooled hour: its block's draw, its offset in the block, its window
+        padded = lengths + np.minimum(lengths, block) - 1
+        padded_base = np.cumsum(padded) - padded
+        # per pooled hour: its block's draw, and its position in the padded layout at draw 0
         self.slot = first[window] + hour // block
-        self.off = hour % block
-        self.n = lengths[window]
-        self.base = base[window]
+        self.offset = padded_base[window] + hour % block
+        # per padded position: the pooled hour it holds
+        held = np.repeat(np.arange(lengths.size), padded)
+        self.hours = base[held] + (np.arange(held.size) - padded_base[held]) % lengths[held]
+
+    def positions(self, rng: np.random.Generator) -> np.ndarray:
+        """A replicate's positions in the padded layout."""
+        pos = rng.integers(0, self.highs)[self.slot]
+        pos += self.offset
+        return pos
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        hour = rng.integers(0, self.highs)[self.slot]
-        hour += self.off
-        np.subtract(hour, self.n, out=hour, where=hour >= self.n)  # hour < 2n: one subtraction wraps it
-        hour += self.base
-        return hour
+        """A replicate's pooled hours."""
+        return self.hours[self.positions(rng)]
 
 
 def block_bootstrap_ci(
@@ -106,8 +120,8 @@ def block_bootstrap_ci(
         raise InputError("no score groups for bootstrap")
     if block_hours < 1:
         raise InputError("block_hours must be >= 1")
-    if replicates < 1:
-        raise InputError("replicates must be >= 1")
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise InputError(f"replicates must be in [1, {MAX_REPLICATES}], got {replicates}")
     if not 0.0 < level < 1.0:
         raise InputError("level must be in (0, 1)")
 
@@ -131,10 +145,11 @@ def block_bootstrap_ci(
 
     point = float(stat_fn(*threshold_counts(thresholds, codes)))
     sampler = _CircularIndex(np.array([s.size for s, _ in prepared]), block_hours)
+    padded_codes = codes[sampler.hours]
     stats = np.empty(replicates)
     kept = 0
     for r in range(replicates):
-        thr, counts = threshold_counts(thresholds, codes[sampler.draw(derived_rng(seed, 3, r))])
+        thr, counts = threshold_counts(thresholds, padded_codes.take(sampler.positions(derived_rng(seed, 3, r))))
         if counts[:, -1].all():  # both classes drawn
             stats[kept] = stat_fn(thr, counts)
             kept += 1

@@ -31,7 +31,7 @@ from .baselines import (
     read_threshold_csv,
     write_threshold_csv,
 )
-from .bootstrap import block_bootstrap_ci, write_ci_json
+from .bootstrap import MAX_REPLICATES, block_bootstrap_ci, write_ci_json
 from .dataset import (
     DEFAULT_ANTECEDENT_HOURS,
     DEFAULT_LEAD_HOURS,
@@ -308,17 +308,18 @@ def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]
         raise InputError(f"{path}: no score rows")
     window, hours, labels, scores = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((hours, window))
-    out = []
-    for wid, rows in zip(code, np.split(order, np.cumsum(np.bincount(window))[:-1])):
-        h = hours[rows]
-        step = np.diff(h)
-        if (step == 0).any():
+    window, hours, labels, scores = window[order], hours[order], labels[order], scores[order]
+    step = np.diff(hours)
+    wrong = np.flatnonzero((step != 1) & (window[1:] == window[:-1]))
+    if wrong.size:  # in the first window in file order that has any, a duplicate before a gap
+        wrong = wrong[window[wrong] == window[wrong[0]]]
+        wid = list(code)[window[wrong[0]]]
+        if (step[wrong] == 0).any():
             raise InputError(f"{path}: duplicate hours for window {wid}")
-        gaps = np.flatnonzero(step != 1)
-        if gaps.size:  # the block bootstrap would wrap blocks across the gap
-            raise InputError(f"{path}: window {wid} has no score for hour {h[gaps[0]] + 1}; hours must be consecutive")
-        out.append((wid, h, labels[rows], scores[rows]))
-    return out
+        # the block bootstrap would wrap blocks across the gap
+        raise InputError(f"{path}: window {wid} has no score for hour {hours[wrong[0]] + 1}; hours must be consecutive")
+    bounds = np.cumsum(np.bincount(window))[:-1]
+    return list(zip(code, *(np.split(a, bounds) for a in (hours, labels, scores))))
 
 
 def _curves_and_metrics(scores: np.ndarray, labels: np.ndarray, out: Path, prefix: str):
@@ -516,6 +517,8 @@ def _run_sweep_baselines(opts: dict, out: Path) -> None:
 
 
 def _run_bootstrap_ci(opts: dict, out: Path) -> None:
+    if not 1 <= opts["reps"] <= MAX_REPLICATES:  # before reading the scores
+        raise InputError(f"--reps must be in [1, {MAX_REPLICATES}], got {opts['reps']}")
     groups = [(scores, labels) for _, _, labels, scores in read_scores_csv(opts["scores"])]
     ci = block_bootstrap_ci(
         groups,

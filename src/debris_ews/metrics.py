@@ -4,7 +4,9 @@ capture counts, all from arrays of scores and labels.
 One counter serves every curve: the scores are rank-coded once (code = rank
 of the score among the K distinct scores, highest first, + K * label) and one
 `bincount` of the codes gives the cumulative false and true positives at each
-distinct threshold. The bootstrap counts its resampled codes the same way.
+distinct threshold; the counts are compacted to the thresholds some code
+reaches before the cumulative sum. The bootstrap counts its resampled codes
+the same way.
 Curves carry one point per distinct score threshold (descending) together with
 the full confusion counts at that threshold, so operating-point tables report
 specificity without re-scoring and `counts_at` reads the confusion counts of
@@ -111,8 +113,9 @@ def threshold_counts(thresholds: np.ndarray, codes: np.ndarray) -> tuple[np.ndar
     """The thresholds some code reaches, descending, and the cumulative counts
     at each: row 0 the negatives (fp), row 1 the positives (tp) scored at or above it."""
     counts = np.bincount(codes, minlength=2 * thresholds.size).reshape(2, -1)
-    seen = np.flatnonzero(counts[0] + counts[1])
-    return thresholds[seen], counts.cumsum(axis=1)[:, seen]
+    seen = np.flatnonzero(counts[0] + counts[1] != 0)  # flatnonzero scans a bool mask faster
+    counts = counts.take(seen, axis=1)  # unseen thresholds add 0 to both running sums
+    return thresholds[seen], counts.cumsum(axis=1, out=counts)
 
 
 def counts_curve(kind: str, thresholds: np.ndarray, counts: np.ndarray) -> Curve:

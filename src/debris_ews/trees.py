@@ -21,7 +21,10 @@ bit length of the node's last position: positions break ties, so the sorted keys
 are the stable argsort of the codes, and the running sums of the weights follow
 that order.
 min_samples_leaf bounds the raw (unweighted) row count of every leaf, which
-keeps tree structure invariant under rescaling of the sample weights.
+keeps tree structure invariant under rescaling of the sample weights, as long
+as their total W stays at most MAX_WEIGHT_TOTAL = sqrt(largest float) ~ 1.34e154:
+past it the impurity product P * (W - P) and the gain's G * G overflow, so
+check_training_inputs rejects such totals.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from ._common import InputError
 log = logging.getLogger(__name__)
 
 _NO_FEATURE = -1
+MAX_WEIGHT_TOTAL = float(np.sqrt(np.finfo(np.float64).max))  # ~1.34e154
 _REL_EPS = 1e-12
 # Codes sorted together in one scan block (features x rows); bounds a node's
 # scratch memory whatever max_features is. The gather holds an int64 flat index
@@ -189,6 +193,9 @@ def check_training_inputs(
     if not np.isfinite(total):
         raise InputError(f"the weights sum to {total} with training_weight {training_weight:g}; "
                          "their sum must be finite")
+    if total > MAX_WEIGHT_TOTAL:  # Gini's P * (W - P) and the gain's G * G would overflow
+        raise InputError(f"the weights sum to {total:g} with training_weight {training_weight:g}; "
+                         f"their sum must be at most {MAX_WEIGHT_TOTAL:.4g}, so that its square is finite")
     return X, y, w
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,3 +197,24 @@ def test_non_finite_scores_rejected():
         scores = np.array([0.2, bad, 0.7])
         with pytest.raises(InputError, match="finite"):
             block_bootstrap_ci([(np.array([0.1, 0.9]), np.array([0, 1])), (scores, np.array([1, 0, 1]))])
+
+
+def test_replicates_above_the_cap_rejected():
+    groups = [(np.array([0.1, 0.9]), np.array([0, 1]))]
+    with pytest.raises(InputError, match=r"^replicates must be in \[1, 10000000\], got 10000001$"):
+        block_bootstrap_ci(groups, replicates=bootstrap.MAX_REPLICATES + 1)
+
+
+def test_block_longer_than_every_window_pads_by_the_window():
+    # a block reaches at most once round its window, so each window is padded by
+    # fewer than its own length, whatever the block length
+    groups = _case(np.random.default_rng(9), [24, 7, 31, 24, 12, 1])
+    longest = block_bootstrap_ci(groups, "auprc", block_hours=31, replicates=50, seed=2)
+    tracemalloc.start()
+    try:
+        huge = block_bootstrap_ci(groups, "auprc", block_hours=10**12, replicates=50, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replace(huge, block_hours=31) == longest
+    assert peak < 200_000

@@ -322,6 +322,13 @@ BAD_INPUTS = {
                          "max-rows must be >= 1, got -3"),
     "explain background rows from config": (["explain", *CORPUS, "--model", "{model}", "--config", "{cfg}"],
                                             {"cfg": {"background_rows": 0}}, "background-rows must be >= 1, got 0"),
+    # checked before the scores are read: the scores file does not exist
+    "reps above the cap": (["bootstrap-ci", "--scores", "{scores}", "--seed", "1", "--reps", "10000000000000"], {},
+                           "--reps must be in [1, 10000000], got 10000000000000"),
+    "no reps": (["bootstrap-ci", "--scores", "{scores}", "--seed", "1", "--reps", "0"], {},
+                "--reps must be in [1, 10000000], got 0"),
+    "reps from config above the cap": (["bootstrap-ci", "--scores", "{scores}", "--seed", "1", "--config", "{cfg}"],
+                                       {"cfg": {"reps": 10000001}}, "--reps must be in [1, 10000000], got 10000001"),
     "label 2": (["operating-points", "--scores", "{scores}"], {"scores": SCORES_BODY + "w1,1,2,0.25\n"},
                 "{scores}:3: label must be 0 or 1 and score finite in row "
                 "{{'window_id': 'w1', 'hour': '1', 'label': '2', 'score': '0.25'}}"),
@@ -397,6 +404,23 @@ def test_train_rejects_weights_that_sum_past_the_largest_float(pipeline, tmp_pat
                  "--model", model, "--trees", "2", "--training-weight", "1e308"]) == 1
     assert capsys.readouterr().err == ("error: the weights sum to inf with training_weight 1e+308; "
                                          "their sum must be finite\n")
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("model", ["rf", "gbt"])
+def test_train_rejects_weights_whose_total_squared_overflows(pipeline, tmp_path, capsys, model):
+    """The weight total is finite but its square is not: train fails before growing
+    a tree, where it once saved one-leaf trees with exit 0."""
+    out = tmp_path / model
+    capsys.readouterr()
+    assert main(["train", "--rainfall", str(pipeline["corpus"] / "rainfall.csv"),
+                 "--manifest", str(pipeline["data"] / "manifest.json"), "--out", str(out), "--seed", "1",
+                 "--model", model, "--trees", "2", "--training-weight", "1e305"]) == 1
+    err = capsys.readouterr().err
+    total = float(err.removeprefix("error: the weights sum to ").split(" ")[0])
+    assert 1.35e154 < total < np.inf
+    assert err == (f"error: the weights sum to {total:g} with training_weight 1e+305; "
+                   "their sum must be at most 1.341e+154, so that its square is finite\n")
     assert not (out / "model.json").exists()
 
 
@@ -639,6 +663,13 @@ SCORES_FILES = {
     "duplicate hour": SCORES_HEADER + "w1,0,1,0.5\nw2,0,0,0.1\nw2,0,1,0.2\n",
     "missing hour": SCORES_HEADER + "w1,0,1,0.5\nw1,2,0,0.5\n",
     "missing column": "window_id,hour,score\nw1,0,0.5\n",
+    # two bad windows: the first in file order is named, even when its id sorts last
+    "gap in the first window, duplicate in a later one":
+        SCORES_HEADER + "wz,0,0,0.1\nwa,0,1,0.5\nwa,0,0,0.2\nwz,2,0,0.3\n",
+    "duplicate in the first window, gap in a later one":
+        SCORES_HEADER + "wz,0,0,0.1\nwa,0,1,0.5\nwa,3,0,0.2\nwz,0,1,0.3\n",
+    # one window with both: the duplicate is reported, though the gap comes first
+    "gap before a duplicate in one window": SCORES_HEADER + "w1,0,0,0.1\nw2,0,0,0.1\nw2,2,1,0.5\nw2,2,0,0.2\n",
     "no rows": SCORES_HEADER,
     # windows keep their order of first appearance, which feeds the bootstrap groups
     "first appearance unlike sorted order, non-ASCII ids":

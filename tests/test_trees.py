@@ -714,6 +714,29 @@ def test_every_fitter_rejects_positive_weights_out_of_range(fit, sample_weight, 
         fit(X, y, sample_weight=np.full(20, sample_weight), training_weight=training_weight)
 
 
+@pytest.mark.parametrize("fit", [fit_tree, fit_forest, fit_gbt, fit_logistic], ids=lambda f: f.__name__)
+def test_every_fitter_rejects_weight_totals_whose_square_overflows(fit):
+    # 1e150 a row trains; at 1e305 a row Gini's P * (W - P) and the gain's G * G
+    # would overflow, every split would lose to the parent and each tree would be
+    # one leaf
+    X, y = _rand_data(np.random.default_rng(5), n=200, m=3)
+    fit(X, y, sample_weight=np.full(200, 1e150))
+    with pytest.raises(InputError, match=r"^the weights sum to 2e\+307 with training_weight 1; their sum must be "
+                                         r"at most 1\.341e\+154, so that its square is finite$"):
+        fit(X, y, sample_weight=np.full(200, 1e305))
+
+
+def test_weights_scaled_up_to_the_bound_grow_the_unit_weight_tree():
+    # a power-of-two scale changes no rounding; 200 * 2**504 is just under the bound
+    X, y = _rand_data(np.random.default_rng(5), n=200, m=3)
+    unit = fit_tree(X, y)
+    assert unit.feature.size > 1
+    scaled = fit_tree(X, y, sample_weight=np.full(200, 2.0**504))
+    assert np.array_equal(scaled.feature, unit.feature) and np.array_equal(scaled.threshold, unit.threshold, equal_nan=True)
+    with pytest.raises(InputError, match="so that its square is finite"):
+        fit_tree(X, y, sample_weight=np.full(200, 2.0**505))
+
+
 @pytest.mark.parametrize("fit", [fit_forest, fit_gbt, fit_logistic], ids=lambda f: f.__name__)
 def test_every_fitter_rejects_weights_that_sum_past_the_largest_float(fit):
     X, y = _rand_data(np.random.default_rng(5), n=20)
