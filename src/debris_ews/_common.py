@@ -149,9 +149,15 @@ def read_csv_blocks(path: Path, required: Sequence[str], what: str) -> Iterator[
     the header are dropped. A file without quote characters is split on its
     bytes ("\\r", "\\n" and "\\r\\n" end a line), which gives csv.reader's fields;
     any other file goes through csv.reader. A file that is not UTF-8 is an
-    InputError naming the line of its first undecodable byte.
+    InputError naming the line of its first undecodable byte, and so is a file
+    that cannot be opened, naming the path (and the header, if it is missing).
     """
-    quoted = _scan_csv(path)
+    try:
+        quoted = _scan_csv(path)
+    except FileNotFoundError:
+        raise InputError(f"{what} CSV not found: {path} (expected header {','.join(required)})") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {what} CSV {path}: {exc.strerror}") from None
     with path.open("rb") as fh:
         if quoted:
             reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
@@ -337,6 +343,8 @@ def read_json(path: str | Path, what: str) -> object:
     """The JSON document in path; a file that cannot be read or parsed is an InputError naming it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from None
 

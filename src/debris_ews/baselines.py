@@ -12,7 +12,6 @@ event's end.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -22,8 +21,6 @@ import numpy as np
 from ._common import InputError, csv_row_ref, read_csv_rows, write_csv
 from .dataset import DatasetWindow
 from .rainfall import DEFAULT_ALPHA, DailyWindowMode, ear_series
-
-log = logging.getLogger(__name__)
 
 OFFICIAL_MIN_MM = 200.0
 OFFICIAL_MAX_MM = 600.0

@@ -21,7 +21,6 @@ that `metrics.auprc` and `metrics.auroc` give on the resampled hours.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,8 +29,6 @@ import numpy as np
 
 from ._common import InputError, derived_rng, write_json
 from .metrics import auc, counts_curve, rank_codes, threshold_counts
-
-log = logging.getLogger(__name__)
 
 # about an hour of work at a few tenths of a millisecond a replicate; the kept statistics take 80 MB
 MAX_REPLICATES = 10**7

@@ -44,6 +44,7 @@ from .dataset import (
     WindowKind,
     build_corpus_windows,
     build_examples,
+    example_rows,
     label_hours,
     read_events_csv,
     read_manifest,
@@ -110,6 +111,7 @@ class _Command:
         self.actions: dict[str, argparse.Action] = {}
         self.minimums: dict[str, int] = {}  # checked after the merge, for flags and config values alike
         self.parser.add_argument("--config", default=argparse.SUPPRESS, help="JSON file with option defaults")
+        self.opt("--out", required=True, help="output directory")
 
     def opt(self, flag: str, *, type=str, default=None, required=False, help="", action=None, choices=None,
             minimum=None):
@@ -201,20 +203,14 @@ def _parse_targets(text: str) -> list[float]:
 
 
 def _load_corpus(opts: dict):
-    path = Path(opts["rainfall"])
-    if not path.exists():
-        raise InputError(f"rainfall CSV not found: {path} (expected header station_id,timestamp,rainfall_mm)")
-    series = read_rainfall_csv(path, impute_missing=opts["impute_missing"])
+    series = read_rainfall_csv(opts["rainfall"], impute_missing=opts["impute_missing"])
     return {s.station_id: s for s in series}
 
 
 def _load_windows(opts: dict, which: str = "all") -> tuple[list[DatasetWindow], dict[str, str]]:
     """The --manifest windows in split `which`, resliced from --rainfall, and the manifest's split map."""
     series_by_station = _load_corpus(opts)
-    path = Path(opts["manifest"])
-    if not path.exists():
-        raise InputError(f"window manifest not found: {path} (produce it with 'build-dataset')")
-    windows, split_map = read_manifest(path, series_by_station)
+    windows, split_map = read_manifest(opts["manifest"], series_by_station)
     return _select_split(windows, split_map, which), split_map
 
 
@@ -244,8 +240,6 @@ def _load_trained_model(opts: dict):
     """(model, feature spec) of --model. --lead defaults to the lead the model was
     trained with (meta.lead_hours); an explicit different lead is an error."""
     path = Path(opts["model"])
-    if not path.exists():
-        raise InputError(f"model file not found: {path} (produce it with 'train')")
     model, spec, meta = load_model(path, with_meta=True)
     if spec is None:
         raise InputError(f"{path} carries no feature spec; re-train with this package's 'train'")
@@ -285,8 +279,6 @@ def write_scores_csv(path, window_ids, hours, labels, scores) -> None:
 def read_scores_csv(path) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
     """Per-window (window_id, hours, labels, scores), hours ascending, labels 0 or 1, scores finite."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"scores CSV not found: {path} (expected header {','.join(SCORES_CSV_COLUMNS)})")
     code: dict[str, int] = {}  # window -> number in order of first appearance
     parts = []  # per block: (window numbers, hours, labels, scores)
     n = 0
@@ -376,10 +368,7 @@ def _run_ear(opts: dict, out: Path) -> None:
 
 def _run_build_dataset(opts: dict, out: Path) -> None:
     series_by_station = _load_corpus(opts)
-    events_path = Path(opts["events"])
-    if not events_path.exists():
-        raise InputError(f"debris events CSV not found: {events_path} (expected header station_id,timestamp)")
-    events = read_events_csv(events_path)
+    events = read_events_csv(opts["events"])
     cfg = WindowConfig(
         antecedent_hours=opts["antecedent_hours"],
         tail_hours=opts["tail_hours"],
@@ -440,8 +429,6 @@ def _run_cv(opts: dict, out: Path) -> None:
         grid = default_grid(opts["model"])
     else:
         grid_path = Path(opts["grid"])
-        if not grid_path.exists():
-            raise InputError(f"grid file not found: {grid_path} (a JSON list of hyperparameter objects)")
         grid = read_json(grid_path, "grid file")
         if not isinstance(grid, list):
             raise InputError(f"{grid_path}: grid must be a JSON list of objects")
@@ -485,10 +472,7 @@ def _run_eval(opts: dict, out: Path) -> None:
 
 def _run_sweep_baselines(opts: dict, out: Path) -> None:
     chosen, _ = _load_windows(opts, opts["split"])
-    thr_path = Path(opts["thresholds"])
-    if not thr_path.exists():
-        raise InputError(f"threshold table not found: {thr_path} (expected header station_id,year,ear_threshold_mm)")
-    table = read_threshold_csv(thr_path)
+    table = read_threshold_csv(opts["thresholds"])
     mode = DailyWindowMode(opts["daily_mode"])
 
     wears = [compute_window_ear(w, opts["alpha"], mode) for w in chosen]
@@ -569,20 +553,6 @@ def _run_event_capture(opts: dict, out: Path) -> None:
     print(f"event-capture: {flows} debris flows over {len(rows)} thresholds -> {out / 'event_capture.csv'}")
 
 
-def _example_rows(windows: list[DatasetWindow], spec: FeatureSpec, labeling: LabelingConfig,
-                  rows: np.ndarray) -> np.ndarray:
-    """The feature rows at sorted positions `rows` of the example matrix of windows,
-    building only the windows that hold one of them: a row's features come from its
-    own window alone."""
-    lengths = np.array([len(w) for w in windows])
-    starts = np.cumsum(lengths) - lengths
-    held = np.searchsorted(starts, rows, side="right") - 1
-    used, slot = np.unique(held, return_inverse=True)
-    used_starts = np.cumsum(lengths[used]) - lengths[used]
-    examples = build_examples([windows[i] for i in used], spec, labeling)
-    return examples.X[used_starts[slot] + rows - starts[held]]
-
-
 def _run_explain(opts: dict, out: Path) -> None:
     model, spec = _load_trained_model(opts)
     if not isinstance(model, ForestModel):
@@ -599,13 +569,13 @@ def _run_explain(opts: dict, out: Path) -> None:
         keep = np.sort(rng.choice(n, size=opts["max_rows"], replace=False))
     else:
         keep = np.arange(n)
-    X_rows = _example_rows(chosen, spec, labeling, keep)
+    X_rows = example_rows(chosen, spec, labeling, keep)
     row_ids = [f"{window_ids[i]}:{int(hours[i])}" for i in keep]
 
     background_windows = _select_split(windows, split_map, "train") if split_map else chosen
     n_background = sum(len(w) for w in background_windows)
     drawn = subsample_background(np.arange(n_background), max_rows=opts["background_rows"], seed=opts["seed"])
-    background = _example_rows(background_windows, spec, labeling, drawn)
+    background = example_rows(background_windows, spec, labeling, drawn)
 
     values, base = tree_shap_batch(model, X_rows, background)
     write_attribution_csv(out / "attributions.csv", row_ids, spec.feature_names, X_rows, values)
@@ -638,7 +608,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="<command>")
 
     c = _Command(sub, "synth", "generate a seeded synthetic rainfall corpus", _run_synth)
-    c.opt("--out", required=True, help="output directory")
     c.opt("--seed", type=int, required=True, help="corpus seed")
     c.opt("--stations", type=int, default=SynthConfig.stations)
     c.opt("--weeks", type=int, default=SynthConfig.weeks_per_station)
@@ -649,20 +618,17 @@ def build_parser() -> _Parser:
 
     c = _Command(sub, "segment", "list main rainfall events per station", _run_segment)
     _add_corpus_opts(c, manifest=False)
-    c.opt("--out", required=True)
     c.opt("--rain-threshold", type=float, default=RAIN_THRESHOLD_MM)
     c.opt("--quiet-hours", type=int, default=QUIET_HOURS)
 
     c = _Command(sub, "ear", "per-hour effective accumulated rainfall", _run_ear)
     _add_corpus_opts(c, manifest=False)
-    c.opt("--out", required=True)
     c.opt("--alpha", type=float, default=DEFAULT_ALPHA)
     c.opt("--daily-mode", default=DailyWindowMode.CALENDAR_DAY.value, choices=[m.value for m in DailyWindowMode])
 
     c = _Command(sub, "build-dataset", "build labeled event windows and the train/test split", _run_build_dataset)
     _add_corpus_opts(c, manifest=False)
     c.opt("--events", required=True, help="debris-flow events CSV")
-    c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True, help="split seed")
     c.opt("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
     c.opt("--antecedent-hours", type=int, default=DEFAULT_ANTECEDENT_HOURS)
@@ -675,7 +641,6 @@ def build_parser() -> _Parser:
 
     c = _Command(sub, "train", "fit a classifier on the training split", _run_train)
     _add_corpus_opts(c)
-    c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--model", default="rf", choices=["rf", "gbt", "logistic"])
     c.opt("--split", default="train", choices=["train", "test", "all"])
@@ -691,7 +656,6 @@ def build_parser() -> _Parser:
 
     c = _Command(sub, "cv", "grid-search cross-validation on the training split", _run_cv)
     _add_corpus_opts(c)
-    c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--model", default="rf", choices=["rf", "gbt", "logistic"])
     c.opt("--split", default="train", choices=["train", "test", "all"])
@@ -704,14 +668,12 @@ def build_parser() -> _Parser:
     c = _Command(sub, "eval", "score a trained model and emit curves and metrics", _run_eval)
     c.opt("--model", required=True)
     _add_corpus_opts(c)
-    c.opt("--out", required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
 
     c = _Command(sub, "sweep-baselines", "EAR threshold baselines: curves and official points", _run_sweep_baselines)
     _add_corpus_opts(c)
     c.opt("--thresholds", required=True, help="official threshold table CSV")
-    c.opt("--out", required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS)
     c.opt("--alpha", type=float, default=DEFAULT_ALPHA)
@@ -719,7 +681,6 @@ def build_parser() -> _Parser:
 
     c = _Command(sub, "bootstrap-ci", "circular block bootstrap CI for a scores file", _run_bootstrap_ci)
     c.opt("--scores", required=True, help="scores CSV from 'eval' or 'sweep-baselines'")
-    c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--stat", default="auprc", choices=["auprc", "auroc"])
     c.opt("--block-hours", type=int, default=6)
@@ -728,20 +689,17 @@ def build_parser() -> _Parser:
 
     c = _Command(sub, "operating-points", "precision/recall trade-off table", _run_operating_points)
     c.opt("--scores", required=True)
-    c.opt("--out", required=True)
     c.opt("--recall-targets", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     c.opt("--precision-targets", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
 
     c = _Command(sub, "event-capture", "captured/missed debris flows per alert threshold", _run_event_capture)
     c.opt("--scores", required=True)
     _add_corpus_opts(c)
-    c.opt("--out", required=True)
     c.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS)
 
     c = _Command(sub, "explain", "Shapley attributions and importance ranking", _run_explain)
     c.opt("--model", required=True)
     _add_corpus_opts(c)
-    c.opt("--out", required=True)
     c.opt("--seed", type=int, required=True)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
@@ -761,6 +719,10 @@ def main(argv=None) -> int:
         command: _Command = args._command
         opts = command.resolve(args)
         out = Path(opts["out"])
+        try:  # before any input is read, so a bad --out costs no work
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create output directory {out}: {exc.strerror}") from None
         command.handler(opts, out)
         _write_resolved(out, command.name, opts)
         return 0

@@ -356,6 +356,21 @@ def build_examples(
     return ExampleSet(X=X, y=y, window_ids=window_ids, hours=hours, feature_names=spec.feature_names)
 
 
+def example_rows(
+    windows: Sequence[DatasetWindow], spec: FeatureSpec, labeling: LabelingConfig, rows: np.ndarray
+) -> np.ndarray:
+    """The feature rows at sorted positions `rows` of the example matrix of windows,
+    building only the windows that hold one of them: a row's features come from its
+    own window alone."""
+    lengths = np.array([len(w) for w in windows])
+    starts = np.cumsum(lengths) - lengths
+    held = np.searchsorted(starts, rows, side="right") - 1
+    used, slot = np.unique(held, return_inverse=True)
+    used_starts = np.cumsum(lengths[used]) - lengths[used]
+    examples = build_examples([windows[i] for i in used], spec, labeling)
+    return examples.X[used_starts[slot] + rows - starts[held]]
+
+
 # ---------------------------------------------------------------------------
 # splits: always at whole-window granularity, keyed on window ids
 # ---------------------------------------------------------------------------

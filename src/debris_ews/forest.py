@@ -9,7 +9,6 @@ false-alert trade-off.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,8 +16,6 @@ import numpy as np
 
 from ._common import InputError, derived_rng, map_indexed
 from .trees import DecisionTree, TreeParams, check_rows, check_training_inputs, _grow, _rank_codes, _GiniCriterion
-
-log = logging.getLogger(__name__)
 
 # defaults pinned by the grid-search CV sweep on the reduced synthetic corpus
 # (see README "Default hyperparameters")

@@ -7,7 +7,6 @@ Training is fully deterministic: there is no row or feature subsampling.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,8 +15,6 @@ import numpy as np
 from ._common import InputError
 from .linear import sigmoid
 from .trees import DecisionTree, TreeParams, check_rows, check_training_inputs, _grow, _rank_codes, _GainCriterion
-
-log = logging.getLogger(__name__)
 
 _PRIOR_CLIP = 1e-12
 

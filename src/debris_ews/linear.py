@@ -43,10 +43,6 @@ class LogisticParams:
         if self.penalty == "none" and self.l2:
             raise InputError("l2 coefficient given but penalty is none")
 
-    @property
-    def effective_l2(self) -> float:
-        return self.l2 if self.penalty == "l2" else 0.0
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -96,7 +92,7 @@ def fit_logistic(
     training_weight: float = 1.0,
 ) -> LinearModel:
     X, y, w = check_training_inputs(X, y, sample_weight, training_weight)
-    l2 = params.effective_l2
+    l2 = params.l2  # 0 unless the penalty is l2, as __post_init__ checks
 
     weights = np.zeros(X.shape[1])
     bias = 0.0

@@ -16,7 +16,6 @@ a 0/0 denominator are reported as None, never NaN.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,7 +24,6 @@ import numpy as np
 
 from ._common import InputError, cell, write_csv
 
-log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ConfusionCounts:

@@ -6,7 +6,6 @@ seed, optional feature spec, and full node arrays for tree models.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict
 from pathlib import Path
@@ -20,8 +19,6 @@ from .forest import ForestModel, ForestParams
 from .gbt import GbtModel, GbtParams
 from .linear import LinearModel, LogisticParams
 from .trees import NODE_ARRAYS, DecisionTree, TreeParams
-
-log = logging.getLogger(__name__)
 
 FORMAT = "debris-ews-model"
 VERSION = 1

@@ -28,7 +28,6 @@ check_training_inputs rejects such totals.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -36,8 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from ._common import InputError
-
-log = logging.getLogger(__name__)
 
 _NO_FEATURE = -1
 MAX_WEIGHT_TOTAL = float(np.sqrt(np.finfo(np.float64).max))  # ~1.34e154

@@ -1,5 +1,6 @@
-"""The artifact writers and the JSON reader in _common, and the rule that every
-CSV and JSON artifact goes through them, so the output format lives in one module."""
+"""The artifact writers and the readers in _common, and the rules that every
+CSV and JSON artifact goes through them and that no other module opens a file,
+so the output format and the open-error messages live in one module."""
 import csv
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import debris_ews
 import debris_ews._common as _common
-from debris_ews._common import InputError, cell, read_json, write_csv, write_json
+from debris_ews._common import InputError, cell, read_csv_blocks, read_json, write_csv, write_json
 
 SRC = Path(debris_ews.__file__).parent
 
@@ -120,20 +121,31 @@ def test_read_json_reads_back_and_names_a_bad_file(tmp_path):
     path.write_text("{")
     with pytest.raises(InputError, match=f"^cannot read doc {re.escape(str(path))}: Expecting property name"):
         read_json(path, "doc")
-    with pytest.raises(InputError, match=f"^cannot read doc {re.escape(str(tmp_path / 'gone.json'))}: "):
+    with pytest.raises(InputError, match=f"^doc not found: {re.escape(str(tmp_path / 'gone.json'))}$"):
         read_json(tmp_path / "gone.json", "doc")
     path.write_bytes(b'{"a": "\xe9"}')  # not UTF-8, whatever the locale
     with pytest.raises(InputError, match=f"^cannot read doc {re.escape(str(path))}: 'utf-8' codec can't decode"):
         read_json(path, "doc")
 
 
+def test_read_csv_blocks_names_a_missing_or_unreadable_file(tmp_path):
+    gone = tmp_path / "gone.csv"
+    with pytest.raises(InputError, match=f"^rain CSV not found: {re.escape(str(gone))} \\(expected header a,b\\)$"):
+        next(read_csv_blocks(gone, ("a", "b"), "rain"))
+    with pytest.raises(InputError, match=f"^cannot read rain CSV {re.escape(str(tmp_path))}: Is a directory$"):
+        next(read_csv_blocks(tmp_path, ("a", "b"), "rain"))
+
+
 def test_only_common_writes_csv_or_json():
     """json.dumps( appears in no package module but _common.py, and csv.writer(
-    in none: write_csv formats whole columns, and no artifact is written row by row."""
+    in none: write_csv formats whole columns, and no artifact is written row by row.
+    Nor does any other module open, read or probe a file: the readers in _common
+    turn a missing or unreadable input into the InputError that names it."""
+    common_only = re.compile(r"json\.dumps\(|\bopen\(|\.exists\(|read_text\(|read_bytes\(")
     offenders = [
         f"{path.name}:{number}"
         for path in sorted(SRC.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if "csv.writer(" in line or ("json.dumps(" in line and path.name != "_common.py")
+        if "csv.writer(" in line or (common_only.search(line) and path.name != "_common.py")
     ]
     assert offenders == []

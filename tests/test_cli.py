@@ -12,6 +12,7 @@ from debris_ews import InputError, __version__, segment_events
 from debris_ews.cli import SCORES_CSV_COLUMNS, main, read_scores_csv, write_scores_csv
 from debris_ews.rainfall import read_rainfall_csv
 
+from conftest import cli_argv
 from oracles import ear_trace
 
 SMALL_SYNTH = ["--stations", "5", "--weeks", "12"]
@@ -465,7 +466,24 @@ def test_loading_errors_come_in_order(pipeline, tmp_path, capsys, command):
     if "--model" in extra:
         assert error(absent, absent, "--model", str(absent)).startswith(f"error: model file not found: {absent}")
     if command == "sweep-baselines":
-        assert error(rainfall, manifest).startswith("error: threshold table not found")
+        assert error(rainfall, manifest).startswith("error: threshold CSV not found")
+
+
+@pytest.mark.parametrize("command", [
+    "synth", "segment", "ear", "build-dataset", "train", "cv", "eval", "sweep-baselines", "bootstrap-ci",
+    "operating-points", "event-capture", "explain",
+])
+def test_an_out_that_is_a_file_fails_before_any_input_is_read(tmp_path, capsys, command):
+    """The inputs do not exist, so an error about them would mean they were read first."""
+    out = tmp_path / "out"
+    out.write_text("")
+    if command == "synth":
+        argv = ["synth", "--seed", "7", "--out", str(out)]
+    else:
+        names = ("rainfall", "events", "thresholds", "manifest", "model", "scores", "grid")
+        argv = cli_argv(command, {name: tmp_path / name for name in names}, out)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot create output directory {out}: File exists\n"
 
 
 def test_internal_errors_exit_2(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ Each mutation damages one seeded row (or the header) of a CSV file of the
 golden corpus, and the subcommand that reads it must end with exit code 0 or
 1, never with an internal error (2). An error names the file and the line of
 the damaged row, unless it is about the header or about a whole station,
-window or label set.
+window or label set. A CSV or JSON input that is missing or is a directory
+exits 1 too, naming the path.
 """
 import re
 import zlib
@@ -71,3 +72,25 @@ def test_a_mutated_csv_is_an_input_error_or_accepted(golden, tmp_path, capsys, c
         assert err.startswith(f"error: {paths[name]}:{line}: "), err
     if mutation == "non-UTF-8 byte":
         assert code == 1 and err.startswith(f"error: {paths[name]}:{line}: not UTF-8: byte 0xe9 "), err
+
+
+# a missing or directory input of each kind that main reads: every CSV input
+# above, and one of each JSON input (--config goes to any subcommand)
+UNREADABLE = [*INPUTS, ("train", "manifest"), ("eval", "model"), ("explain", "model"), ("cv", "grid"),
+              ("segment", "config")]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command, name", UNREADABLE, ids=[f"{c}-{n}" for c, n in UNREADABLE])
+def test_a_missing_or_directory_input_is_an_input_error(golden, tmp_path, capsys, command, name, kind):
+    path = tmp_path / f"{name}.input"
+    if kind == "directory":
+        path.mkdir()
+    argv = cli_argv(command, dict(golden, **{name: path}), tmp_path / "out")
+    if name == "config":
+        argv += ["--config", str(path)]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(path) in err and ("not found" if kind == "missing" else "Is a directory") in err, err

@@ -15,6 +15,7 @@ from debris_ews import (
     window_rows,
 )
 from debris_ews.dataset import (
+    example_rows,
     read_events_csv,
     read_manifest,
     write_events_csv,
@@ -309,6 +310,16 @@ def test_window_rows_order_and_label_every_hour():
     assert (ex.window_ids, ex.hours.tolist(), ex.y.tolist()) == (ids, hours.tolist(), labels.tolist())
     with pytest.raises(InputError):
         window_rows([])
+
+
+def test_example_rows_are_those_rows_of_the_whole_matrix():
+    rng = np.random.default_rng(44)
+    windows = [DatasetWindow(f"S{i:03d}", series(random_rain(rng, n), station_id=f"S{i:03d}"), WindowKind.NEGATIVE)
+               for i, n in enumerate([3, 1, 60, 7, 25])]
+    spec = FeatureSpec(hourly_hours=6, daily_days=1, include_ear=True)
+    X = build_examples(windows, spec).X
+    for rows in (np.arange(len(X)), np.array([0, 3, 4, 40, 95]), np.sort(rng.choice(len(X), 9, replace=False))):
+        assert example_rows(windows, spec, LabelingConfig(), rows).tobytes() == X[rows].tobytes()
 
 
 # --- splits -----------------------------------------------------------------------
