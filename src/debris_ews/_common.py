@@ -1,5 +1,11 @@
 """Shared plumbing: input errors, UTC timestamp handling, bulk CSV reading,
-artifact writing, derived RNG streams."""
+artifact writing, derived RNG streams.
+
+Every float field of an artifact is the float's repr (its shortest round-trip
+text), and only this module makes it: write_csv for a float column, cells for
+a float array, cell for one float. For an array, an exact numpy path works out
+the repr of the distinct floats from 1e-4 to 1e15 in integer and double-double
+arithmetic (_shortest), and repr itself formats the rest."""
 from __future__ import annotations
 
 import codecs
@@ -302,19 +308,167 @@ def _column(column: Sequence, alone: bool) -> np.ndarray:
     return np.asarray(column, dtype=object)
 
 
+def cells(values: np.ndarray) -> list[str]:
+    """The float CSV fields of an array, as cell gives them one at a time."""
+    return _fields(np.asarray(values, dtype=np.float64))
+
+
 def _fields(block: np.ndarray) -> list[str]:
     """The CSV fields of a block of rows of a _column. Each distinct number of the
-    block is formatted once: a float by repr of its bit pattern (so -0.0 and 0.0
-    stay apart), an integer or bool by str."""
+    block is formatted once: a float by _float_texts of its bit pattern (so -0.0
+    and 0.0 stay apart), an integer or bool by str."""
     if block.dtype == object:
         return block.tolist()
     if block.dtype.kind == "f":
         bits, index = np.unique(block.astype(np.float64).view(np.uint64), return_inverse=True)
-        text = map(repr, bits.view(np.float64).tolist())
+        text = _float_texts(bits.view(np.float64))
     else:
         distinct, index = np.unique(block, return_inverse=True)
-        text = map(str, distinct.tolist())
-    return np.array(list(text), dtype=object)[index].tolist()
+        text = np.array(list(map(str, distinct.tolist())), dtype=object)
+    return text[index].tolist()
+
+
+# Below this many distinct floats, repr of each costs less than the fixed cost of
+# _shortest's hundred-odd array operations: on a host where repr takes ~1 us a
+# float, the two break even near 300 floats.
+FLOAT_TEXTS_MIN = 300
+# Distinct floats _shortest takes at once: bounds its scratch memory to about 1 MB
+# (a few hundred bytes a float), whatever the block size.
+FLOAT_TEXTS_CHUNK = 4096
+
+
+def _float_texts(distinct: np.ndarray) -> np.ndarray:
+    """repr of each float64 of distinct, as an object array of str. The floats that
+    _shortest works out take its path, FLOAT_TEXTS_CHUNK at a time; the rest, and
+    all of a short array, go to repr. It is fast on floats in bit-pattern order, as
+    np.unique leaves them: _layout lays out each run of one sign and decimal point
+    at once."""
+    texts = np.empty(distinct.size, dtype=object)
+    if distinct.size < FLOAT_TEXTS_MIN:
+        texts[:] = list(map(repr, distinct.tolist()))
+        return texts
+    for a in range(0, distinct.size, FLOAT_TEXTS_CHUNK):
+        chunk, out = distinct[a : a + FLOAT_TEXTS_CHUNK], texts[a : a + FLOAT_TEXTS_CHUNK]
+        done, text = _shortest(chunk)
+        out[done] = text
+        out[~done] = list(map(repr, chunk[~done].tolist()))
+    return texts
+
+
+_MANTISSA = np.uint64((1 << 52) - 1)
+_POW10 = 10.0 ** np.arange(21)  # exact doubles
+_VELTKAMP = float(2**27 + 1)
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a as high + low, each with at most 26 significant bits (Veltkamp's split)."""
+    c = a * _VELTKAMP
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HALVES = _halves(_POW10)
+# A candidate whose distance from a float is this close to half the float's spacing
+# (both scaled as in _shortest, where the spacing is at least 1.1) is left to repr.
+_GUARD = 1e-9
+
+
+def _quad_table() -> np.ndarray:
+    """Entry q < 10**4 holds the 4 ASCII digits of q, entry 10**4 + q the same with
+    the trailing zeros as NUL bytes; each as the uint32 of those 4 bytes."""
+    q = np.arange(10**4)
+    digits = np.stack([q // 10**p % 10 for p in (3, 2, 1, 0)], axis=1).astype(np.uint8) + 48
+    followed = q[:, None] % 10 ** np.arange(4, 0, -1) != 0  # a nonzero digit at or after this one
+    return np.concatenate((digits, digits * followed)).view("<u4")[:, 0]
+
+
+_QUADS = _quad_table()
+_TEXT_WIDTH = 23  # "-0.000" and 17 digits
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which floats of x this works out, and for those their repr, as an object array of str.
+
+    repr writes the fewest significant digits that read back as the float (the
+    nearest such digits when several do), in positional form from 1e-4 to 1e16.
+    This works them out for each v with 1e-4 <= |v| < 1e15 that is not a power
+    of two, so that both of v's neighbours are one spacing away:
+    - With 10**e <= |v| < 10**(e + 1), N = |v| * 10**(16 - e) is exact as an
+      integer n of 17 digits plus frac: 10**(16 - e) is an exact double, and
+      Dekker's product of Veltkamp halves gives the product's rounding error.
+    - The candidates are N rounded half to even to 17, 16 and 15 digits, and
+      the fewest that read back win: those less than half of v's spacing from
+      v, both scaled by 10**(16 - e). A 17-digit candidate is at most 0.5 from
+      N, and half the spacing is at least 0.55 here.
+    - Left to repr are a candidate within _GUARD of that bound, where the
+      rounding of the scaled distance could decide (no 15- or 16-digit decimal
+      is on it: the points halfway between floats here need 17 digits), and a
+      v next to a power of ten whose e the logarithm got wrong.
+    """
+    mag = np.abs(x)
+    bits = mag.view(np.uint64)
+    rows = np.flatnonzero((mag >= 1e-4) & (mag < 1e15) & (bits & _MANTISSA != 0))
+    v = mag[rows]
+    k = 16 - np.floor(np.log10(v)).astype(np.intp)  # 16 - e
+    high = v * _POW10[k]
+    vh, vl = _halves(v)
+    ph, pl = _POW10_HALVES[0][k], _POW10_HALVES[1][k]
+    low = ((vh * ph - high) + vh * pl + vl * ph) + vl * pl  # v * 10**k == high + low
+    whole = np.floor(low)
+    frac = low - whole
+    integer = high.astype(np.int64)  # when e is right, high >= 2**53 is an even integer
+    n = integer + whole.astype(np.int64)
+    sure = (n >= 10**16) & (n < 10**17)  # e is right
+    digits = integer + np.rint(low).astype(np.int64)  # N to 17 digits, half to even as high is even
+    half = np.ldexp(_POW10[k], (v.view(np.uint64) >> 52).astype(np.intp) - 1076)  # half of v's spacing, times 10**k
+    for unit, tie in ((10, 5), (100, 50)):  # 16, then 15 digits: fewer that read back win
+        q = n // unit  # (floor_divide by a scalar is several times faster than divmod)
+        r = n - q * unit
+        q += (r > tie) | ((r == tie) & ((frac > 0) | (q & 1 == 1)))
+        q *= unit
+        gap = np.abs((q - n) - frac)
+        shorter = gap < half - _GUARD
+        sure &= shorter | (gap > half + _GUARD)
+        digits = np.where(shorter, q, digits)
+    done = np.zeros(x.size, dtype=bool)
+    done[rows[sure]] = True
+    carry = digits[sure] == 10**17  # rounded up to the next power of ten
+    digits = np.where(carry, 10**16, digits[sure])
+    point = 17 - k[sure] + carry  # the digits before the decimal point, if positive
+    negative = x[done] < 0
+    return done, _layout(digits, point, negative)
+
+
+def _layout(digits: np.ndarray, point: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The text of each (-)0.d1d2...d17 * 10**point, d1d2...d17 being a 17-digit integer
+    of digits and -4 < point < 17, as repr lays it out: "-" if negative, the digits
+    before the point ("0" if none), ".", and the rest without trailing zeros but
+    one. An object array of str."""
+    quads = np.empty((digits.size, 5), "<u4")
+    q, tail = digits, np.full(digits.size, 10**4)  # tail: only zeros follow, so zeros are NUL
+    for j in range(4, 0, -1):
+        rest = q // 10**4
+        quad = q - rest * 10**4
+        quads[:, j] = _QUADS.take(quad + tail)
+        tail *= quad == 0
+        q = rest
+    quads[:, 0] = _QUADS.take(q + tail)
+    chars = quads.view(np.uint8)  # "000" and the 17 digits, trailing zeros NUL; NUL | 48 is "0"
+    text = np.zeros((digits.size, _TEXT_WIDTH), np.uint8)
+    key = point * 2 + negative
+    cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
+    edges = [0, *cuts, digits.size] if digits.size else []
+    for a, b in zip(edges, edges[1:]):  # a run of one sign and point
+        rows, t, s = slice(a, b), int(point[a]), int(negative[a])
+        f = 3 + t  # chars[f:] is the fraction, after the zeros it starts with when t < 0
+        whole = max(t, 1)  # "0" before the point when t <= 0
+        if s:
+            text[rows, 0] = 45  # "-"
+        text[rows, s : s + whole] = chars[rows, 3:f] | 48 if t > 0 else 48
+        text[rows, s + whole] = 46  # "."
+        text[rows, s + whole + 1] = chars[rows, f] | 48  # at least one digit follows the point
+        text[rows, s + whole + 2 : s + whole + 21 - f] = chars[rows, f + 1 :]
+    return text.astype(np.uint32).view(f"U{_TEXT_WIDTH}")[:, 0].astype(object)
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:

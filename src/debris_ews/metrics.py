@@ -6,7 +6,8 @@ of the score among the K distinct scores, highest first, + K * label) and one
 `bincount` of the codes gives the cumulative false and true positives at each
 distinct threshold; the counts are compacted to the thresholds some code
 reaches before the cumulative sum. The bootstrap counts its resampled codes
-the same way.
+the same way, and `counts_area` takes their area from the points' x and y
+alone, the same floats `auc` gives on the whole curve.
 Curves carry one point per distinct score threshold (descending) together with
 the full confusion counts at that threshold, so operating-point tables report
 specificity without re-scoring and `counts_at` reads the confusion counts of
@@ -116,20 +117,33 @@ def threshold_counts(thresholds: np.ndarray, codes: np.ndarray) -> tuple[np.ndar
     return thresholds[seen], counts.cumsum(axis=1, out=counts)
 
 
-def counts_curve(kind: str, thresholds: np.ndarray, counts: np.ndarray) -> Curve:
-    """ROC or PR curve from the output of threshold_counts."""
-    fp, tp = counts
-    pos, neg = int(tp[-1]), int(fp[-1])  # the lowest threshold alerts on every hour
+def _points(kind: str, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (fp, tp) counts of the ROC or PR curve's points from the counts of
+    threshold_counts, a ROC curve's anchored at (0, 0), and the points' x and y."""
+    pos, neg = int(counts[1, -1]), int(counts[0, -1])  # the lowest threshold alerts on every hour
     if pos == 0 or neg == 0:
         raise InputError(f"{kind} needs at least one positive and one negative label")
     if kind == "ROC":  # anchored at (0,0); the lowest threshold ends at (1,1)
+        counts = np.concatenate((np.zeros((2, 1), counts.dtype), counts), axis=1)
+        fp, tp = counts
+        return counts, fp / neg, tp / pos
+    fp, tp = counts
+    return counts, tp / pos, tp / (tp + fp)
+
+
+def counts_curve(kind: str, thresholds: np.ndarray, counts: np.ndarray) -> Curve:
+    """ROC or PR curve from the output of threshold_counts."""
+    (fp, tp), x, y = _points(kind, counts)
+    if kind == "ROC":
         thresholds = np.concatenate(([np.inf], thresholds))
-        tp = np.concatenate(([0], tp))
-        fp = np.concatenate(([0], fp))
-        x, y = fp / neg, tp / pos
-    else:
-        x, y = tp / pos, tp / (tp + fp)
+    pos, neg = int(tp[-1]), int(fp[-1])
     return Curve(kind=kind, thresholds=thresholds, x=x, y=y, tp=tp, fp=fp, tn=neg - fp, fn=pos - tp)
+
+
+def counts_area(kind: str, counts: np.ndarray) -> float:
+    """auc of the ROC or PR curve of counts_curve, from the points' x and y alone."""
+    _, x, y = _points(kind, counts)
+    return _area(kind, x, y)
 
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> Curve:
@@ -152,8 +166,11 @@ def counts_at(curve: Curve, threshold: float) -> ConfusionCounts:
 
 
 def auc(curve: Curve) -> float:
-    x, y = curve.x, curve.y
-    if curve.kind == "PR" and x[0] > 0.0:
+    return _area(curve.kind, curve.x, curve.y)
+
+
+def _area(kind: str, x: np.ndarray, y: np.ndarray) -> float:
+    if kind == "PR" and x[0] > 0.0:
         # anchor at recall 0 with the precision of the highest-threshold point,
         # so a perfect scorer integrates to exactly 1
         x = np.concatenate(([0.0], x))

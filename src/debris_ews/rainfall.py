@@ -25,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from ._common import (
-    HOUR, CsvColumn, InputError, csv_row_ref, ensure_hour_aligned, format_ts, number_keys, parse_column, parse_ts,
-    read_csv_blocks, write_csv,
+    HOUR, CsvColumn, InputError, cells, csv_row_ref, ensure_hour_aligned, format_ts, number_keys, parse_column,
+    parse_ts, read_csv_blocks, write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -339,7 +339,7 @@ def write_ear_csv(
             owner[ev.start_idx : ev.end_idx + 1] = i
         # owner -1 picks the trailing blank
         event_ids.append(np.array([*map(str, range(len(events))), ""], dtype=object)[owner])
-        antes.append(np.array([*map(repr, ante.tolist()), ""], dtype=object)[owner])
+        antes.append(np.array([*cells(ante), ""], dtype=object)[owner])
         ears.append(ear)
     columns = (*_station_columns(series), np.concatenate(event_ids), np.concatenate(ears), np.concatenate(antes))
     write_csv(path, EAR_CSV_COLUMNS, columns)

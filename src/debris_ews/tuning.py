@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import InputError, build_params, derived_rng, write_csv
+from ._common import InputError, build_params, cell, derived_rng, write_csv
 from .dataset import DatasetWindow, FeatureSpec, LabelingConfig, build_examples, kfold_windows
 from .forest import ForestParams, grow_forest
 from .gbt import GbtParams, grow_gbt
@@ -152,5 +152,5 @@ def write_grid_csv(path: str | Path, result: GridResult) -> None:
     columns = [[result.model_kind] * len(cells)]
     columns += [["" if c.params.get(k) is None else str(c.params[k]) for c in cells] for k in keys]
     columns.append(np.array([c.mean_auprc for c in cells], dtype=np.float64))
-    columns += [[repr(c.fold_auprc[j]) if j < len(c.fold_auprc) else "" for c in cells] for j in range(result.k)]
+    columns += [[cell(c.fold_auprc[j] if j < len(c.fold_auprc) else None) for c in cells] for j in range(result.k)]
     write_csv(path, header, columns)

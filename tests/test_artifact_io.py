@@ -1,6 +1,7 @@
 """The artifact writers and the readers in _common, and the rules that every
 CSV and JSON artifact goes through them and that no other module opens a file,
 so the output format and the open-error messages live in one module."""
+import ast
 import csv
 import json
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import debris_ews
 import debris_ews._common as _common
-from debris_ews._common import InputError, cell, read_csv_blocks, read_json, write_csv, write_json
+from debris_ews._common import InputError, cell, cells, read_csv_blocks, read_json, write_csv, write_json
 
 SRC = Path(debris_ews.__file__).parent
 
@@ -27,7 +28,10 @@ def _reference_write_csv(path, header, columns):
 
 
 _ADVERSARIAL_FLOATS = [-0.0, 0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
-                       5e-324, 1e16, 1e-05, 0.1 + 0.2, 0.1, -2.5]
+                       5e-324, 1e16, 1e-05, 0.1 + 0.2, 0.1, -2.5,
+                       # the ends of _common._shortest's range, and values inside it
+                       *(float(np.nextafter(b, b * s)) for b in (1e-4, 1e15) for s in (0.0, 1.0, 2.0)),
+                       0.5, 2.0**-20, 123456789012345.6, -123456789012345.6, 0.9876543210987654, 1 / 3]
 _ADVERSARIAL_STRINGS = ["a,b", 'say "hi"', "cr\rlf", "new\nline", "crlf\r\n", "", '"', ",", "plain", "  spaced "]
 
 
@@ -67,6 +71,73 @@ def test_write_csv_blocks_join_to_the_same_bytes(tmp_path, monkeypatch, n):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n", [100, 1000])
+def test_write_csv_mixes_the_numpy_float_path_and_repr(tmp_path, monkeypatch, n):
+    """Every float column takes _shortest's path, in chunks of 7 distinct values, so
+    chunks mix the floats it works out with those left to repr."""
+    monkeypatch.setattr(_common, "FLOAT_TEXTS_MIN", 0)
+    monkeypatch.setattr(_common, "FLOAT_TEXTS_CHUNK", 7)
+    columns = _adversarial_columns(n, np.random.default_rng(n))
+    write_csv(tmp_path / "fast.csv", _HEADER, columns)
+    _reference_write_csv(tmp_path / "slow.csv", _HEADER, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+def _float_families(rng, n):
+    """Floats of the kinds the numpy path could get wrong, n or so of each kind, by name."""
+    fast_exponents = rng.integers(1023 - 13, 1023 + 49, n).astype(np.uint64) << 52  # 2**-13 to 2**49
+    powers = 10.0 ** np.arange(-6, 18)
+    near_2_53 = 2.0**53 / 10.0 ** np.arange(20)
+    return {
+        "bit patterns": rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True).view(np.float64),
+        "bit patterns in range": (rng.integers(0, 2**52, n, dtype=np.uint64) | fast_exponents).view(np.float64),
+        "uniform": rng.random(n),
+        "integer ratios": rng.integers(1, 10**6, n) / rng.integers(1, 10**6, n),
+        "3 decimals": np.round(rng.random(n) * 1000, 3),
+        "powers of ten and neighbours": np.concatenate([powers + k * np.spacing(powers) for k in range(-20, 21)]),
+        "powers of two": 2.0 ** np.arange(-1074, 1024),
+        "near 2**53 / 10**j": np.concatenate([near_2_53 + k * np.spacing(near_2_53) for k in range(-50, 51)]),
+        "float32": rng.standard_normal(n).astype(np.float32).astype(np.float64) * 10.0 ** rng.integers(-5, 16, n),
+        "few fraction bits": rng.integers(2**40, 2**50, n) / 2.0 ** rng.integers(0, 12, n),  # ties between candidates
+        "specials": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    }
+
+
+def _assert_float_texts_are_repr(x):
+    assert _common._float_texts(x).tolist() == list(map(repr, x.tolist()))
+
+
+def _worked_out(x):
+    """The share of the floats x that _shortest works out, rather than leaving to repr."""
+    return np.mean([_common._shortest(x[a : a + 4096])[0].mean() for a in range(0, x.size, 4096)])
+
+
+def test_float_texts_is_repr():
+    """On each family, with its negatives, in bit-pattern order as write_csv gives
+    them, and some of them shuffled."""
+    for name, values in _float_families(np.random.default_rng(21), 10_000).items():
+        distinct = np.unique(np.concatenate([values, -values]).view(np.uint64)).view(np.float64)
+        _assert_float_texts_are_repr(distinct)
+        _assert_float_texts_are_repr(np.random.default_rng(0).permutation(distinct[:1000]))
+        if name in ("uniform", "integer ratios", "3 decimals", "bit patterns in range"):
+            assert _worked_out(distinct) > 0.99, name  # the numpy path wrote them, not repr
+    assert _common._float_texts(np.zeros(0)).tolist() == []
+
+
+@pytest.mark.slow
+def test_float_texts_is_repr_exhaustively():
+    """10**7 random bit patterns of either sign from 2**-13 to 2**50, around the numpy
+    path's range, in bit-pattern order as write_csv gives them, and the 5000 floats
+    nearest each 10**k and each 2**53 / 10**j."""
+    rng = np.random.default_rng(2021)
+    low, high = np.array([2.0**-13, 2.0**50]).view(np.uint64)
+    for _ in range(39):
+        bits = rng.integers(low, high, 2**18, dtype=np.uint64) | rng.integers(0, 2, 2**18, np.uint64) << np.uint64(63)
+        _assert_float_texts_are_repr(np.sort(bits).view(np.float64))
+    for centre in np.concatenate((10.0 ** np.arange(-6, 18), 2.0**53 / 10.0 ** np.arange(20))):
+        _assert_float_texts_are_repr(centre + np.arange(-2500, 2500) * np.spacing(centre))
+
+
 def test_write_csv_creates_parents_and_ends_rows_in_crlf(tmp_path):
     path = tmp_path / "a" / "b" / "t.csv"
     write_csv(path, ("name", "value", "note"), (["x", "y,z", "w"], np.array([0.0, -0.0, 0.1]), ["", cell(None), '"q"']))
@@ -98,6 +169,13 @@ def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
 
 def test_cell_is_the_float_repr_or_empty():
     assert [cell(v) for v in (None, 1, 0.1, 1e-300, float("inf"))] == ["", "1.0", "0.1", "1e-300", "inf"]
+
+
+def test_cells_is_cell_of_each_float(monkeypatch):
+    values = np.array(_ADVERSARIAL_FLOATS * 30)
+    assert cells(values) == [cell(v) for v in values.tolist()]
+    monkeypatch.setattr(_common, "FLOAT_TEXTS_MIN", 0)
+    assert cells(values) == [cell(v) for v in values.tolist()]
 
 
 def test_write_json_sorts_keys_and_ends_in_a_newline(tmp_path):
@@ -136,16 +214,33 @@ def test_read_csv_blocks_names_a_missing_or_unreadable_file(tmp_path):
         next(read_csv_blocks(tmp_path, ("a", "b"), "rain"))
 
 
+def _reprs_outside_raise(tree: ast.AST, in_raise: bool = False):
+    """The line of each use of the name repr, as in repr(x) or map(repr, xs), that is
+    not part of a raise statement."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Name) and node.id == "repr" and not in_raise:
+            yield node.lineno
+        yield from _reprs_outside_raise(node, in_raise or isinstance(node, ast.Raise))
+
+
 def test_only_common_writes_csv_or_json():
     """json.dumps( appears in no package module but _common.py, and csv.writer(
     in none: write_csv formats whole columns, and no artifact is written row by row.
     Nor does any other module open, read or probe a file: the readers in _common
-    turn a missing or unreadable input into the InputError that names it."""
+    turn a missing or unreadable input into the InputError that names it. Nor
+    does any other module format a float with repr, but in an error message:
+    float fields come from _common's cell, cells and write_csv."""
     common_only = re.compile(r"json\.dumps\(|\bopen\(|\.exists\(|read_text\(|read_bytes\(")
     offenders = [
         f"{path.name}:{number}"
         for path in sorted(SRC.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if "csv.writer(" in line or (common_only.search(line) and path.name != "_common.py")
+    ]
+    offenders += [
+        f"{path.name}:{number} repr"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "_common.py"
+        for number in _reprs_outside_raise(ast.parse(path.read_text()))
     ]
     assert offenders == []

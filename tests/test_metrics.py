@@ -18,7 +18,10 @@ from debris_ews import (
     pr_curve,
     roc_curve,
 )
-from debris_ews.metrics import Curve, OperatingPoint, write_capture_csv, write_curve_csv, write_operating_points_csv
+from debris_ews.metrics import (
+    Curve, OperatingPoint, counts_area, counts_curve, rank_codes, threshold_counts, write_capture_csv, write_curve_csv,
+    write_operating_points_csv,
+)
 
 from conftest import series
 
@@ -157,6 +160,19 @@ def test_auroc_equals_mann_whitney_random():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         assert auroc(scores, labels) == pytest.approx(mann_whitney_auroc(scores, labels), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ROC", "PR"])
+def test_counts_area_is_the_auc_of_the_counts_curve(kind):
+    """The area the bootstrap takes from x and y alone is the same float as auc of the whole curve."""
+    rng = np.random.default_rng(7)
+    for n in (2, 10, 500):
+        scores = np.round(rng.random(n), 2)  # ties between scores
+        labels = np.arange(n) % 2
+        thresholds, counts = threshold_counts(*rank_codes(scores, labels))
+        assert counts_area(kind, counts) == auc(counts_curve(kind, thresholds, counts))
+    with pytest.raises(InputError, match=f"{kind} needs at least one positive"):
+        counts_area(kind, threshold_counts(*rank_codes([0.1, 0.2], [0, 0]))[1])
 
 
 def test_counts_at_matches_brute_force():
