@@ -9,6 +9,7 @@
 #   explain/attributions.csv + importance.csv                           (per-input attributions)
 #   tw_sweep/tw_<w>/metrics.json                                        (training-weight trade-offs)
 #   cv_table/cv_results.csv                                             (history-length CV scores)
+# and ends by checking that every *.json under $OUT parses as strict JSON (no NaN or Infinity).
 #
 # REPS=10000 by default; set REPS=500 (and SKIP_SLOW=1 to drop the training-weight
 # and CV sweeps) for a quick pass.
@@ -105,6 +106,23 @@ EOF
       --out "$OUT/cv_table/h$h" --seed 11 --grid "$OUT/grid_h.json" --k 10 --hours "$h"
   done
 fi
+
+section "strict JSON: no NaN or Infinity in any artifact"
+python3 - "$OUT" <<'EOF'
+import json, pathlib, sys
+
+def reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+bad = 0
+for path in sorted(pathlib.Path(sys.argv[1]).rglob("*.json")):
+    try:
+        json.loads(path.read_text(), parse_constant=reject)
+    except ValueError as exc:
+        print(f"not strict JSON: {path}: {exc}", file=sys.stderr)
+        bad += 1
+sys.exit(1 if bad else 0)
+EOF
 
 section
 echo "done: artifacts under $OUT in $SECONDS s"

@@ -504,10 +504,11 @@ def read_json(path: str | Path, what: str) -> object:
 
 
 def write_json(path: str | Path, doc: object, indent: int | None = 2) -> None:
-    """A JSON artifact with sorted keys and a final newline; indent=None is the compact form."""
+    """A strict JSON artifact with sorted keys and a final newline; indent=None is the compact
+    form. A NaN or infinity in doc is a program fault: json.dumps raises ValueError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False) + "\n")
 
 
 _JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"}
@@ -541,7 +542,8 @@ def _scalar(doc: dict, name: str, kind, rule: str | None = None, ok: Callable[[o
 
 def build_params(cls: Callable[..., T], doc: object, where: str) -> T:
     """cls(**doc) for a parameter dataclass read from JSON. An unknown field, a value
-    of the wrong JSON type and a value cls rejects are InputErrors naming where and the field."""
+    of the wrong JSON type, a NaN or infinity and a value cls rejects are InputErrors
+    naming where and the field."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object, got {doc!r}")
     hints = get_type_hints(cls)
@@ -550,6 +552,8 @@ def build_params(cls: Callable[..., T], doc: object, where: str) -> T:
             raise InputError(f"{where}: unknown field {key!r} (expected one of {', '.join(hints)})")
         if not _json_fits(hints[key], value):
             raise InputError(f"{where}: field {key!r}: expected {_expected(hints[key])}, got {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):  # no parameter is NaN or infinite
+            raise InputError(f"{where}: field {key!r}: expected a finite number, got {value!r}")
     try:
         return cls(**doc)
     except InputError as exc:

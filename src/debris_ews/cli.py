@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -172,6 +173,9 @@ class _Command:
         for k, low in self.minimums.items():
             if merged[k] < low:
                 raise InputError(f"{k.replace('_', '-')} must be >= {low}, got {merged[k]}")
+        for k, action in self.actions.items():
+            if action.type is float and not math.isfinite(merged[k]):
+                raise InputError(f"{k.replace('_', '-')} must be a finite number, got {merged[k]}")
         return merged
 
 

@@ -1,8 +1,8 @@
-"""Versioned JSON model serialization.
+"""Versioned strict-JSON model serialization; only VERSION loads, an older model is re-trained.
 
 Floats are written with repr (shortest round-trip form), so save -> load ->
-predict is bit-exact. The document records the model kind, hyperparameters,
-seed, optional feature spec, and full node arrays for tree models.
+predict is bit-exact. The document records the model kind, hyperparameters, seed,
+optional feature spec, and each tree's NODE_ARRAYS, a leaf's threshold as null.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .linear import LinearModel, LogisticParams
 from .trees import NODE_ARRAYS, DecisionTree, TreeParams
 
 FORMAT = "debris-ews-model"
-VERSION = 1
+VERSION = 2
 
 Model = ForestModel | GbtModel | LinearModel
 
@@ -76,9 +76,8 @@ def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: Tre
                          "other than the root is the child of one split node")
     if (i := _first(split & ~np.isfinite(arrays["threshold"]))) is not None:
         raise InputError(f"tree {index}: threshold[{i}] of a split node is {arrays['threshold'][i]}")
-    for name in ("value", "weight"):
-        if (i := _first(~split & ~np.isfinite(arrays[name]))) is not None:
-            raise InputError(f"tree {index}: {name}[{i}] of a leaf is {arrays[name][i]}")
+    if (i := _first(~split & ~np.isfinite(arrays["value"]))) is not None:
+        raise InputError(f"tree {index}: value[{i}] of a leaf is {arrays['value'][i]}")
     return DecisionTree(**arrays, n_features=n_features, params=params)
 
 
@@ -124,7 +123,8 @@ def model_to_doc(model: Model, feature_spec: FeatureSpec | None = None, meta: di
         spec["daily_mode"] = feature_spec.daily_mode.value
         doc["feature_spec"] = spec
     if isinstance(model, (ForestModel, GbtModel)):
-        trees = [{name: getattr(t, name).tolist() for name in NODE_ARRAYS} for t in model.trees]
+        trees = [{name: getattr(t, name).tolist() for name in NODE_ARRAYS}
+                 | {"threshold": np.where(t.feature < 0, None, t.threshold).tolist()} for t in model.trees]
         doc.update(training_weight=model.training_weight, n_features=model.n_features, trees=trees)
     if isinstance(model, ForestModel):
         doc.update(kind="random_forest", params=asdict(model.params), seed=model.seed)
@@ -143,7 +143,7 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
     if fmt != FORMAT:
         raise InputError(f"not a model document (format={fmt!r})")
     if doc.get("version") != VERSION:
-        raise InputError(f"unsupported model document version {doc.get('version')!r}")
+        raise InputError(f"unsupported model document version {doc.get('version')!r}; re-train the model with 'train'")
     spec = None
     if doc.get("feature_spec") is not None:
         spec = build_params(FeatureSpec, doc["feature_spec"], "feature_spec")

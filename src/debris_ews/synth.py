@@ -16,6 +16,7 @@ byte-identical on every run.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 import numpy as np
@@ -57,8 +58,15 @@ class SynthConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise InputError(f"{name} must be > 0, got {value!r}")
+        for name in ("storms_per_week", "trigger_steepness", "trigger_threshold_mm", "recent_rain_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.recent_rain_gain < 0:
             raise InputError("recent_rain_gain must be >= 0")
+        # storm_arrivals draws one gap a storm: at most one storm an hour keeps its loop as long as the record
+        if self.storms_per_week > HOURS_PER_WEEK:
+            raise InputError(f"storms_per_week must be <= {HOURS_PER_WEEK} (one storm an hour), "
+                             f"got {self.storms_per_week!r}")
 
     @property
     def hours_per_station(self) -> int:

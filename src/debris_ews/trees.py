@@ -53,7 +53,7 @@ _BLOCK_ELEMENTS = 1 << 18
 _MASK_BLOCK_ROWS = 1 << 14
 # DecisionTree's node arrays, in field order, and their dtypes
 NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
-               "value": np.float64, "weight": np.float64}
+               "value": np.float64}
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,10 @@ class TreeParams:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Node arrays; leaves have feature == -1.
+    """Node arrays; leaves have feature == -1, threshold NaN and children -1.
 
     value holds the weighted positive fraction at each leaf for classifier
-    trees and the regularized leaf score for boosted regression trees; weight
-    holds the matching weighted sample count (hessian mass for boosted trees).
+    trees and the regularized leaf score for boosted regression trees.
     Rows with x[feature] < threshold go left.
     """
 
@@ -86,7 +85,6 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    weight: np.ndarray
     n_features: int
     params: TreeParams
 
@@ -274,8 +272,8 @@ class _GiniCriterion:
         # integers below 2**53: the same floats as running sums of the weights
         return (rows.size - n_pos) * a0 + n_pos * a1, n_pos * a1, pure, (lab, n_pos)
 
-    def leaf(self, W: float, P: float) -> tuple[float, float]:
-        return P / W, W
+    def leaf(self, W: float, P: float) -> float:
+        return P / W
 
     def floor(self, W: float, P: float) -> float:
         return -(P * (W - P) / W) * (1.0 - _REL_EPS)  # require a real impurity decrease
@@ -301,12 +299,12 @@ class _GainCriterion:
         H = float(ab.real.sum())
         return H, float(ab.imag.sum()), H + self.lam == 0, ab
 
-    def leaf(self, H: float, G: float) -> tuple[float, float]:
+    def leaf(self, H: float, G: float) -> float:
         # With no curvature (hessians summing to 0 under leaf_l2=0) the Newton
         # step -G/H is undefined: the node stays a leaf that changes no score.
         if H + self.lam == 0:
-            return 0.0, H
-        return -G / (H + self.lam), H
+            return 0.0
+        return -G / (H + self.lam)
 
     def floor(self, H: float, G: float) -> float:
         return _REL_EPS * max(1.0, abs(G * G / (H + self.lam)))
@@ -399,7 +397,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
     leaf = np.empty(n, dtype=np.intp)
 
     def new_node() -> int:
-        nodes.append([_NO_FEATURE, np.nan, _NO_FEATURE, _NO_FEATURE, 0.0, 0.0])
+        nodes.append([_NO_FEATURE, np.nan, _NO_FEATURE, _NO_FEATURE, 0.0])
         return len(nodes) - 1
 
     # stack keeps (slot, rows, depth); children pushed right-then-left so the
@@ -409,7 +407,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
         slot, rows, depth = stack.pop()
         node = nodes[slot]
         stats = criterion.node(rows)
-        node[4], node[5] = criterion.leaf(stats[0], stats[1])
+        node[4] = criterion.leaf(stats[0], stats[1])
         split = None
         if depth < max_depth and rows.size >= 2 * params.min_samples_leaf and not stats[2]:
             feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))

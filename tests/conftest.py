@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timezone
 
 import numpy as np
@@ -72,3 +73,10 @@ def cli_argv(command: str, p: dict, out) -> list[str]:
         "explain": ["explain", "--model", str(p["model"]), *corpus, "--seed", "7", "--max-rows", "4",
                     "--background-rows", "4"],
     }[command] + ["--out", str(out)]
+
+
+def strict_json(text: str):
+    """text parsed as RFC 8259 JSON, which has no NaN or Infinity: either raises ValueError."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)

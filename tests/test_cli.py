@@ -300,8 +300,9 @@ def test_threads_below_one_fail(pipeline, tmp_path, capsys, command, threads):
 
 
 CORPUS = ["--rainfall", "{rain}", "--manifest", "{man}", "--seed", "1"]
+SYNTH = ["synth", "--seed", "1", "--stations", "2", "--weeks", "2"]
 SCORES_BODY = "window_id,hour,label,score\nw1,0,0,0.5\n"
-MODEL_DOC = {"format": "debris-ews-model", "version": 1, "kind": "random_forest"}
+MODEL_DOC = {"format": "debris-ews-model", "version": 2, "kind": "random_forest"}
 EVAL = ["eval", "--model", "{doc}", "--rainfall", "{rain}", "--manifest", "{man}"]
 RF_FIELDS = "n_trees, max_depth, min_samples_leaf, max_features, bootstrap"
 BAD_INPUTS = {
@@ -349,6 +350,9 @@ BAD_INPUTS = {
                                       "{grid}: cell 1: field 'n_trees': expected an integer, got 'x'"),
     "grid cell with a bad depth": (["cv", *CORPUS, "--grid", "{grid}"], {"grid": [{"max_depth": 1.5}]},
                                    "{grid}: cell 0: field 'max_depth': expected an integer or null, got 1.5"),
+    "grid cell with an infinite value": (["cv", *CORPUS, "--model", "gbt", "--grid", "{grid}"],
+                                         {"grid": [{"leaf_l2": float("inf")}]},
+                                         "{grid}: cell 0: field 'leaf_l2': expected a finite number, got inf"),
     "grid cell the params reject": (["cv", *CORPUS, "--model", "gbt", "--grid", "{grid}"],
                                     {"grid": [{"min_samples_leaf": 0}]}, "{grid}: cell 0: min_samples_leaf must be >= 1"),
     "tree cell in a logistic grid": (["cv", *CORPUS, "--model", "logistic", "--grid", "{grid}"],
@@ -367,9 +371,11 @@ BAD_INPUTS = {
                                     "{doc}: feature_spec: field 'daily_mode': expected one of 'calendar_day', "
                                     "'rolling_24h', got 'weekly'"),
     "model without params": (EVAL, {"doc": MODEL_DOC}, "{doc}: missing field 'params'"),
+    "model of version 1": (EVAL, {"doc": {**MODEL_DOC, "version": 1}},
+                           "{doc}: unsupported model document version 1; re-train the model with 'train'"),
     "model that is not an object": (EVAL, {"doc": [MODEL_DOC]}, "{doc}: not a model document (format=None)"),
     "model with a text node array": (EVAL, {"doc": {**MODEL_DOC, "params": {}, "n_features": 1, "trees": [
-        {"feature": "x", "threshold": [], "left": [], "right": [], "value": [], "weight": []}]}},
+        {"feature": "x", "threshold": [], "left": [], "right": [], "value": []}]}},
                                      "{doc}: tree 0: feature: invalid literal for int() with base 10: 'x'"),
     "negative alpha with the EAR feature": (["train", *CORPUS, "--alpha", "-2", "--include-ear"], {},
                                             "alpha must be in [0, 1], got -2.0"),
@@ -377,7 +383,19 @@ BAD_INPUTS = {
                                                 {}, "alpha must be in [0, 1], got 1.5"),
     "ear alpha": (["ear", "--rainfall", "{rain}", "--alpha", "5"], {}, "alpha must be in [0, 1], got 5.0"),
     "sweep-baselines alpha": (["sweep-baselines", "--rainfall", "{rain}", "--manifest", "{man}", "--thresholds", "{thr}",
-                               "--alpha", "nan"], {}, "alpha must be in [0, 1], got nan"),
+                               "--alpha", "nan"], {}, "alpha must be a finite number, got nan"),
+    "build-dataset alpha": (["build-dataset", "--rainfall", "{rain}", "--events", "{ev}", "--seed", "1",
+                             "--alpha", "nan"], {}, "alpha must be a finite number, got nan"),
+    "segment rain threshold": (["segment", "--rainfall", "{rain}", "--rain-threshold", "nan"], {},
+                               "rain-threshold must be a finite number, got nan"),
+    "float from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": {"learning_rate": float("-inf")}},
+                          "learning-rate must be a finite number, got -inf"),
+    # at most one storm an hour on average, so the hours bound synth's storm arrivals
+    "synth storm rate": ([*SYNTH, "--storms-per-week", "inf"], {}, "storms-per-week must be a finite number, got inf"),
+    "synth storm rate above one an hour": ([*SYNTH, "--storms-per-week", "1e6"], {},
+                                           "storms_per_week must be <= 168 (one storm an hour), got 1000000.0"),
+    "synth recent-rain gain": ([*SYNTH, "--recent-rain-gain", "inf"], {},
+                               "recent-rain-gain must be a finite number, got inf"),
 }
 
 
@@ -386,7 +404,8 @@ def test_bad_option_and_score_values_exit_1_naming_them(pipeline, tmp_path, caps
     argv, files, message = BAD_INPUTS[case]
     paths = {"rain": pipeline["corpus"] / "rainfall.csv", "man": pipeline["data"] / "manifest.json",
              "model": pipeline["model"] / "model.json", "cfg": tmp_path / "cfg.json", "scores": tmp_path / "scores.csv",
-             "grid": tmp_path / "grid.json", "doc": tmp_path / "model.json", "thr": pipeline["corpus"] / "thresholds.csv"}
+             "grid": tmp_path / "grid.json", "doc": tmp_path / "model.json", "thr": pipeline["corpus"] / "thresholds.csv",
+             "ev": pipeline["corpus"] / "debris_events.csv"}
     for name, content in files.items():
         paths[name].write_text(content if isinstance(content, str) else json.dumps(content))
     capsys.readouterr()

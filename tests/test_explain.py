@@ -29,7 +29,6 @@ def _stump(feature, threshold, left_value, right_value, n_features):
         left=np.array([1, -1, -1], dtype=np.int32),
         right=np.array([2, -1, -1], dtype=np.int32),
         value=np.array([0.0, left_value, right_value]),
-        weight=np.array([2.0, 1.0, 1.0]),
         n_features=n_features,
         params=TreeParams(),
     )
@@ -318,7 +317,6 @@ def _one_feature_zigzag_tree():
         left=np.array([1, 3, -1, -1, 5, 7, -1, -1, -1], dtype=np.int32),
         right=np.array([2, 4, -1, -1, 6, 8, -1, -1, -1], dtype=np.int32),
         value=np.array([0.0, 0.0, 0.9, 0.1, 0.0, 0.0, 0.3, 0.7, 0.2]),
-        weight=np.ones(9),
         n_features=3,
         params=TreeParams(),
     )
@@ -333,7 +331,6 @@ def _redundant_splits_tree():
         left=np.array([1, 3, 5, -1, -1, -1, 7, -1, -1], dtype=np.int32),
         right=np.array([2, 4, 6, -1, -1, -1, 8, -1, -1], dtype=np.int32),
         value=np.array([0.0, 0.0, 0.0, 0.2, 0.8, 0.5, 0.0, 0.1, 0.9]),
-        weight=np.ones(9),
         n_features=3,
         params=TreeParams(),
     )
@@ -441,7 +438,7 @@ def test_box_sets_of_several_code_words_do_not_change_the_bits(monkeypatch):
 
 def test_root_only_and_zero_value_trees_add_nothing():
     root_only = DecisionTree(np.array([-1], dtype=np.int32), np.array([np.nan]), np.array([-1], dtype=np.int32),
-                             np.array([-1], dtype=np.int32), np.array([0.4]), np.array([1.0]), 3, TreeParams())
+                             np.array([-1], dtype=np.int32), np.array([0.4]), 3, TreeParams())
     zero_left = _stump(1, 0.5, left_value=0.0, right_value=0.6, n_features=3)
     all_zero = _stump(2, 0.0, left_value=0.0, right_value=0.0, n_features=3)
     trees = (root_only, zero_left, all_zero, _one_feature_zigzag_tree())

@@ -75,7 +75,6 @@ def test_two_stump_forest_averages_leaf_fractions():
             left=np.array([-1], dtype=np.int32),
             right=np.array([-1], dtype=np.int32),
             value=np.array([fraction]),
-            weight=np.array([1.0]),
             n_features=2,
             params=TreeParams(),
         )

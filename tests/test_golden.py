@@ -12,6 +12,8 @@ import pytest
 
 from debris_ews.cli import main
 
+from conftest import strict_json
+
 # numpy major.minor -> sha256 of (rainfall.csv, manifest.json)
 GOLDEN = {
     "2.4": (
@@ -23,7 +25,7 @@ GOLDEN = {
 # numpy major.minor -> {artifact: sha256} of the pipeline run on that corpus
 GOLDEN_PIPELINE = {
     "2.4": {
-        "model/model.json": "bfca04f07d34562276e4585cc66398fffdbf9294b5362a68d0cd830db4c4615b",
+        "model/model.json": "6b6488ecfb4ddee38c8bbba727eedfcbbc3a62b3d88a4e70b3ca3a562809cfc3",
         "eval/scores.csv": "f43aa7b0066ce71dd44873f49989ed907bab92815bbd495f6a75ea695748e1a3",
         "baselines/etm_scores.csv": "9a60ef1b336afe1cf19ff47cde97d0a6002e7d461e1ab6dfc03c052b4f71a023",
         "baselines/hm_scores.csv": "2eda2231203bb95da63e1de90427774ea09c7deaa33101f2003a77a7fd2a0666",
@@ -60,9 +62,9 @@ GOLDEN_ARTIFACTS = {
         "run/cv/cv_results.csv": "b83b40afd47ac682f5e1ac273dec23e4ceb6b9d003b27077270c9a9c130a835b",
         "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
         "run/cv_gbt/cv_results.csv": "f3f51ad034148154e6c0cc36737a1a2fc799539fb1c24868e3ca0a95aa566f36",
-        "run/gbt/model.json": "fbeb52f9843dca597cb56e9b94e829eece022bc1442e6a9d8e546a9299411244",
-        "run/rf_tw0.1/model.json": "a178bea509f161cc9a5cede7b265b0ccdcaa9fc767c534c72183aefb36e80af4",
-        "run/rf_tw10/model.json": "70d01ed100b674d8cc46d7eeb84adeaeac162b4df31f96ec85b9501d6724bd18",
+        "run/gbt/model.json": "52b05a5ae98d59e577acc6ace5d6274b41644c93ea16f4c7da5d6c2fb089322c",
+        "run/rf_tw0.1/model.json": "cfd046f9ca9d3c687e40dfd4905e77e0bafd731f01e39ef5838aa722b3623d04",
+        "run/rf_tw10/model.json": "d77101e86efef026288c1658d872a9fd452094dd2a4282938bd11d799a4553f4",
     },
 }
 
@@ -166,3 +168,26 @@ def test_artifact_fingerprints(corpus, pipeline, tmp_path):
         root, rel = name.split("/", 1)
         digests[name] = _sha256(files[root] / rel)
     assert digests == GOLDEN_ARTIFACTS[version]
+
+
+def test_every_json_artifact_is_strict_json(corpus, pipeline, tmp_path):
+    """Every JSON file of the corpus, the pipeline, a cv run and a boosted model parses as
+    RFC 8259 JSON, which has no NaN or Infinity."""
+    corpus, data = corpus
+    inputs = ["--rainfall", str(corpus / "rainfall.csv"), "--manifest", str(data / "manifest.json")]
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"n_trees": 2, "max_depth": 2, "min_samples_leaf": 1}]')
+    for argv in (
+        ["cv", *inputs, "--out", str(tmp_path / "cv"), "--seed", "7", "--grid", str(grid), "--k", "3", "--hours", "12"],
+        ["train", *inputs, "--out", str(tmp_path / "gbt"), "--seed", "7", "--model", "gbt", "--trees", "3",
+         "--max-depth", "3", "--hours", "12"],
+    ):
+        assert main(argv) == 0, argv
+    paths = [p for root in (corpus, data, pipeline, tmp_path / "cv", tmp_path / "gbt") for p in root.rglob("*.json")]
+    assert {p.name for p in paths} == {
+        "manifest.json", "model.json", "metrics.json", "baselines.json", "ci.json", "explain.json", "best_params.json",
+        *(f"{c}_config.json" for c in ("synth", "build_dataset", "train", "eval", "sweep_baselines", "bootstrap_ci",
+                                       "operating_points", "event_capture", "explain", "cv")),
+    }
+    for path in paths:
+        strict_json(path.read_text())

@@ -19,6 +19,8 @@ from debris_ews.linear import LinearModel
 from debris_ews.modelio import load_model, predict_proba, save_model
 from debris_ews.trees import NODE_ARRAYS, DecisionTree
 
+from conftest import strict_json
+
 
 def _data(rng, n=150, m=4):
     X = rng.normal(size=(n, m))
@@ -47,16 +49,36 @@ def test_roundtrip_bit_exact_scores(tmp_path, kind):
     np.testing.assert_array_equal(a, b)  # bit-exact, not approx
 
 
-def test_roundtrip_twice_is_stable(tmp_path):
+@pytest.mark.parametrize("kind", ["rf", "gbt", "logistic"])
+def test_roundtrip_twice_is_stable(tmp_path, kind):
     rng = np.random.default_rng(11)
     X, y = _data(rng)
-    model = fit_forest(X, y, ForestParams(n_trees=3, max_depth=4), seed=1)
+    if kind == "rf":
+        model = fit_forest(X, y, ForestParams(n_trees=3, max_depth=4), seed=1)
+    elif kind == "gbt":
+        model = fit_gbt(X, y, params=GbtParams(n_trees=3, max_depth=4))
+    else:
+        model = fit_logistic(X, y, params=LogisticParams(penalty="l2", l2=0.5))
     p1 = tmp_path / "m1.json"
     p2 = tmp_path / "m2.json"
-    save_model(p1, model)
-    loaded, _ = load_model(p1)
-    save_model(p2, loaded)
+    save_model(p1, model, feature_spec=FeatureSpec(hourly_hours=4), meta={"lead_hours": 2})
+    loaded, spec, meta = load_model(p1, with_meta=True)
+    save_model(p2, loaded, feature_spec=spec, meta=meta)
     assert p1.read_text() == p2.read_text()
+    doc = strict_json(p1.read_text())
+    assert doc["version"] == 2
+    for tree in doc.get("trees", []):
+        leaf = [f < 0 for f in tree["feature"]]
+        assert any(leaf) and all((t is None) == is_leaf for t, is_leaf in zip(tree["threshold"], leaf))
+
+
+def test_a_version_1_model_asks_to_be_retrained(tmp_path):
+    path, doc = _saved_doc(tmp_path, "rf")
+    doc["version"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: unsupported model document version 1; re-train the model with 'train'"
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -116,7 +138,7 @@ def _two_parents(tree, m):
 
 
 def _orphan(tree, m):
-    for name, value in zip(NODE_ARRAYS, (-1, None, -1, -1, 0.5, 1.0)):
+    for name, value in zip(NODE_ARRAYS, (-1, None, -1, -1, 0.5)):
         tree[name].append(value)
 
 
@@ -124,19 +146,19 @@ def _chain_of_shared_children(tree, m):
     # 21 nodes, each split node's two children the next node: 2^20 root-to-leaf paths
     n = 21
     tree.update(feature=[0] * (n - 1) + [-1], threshold=[0.5] * (n - 1) + [None], left=[*range(1, n), -1],
-                right=[*range(1, n), -1], value=[0.5] * n, weight=[1.0] * n)
+                right=[*range(1, n), -1], value=[0.5] * n)
 
 
 def _threshold_not_finite(tree, m):
     tree["threshold"][0] = float("inf")
 
 
+def _split_threshold_null(tree, m):
+    tree["threshold"][0] = None  # null is a leaf's threshold only
+
+
 def _leaf_value_nan(tree, m):
     tree["value"][_first_node(tree, split=False)] = float("nan")
-
-
-def _leaf_weight_inf(tree, m):
-    tree["weight"][_first_node(tree, split=False)] = float("-inf")
 
 
 def _no_nodes(tree, m):
@@ -145,7 +167,7 @@ def _no_nodes(tree, m):
 
 
 def _not_numbers(tree, m):
-    tree["weight"][0] = "heavy"
+    tree["value"][0] = "heavy"
 
 
 def _nested(tree, m):
@@ -165,10 +187,10 @@ def _nested(tree, m):
     (_orphan, r"no split node's left or right is \d+, but every node other than the root is the child of one"),
     (_chain_of_shared_children, r"right\[0\] = 1, but left\[0\] = 1 too"),
     (_threshold_not_finite, r"threshold\[0\] of a split node is inf"),
+    (_split_threshold_null, r"threshold\[0\] of a split node is nan"),
     (_leaf_value_nan, r"value\[\d+\] of a leaf is nan"),
-    (_leaf_weight_inf, r"weight\[\d+\] of a leaf is -inf"),
     (_no_nodes, "unequal or zero length"),
-    (_not_numbers, "weight: could not convert"),
+    (_not_numbers, "value: could not convert"),
     (_nested, "value is not a list of numbers"),
 ])
 @pytest.mark.parametrize("kind", ["rf", "gbt"])

@@ -120,3 +120,17 @@ def test_config_validation():
         SynthConfig(stations=0)
     with pytest.raises(InputError):
         SynthConfig(recent_rain_gain=-0.1)
+
+
+@pytest.mark.parametrize("field", ["storms_per_week", "trigger_steepness", "trigger_threshold_mm",
+                                   "recent_rain_gain"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_a_float_setting_that_is_not_finite(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be a finite number, got {value!r}$"):
+        SynthConfig(**{field: value})
+
+
+def test_config_rejects_more_than_one_storm_an_hour():
+    assert SynthConfig(storms_per_week=168.0).storms_per_week == 168.0
+    with pytest.raises(InputError, match=r"^storms_per_week must be <= 168 \(one storm an hour\), got 1000000.0$"):
+        SynthConfig(storms_per_week=1e6)

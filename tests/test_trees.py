@@ -78,7 +78,6 @@ def test_weight_scaling_invariance():
             np.testing.assert_array_equal(base.feature, scaled.feature)
             np.testing.assert_array_equal(base.threshold, scaled.threshold)
             np.testing.assert_allclose(base.value, scaled.value, rtol=1e-12)
-            np.testing.assert_allclose(scaled.weight, c * base.weight, rtol=1e-12)
 
 
 def test_feature_scaling_leaves_predictions_unchanged():
@@ -113,7 +112,6 @@ def test_leaf_fraction_uses_weights():
     tree = fit_tree(X, y, sample_weight=np.array([2.0, 1.0, 1.0]))
     assert tree.n_nodes == 1
     assert tree.value[0] == pytest.approx(0.5)
-    assert tree.weight[0] == pytest.approx(4.0)
 
 
 def test_deterministic_feature_subsampling_needs_seed():
@@ -247,38 +245,37 @@ def _reference_gain(X, g, h, lam, min_leaf, rows, features):
 
 
 def _gini_leaf(y, w):
-    """Leaf (value, weight) and purity of a weighted-Gini node, from its own row sums."""
+    """Leaf value and purity of a weighted-Gini node, from its own row sums."""
     def leaf(rows):
-        W = float(w[rows].sum())
-        return float((w * y)[rows].sum() / W), W, bool(y[rows].max() == y[rows].min())
+        return float((w * y)[rows].sum() / w[rows].sum()), bool(y[rows].max() == y[rows].min())
     return leaf
 
 
 def _gain_leaf(g, h, lam):
-    """Leaf (value, weight) and purity of a boosting node; no curvature gives a zero leaf."""
+    """Leaf value and purity of a boosting node; no curvature gives a zero leaf."""
     def leaf(rows):
         H = float(h[rows].sum())
         if H + lam == 0:
-            return 0.0, H, True
-        return float(-g[rows].sum() / (H + lam)), H, False
+            return 0.0, True
+        return float(-g[rows].sum() / (H + lam)), False
     return leaf
 
 
 def _reference_grow(X, leaf, split, params, rng=None):
     """Depth-first, left subtree first, rows partitioned on the float values; leaf(rows)
-    gives a node's (value, weight, pure)."""
+    gives a node's (value, pure)."""
     n, m = X.shape
     m_try = m if params.max_features is None else params.max_features
     max_depth = np.inf if params.max_depth is None else params.max_depth
-    nodes = ([], [], [], [], [], [])  # feature, threshold, left, right, value, weight
+    nodes = ([], [], [], [], [])  # feature, threshold, left, right, value
 
     def new_node():
-        for column, blank in zip(nodes, (-1, np.nan, -1, -1, 0.0, 0.0)):
+        for column, blank in zip(nodes, (-1, np.nan, -1, -1, 0.0)):
             column.append(blank)
         return len(nodes[0]) - 1
 
     def grow(slot, rows, depth):
-        nodes[4][slot], nodes[5][slot], pure = leaf(rows)
+        nodes[4][slot], pure = leaf(rows)
         if depth >= max_depth or rows.size < 2 * params.min_samples_leaf or pure:
             return
         feats = np.arange(m) if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
@@ -297,7 +294,7 @@ def _reference_grow(X, leaf, split, params, rng=None):
 
 
 def _assert_same_nodes(tree, nodes):
-    for name, column in zip(("feature", "threshold", "left", "right", "value", "weight"), nodes):
+    for name, column in zip(("feature", "threshold", "left", "right", "value"), nodes):
         np.testing.assert_array_equal(getattr(tree, name), np.asarray(column), err_msg=name)
 
 
@@ -582,7 +579,7 @@ def _random_tree(rng, X, depth):
     feature, threshold, left, right = (np.array(c) for c in zip(*nodes))
     n = feature.size
     return DecisionTree(feature.astype(np.int32), threshold.astype(np.float64), left.astype(np.int32),
-                        right.astype(np.int32), rng.normal(size=n), np.ones(n), X.shape[1], TreeParams())
+                        right.astype(np.int32), rng.normal(size=n), X.shape[1], TreeParams())
 
 
 def _assert_walks_agree(tree, X):
@@ -612,7 +609,7 @@ def test_rows_at_a_threshold_go_right_whatever_the_sign_of_zero():
     for thr in (0.0, -0.0):
         stump = DecisionTree(np.array([0, -1, -1], dtype=np.int32), np.array([thr, np.nan, np.nan]),
                              np.array([1, -1, -1], dtype=np.int32), np.array([2, -1, -1], dtype=np.int32),
-                             np.array([0.0, 0.25, 0.75]), np.ones(3), 1, TreeParams())
+                             np.array([0.0, 0.25, 0.75]), 1, TreeParams())
         assert stump.leaves(check_rows(X, 1)).tolist() == [2, 2, 1, 2, 1, 2]
         _assert_walks_agree(stump, X)
     at = np.array([[1.5], [np.nextafter(1.5, 0.0)]])
