@@ -59,7 +59,6 @@ class ThresholdTable:
 class WindowEar:
     """Full-window EAR (0 outside events) with event spans in window coordinates."""
 
-    window_id: str
     station_id: str
     ear: np.ndarray
     events: tuple[tuple[int, int], ...]
@@ -71,7 +70,7 @@ def compute_window_ear(
     mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY,
 ) -> WindowEar:
     ear, events = ear_series(window.series, alpha, mode)
-    return WindowEar(window.id, window.station_id, ear, tuple((e.start_idx, e.end_idx) for e in events))
+    return WindowEar(window.station_id, ear, tuple((e.start_idx, e.end_idx) for e in events))
 
 
 def _alerts(wear: WindowEar, threshold: float) -> np.ndarray:

@@ -84,7 +84,7 @@ from .rainfall import (
     write_rainfall_csv,
 )
 from .synth import SynthConfig, generate_corpus
-from .tuning import default_grid, grid_search_cv, write_grid_csv
+from .tuning import MODEL_KINDS, default_grid, grid_search_cv, write_grid_csv
 
 log = logging.getLogger(__name__)
 
@@ -646,7 +646,7 @@ def build_parser() -> _Parser:
     c = _Command(sub, "train", "fit a classifier on the training split", _run_train)
     _add_corpus_opts(c)
     c.opt("--seed", type=int, required=True)
-    c.opt("--model", default="rf", choices=["rf", "gbt", "logistic"])
+    c.opt("--model", default="rf", choices=MODEL_KINDS)
     c.opt("--split", default="train", choices=["train", "test", "all"])
     c.opt("--trees", type=int, default=ForestParams.n_trees)
     c.opt("--max-depth", type=_parse_depth, default=ForestParams.max_depth)
@@ -661,7 +661,7 @@ def build_parser() -> _Parser:
     c = _Command(sub, "cv", "grid-search cross-validation on the training split", _run_cv)
     _add_corpus_opts(c)
     c.opt("--seed", type=int, required=True)
-    c.opt("--model", default="rf", choices=["rf", "gbt", "logistic"])
+    c.opt("--model", default="rf", choices=MODEL_KINDS)
     c.opt("--split", default="train", choices=["train", "test", "all"])
     c.opt("--grid", default="default", help="'default' or a JSON file with a list of parameter objects")
     c.opt("--k", type=int, default=10)

@@ -3,9 +3,9 @@ leakage-safe splits.
 
 A positive window wraps the main rainfall event tied to one debris flow: about
 seven days of antecedent hours, the event itself, and roughly a day of tail. A
-negative window wraps main events with at least two consecutive wet hours and
-no debris flow. Windows from one station never overlap in time; negative
-windows whose spans collide are merged into one.
+negative window is a maximal run of hours outside every positive window that
+wraps main events with at least two consecutive wet hours and no debris flow.
+Windows from one station never overlap in time.
 
 Every window hour becomes one example, and window_rows alone orders and labels
 the rows: windows in order, hours ascending, positive for the debris flow hour
@@ -158,32 +158,18 @@ class ExampleSet:
 # ---------------------------------------------------------------------------
 
 
-def _has_wet_run(values: np.ndarray, start: int, end: int, threshold: float, run: int) -> bool:
-    wet = values[start : end + 1] > threshold
-    if run <= 1:
-        return bool(wet.any())
-    streak = 0
-    for w in wet:
-        streak = streak + 1 if w else 0
-        if streak >= run:
-            return True
-    return False
+def _span_mask(n: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which of the hours 0..n-1 lie in some inclusive span [start, end] of them."""
+    edges = np.zeros(n + 1, dtype=np.intp)
+    np.add.at(edges, starts, 1)
+    np.add.at(edges, ends + 1, -1)
+    return np.cumsum(edges[:n]) > 0
 
 
-def _subtract_spans(span: tuple[int, int], holes: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    pieces = [span]
-    for h0, h1 in holes:
-        nxt = []
-        for s0, s1 in pieces:
-            if h1 < s0 or h0 > s1:
-                nxt.append((s0, s1))
-                continue
-            if s0 < h0:
-                nxt.append((s0, h0 - 1))
-            if h1 < s1:
-                nxt.append((h1 + 1, s1))
-        pieces = nxt
-    return pieces
+def _counts(mask: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The set hours of mask in each inclusive span [start, end]."""
+    total = np.concatenate([[0], np.cumsum(mask)])
+    return total[ends + 1] - total[starts]
 
 
 def build_windows(
@@ -193,12 +179,19 @@ def build_windows(
 ) -> list[DatasetWindow]:
     """Positive and negative windows for one station, disjoint and sorted.
 
-    Debris flows that fall outside the record, outside every main event's span
-    (event through tail), or inside a window already claimed by an earlier flow
-    are skipped with a warning.
+    A debris flow's anchor is the last main event starting at or before it. A flow
+    outside the record, past its anchor's tail, or whose anchor an earlier flow
+    claimed is skipped with a warning. A positive window pads a claimed event, ends
+    before the next one and starts after the previous window. Negative windows are
+    the maximal runs of hours outside positive windows and in the padded span of a
+    candidate (an unclaimed event with a min_wet_run_hours wet run) that hold one.
     """
     events = segment_events(series, cfg.rain_threshold_mm, cfg.quiet_hours)
+    starts, ends = np.array([(ev.start_idx, ev.end_idx) for ev in events], dtype=np.intp).reshape(-1, 2).T
     n = len(series)
+
+    def padded(chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.maximum(starts[chosen] - cfg.antecedent_hours, 0), np.minimum(ends[chosen] + cfg.tail_hours, n - 1)
 
     claimed: dict[int, int] = {}  # event index -> debris flow hour
     for ts in sorted(debris_events):
@@ -207,72 +200,38 @@ def build_windows(
         except InputError as exc:
             log.warning("skipping debris flow %s: %s", format_ts(ts), exc)
             continue
-        anchor = None
-        for ei, ev in enumerate(events):
-            if ev.start_idx <= idx <= ev.end_idx + cfg.tail_hours:
-                anchor = ei
-        if anchor is None:
-            log.warning(
-                "skipping debris flow %s at station %s: no main rainfall event covers it",
-                format_ts(ts), series.station_id,
-            )
-            continue
-        if anchor in claimed:
-            log.warning(
-                "skipping debris flow %s at station %s: event already tied to an earlier flow",
-                format_ts(ts), series.station_id,
-            )
-            continue
-        claimed[anchor] = idx
-
-    # positive spans, one per claimed event; overlaps resolved by shrinking the
-    # earlier tail to stop before the later event begins
-    pos: list[list[int]] = []
-    for ei in sorted(claimed):
-        ev = events[ei]
-        pos.append([max(0, ev.start_idx - cfg.antecedent_hours), min(n - 1, ev.end_idx + cfg.tail_hours), ei])
-    for prev, cur in zip(pos, pos[1:]):
-        cur_ev = events[cur[2]]
-        if prev[1] >= cur_ev.start_idx:
-            prev[1] = cur_ev.start_idx - 1
-        cur[0] = max(cur[0], prev[1] + 1)
-    pos_spans = [(s, e) for s, e, _ in pos]
-
-    windows: list[DatasetWindow] = []
-    for s, e, ei in pos:
-        flow = claimed[ei]
-        windows.append(
-            DatasetWindow(series.station_id, series.slice_hours(s, e), WindowKind.POSITIVE, flow - s)
-        )
-
-    # negative candidates: unclaimed qualifying events clear of positive spans
-    neg_events = [
-        ev
-        for ei, ev in enumerate(events)
-        if ei not in claimed
-        and _has_wet_run(series.values, ev.start_idx, ev.end_idx, cfg.rain_threshold_mm, cfg.min_wet_run_hours)
-        and not any(ev.start_idx <= pe and ev.end_idx >= ps for ps, pe in pos_spans)
-    ]
-    merged: list[list[int]] = []
-    for ev in neg_events:
-        s = max(0, ev.start_idx - cfg.antecedent_hours)
-        e = min(n - 1, ev.end_idx + cfg.tail_hours)
-        if merged and s <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], e)
+        # an event before the anchor ends earlier, so its tail reaches idx only if the anchor's does
+        anchor = int(np.searchsorted(starts, idx, side="right")) - 1
+        if anchor < 0 or idx > ends[anchor] + cfg.tail_hours:
+            reason = "no main rainfall event covers it"
+        elif anchor in claimed:
+            reason = "event already tied to an earlier flow"
         else:
-            merged.append([s, e])
-    for s, e in merged:
-        for ps, pe in _subtract_spans((s, e), pos_spans):
-            if any(ps <= ev.start_idx and ev.end_idx <= pe for ev in neg_events):
-                windows.append(
-                    DatasetWindow(series.station_id, series.slice_hours(ps, pe), WindowKind.NEGATIVE)
-                )
+            claimed[anchor] = idx
+            continue
+        log.warning("skipping debris flow %s at station %s: %s", format_ts(ts), series.station_id, reason)
 
-    windows.sort(key=lambda w: w.series.start)
-    for a, b in zip(windows, windows[1:]):
-        if a.series.end >= b.series.start:  # pragma: no cover - construction guarantees this
-            raise AssertionError(f"overlapping windows {a.id} and {b.id}")
-    return windows
+    pos = np.array(sorted(claimed), dtype=np.intp)
+    pos_start, pos_end = padded(pos)
+    pos_end[:-1] = np.minimum(pos_end[:-1], starts[pos[1:]] - 1)  # a tail stops before the next claimed event
+    pos_start[1:] = np.maximum(pos_start[1:], pos_end[:-1] + 1)
+    positive = _span_mask(n, pos_start, pos_end)
+
+    run = cfg.min_wet_run_hours
+    run_end = np.convolve(series.values > cfg.rain_threshold_mm, np.ones(run, dtype=np.intp))[:n] == run
+    # the hour before an event is dry, so a wet run ending in it lies inside it; a
+    # claimed event lies in its positive window, so the positive hours rule it out
+    candidate = (_counts(run_end, starts, ends) > 0) & (_counts(positive, starts, ends) == 0)
+    kept = _span_mask(n, *padded(candidate)) & ~positive
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], kept, [False]])))
+    neg_start, neg_end = edges[::2], edges[1::2] - 1
+    held = np.searchsorted(starts[candidate], neg_end, side="right") > np.searchsorted(starts[candidate], neg_start)
+
+    spans = [(s, e, WindowKind.POSITIVE, claimed[ei] - s)
+             for s, e, ei in zip(pos_start.tolist(), pos_end.tolist(), pos.tolist())]
+    spans += [(s, e, WindowKind.NEGATIVE, None) for s, e in zip(neg_start[held].tolist(), neg_end[held].tolist())]
+    return [DatasetWindow(series.station_id, series.slice_hours(s, e), kind, flow)
+            for s, e, kind, flow in sorted(spans, key=lambda span: span[0])]
 
 
 def build_corpus_windows(

@@ -18,7 +18,7 @@ from .dataset import FeatureSpec
 from .forest import ForestModel, ForestParams
 from .gbt import GbtModel, GbtParams
 from .linear import LinearModel, LogisticParams
-from .trees import NODE_ARRAYS, DecisionTree, TreeParams
+from .trees import NODE_ARRAYS, DecisionTree
 
 FORMAT = "debris-ews-model"
 VERSION = 2
@@ -26,16 +26,21 @@ VERSION = 2
 Model = ForestModel | GbtModel | LinearModel
 
 
+_NODE_KIND = {True: "split node", False: "leaf"}
+
+
 def _first(mask: np.ndarray) -> int | None:
     bad = np.flatnonzero(mask)
     return int(bad[0]) if bad.size else None
 
 
-def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: TreeParams) -> DecisionTree:
+def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int) -> DecisionTree:
     """Tree `index` of a model document. Its node arrays must describe a tree as the
     grower numbers it: a split node's children are numbered after it, which rules out
     cycles, a leaf has none, and every node but the root is the child of exactly one
-    split node, so that depth() and the walks over levels visit each node once."""
+    split node, so that depth() and the walks over levels visit each node once. A split
+    node's threshold is finite and a leaf's is null, and every value is finite: the
+    values model_to_doc writes, so the file re-saves byte for byte."""
     if not isinstance(doc, dict):
         raise InputError(f"tree {index}: expected a JSON object of node arrays")
     arrays = {}
@@ -74,11 +79,13 @@ def _tree_from_doc(doc: dict[str, Any], index: int, n_features: int, params: Tre
     if (i := _first(np.bincount(refs, minlength=n)[1:] == 0)) is not None:
         raise InputError(f"tree {index}: no split node's left or right is {i + 1}, but every node "
                          "other than the root is the child of one split node")
-    if (i := _first(split & ~np.isfinite(arrays["threshold"]))) is not None:
-        raise InputError(f"tree {index}: threshold[{i}] of a split node is {arrays['threshold'][i]}")
-    if (i := _first(~split & ~np.isfinite(arrays["value"]))) is not None:
-        raise InputError(f"tree {index}: value[{i}] of a leaf is {arrays['value'][i]}")
-    return DecisionTree(**arrays, n_features=n_features, params=params)
+    threshold, value = arrays["threshold"], arrays["value"]
+    if (i := _first(np.where(split, ~np.isfinite(threshold), ~np.isnan(threshold)))) is not None:
+        rule = "" if split[i] else ", but a leaf's threshold is null"
+        raise InputError(f"tree {index}: threshold[{i}] of a {_NODE_KIND[split[i]]} is {threshold[i]}{rule}")
+    if (i := _first(~np.isfinite(value))) is not None:
+        raise InputError(f"tree {index}: value[{i}] of a {_NODE_KIND[split[i]]} is {value[i]}")
+    return DecisionTree(**arrays, n_features=n_features)
 
 
 def _finite(doc: dict[str, Any], name: str, positive: bool = False) -> float:
@@ -93,11 +100,11 @@ def _n_features(doc: dict[str, Any], spec: FeatureSpec | None) -> int:
     return m
 
 
-def _trees(doc: dict[str, Any], n_trees: int, n_features: int, params: TreeParams) -> tuple[DecisionTree, ...]:
+def _trees(doc: dict[str, Any], n_trees: int, n_features: int) -> tuple[DecisionTree, ...]:
     docs = doc["trees"]
     if not isinstance(docs, list):
         raise InputError("field 'trees': expected a list of trees")
-    trees = tuple(_tree_from_doc(t, i, n_features, params) for i, t in enumerate(docs))
+    trees = tuple(_tree_from_doc(t, i, n_features) for i, t in enumerate(docs))
     if len(trees) != n_trees:
         raise InputError(f"field 'trees': expected params.n_trees = {n_trees} trees, got {len(trees)}")
     return trees
@@ -151,13 +158,14 @@ def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
     if kind == "random_forest":
         params = build_params(ForestParams, doc["params"], "params")
         m = _n_features(doc, spec)
-        trees = _trees(doc, params.n_trees, m, params.tree_params(m))
+        params.tree_params(m)  # a max_features out of range for m features is an InputError
+        trees = _trees(doc, params.n_trees, m)
         seed = _scalar(doc, "seed", int, "an integer")
         return ForestModel(trees, params, seed, _finite(doc, "training_weight", positive=True), m), spec
     if kind == "gbt":
         params = build_params(GbtParams, doc["params"], "params")
         m = _n_features(doc, spec)
-        trees = _trees(doc, params.n_trees, m, params.tree_params())
+        trees = _trees(doc, params.n_trees, m)
         base = _finite(doc, "base_log_odds")
         return GbtModel(trees, params, base, _finite(doc, "training_weight", positive=True), m), spec
     if kind == "logistic":

@@ -86,7 +86,6 @@ class DecisionTree:
     right: np.ndarray
     value: np.ndarray
     n_features: int
-    params: TreeParams
 
     @property
     def n_nodes(self) -> int:
@@ -422,7 +421,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
         stack.append((node[2], rows[go_left], depth + 1))
 
     arrays = (np.asarray(column, dtype=dt) for column, dt in zip(zip(*nodes), NODE_ARRAYS.values()))
-    return DecisionTree(*arrays, n_features=m, params=params), leaf
+    return DecisionTree(*arrays, n_features=m), leaf
 
 
 def fit_tree(

@@ -1,13 +1,19 @@
 """Slow, direct implementations the tests check the package against: a tree walk
 that drops the rows at a leaf after each level, Shapley values by full coalition
-enumeration and by one tree leaf at a time, and the EAR of one event on its own."""
+enumeration and by one tree leaf at a time, the EAR of one event on its own, and
+station windows built from event intervals."""
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from debris_ews import DailyWindowMode, ForestModel, InputError, MainEvent, RainSeries, tree_shap_batch
+from debris_ews import (
+    DailyWindowMode, DatasetWindow, ForestModel, InputError, MainEvent, RainSeries, WindowConfig, WindowKind,
+    segment_events, tree_shap_batch,
+)
+from debris_ews._common import format_ts
 from debris_ews.explain import _as_trees, _check_background, _weight_table
 from debris_ews.rainfall import DEFAULT_ALPHA, _antecedents
 from debris_ews.trees import DecisionTree
@@ -151,3 +157,112 @@ def ear_trace(
         raise InputError(f"event span ({event.start_idx}, {event.end_idx}) outside series")
     (ante,) = _antecedents(series, [event.start_idx], alpha, mode)
     return EarTrace(event, float(ante), np.cumsum(series.values[event.start_idx : event.end_idx + 1]) + ante)
+
+
+def _has_wet_run(values: np.ndarray, start: int, end: int, threshold: float, run: int) -> bool:
+    wet = values[start : end + 1] > threshold
+    if run <= 1:
+        return bool(wet.any())
+    streak = 0
+    for w in wet:
+        streak = streak + 1 if w else 0
+        if streak >= run:
+            return True
+    return False
+
+
+def _subtract_spans(span: tuple[int, int], holes) -> list[tuple[int, int]]:
+    pieces = [span]
+    for h0, h1 in holes:
+        nxt = []
+        for s0, s1 in pieces:
+            if h1 < s0 or h0 > s1:
+                nxt.append((s0, s1))
+                continue
+            if s0 < h0:
+                nxt.append((s0, h0 - 1))
+            if h1 < s1:
+                nxt.append((h1 + 1, s1))
+        pieces = nxt
+    return pieces
+
+
+def interval_windows(series: RainSeries, debris_events, cfg: WindowConfig = WindowConfig()) -> list[DatasetWindow]:
+    """build_windows worked on event intervals: each flow scans every event for its
+    anchor, positive spans are trimmed pairwise, padded negative spans are merged, the
+    positive spans are cut out of them, and a piece is kept if it holds a whole
+    negative event. It logs the same skipped-flow warnings, on this module's logger."""
+    log = logging.getLogger(__name__)
+    events = segment_events(series, cfg.rain_threshold_mm, cfg.quiet_hours)
+    n = len(series)
+
+    claimed: dict[int, int] = {}  # event index -> debris flow hour
+    for ts in sorted(debris_events):
+        try:
+            idx = series.index_of(ts)
+        except InputError as exc:
+            log.warning("skipping debris flow %s: %s", format_ts(ts), exc)
+            continue
+        anchor = None
+        for ei, ev in enumerate(events):
+            if ev.start_idx <= idx <= ev.end_idx + cfg.tail_hours:
+                anchor = ei
+        if anchor is None:
+            log.warning(
+                "skipping debris flow %s at station %s: no main rainfall event covers it",
+                format_ts(ts), series.station_id,
+            )
+            continue
+        if anchor in claimed:
+            log.warning(
+                "skipping debris flow %s at station %s: event already tied to an earlier flow",
+                format_ts(ts), series.station_id,
+            )
+            continue
+        claimed[anchor] = idx
+
+    # positive spans, one per claimed event; overlaps resolved by shrinking the
+    # earlier tail to stop before the later event begins
+    pos: list[list[int]] = []
+    for ei in sorted(claimed):
+        ev = events[ei]
+        pos.append([max(0, ev.start_idx - cfg.antecedent_hours), min(n - 1, ev.end_idx + cfg.tail_hours), ei])
+    for prev, cur in zip(pos, pos[1:]):
+        cur_ev = events[cur[2]]
+        if prev[1] >= cur_ev.start_idx:
+            prev[1] = cur_ev.start_idx - 1
+        cur[0] = max(cur[0], prev[1] + 1)
+    pos_spans = [(s, e) for s, e, _ in pos]
+
+    windows: list[DatasetWindow] = []
+    for s, e, ei in pos:
+        flow = claimed[ei]
+        windows.append(
+            DatasetWindow(series.station_id, series.slice_hours(s, e), WindowKind.POSITIVE, flow - s)
+        )
+
+    # negative candidates: unclaimed qualifying events clear of positive spans
+    neg_events = [
+        ev
+        for ei, ev in enumerate(events)
+        if ei not in claimed
+        and _has_wet_run(series.values, ev.start_idx, ev.end_idx, cfg.rain_threshold_mm, cfg.min_wet_run_hours)
+        and not any(ev.start_idx <= pe and ev.end_idx >= ps for ps, pe in pos_spans)
+    ]
+    merged: list[list[int]] = []
+    for ev in neg_events:
+        s = max(0, ev.start_idx - cfg.antecedent_hours)
+        e = min(n - 1, ev.end_idx + cfg.tail_hours)
+        if merged and s <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    for s, e in merged:
+        for ps, pe in _subtract_spans((s, e), pos_spans):
+            if any(ps <= ev.start_idx and ev.end_idx <= pe for ev in neg_events):
+                windows.append(
+                    DatasetWindow(series.station_id, series.slice_hours(ps, pe), WindowKind.NEGATIVE)
+                )
+
+    windows.sort(key=lambda w: w.series.start)
+    return windows

@@ -17,8 +17,8 @@ from debris_ews.baselines import MARKED_THRESHOLDS_MM, WindowEar, read_threshold
 from conftest import random_rain, series
 
 
-def _wear(ear, events, wid="W0", sid="S000"):
-    return WindowEar(wid, sid, np.asarray(ear, dtype=float), tuple(events))
+def _wear(ear, events, sid="S000"):
+    return WindowEar(sid, np.asarray(ear, dtype=float), tuple(events))
 
 
 def test_alert_at_crossing_hour():
@@ -48,7 +48,7 @@ def test_etm_equals_hm_with_constant_table():
 
         s = series(random_rain(rng, 200), station_id=f"S{i:03d}")
         ear, events = ear_series(s)
-        wears.append(_wear(ear, [(e.start_idx, e.end_idx) for e in events], wid=f"W{i}", sid=f"S{i:03d}"))
+        wears.append(_wear(ear, [(e.start_idx, e.end_idx) for e in events], sid=f"S{i:03d}"))
     table = ThresholdTable({f"S{i:03d}": 250.0 for i in range(5)})
     for w in wears:
         np.testing.assert_array_equal(etm_predict(w, table[w.station_id]), hm_predict(w, 250.0))
@@ -93,8 +93,8 @@ def test_scores_match_swept_predictions():
 
 
 def test_scores_follow_the_order_of_the_windows_given():
-    a = _wear([0.0, 120.0, 300.0], [(1, 2)], wid="W0", sid="S000")
-    b = _wear([400.0, 0.0], [(0, 0)], wid="W1", sid="S001")
+    a = _wear([0.0, 120.0, 300.0], [(1, 2)], sid="S000")
+    b = _wear([400.0, 0.0], [(0, 0)], sid="S001")
     table = ThresholdTable({"S000": 200.0, "S001": 400.0})
     np.testing.assert_array_equal(etm_scores([a, b], table), [0.0, 0.6, 1.5, 1.0, 0.0])
     np.testing.assert_array_equal(hm_scores([a, b]), [0.0, 120.0, 300.0, 400.0, 0.0])

@@ -1,3 +1,5 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from debris_ews import (
     FeatureSpec,
     InputError,
     LabelingConfig,
+    WindowConfig,
     WindowKind,
     build_examples,
     build_windows,
@@ -22,9 +25,10 @@ from debris_ews.dataset import (
     write_feature_csv,
     write_manifest,
 )
-from debris_ews.rainfall import daily_sums_matrix, ear_series
+from debris_ews.rainfall import daily_sums_matrix, ear_series, segment_events
 
 from conftest import T0, random_rain, series
+from oracles import interval_windows
 
 
 def _storm(n_before, wet_hours, n_after, mm=10.0, base=None):
@@ -132,6 +136,52 @@ def test_windows_disjoint_on_random_corpus():
         for w in windows:
             if w.kind is WindowKind.POSITIVE:
                 assert 0 <= w.debris_flow_idx < len(w)
+
+
+def _random_case(rng):
+    """A short random record, debris flows inside, before, after and twice in it,
+    and a window config with padding down to zero and wet runs of 1 to 3 hours."""
+    n = int(rng.choice([1, 2, 7, 40, 300]))
+    values = np.where(rng.random(n) < rng.uniform(0.0, 0.6), rng.gamma(1.5, 3.0, size=n), 0.0)
+    flows = [T0 + timedelta(hours=int(h)) for h in rng.integers(-3, n + 3, size=rng.integers(0, 6))]
+    flows += flows[: rng.integers(0, 2)]
+    cfg = WindowConfig(int(rng.integers(0, 30)), int(rng.integers(0, 12)), float(rng.choice([0.0, 1.0])),
+                       int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+    return series(values), flows, cfg
+
+
+def test_windows_match_the_interval_oracle_and_hold_their_events(caplog):
+    rng = np.random.default_rng(23)
+    skipped = 0
+    for _ in range(400):
+        s, flows, cfg = _random_case(rng)
+        caplog.clear()
+        windows = build_windows(s, flows, cfg)
+        warnings = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        expected = interval_windows(s, flows, cfg)
+        assert warnings == [r.getMessage() for r in caplog.records]
+        skipped += len(warnings)
+        assert [(w.id, w.kind, w.debris_flow_idx, len(w)) for w in windows] == [
+            (w.id, w.kind, w.debris_flow_idx, len(w)) for w in expected]
+
+        spans = [(s.index_of(w.series.start), s.index_of(w.series.end)) for w in windows]
+        assert all(e0 < s1 for (_, e0), (s1, _) in zip(spans, spans[1:]))
+        events = segment_events(s, cfg.rain_threshold_mm, cfg.quiet_hours)
+        wet = "".join("1" if v > cfg.rain_threshold_mm else "0" for v in s.values)
+        claimed = set()
+        for w, (a, _) in zip(windows, spans):
+            if w.kind is WindowKind.POSITIVE:
+                flow = a + w.debris_flow_idx
+                assert s.hour_at(flow) in flows
+                claimed.add(max(ev for ev in events if ev.start_idx <= flow))
+        for w, (a, b) in zip(windows, spans):
+            if w.kind is WindowKind.NEGATIVE:
+                held = [ev for ev in events if a <= ev.start_idx and ev.end_idx <= b]
+                assert any(ev not in claimed and "1" * cfg.min_wet_run_hours in wet[ev.start_idx : ev.end_idx + 1]
+                           for ev in held)
+                assert not any(a <= ev.end_idx and ev.start_idx <= b for ev in claimed)
+    assert skipped  # the cases skip flows for each reason, so the warnings are compared
 
 
 # --- labels ---------------------------------------------------------------------

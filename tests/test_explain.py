@@ -30,7 +30,6 @@ def _stump(feature, threshold, left_value, right_value, n_features):
         right=np.array([2, -1, -1], dtype=np.int32),
         value=np.array([0.0, left_value, right_value]),
         n_features=n_features,
-        params=TreeParams(),
     )
 
 
@@ -318,7 +317,6 @@ def _one_feature_zigzag_tree():
         right=np.array([2, 4, -1, -1, 6, 8, -1, -1, -1], dtype=np.int32),
         value=np.array([0.0, 0.0, 0.9, 0.1, 0.0, 0.0, 0.3, 0.7, 0.2]),
         n_features=3,
-        params=TreeParams(),
     )
 
 
@@ -332,7 +330,6 @@ def _redundant_splits_tree():
         right=np.array([2, 4, 6, -1, -1, -1, 8, -1, -1], dtype=np.int32),
         value=np.array([0.0, 0.0, 0.0, 0.2, 0.8, 0.5, 0.0, 0.1, 0.9]),
         n_features=3,
-        params=TreeParams(),
     )
 
 
@@ -438,7 +435,7 @@ def test_box_sets_of_several_code_words_do_not_change_the_bits(monkeypatch):
 
 def test_root_only_and_zero_value_trees_add_nothing():
     root_only = DecisionTree(np.array([-1], dtype=np.int32), np.array([np.nan]), np.array([-1], dtype=np.int32),
-                             np.array([-1], dtype=np.int32), np.array([0.4]), 3, TreeParams())
+                             np.array([-1], dtype=np.int32), np.array([0.4]), 3)
     zero_left = _stump(1, 0.5, left_value=0.0, right_value=0.6, n_features=3)
     all_zero = _stump(2, 0.0, left_value=0.0, right_value=0.0, n_features=3)
     trees = (root_only, zero_left, all_zero, _one_feature_zigzag_tree())

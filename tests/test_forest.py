@@ -65,7 +65,7 @@ def test_forest_score_is_mean_of_tree_scores():
 
 
 def test_two_stump_forest_averages_leaf_fractions():
-    from debris_ews import ForestModel, TreeParams
+    from debris_ews import ForestModel
     from debris_ews.trees import DecisionTree
 
     def leaf(fraction):
@@ -76,7 +76,6 @@ def test_two_stump_forest_averages_leaf_fractions():
             right=np.array([-1], dtype=np.int32),
             value=np.array([fraction]),
             n_features=2,
-            params=TreeParams(),
         )
 
     forest = ForestModel((leaf(0.2), leaf(0.8)), ForestParams(n_trees=2), 0, 1.0, 2)

@@ -161,6 +161,14 @@ def _leaf_value_nan(tree, m):
     tree["value"][_first_node(tree, split=False)] = float("nan")
 
 
+def _leaf_threshold_number(tree, m):
+    tree["threshold"][_first_node(tree, split=False)] = 0.5  # a leaf's threshold is null only
+
+
+def _split_value_nan(tree, m):
+    tree["value"][0] = float("nan")
+
+
 def _no_nodes(tree, m):
     for name in tree:
         tree[name] = []
@@ -189,6 +197,8 @@ def _nested(tree, m):
     (_threshold_not_finite, r"threshold\[0\] of a split node is inf"),
     (_split_threshold_null, r"threshold\[0\] of a split node is nan"),
     (_leaf_value_nan, r"value\[\d+\] of a leaf is nan"),
+    (_leaf_threshold_number, r"threshold\[\d+\] of a leaf is 0.5, but a leaf's threshold is null"),
+    (_split_value_nan, r"value\[0\] of a split node is nan"),
     (_no_nodes, "unequal or zero length"),
     (_not_numbers, "value: could not convert"),
     (_nested, "value is not a list of numbers"),
@@ -255,6 +265,14 @@ def test_load_rejects_bad_scalars_naming_file_and_field(tmp_path, kind, field, v
     assert str(err.value).endswith(expected)
 
 
+def test_load_rejects_a_forest_max_features_above_its_feature_count(tmp_path):
+    path, doc = _saved_doc(tmp_path, "rf")
+    doc["params"]["max_features"] = doc["n_features"] + 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: max_features=5 out of range for 4 features$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("value", ["x", 1, None])
 def test_load_rejects_a_logistic_converged_that_is_not_a_boolean(tmp_path, value):
     model = LinearModel(np.array([0.5, -1.0, 0.0, 2.0]), 0.25, LogisticParams(penalty="l2", l2=0.5), converged=False)
@@ -289,7 +307,7 @@ def test_integer_scalars_load_as_the_floats_a_fit_saves(tmp_path):
 
 def test_node_arrays_are_the_tree_fields_in_order_and_the_saved_keys(tmp_path):
     names = [f.name for f in dataclasses.fields(DecisionTree)]
-    assert names == [*NODE_ARRAYS, "n_features", "params"]
+    assert names == [*NODE_ARRAYS, "n_features"]
     path, doc = _saved_doc(tmp_path, "rf")
     assert all(list(tree) == sorted(NODE_ARRAYS) for tree in doc["trees"])
     X, y = _data(np.random.default_rng(13))

@@ -579,7 +579,7 @@ def _random_tree(rng, X, depth):
     feature, threshold, left, right = (np.array(c) for c in zip(*nodes))
     n = feature.size
     return DecisionTree(feature.astype(np.int32), threshold.astype(np.float64), left.astype(np.int32),
-                        right.astype(np.int32), rng.normal(size=n), X.shape[1], TreeParams())
+                        right.astype(np.int32), rng.normal(size=n), X.shape[1])
 
 
 def _assert_walks_agree(tree, X):
@@ -609,7 +609,7 @@ def test_rows_at_a_threshold_go_right_whatever_the_sign_of_zero():
     for thr in (0.0, -0.0):
         stump = DecisionTree(np.array([0, -1, -1], dtype=np.int32), np.array([thr, np.nan, np.nan]),
                              np.array([1, -1, -1], dtype=np.int32), np.array([2, -1, -1], dtype=np.int32),
-                             np.array([0.0, 0.25, 0.75]), 1, TreeParams())
+                             np.array([0.0, 0.25, 0.75]), 1)
         assert stump.leaves(check_rows(X, 1)).tolist() == [2, 2, 1, 2, 1, 2]
         _assert_walks_agree(stump, X)
     at = np.array([[1.5], [np.nextafter(1.5, 0.0)]])
