@@ -493,14 +493,32 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequenc
             fh.write("".join(parts))
 
 
-def read_json(path: str | Path, what: str) -> object:
-    """The JSON document in path; a file that cannot be read or parsed is an InputError naming it."""
+def read_json(path: str | Path, what: str, header: Callable[[object], None] | None = None) -> object:
+    """The JSON document in path. A file that cannot be read or parsed is an InputError naming
+    it, and so is one holding NaN, Infinity or -Infinity, which json.loads takes by default but
+    JSON has not. header, if given, checks the parsed document before those literals are
+    rejected, and an InputError it raises is prefixed with the path: a version-1 model file,
+    whose leaf thresholds were NaN, is told to re-train."""
+    literals = []
+
+    def constant(literal: str) -> float:
+        literals.append(literal)
+        return float(literal)
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=constant)
     except FileNotFoundError:
         raise InputError(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from None
+    if header is not None:
+        try:
+            header(doc)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
+    if literals:
+        raise InputError(f"cannot read {what} {path}: {literals[0]} is not JSON")
+    return doc
 
 
 def write_json(path: str | Path, doc: object, indent: int | None = 2) -> None:

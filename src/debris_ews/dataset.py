@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -131,7 +132,7 @@ class DatasetWindow:
         elif self.debris_flow_idx is not None:
             raise InputError("negative window must not carry debris_flow_idx")
 
-    @property
+    @cached_property  # formatted once: every manifest, example set and score row names it
     def id(self) -> str:
         return f"{self.station_id}/{format_ts(self.series.start)}"
 

@@ -96,12 +96,17 @@ def grow_forest(
     values adjacent within its node, so the trees are the same."""
     tree_params = params.tree_params(codes.shape[0])
     n = rows.size
+    criterion = _GiniCriterion(y, w, rows)  # indexed by row id; threads only read it
 
     def build(t: int) -> DecisionTree:
         rng = derived_rng(seed, 4, t)
         r = rows.take(rng.integers(0, n, size=n)) if params.bootstrap else rows
-        # take keeps each tree's codes contiguous
-        return _grow(_GiniCriterion(y[r], w[r]), codes.take(r, axis=1), values, tree_params, rng)[0]
+        # every tree reads the shared codes through its root's row ids: sorted for the
+        # counting scan, which only counts, so its gathers stay local; in draw order for
+        # the sort scan, whose ties go by position, so its sums are those of the draw
+        if criterion.counts is not None:
+            r = np.sort(r)
+        return _grow(criterion, codes, values, r, tree_params, rng)[0]
 
     trees = map_indexed(build, params.n_trees, threads)
     return ForestModel(tuple(trees), params, seed, float(training_weight), codes.shape[0])

@@ -82,22 +82,24 @@ def grow_gbt(
 ) -> GbtModel:
     """The model fit_gbt boosts on the training set of the given rows, from the output
     of check_training_inputs and _rank_codes for a set that holds them. The codes may
-    rank more rows than these; the trees are the same, as in forest.grow_forest."""
-    codes, y, w = codes.take(rows, axis=1), y[rows], w[rows]
-    prior = float(np.dot(w, y) / w.sum())
+    rank more rows than these; the trees are the same, as in forest.grow_forest. Every
+    stage grows on the shared codes through the rows' ids: scores, gradients and
+    hessians are indexed by row id, and only the training rows' scores move."""
+    wr = w[rows]
+    prior = float(np.dot(wr, y[rows]) / wr.sum())
     prior = min(max(prior, _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
     base = float(np.log(prior / (1.0 - prior)))
 
-    score = np.full(rows.size, base)
+    score = np.full(y.size, base)
     trees: list[DecisionTree] = []
     tree_params = params.tree_params()
     for _ in range(params.n_trees):
         p = sigmoid(score)
         grad = w * (p - y)
         hess = w * p * (1.0 - p)
-        tree, leaf = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, tree_params, None)
+        tree, leaf = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, rows, tree_params, None)
         trees.append(tree)
-        score = score + params.learning_rate * tree.value[leaf]
+        score[rows] += params.learning_rate * tree.value[leaf[rows]]
         if not np.isfinite(score).all():
             raise InputError("boosting diverged to non-finite scores")
     return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])

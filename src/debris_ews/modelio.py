@@ -145,12 +145,17 @@ def model_to_doc(model: Model, feature_spec: FeatureSpec | None = None, meta: di
     return doc
 
 
-def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
+def _check_header(doc: object) -> None:
+    """Rejects a document that is not a model document of VERSION."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != FORMAT:
         raise InputError(f"not a model document (format={fmt!r})")
     if doc.get("version") != VERSION:
         raise InputError(f"unsupported model document version {doc.get('version')!r}; re-train the model with 'train'")
+
+
+def model_from_doc(doc: dict) -> tuple[Model, FeatureSpec | None]:
+    """The model of a document that passed _check_header."""
     spec = None
     if doc.get("feature_spec") is not None:
         spec = build_params(FeatureSpec, doc["feature_spec"], "feature_spec")
@@ -186,7 +191,7 @@ def save_model(path: str | Path, model: Model, feature_spec: FeatureSpec | None 
 def load_model(path: str | Path, with_meta: bool = False) -> tuple:
     """(model, feature spec), and the document's meta dict as a third item if with_meta."""
     path = Path(path)
-    doc = read_json(path, "model file")
+    doc = read_json(path, "model file", _check_header)
     try:
         model, spec = model_from_doc(doc)
         meta = _meta(doc)

@@ -250,11 +250,14 @@ def _channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _GiniCriterion:
     """Weighted Gini impurity; leaf value is the weighted positive fraction. Channels are
     the weights and positive weights; the score is the children's impurity, negated.
-    counts selects the counting scan (see _counting_weights)."""
+    Labels and channels are indexed by row id. counts selects the counting scan (see
+    _counting_weights); the training set's rows (all by default) decide it, so every
+    tree grown on rows of that set shares one criterion: a uniform set draws uniform
+    resamples, and a draw that lacks a class holds only pure nodes."""
 
-    def __init__(self, y: np.ndarray, w: np.ndarray):
+    def __init__(self, y: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None):
         self.labels = (y == 1.0).view(np.uint8)
-        self.counts = _counting_weights(y, w)
+        self.counts = _counting_weights(y, w) if rows is None else _counting_weights(y[rows], w[rows])
         self.ab = _channels(w, w * y) if self.counts is None else None
 
     def node(self, rows: np.ndarray) -> tuple[float, float, bool, object]:
@@ -381,9 +384,13 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
     return best
 
 
-def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: TreeParams,
+def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np.ndarray, params: TreeParams,
           rng: np.random.Generator | None) -> tuple[DecisionTree, np.ndarray]:
-    """The tree and the leaf of each training row (the node that leaves() routes it to)."""
+    """The tree grown on the root's rows, ids of codes' columns that may repeat, and the
+    leaf of each row by id (the node that leaves() routes it to; undefined off the root).
+    The codes are only read, so trees can share them. The counting scan only counts, so
+    the order of the root's rows cannot change its tree; the sort scan breaks ties by
+    position, so its running sums follow that order."""
     m, n = codes.shape
     m_try = m if params.max_features is None else params.max_features
     if m_try > m:
@@ -401,7 +408,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], params: 
 
     # stack keeps (slot, rows, depth); children pushed right-then-left so the
     # left subtree (and its RNG draws) always comes first
-    stack = [(new_node(), np.arange(n), 0)]
+    stack = [(new_node(), rows, 0)]
     while stack:
         slot, rows, depth = stack.pop()
         node = nodes[slot]
@@ -439,4 +446,4 @@ def fit_tree(
     X, y, w = check_training_inputs(X, y, sample_weight)
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
-    return _grow(_GiniCriterion(y, w), *_rank_codes(X), params, rng)[0]
+    return _grow(_GiniCriterion(y, w), *_rank_codes(X), np.arange(X.shape[0]), params, rng)[0]

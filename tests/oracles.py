@@ -1,7 +1,8 @@
 """Slow, direct implementations the tests check the package against: a tree walk
 that drops the rows at a leaf after each level, Shapley values by full coalition
-enumeration and by one tree leaf at a time, the EAR of one event on its own, and
-station windows built from event intervals."""
+enumeration and by one tree leaf at a time, the EAR of one event on its own,
+station windows built from event intervals, and forests and boosted models grown
+on copies of their rows' codes."""
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,13 +11,15 @@ from math import factorial
 import numpy as np
 
 from debris_ews import (
-    DailyWindowMode, DatasetWindow, ForestModel, InputError, MainEvent, RainSeries, WindowConfig, WindowKind,
-    segment_events, tree_shap_batch,
+    DailyWindowMode, DatasetWindow, ForestModel, ForestParams, GbtModel, GbtParams, InputError, MainEvent, RainSeries,
+    WindowConfig, WindowKind, segment_events, tree_shap_batch,
 )
-from debris_ews._common import format_ts
+from debris_ews._common import derived_rng, format_ts, map_indexed
 from debris_ews.explain import _as_trees, _check_background, _weight_table
+from debris_ews.gbt import _PRIOR_CLIP
+from debris_ews.linear import sigmoid
 from debris_ews.rainfall import DEFAULT_ALPHA, _antecedents
-from debris_ews.trees import DecisionTree
+from debris_ews.trees import DecisionTree, _GainCriterion, _GiniCriterion, _grow
 
 BRUTE_MAX_FEATURES = 15
 
@@ -266,3 +269,38 @@ def interval_windows(series: RainSeries, debris_events, cfg: WindowConfig = Wind
 
     windows.sort(key=lambda w: w.series.start)
     return windows
+
+
+def copying_grow_forest(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray, w: np.ndarray,
+                        rows: np.ndarray, params: ForestParams, training_weight: float, seed: int,
+                        threads: int = 1) -> ForestModel:
+    """forest.grow_forest as each tree copied its bootstrap rows' codes, labels and weights,
+    and decided its scan from the weights of its own draw."""
+    tree_params = params.tree_params(codes.shape[0])
+    n = rows.size
+
+    def build(t: int) -> DecisionTree:
+        rng = derived_rng(seed, 4, t)
+        r = rows.take(rng.integers(0, n, size=n)) if params.bootstrap else rows
+        return _grow(_GiniCriterion(y[r], w[r]), codes.take(r, axis=1), values, np.arange(n), tree_params, rng)[0]
+
+    trees = map_indexed(build, params.n_trees, threads)
+    return ForestModel(tuple(trees), params, seed, float(training_weight), codes.shape[0])
+
+
+def copying_grow_gbt(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray, w: np.ndarray,
+                     rows: np.ndarray, params: GbtParams, training_weight: float) -> GbtModel:
+    """gbt.grow_gbt as it copied the training rows' codes, labels and weights once per fit."""
+    codes, y, w = codes.take(rows, axis=1), y[rows], w[rows]
+    prior = float(np.dot(w, y) / w.sum())
+    prior = min(max(prior, _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
+    base = float(np.log(prior / (1.0 - prior)))
+    score = np.full(rows.size, base)
+    trees = []
+    for _ in range(params.n_trees):
+        p = sigmoid(score)
+        tree, leaf = _grow(_GainCriterion(w * (p - y), w * p * (1.0 - p), params.leaf_l2), codes, values,
+                           np.arange(rows.size), params.tree_params(), None)
+        trees.append(tree)
+        score = score + params.learning_rate * tree.value[leaf]
+    return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])

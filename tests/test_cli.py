@@ -350,9 +350,13 @@ BAD_INPUTS = {
                                       "{grid}: cell 1: field 'n_trees': expected an integer, got 'x'"),
     "grid cell with a bad depth": (["cv", *CORPUS, "--grid", "{grid}"], {"grid": [{"max_depth": 1.5}]},
                                    "{grid}: cell 0: field 'max_depth': expected an integer or null, got 1.5"),
+    # 1e999 is strict JSON that parses to inf; the literal Infinity is not JSON
     "grid cell with an infinite value": (["cv", *CORPUS, "--model", "gbt", "--grid", "{grid}"],
-                                         {"grid": [{"leaf_l2": float("inf")}]},
+                                         {"grid": '[{"leaf_l2": 1e999}]'},
                                          "{grid}: cell 0: field 'leaf_l2': expected a finite number, got inf"),
+    "grid cell with the literal Infinity": (["cv", *CORPUS, "--model", "gbt", "--grid", "{grid}"],
+                                            {"grid": '[{"leaf_l2": Infinity}]'},
+                                            "cannot read grid file {grid}: Infinity is not JSON"),
     "grid cell the params reject": (["cv", *CORPUS, "--model", "gbt", "--grid", "{grid}"],
                                     {"grid": [{"min_samples_leaf": 0}]}, "{grid}: cell 0: min_samples_leaf must be >= 1"),
     "tree cell in a logistic grid": (["cv", *CORPUS, "--model", "logistic", "--grid", "{grid}"],
@@ -388,8 +392,13 @@ BAD_INPUTS = {
                              "--alpha", "nan"], {}, "alpha must be a finite number, got nan"),
     "segment rain threshold": (["segment", "--rainfall", "{rain}", "--rain-threshold", "nan"], {},
                                "rain-threshold must be a finite number, got nan"),
-    "float from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": {"learning_rate": float("-inf")}},
+    "float from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": '{"learning_rate": -1e999}'},
                           "learning-rate must be a finite number, got -inf"),
+    "config with the literal -Infinity": (["train", *CORPUS, "--config", "{cfg}"],
+                                          {"cfg": '{"learning_rate": -Infinity}'},
+                                          "cannot read config {cfg}: -Infinity is not JSON"),
+    "config with the literal NaN": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": '{"trees": 2, "alpha": NaN}'},
+                                    "cannot read config {cfg}: NaN is not JSON"),
     # at most one storm an hour on average, so the hours bound synth's storm arrivals
     "synth storm rate": ([*SYNTH, "--storms-per-week", "inf"], {}, "storms-per-week must be a finite number, got inf"),
     "synth storm rate above one an hour": ([*SYNTH, "--storms-per-week", "1e6"], {},

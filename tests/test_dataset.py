@@ -184,6 +184,17 @@ def test_windows_match_the_interval_oracle_and_hold_their_events(caplog):
     assert skipped  # the cases skip flows for each reason, so the warnings are compared
 
 
+def test_window_id_is_formatted_once(monkeypatch):
+    import debris_ews.dataset as dataset
+
+    calls = []
+    monkeypatch.setattr(dataset, "format_ts", lambda ts: calls.append(ts) or "2020-01-01T00:00:00Z")
+    w = DatasetWindow("S000", series(_storm(10, 5, 10)), WindowKind.NEGATIVE)
+    assert [w.id, w.id] == ["S000/2020-01-01T00:00:00Z"] * 2
+    assert len(calls) == 1
+    assert w == DatasetWindow("S000", w.series, WindowKind.NEGATIVE)  # the cached id is no field
+
+
 # --- labels ---------------------------------------------------------------------
 
 

@@ -1,19 +1,26 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import debris_ews.trees as trees
 from debris_ews import (
     ForestModel,
     ForestParams,
+    GbtParams,
     InputError,
     TreeParams,
     fit_forest,
     fit_tree,
 )
+from debris_ews._common import derived_rng
 from debris_ews.forest import grow_forest
+from debris_ews.gbt import grow_gbt
 from debris_ews.modelio import model_to_doc
-from debris_ews.trees import _rank_codes, check_training_inputs
+from debris_ews.trees import NODE_ARRAYS, _GiniCriterion, _counting_weights, _rank_codes, check_training_inputs
+
+from oracles import copying_grow_forest, copying_grow_gbt
 
 
 def _imbalanced(rng, n=400, m=5, pos_rate=0.08):
@@ -127,3 +134,87 @@ def test_forest_on_rows_of_a_wider_coding_equals_fit_on_the_rows(training_weight
     grown = grow_forest(codes, values, yc, w, rows, params, training_weight, seed=4)
     fit = fit_forest(X[rows], y[rows], params, training_weight, seed=4)
     assert json.dumps(model_to_doc(grown)) == json.dumps(model_to_doc(fit))
+
+
+def _tree_bytes(model):
+    return [[getattr(t, name).tobytes() for name in NODE_ARRAYS] for t in model.trees]
+
+
+def _coded_subset(seed, n, training_weight, sample_weight=None):
+    """Rank codes of a tied, zero-heavy set of n rows, its checked labels and weights, and
+    a strict subset of its rows, as cv passes them."""
+    rng = np.random.default_rng(seed)
+    X, y = _imbalanced(rng, n=n)
+    X = X.round(1)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    weights = {"integers": rng.integers(1, 4, size=n), "fractions": rng.uniform(0.5, 3.0, size=n)}.get(sample_weight)
+    Xc, yc, w = check_training_inputs(X, y, weights, training_weight)
+    return (*_rank_codes(Xc), yc, w), np.sort(rng.choice(n, size=n * 3 // 4, replace=False))
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("training_weight, sample_weight, counting", [
+    (1.0, None, True), (0.1, None, False), (1.0, "integers", False), (2.5, "fractions", False),
+], ids=["counting scan", "sort scan", "per-row integer weights", "per-row fractional weights"])
+def test_forest_on_shared_codes_equals_the_copying_grower(training_weight, sample_weight, counting, threads):
+    coded, subset = _coded_subset(20, 400, training_weight, sample_weight)
+    codes, values, y, w = coded
+    for rows in (np.arange(codes.shape[1]), subset):
+        assert (_GiniCriterion(y, w, rows).counts is not None) == counting
+        for bootstrap in (True, False):
+            params = ForestParams(n_trees=5, max_depth=8, min_samples_leaf=2, bootstrap=bootstrap)
+            args = (*coded, rows, params, training_weight, 4, threads)
+            assert _tree_bytes(grow_forest(*args)) == _tree_bytes(copying_grow_forest(*args))
+
+
+def test_tiny_sets_whose_draws_are_uniform_grow_the_copying_growers_trees():
+    # each copying tree chose its scan from its draw; the shared criterion chooses from
+    # the set, whose weights are not uniform, so a uniform draw now takes the sort scan
+    hits = {"uniform draw": 0, "one class": 0}
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = 6
+        X = rng.integers(0, 3, size=(n, 3)).astype(float)
+        y = np.array([0, 0, 1, 1, 0, 1])
+        Xc, yc, w = check_training_inputs(X, y, rng.integers(1, 3, size=n), 1.0)
+        rows = np.arange(n)
+        assert _GiniCriterion(yc, w).counts is None
+        params = ForestParams(n_trees=8, max_depth=None, min_samples_leaf=1, max_features=2)
+        args = (*_rank_codes(Xc), yc, w, rows, params, 1.0, seed)
+        assert _tree_bytes(grow_forest(*args)) == _tree_bytes(copying_grow_forest(*args))
+        for t in range(params.n_trees):
+            r = derived_rng(seed, 4, t).integers(0, n, size=n)
+            hits["uniform draw"] += _counting_weights(yc[r], w[r]) is not None
+            hits["one class"] += np.unique(yc[r]).size == 1
+    assert min(hits.values()) > 0, hits
+
+
+@pytest.mark.parametrize("training_weight, sample_weight", [(1.0, None), (2.5, "fractions")])
+def test_gbt_on_shared_codes_equals_the_copying_grower(training_weight, sample_weight):
+    coded, subset = _coded_subset(21, 400, training_weight, sample_weight)
+    params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=5, min_samples_leaf=2)
+    for rows in (np.arange(400), subset):
+        grown = grow_gbt(*coded, rows, params, training_weight)
+        copied = copying_grow_gbt(*coded, rows, params, training_weight)
+        assert json.dumps(model_to_doc(grown)) == json.dumps(model_to_doc(copied))
+
+
+def test_grow_forest_peaks_below_one_copy_of_the_codes():
+    # the trees read the shared codes through their rows' ids: a grower that copied a
+    # tree's codes would trace codes.nbytes for the copy alone
+    rng = np.random.default_rng(22)
+    n, m = 100_000, 48
+    X = rng.integers(1, 200, size=(n, m)) * 0.1
+    X[rng.random((n, m)) < 0.9] = 0.0
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=n) > 2.0).astype(int)
+    Xc, yc, w = check_training_inputs(X, y, None, 1.0)
+    codes, values = _rank_codes(Xc)
+    assert codes.nbytes > 24 * trees._BLOCK_ELEMENTS  # the scan's gather and key scratch of one block
+    params = ForestParams(n_trees=2, max_depth=3)
+    tracemalloc.start()
+    try:
+        grow_forest(codes, values, yc, w, np.arange(n), params, 1.0, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < codes.nbytes, (peak, codes.nbytes)

@@ -81,6 +81,34 @@ def test_a_mutated_json_is_an_input_error_or_accepted(golden, tmp_path, capsys, 
         assert str(paths[name]) in err, err
 
 
+LITERALS = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+WHAT = {"manifest": "window manifest", "model": "model file", "grid": "grid file", "config": "config"}
+
+
+@pytest.mark.parametrize("literal", list(LITERALS))
+@pytest.mark.parametrize("command, name", INPUTS, ids=[f"{c}-{n}" for c, n in INPUTS])
+def test_a_literal_that_json_has_not_exits_1_naming_the_file_and_literal(golden, tmp_path, capsys, command, name,
+                                                                         literal):
+    # json.loads takes NaN, Infinity and -Infinity by default; one seeded number becomes one
+    rng = np.random.default_rng(zlib.crc32(f"{command} {name} {literal}".encode()))
+    paths = dict(golden, **{name: tmp_path / f"{name}.json"})
+    doc = json.loads(json.dumps(CONFIGS[command]) if name == "config" else golden[name].read_text())
+    extra = ["--config", str(paths["config"])] if name == "config" else []
+    numbers = []
+    for field in _fields(doc):
+        holder = doc
+        for step in field[:-1]:
+            holder = holder[step]
+        if type(holder[field[-1]]) in (int, float):
+            numbers.append((holder, field[-1]))
+    holder, key = numbers[int(rng.integers(len(numbers)))]
+    holder[key] = LITERALS[literal]
+    paths[name].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(cli_argv(command, paths, tmp_path / "out") + extra) == 1
+    assert capsys.readouterr().err == f"error: cannot read {WHAT[name]} {paths[name]}: {literal} is not JSON\n"
+
+
 def _manifest_window(doc, kind=None):
     return next(w for w in doc["windows"] if kind in (None, w["kind"]))
 

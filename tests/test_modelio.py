@@ -72,10 +72,16 @@ def test_roundtrip_twice_is_stable(tmp_path, kind):
         assert any(leaf) and all((t is None) == is_leaf for t, is_leaf in zip(tree["threshold"], leaf))
 
 
-def test_a_version_1_model_asks_to_be_retrained(tmp_path):
+@pytest.mark.parametrize("as_written", [False, True], ids=["version field", "version-1 writer"])
+def test_a_version_1_model_asks_to_be_retrained(tmp_path, as_written):
     path, doc = _saved_doc(tmp_path, "rf")
     doc["version"] = 1
+    if as_written:  # a node weight array, and NaN, which JSON has not, as each leaf's threshold
+        for tree in doc["trees"]:
+            tree["threshold"] = [np.nan if t is None else t for t in tree["threshold"]]
+            tree["weight"] = [1.0] * len(tree["feature"])
     path.write_text(json.dumps(doc))
+    assert ("NaN" in path.read_text()) == as_written
     with pytest.raises(InputError) as err:
         load_model(path)
     assert str(err.value) == f"{path}: unsupported model document version 1; re-train the model with 'train'"
@@ -150,7 +156,7 @@ def _chain_of_shared_children(tree, m):
 
 
 def _threshold_not_finite(tree, m):
-    tree["threshold"][0] = float("inf")
+    tree["threshold"][0] = float("inf")  # written as 1e999
 
 
 def _split_threshold_null(tree, m):
@@ -158,7 +164,7 @@ def _split_threshold_null(tree, m):
 
 
 def _leaf_value_nan(tree, m):
-    tree["value"][_first_node(tree, split=False)] = float("nan")
+    tree["value"][_first_node(tree, split=False)] = None  # null reads as NaN
 
 
 def _leaf_threshold_number(tree, m):
@@ -166,7 +172,7 @@ def _leaf_threshold_number(tree, m):
 
 
 def _split_value_nan(tree, m):
-    tree["value"][0] = float("nan")
+    tree["value"][0] = None  # null reads as NaN
 
 
 def _no_nodes(tree, m):
@@ -215,9 +221,14 @@ def test_load_rejects_bad_node_arrays_naming_file_tree_and_array(tmp_path, mutat
     save_model(path, model)
     doc = json.loads(path.read_text())
     mutate(doc["trees"][1], doc["n_features"])
-    path.write_text(json.dumps(doc))
+    _write(path, doc)
     with pytest.raises(InputError, match=f"^{re.escape(str(path))}: tree 1: .*{array}"):
         load_model(path)
+
+
+def _write(path, doc):
+    """doc as strict JSON text, an infinity written as 1e999 or -1e999, which parse to one."""
+    path.write_text(json.dumps(doc).replace("Infinity", "1e999"))
 
 
 def _saved_doc(tmp_path, kind):
@@ -249,7 +260,7 @@ def _saved_doc(tmp_path, kind):
     ("rf", "training_weight", float("inf"), "a finite number > 0, got inf"),
     ("gbt", "training_weight", -1.0, "a finite number > 0, got -1.0"),
     ("gbt", "training_weight", True, "a finite number > 0, got True"),
-    ("gbt", "base_log_odds", float("nan"), "a finite number, got nan"),
+    ("gbt", "base_log_odds", None, "a finite number, got None"),
     ("gbt", "base_log_odds", "0.5", "a finite number, got '0.5'"),
     ("logistic", "bias", float("-inf"), "a finite number, got -inf"),
     ("logistic", "bias", None, "a finite number, got None"),
@@ -257,7 +268,7 @@ def _saved_doc(tmp_path, kind):
 def test_load_rejects_bad_scalars_naming_file_and_field(tmp_path, kind, field, value, expected):
     path, doc = _saved_doc(tmp_path, kind)
     doc[field] = value
-    path.write_text(json.dumps(doc))
+    _write(path, doc)
     with pytest.raises(InputError, match=f"^{re.escape(f'{path}: field {field!r}: ')}"):
         load_model(path)
     with pytest.raises(InputError) as err:
