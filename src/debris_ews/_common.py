@@ -614,12 +614,15 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def map_indexed(fn: Callable[[int], R], count: int, threads: int = 1) -> list[R]:
-    """Apply fn(0..count-1), optionally on a thread pool; output order is by index."""
+    """Apply fn(0..count-1), optionally on a thread pool; output order is by index.
+    The pool has at most one thread a task and one a usable CPU, whatever threads asks."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or count <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, count, cpus)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 
 

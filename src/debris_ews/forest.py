@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from ._common import InputError, derived_rng, map_indexed
-from .trees import DecisionTree, TreeParams, check_rows, check_training_inputs, _grow, _rank_codes, _GiniCriterion
+from .trees import (DecisionTree, TreeParams, check_rows, check_training_inputs, _dry_rows, _grouped_root, _grow,
+                    _rank_codes, _GiniCriterion)
 
 # defaults pinned by the grid-search CV sweep on the reduced synthetic corpus
 # (see README "Default hyperparameters")
@@ -89,24 +90,34 @@ def grow_forest(
     training_weight: float,
     seed: int,
     threads: int = 1,
+    dry: np.ndarray | None = None,
 ) -> ForestModel:
     """The forest fit_forest grows on the training set of the given rows, from the
     output of check_training_inputs and _rank_codes for a set that holds them. The
     codes may rank more rows than these: a split's threshold is the midpoint of two
-    values adjacent within its node, so the trees are the same."""
+    values adjacent within its node, so the trees are the same. dry is _dry_rows of the
+    codes, made here when not given (cv makes it once for all its folds)."""
     tree_params = params.tree_params(codes.shape[0])
     n = rows.size
     criterion = _GiniCriterion(y, w, rows)  # indexed by row id; threads only read it
+    # the sort scan's sums are running float sums, so only the counting scan groups
+    if criterion.counts is not None and dry is None:
+        dry = _dry_rows(codes, values)
+    grouped = criterion.counts is not None and dry.any()
 
     def build(t: int) -> DecisionTree:
         rng = derived_rng(seed, 4, t)
         r = rows.take(rng.integers(0, n, size=n)) if params.bootstrap else rows
         # every tree reads the shared codes through its root's row ids: sorted for the
-        # counting scan, which only counts, so its gathers stay local; in draw order for
-        # the sort scan, whose ties go by position, so its sums are those of the draw
-        if criterion.counts is not None:
+        # counting scan, which only counts, so its gathers stay local, and with its dry
+        # rows as a counted group; in draw order for the sort scan, whose ties go by
+        # position, so its sums are those of the draw
+        group = (0, 0)
+        if grouped:
+            r, group = _grouped_root(criterion.labels, r, dry)
+        elif criterion.counts is not None:
             r = np.sort(r)
-        return _grow(criterion, codes, values, r, tree_params, rng)[0]
+        return _grow(criterion, codes, values, r, tree_params, rng, group)
 
     trees = map_indexed(build, params.n_trees, threads)
     return ForestModel(tuple(trees), params, seed, float(training_weight), codes.shape[0])

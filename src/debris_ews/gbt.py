@@ -91,13 +91,14 @@ def grow_gbt(
     base = float(np.log(prior / (1.0 - prior)))
 
     score = np.full(y.size, base)
+    leaf = np.empty(y.size, dtype=np.intp)  # each stage's leaf of each training row, by row id
     trees: list[DecisionTree] = []
     tree_params = params.tree_params()
     for _ in range(params.n_trees):
         p = sigmoid(score)
         grad = w * (p - y)
         hess = w * p * (1.0 - p)
-        tree, leaf = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, rows, tree_params, None)
+        tree = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, rows, tree_params, None, leaf=leaf)
         trees.append(tree)
         score[rows] += params.learning_rate * tree.value[leaf[rows]]
         if not np.isfinite(score).all():

@@ -20,6 +20,11 @@ fractional or per-row weights) the sort scan sorts code << b | position, b the
 bit length of the node's last position: positions break ties, so the sorted keys
 are the stable argsort of the codes, and the running sums of the weights follow
 that order.
+A forest tree on the counting scan carries its dry rows, 0 in every feature, as
+one group when 0 is every feature's smallest value: its nodes hold one dry row of
+each label and count the others. The group sits at code 0 in every feature, left
+of every boundary, so it always goes left, and adding its counts to each side's
+integer counts gives the sums that scanning its rows would.
 min_samples_leaf bounds the raw (unweighted) row count of every leaf, which
 keeps tree structure invariant under rescaling of the sample weights, as long
 as their total W stays at most MAX_WEIGHT_TOTAL = sqrt(largest float) ~ 1.34e154:
@@ -223,6 +228,34 @@ def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return codes, tuple(values)
 
 
+def _dry_rows(codes: np.ndarray, values: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A mask by row id of the rows that are 0 in every feature, where 0 is every feature's
+    smallest value (code 0); all False when a feature has a negative value or no 0. Built
+    one feature at a time, so that no temporary is as large as the codes."""
+    dry = np.zeros(codes.shape[1], dtype=bool)
+    if all(v[0] == 0.0 for v in values):
+        np.equal(codes[0], 0, out=dry)
+        for column in codes[1:]:
+            dry &= column == 0
+    return dry
+
+
+def _grouped_root(labels: np.ndarray, rows: np.ndarray, dry: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    """The root of a counting-scan tree on rows (ids that may repeat) that carries its dry
+    rows as a group: the sorted ids of its other rows, then one dry id of each label that
+    the group holds, and (e0, e1), the count of the group's other rows of each label. A dry
+    row sits at code 0 in every feature, so the group lies left of every boundary and its
+    two representatives keep code 0 and both labels in each node that holds it."""
+    is_dry = dry.take(rows)
+    group = rows[is_dry]
+    lab = labels.take(group)
+    n1 = int(np.count_nonzero(lab))
+    n0 = group.size - n1
+    reps = [group[np.argmax(lab == k)] for k, count in ((0, n0), (1, n1)) if count]
+    root = np.concatenate([np.sort(rows[~is_dry]), np.asarray(reps, dtype=rows.dtype)])
+    return root, (max(n0 - 1, 0), max(n1 - 1, 0))
+
+
 def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
     """(a0, a1) when every negative weighs a0 and every positive a1, both integers with
     n * max(a0, a1) < 2**53, so that every weight sum of a node is exact; otherwise None."""
@@ -260,19 +293,21 @@ class _GiniCriterion:
         self.counts = _counting_weights(y, w) if rows is None else _counting_weights(y[rows], w[rows])
         self.ab = _channels(w, w * y) if self.counts is None else None
 
-    def node(self, rows: np.ndarray) -> tuple[float, float, bool, object]:
+    def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, object]:
         """(W, P, pure, scan data) of a node: its weight and positive weight, whether it
-        holds one class, and the gathered labels and positive count (counting scan) or
-        channels (sort scan)."""
+        holds one class, and the gathered labels, positive count and group (counting scan)
+        or channels (sort scan). group = (e0, e1) counts the node's dry rows of each label
+        that rows leaves out (see _grouped_root); only the counting scan carries them."""
         lab = self.labels.take(rows)
         n_pos = int(np.count_nonzero(lab))
-        pure = n_pos == 0 or n_pos == rows.size
+        pure = n_pos == 0 or n_pos == rows.size  # rows hold a representative of each grouped label
         if self.counts is None:
             ab = self.ab.take(rows)
             return float(ab.real.sum()), float(ab.imag.sum()), pure, ab
         a0, a1 = self.counts
+        e0, e1 = group
         # integers below 2**53: the same floats as running sums of the weights
-        return (rows.size - n_pos) * a0 + n_pos * a1, n_pos * a1, pure, (lab, n_pos)
+        return (rows.size - n_pos + e0) * a0 + (n_pos + e1) * a1, (n_pos + e1) * a1, pure, (lab, n_pos, e0, e1)
 
     def leaf(self, W: float, P: float) -> float:
         return P / W
@@ -295,8 +330,9 @@ class _GainCriterion:
         self.ab = _channels(h, g)
         self.lam = lam
 
-    def node(self, rows: np.ndarray) -> tuple[float, float, bool, np.ndarray]:
-        """(H, G, pure, gathered channels); a node with H + lam == 0 has no Newton step."""
+    def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, np.ndarray]:
+        """(H, G, pure, gathered channels); a node with H + lam == 0 has no Newton step.
+        A stage carries no dry group: group is always (0, 0)."""
         ab = self.ab.take(rows)
         H = float(ab.real.sum())
         return H, float(ab.imag.sum()), H + self.lam == 0, ab
@@ -328,12 +364,14 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
     A, B, _, data = node
     nr = rows.size
     counts = criterion.counts
+    e0 = e1 = 0
     if counts is None:
         # code << shift | position: positions break ties, so one sort is a stable argsort
         shift = (nr - 1).bit_length()
     else:
         a0, a1 = counts
-        lab, n_pos = data
+        # the node's dry group (see _grouped_root) sits left of every boundary
+        lab, n_pos, e0, e1 = data
         shift = 1  # code << 1 | label: rows with one key are alike to the scan
     dtype = np.uint32 if 8 * codes.itemsize + shift <= 32 else np.uint64
     low = np.arange(nr, dtype=dtype) if counts is None else lab
@@ -352,8 +390,8 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
             positives = np.flatnonzero(np.bitwise_and(block, 1, dtype=np.uint8, casting="unsafe").view(bool))
         block >>= shift  # the sorted codes
         ok = block[:, 1:] != block[:, :-1]
-        ok[:, :min_leaf - 1] = False
-        ok[:, nr - min_leaf:] = False
+        ok[:, :max(min_leaf - 1 - e0 - e1, 0)] = False
+        ok[:, max(nr - min_leaf, 0):] = False  # with a group, rows may be fewer than min_leaf
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             continue
@@ -366,8 +404,10 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
         else:
             # boundary p of feature row i is flat position i * nr + p; every row holds n_pos positives
             pos_left = np.searchsorted(positives, idx + fi, side="right") - fi * n_pos
+            if e1:
+                pos_left += e1
             pl = pos_left * a1
-            wl = (idx - fi * (nr - 1) + 1 - pos_left) * a0 + pl
+            wl = (idx - fi * (nr - 1) + (1 + e0 + e1) - pos_left) * a0 + pl
         score = criterion.score(wl, pl, A, B)
         nan = np.isnan(score)
         if nan.any():  # a NaN anywhere rules its feature out, as a per-feature argmax would
@@ -385,13 +425,16 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
 
 
 def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np.ndarray, params: TreeParams,
-          rng: np.random.Generator | None) -> tuple[DecisionTree, np.ndarray]:
-    """The tree grown on the root's rows, ids of codes' columns that may repeat, and the
-    leaf of each row by id (the node that leaves() routes it to; undefined off the root).
-    The codes are only read, so trees can share them. The counting scan only counts, so
-    the order of the root's rows cannot change its tree; the sort scan breaks ties by
-    position, so its running sums follow that order."""
-    m, n = codes.shape
+          rng: np.random.Generator | None, group: tuple[int, int] = (0, 0),
+          leaf: np.ndarray | None = None) -> DecisionTree:
+    """The tree grown on the root's rows, ids of codes' columns that may repeat, and on
+    the root's dry group of a counting-scan tree (see _grouped_root). Given leaf, an array
+    by row id, it is filled with the leaf of each of the root's rows (the node that
+    leaves() routes it to). The codes are only read, so trees can share them. The
+    counting scan only counts, so the order of the root's rows cannot change its tree;
+    the sort scan breaks ties by position, so its running sums follow that order.
+    The group goes left at every split: its code 0 is left of every boundary."""
+    m = codes.shape[0]
     m_try = m if params.max_features is None else params.max_features
     if m_try > m:
         raise InputError(f"max_features={m_try} exceeds feature count {m}")
@@ -400,35 +443,35 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np
     max_depth = np.inf if params.max_depth is None else params.max_depth
     all_features = np.arange(m)
     nodes: list[list] = []  # one list a node, its fields in NODE_ARRAYS order
-    leaf = np.empty(n, dtype=np.intp)
 
     def new_node() -> int:
         nodes.append([_NO_FEATURE, np.nan, _NO_FEATURE, _NO_FEATURE, 0.0])
         return len(nodes) - 1
 
-    # stack keeps (slot, rows, depth); children pushed right-then-left so the
+    # stack keeps (slot, rows, depth, group); children pushed right-then-left so the
     # left subtree (and its RNG draws) always comes first
-    stack = [(new_node(), rows, 0)]
+    stack = [(new_node(), rows, 0, group)]
     while stack:
-        slot, rows, depth = stack.pop()
+        slot, rows, depth, group = stack.pop()
         node = nodes[slot]
-        stats = criterion.node(rows)
+        stats = criterion.node(rows, group)
         node[4] = criterion.leaf(stats[0], stats[1])
         split = None
-        if depth < max_depth and rows.size >= 2 * params.min_samples_leaf and not stats[2]:
+        if depth < max_depth and rows.size + sum(group) >= 2 * params.min_samples_leaf and not stats[2]:
             feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
             split = _best_split(criterion, stats, codes, values, rows, feats, params.min_samples_leaf)
         if split is None:
-            leaf[rows] = slot
+            if leaf is not None:
+                leaf[rows] = slot
             continue
         f, node[1], code = split
         go_left = codes[f].take(rows) <= code
         node[0], node[2], node[3] = f, new_node(), new_node()
-        stack.append((node[3], rows[~go_left], depth + 1))
-        stack.append((node[2], rows[go_left], depth + 1))
+        stack.append((node[3], rows[~go_left], depth + 1, (0, 0)))
+        stack.append((node[2], rows[go_left], depth + 1, group))
 
     arrays = (np.asarray(column, dtype=dt) for column, dt in zip(zip(*nodes), NODE_ARRAYS.values()))
-    return DecisionTree(*arrays, n_features=m), leaf
+    return DecisionTree(*arrays, n_features=m)
 
 
 def fit_tree(
@@ -446,4 +489,4 @@ def fit_tree(
     X, y, w = check_training_inputs(X, y, sample_weight)
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
-    return _grow(_GiniCriterion(y, w), *_rank_codes(X), np.arange(X.shape[0]), params, rng)[0]
+    return _grow(_GiniCriterion(y, w), *_rank_codes(X), np.arange(X.shape[0]), params, rng)

@@ -282,7 +282,7 @@ def copying_grow_forest(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np
     def build(t: int) -> DecisionTree:
         rng = derived_rng(seed, 4, t)
         r = rows.take(rng.integers(0, n, size=n)) if params.bootstrap else rows
-        return _grow(_GiniCriterion(y[r], w[r]), codes.take(r, axis=1), values, np.arange(n), tree_params, rng)[0]
+        return _grow(_GiniCriterion(y[r], w[r]), codes.take(r, axis=1), values, np.arange(n), tree_params, rng)
 
     trees = map_indexed(build, params.n_trees, threads)
     return ForestModel(tuple(trees), params, seed, float(training_weight), codes.shape[0])
@@ -299,8 +299,9 @@ def copying_grow_gbt(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.nd
     trees = []
     for _ in range(params.n_trees):
         p = sigmoid(score)
-        tree, leaf = _grow(_GainCriterion(w * (p - y), w * p * (1.0 - p), params.leaf_l2), codes, values,
-                           np.arange(rows.size), params.tree_params(), None)
+        leaf = np.empty(rows.size, dtype=np.intp)
+        tree = _grow(_GainCriterion(w * (p - y), w * p * (1.0 - p), params.leaf_l2), codes, values,
+                     np.arange(rows.size), params.tree_params(), None, leaf=leaf)
         trees.append(tree)
         score = score + params.learning_rate * tree.value[leaf]
     return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])

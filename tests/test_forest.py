@@ -12,6 +12,7 @@ from debris_ews import (
     InputError,
     TreeParams,
     fit_forest,
+    fit_gbt,
     fit_tree,
 )
 from debris_ews._common import derived_rng
@@ -218,3 +219,225 @@ def test_grow_forest_peaks_below_one_copy_of_the_codes():
     finally:
         tracemalloc.stop()
     assert peak < codes.nbytes, (peak, codes.nbytes)
+
+
+def test_grow_forest_on_dry_rows_peaks_below_one_copy_of_the_codes():
+    # the same bound where most rows are dry: a tree's root holds its draw's other ids
+    # and two dry ones, and the dry-row mask is made one feature at a time
+    rng = np.random.default_rng(23)
+    n, m = 100_000, 48
+    X = rng.integers(1, 200, size=(n, m)) * 0.1
+    X[rng.random((n, m)) < 0.5] = 0.0
+    X[rng.random(n) < 0.8] = 0.0
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=n) > 2.0).astype(int)
+    Xc, yc, w = check_training_inputs(X, y, None, 1.0)
+    codes, values = _rank_codes(Xc)
+    assert trees._dry_rows(codes, values).mean() > 0.75
+    params = ForestParams(n_trees=2, max_depth=3)
+    tracemalloc.start()
+    try:
+        grow_forest(codes, values, yc, w, np.arange(n), params, 1.0, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < codes.nbytes, (peak, codes.nbytes)
+
+
+# Dry rows (0 in every feature) ride a counting-scan forest tree as one counted group.
+# copying_grow_forest grows each tree on a copy of its draw's codes through _grow
+# alone, so it never groups: the grouped trees must be its trees, byte for byte.
+
+def _dry_heavy(rng, n, m=5, dry_rate=0.7):
+    """A tied, zero-heavy set in which about dry_rate of the rows are 0 in every feature,
+    and both labels occur among the dry rows and the others."""
+    X = rng.integers(1, 6, size=(n, m)) * 0.5
+    X[rng.random((n, m)) < 0.4] = 0.0
+    dry = rng.random(n) < dry_rate
+    X[dry] = 0.0
+    y = ((X[:, 0] + X[:, 1] + rng.normal(size=n) > 2.5) | (dry & (rng.random(n) < 0.15))).astype(int)
+    return X, y
+
+
+def _dry_sets():
+    """(name, X, y) of the group's edge cases."""
+    rng = np.random.default_rng(40)
+    sets = []
+    X, y = _dry_heavy(rng, 300, dry_rate=0.85)
+    sets.append(("most rows dry", X, y))
+    X, y = _dry_heavy(rng, 300)
+    y[(X == 0.0).all(axis=1)] = 0
+    sets.append(("dry rows of one label", X, y))
+    X, y = _dry_heavy(rng, 300)
+    dry = np.flatnonzero((X == 0.0).all(axis=1))
+    y[dry] = 0
+    y[dry[0]] = 1
+    sets.append(("one dry positive", X, y))
+    sets.append(("every row dry", np.zeros((60, 4)), np.arange(60) % 3 == 0))
+    X, y = _dry_heavy(rng, 300, dry_rate=0.0)
+    X[(X == 0.0).all(axis=1), 0] = 0.5
+    sets.append(("no dry row", X, y))
+    X, y = _dry_heavy(rng, 300)
+    X[5, 2] = -0.5
+    sets.append(("a negative value", X, y))
+    X, y = _dry_heavy(rng, 300)
+    X[rng.random(X.shape) < 0.3] *= -0.0  # -0.0 entries, in dry rows too
+    sets.append(("-0.0 entries", X, y))
+    X, y = _dry_heavy(rng, 300)
+    X[:, 3] = 1.0 + (X[:, 3] > 1.0)
+    sets.append(("a feature with no 0", X, y))
+    return [(name, X, y.astype(int)) for name, X, y in sets]
+
+
+DRY_SETS = _dry_sets()
+GROUPED = {"most rows dry", "dry rows of one label", "one dry positive", "every row dry", "-0.0 entries"}
+
+
+@pytest.mark.parametrize("name, X, y", DRY_SETS, ids=[s[0] for s in DRY_SETS])
+def test_dry_groups_grow_the_trees_of_a_grower_that_never_groups(name, X, y):
+    Xc, _, _ = check_training_inputs(X, y, None)
+    codes, values = _rank_codes(Xc)
+    dry = trees._dry_rows(codes, values)
+    assert dry.any() == (name in GROUPED)
+    if name in GROUPED:
+        np.testing.assert_array_equal(dry, (X == 0.0).all(axis=1))
+    n = X.shape[0]
+    for training_weight in (1.0, 3.0, 0.5):
+        _, yc, w = check_training_inputs(X, y, None, training_weight)
+        for bootstrap in (True, False):
+            for depth, min_leaf in ((None, 1), (0, 1), (6, 4)):
+                params = ForestParams(n_trees=3, max_depth=depth, min_samples_leaf=min_leaf, bootstrap=bootstrap)
+                args = (codes, values, yc, w, np.arange(n), params, training_weight, 6)
+                assert _tree_bytes(grow_forest(*args)) == _tree_bytes(copying_grow_forest(*args)), \
+                    (training_weight, bootstrap, depth)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_dry_groups_on_rows_of_a_wider_coding_and_any_thread_count(threads):
+    # cv's folds share one coding and its dry-row mask; rows is a strict subset
+    rng = np.random.default_rng(41)
+    X, y = _dry_heavy(rng, 500)
+    Xc, yc, w = check_training_inputs(X, y, None, 1.0)
+    codes, values = _rank_codes(Xc)
+    dry = trees._dry_rows(codes, values)
+    params = ForestParams(n_trees=6, max_depth=None, min_samples_leaf=2)
+    # a strict subset, and the set's other rows alone: no draw holds a dry row
+    for rows in (np.sort(rng.choice(500, size=400, replace=False)), np.flatnonzero(~dry)):
+        expected = _tree_bytes(copying_grow_forest(codes, values, yc, w, rows, params, 1.0, 8))
+        for given in (None, dry):
+            assert _tree_bytes(grow_forest(codes, values, yc, w, rows, params, 1.0, 8, threads, given)) == expected
+
+
+def test_dry_groups_with_min_samples_leaf_above_a_nodes_other_rows():
+    # most of a node's rows are its group: a node may hold fewer ids than
+    # min_samples_leaf, and its right children still need that many
+    for seed in range(30):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(10, 40))
+        X, y = _dry_heavy(rng, n, m=3, dry_rate=0.6)
+        Xc, yc, w = check_training_inputs(X, y, None, 1.0)
+        codes, values = _rank_codes(Xc)
+        params = ForestParams(n_trees=4, max_depth=None, min_samples_leaf=int(rng.integers(2, 7)), max_features=3)
+        args = (codes, values, yc, w, np.arange(n), params, 1.0, seed)
+        assert _tree_bytes(grow_forest(*args)) == _tree_bytes(copying_grow_forest(*args)), seed
+
+
+def test_forest_cv_grid_on_dry_rows_equals_the_ungrouped_grid(monkeypatch):
+    import debris_ews.tuning as tuning
+    from debris_ews import FeatureSpec, grid_search_cv
+    from test_tuning import _toy_corpus
+
+    windows = _toy_corpus(np.random.default_rng(42), n_pos=6, n_neg=12, hours=50)
+    spec = FeatureSpec(hourly_hours=3)
+    grid = [{"n_trees": 3, "max_depth": None, "min_samples_leaf": 1},
+            {"n_trees": 3, "max_depth": 4, "min_samples_leaf": 5}]
+    grouped = grid_search_cv(windows, spec, grid, k=3, seed=2)
+    calls = []
+
+    def ungrouped(*args):
+        calls.append(trees._dry_rows(*args[:2]).mean())
+        return copying_grow_forest(*args[:9])
+
+    monkeypatch.setattr(tuning, "grow_forest", ungrouped)
+    assert grouped == grid_search_cv(windows, spec, grid, k=3, seed=2)
+    assert len(calls) == 6 and min(calls) > 0.5
+
+
+def _spy_scans(monkeypatch):
+    """Per tree grown, the (ids, group) of each scan of trees._best_split, in order."""
+    import debris_ews.forest as forest
+    import debris_ews.gbt as gbt
+
+    scans: list[list] = []
+    grow, scan = trees._grow, trees._best_split
+
+    def grow_spy(*args, **kwargs):
+        scans.append([])
+        return grow(*args, **kwargs)
+
+    def scan_spy(criterion, node, codes, values, rows, *args):
+        group = node[3][2:] if criterion.counts is not None else (0, 0)
+        scans[-1].append((rows, group))
+        return scan(criterion, node, codes, values, rows, *args)
+
+    for module in (forest, gbt):
+        monkeypatch.setattr(module, "_grow", grow_spy)
+    monkeypatch.setattr(trees, "_best_split", scan_spy)
+    return scans
+
+
+def test_the_dry_group_rides_counting_forests_only(monkeypatch):
+    scans = _spy_scans(monkeypatch)
+    rng = np.random.default_rng(43)
+    X, y = _dry_heavy(rng, 400, m=6)
+    n, seed = X.shape[0], 3
+    dry = (X == 0.0).all(axis=1)
+    params = ForestParams(n_trees=4, max_depth=5)
+    fit_forest(X, y, params, seed=seed)
+    assert len(scans) == params.n_trees
+    for t, tree_scans in enumerate(scans):
+        draw = derived_rng(seed, 4, t).integers(0, n, size=n)
+        root, (e0, e1) = tree_scans[0]
+        assert root.size <= np.count_nonzero(~dry[draw]) + 2
+        assert root.size + e0 + e1 == n and e0 + e1 > 0
+        assert all(e in ((0, 0), (e0, e1)) for _, e in tree_scans)  # the group never splits
+
+    def ungrouped(run):
+        scans.clear()
+        run()
+        assert scans and all(e == (0, 0) and r.size == n for r, e in (s[0] for s in scans))
+
+    ungrouped(lambda: fit_forest(X, y, params, training_weight=0.5, seed=seed))  # sort scan
+    X_neg = X.copy()
+    X_neg[0, 0] = -1.0
+    ungrouped(lambda: fit_forest(X_neg, y, params, seed=seed))  # a negative value
+    ungrouped(lambda: fit_gbt(X, y, params=GbtParams(n_trees=2, max_depth=3)))
+
+
+def test_map_indexed_asks_for_at_most_one_thread_a_cpu_and_a_task(monkeypatch):
+    import debris_ews._common as common
+
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(common, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(common.os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    assert common.map_indexed(lambda i: i * i, 50, 100_000) == [i * i for i in range(50)]
+    assert common.map_indexed(lambda i: -i, 2, 100_000) == [0, -1]
+    assert common.map_indexed(lambda i: i, 3, 2) == [0, 1, 2]
+    assert asked == [3, 2, 2]
+    assert common.map_indexed(lambda i: i, 1, 100_000) == [0] and common.map_indexed(str, 0, 8) == []
+    monkeypatch.setattr(common.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert common.map_indexed(lambda i: i, 5, 4) == list(range(5))
+    assert asked == [3, 2, 2]  # one task, or one CPU, runs without a pool

@@ -14,7 +14,7 @@ from oracles import compacting_leaves
 def fit_gradient_tree(X, grad, hess, params=TreeParams(), leaf_l2=1.0):
     """One boosting stage on its own: the regression tree fit_gbt grows on gradient/hessian sums."""
     X, grad, hess = (np.asarray(a, dtype=np.float64) for a in (X, grad, hess))
-    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), np.arange(X.shape[0]), params, None)[0]
+    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), np.arange(X.shape[0]), params, None)
 
 
 def _rand_data(rng, n=80, m=4):
@@ -550,7 +550,8 @@ def test_grower_leaves_are_where_predict_routes_rows():
     g, h = rng.normal(size=600), rng.uniform(0.05, 1.0, size=600)
     assert (X == 0.0).any() and np.signbit(X[X == 0.0]).any()  # rows with -0.0
     for criterion in (_GiniCriterion(y, np.ones(600)), _GainCriterion(g, h, 1.0)):
-        tree, leaf = _grow(criterion, *_rank_codes(X), np.arange(600), TreeParams(max_depth=12), None)
+        leaf = np.full(600, -1, dtype=np.intp)
+        tree = _grow(criterion, *_rank_codes(X), np.arange(600), TreeParams(max_depth=12), None, leaf=leaf)
         np.testing.assert_array_equal(leaf, compacting_leaves(tree, X))
         np.testing.assert_array_equal(leaf, tree.leaves(X))
         np.testing.assert_array_equal(tree.value[leaf], tree.predict_value(X))
