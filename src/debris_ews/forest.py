@@ -90,20 +90,16 @@ def grow_forest(
     training_weight: float,
     seed: int,
     threads: int = 1,
-    dry: np.ndarray | None = None,
 ) -> ForestModel:
     """The forest fit_forest grows on the training set of the given rows, from the
     output of check_training_inputs and _rank_codes for a set that holds them. The
     codes may rank more rows than these: a split's threshold is the midpoint of two
-    values adjacent within its node, so the trees are the same. dry is _dry_rows of the
-    codes, made here when not given (cv makes it once for all its folds)."""
+    values adjacent within its node, so the trees are the same."""
     tree_params = params.tree_params(codes.shape[0])
     n = rows.size
     criterion = _GiniCriterion(y, w, rows)  # indexed by row id; threads only read it
     # the sort scan's sums are running float sums, so only the counting scan groups
-    if criterion.counts is not None and dry is None:
-        dry = _dry_rows(codes, values)
-    grouped = criterion.counts is not None and dry.any()
+    dry = _dry_rows(codes, values) if criterion.counts is not None else None
 
     def build(t: int) -> DecisionTree:
         rng = derived_rng(seed, 4, t)
@@ -113,10 +109,8 @@ def grow_forest(
         # rows as a counted group; in draw order for the sort scan, whose ties go by
         # position, so its sums are those of the draw
         group = (0, 0)
-        if grouped:
+        if dry is not None:
             r, group = _grouped_root(criterion.labels, r, dry)
-        elif criterion.counts is not None:
-            r = np.sort(r)
         return _grow(criterion, codes, values, r, tree_params, rng, group)
 
     trees = map_indexed(build, params.n_trees, threads)

@@ -24,7 +24,7 @@ from .forest import ForestParams, grow_forest
 from .gbt import GbtParams, grow_gbt
 from .linear import LogisticParams, fit_logistic
 from .metrics import auprc
-from .trees import _dry_rows, _rank_codes, check_training_inputs
+from .trees import _rank_codes, check_training_inputs
 
 log = logging.getLogger(__name__)
 
@@ -65,13 +65,12 @@ def _cell_params(model_kind: str, grid: Sequence, source: str) -> list:
     return [build_params(_PARAMS[model_kind], cell, f"{source}: cell {ci}") for ci, cell in enumerate(grid)]
 
 
-def _fit_cell(params, examples, train: np.ndarray, coded: tuple | None, dry: np.ndarray | None,
-              training_weight: float, seed: int, threads: int):
+def _fit_cell(params, examples, train: np.ndarray, coded: tuple | None, training_weight: float, seed: int,
+              threads: int):
     """One fold fit on the rows `train` of examples; a tree ensemble grows on the rows of
-    coded, the checked and rank-coded examples, and a forest on dry, their dry-row mask
-    (see grow_forest)."""
+    coded, the checked and rank-coded examples (see grow_forest)."""
     if isinstance(params, ForestParams):
-        return grow_forest(*coded, np.flatnonzero(train), params, training_weight, seed, threads, dry)
+        return grow_forest(*coded, np.flatnonzero(train), params, training_weight, seed, threads)
     if isinstance(params, GbtParams):
         return grow_gbt(*coded, np.flatnonzero(train), params, training_weight)
     return fit_logistic(examples.X[train], examples.y[train], params=params, training_weight=training_weight)
@@ -121,12 +120,10 @@ def grid_search_cv(
     # one matrix in fold order: fold fi's rows are held out, the rest train in fold order
     examples = build_examples([w for fold in folds for w in fold], spec, labeling)
     fold_of_row = np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
-    coded = dry = None
+    coded = None
     if model_kind != "logistic":  # every tree fold fit grows on rows of one coding
         X, y, w = check_training_inputs(examples.X, examples.y, None, training_weight)
         coded = (*_rank_codes(X), y, w)
-        if model_kind == "rf":
-            dry = _dry_rows(*coded[:2])
 
     cells: list[GridCell] = []
     for ci, (cell, params) in enumerate(zip(grid, cell_params)):
@@ -138,7 +135,7 @@ def grid_search_cv(
                 log.warning("fold %d has single-class labels; skipped in cell %s", fi, cell)
                 continue
             fit_seed = int(derived_rng(seed, 5, ci, fi).integers(2**63))
-            model = _fit_cell(params, examples, ~held, coded, dry, training_weight, fit_seed, threads)
+            model = _fit_cell(params, examples, ~held, coded, training_weight, fit_seed, threads)
             scores.append(auprc(model.predict_proba(examples.X[held]), y_held))
         if not scores:
             raise InputError("every fold was single-class; cannot score the grid")

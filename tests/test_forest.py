@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import debris_ews._common as common
 import debris_ews.trees as trees
 from debris_ews import (
     ForestModel,
@@ -33,6 +34,13 @@ def _imbalanced(rng, n=400, m=5, pos_rate=0.08):
     return X, y
 
 
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """map_indexed caps its pool at the usable CPUs: with four, threads=4 runs four
+    threads on a host of any size."""
+    monkeypatch.setattr(common.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+
 def test_single_tree_no_bootstrap_equals_fit_tree():
     rng = np.random.default_rng(0)
     X, y = _imbalanced(rng)
@@ -54,6 +62,7 @@ def test_same_seed_bit_identical_serialization():
     assert json.dumps(model_to_doc(a), sort_keys=True) != json.dumps(model_to_doc(c), sort_keys=True)
 
 
+@pytest.mark.usefixtures("four_cpus")
 def test_thread_count_does_not_change_model():
     rng = np.random.default_rng(2)
     X, y = _imbalanced(rng, n=200)
@@ -153,6 +162,7 @@ def _coded_subset(seed, n, training_weight, sample_weight=None):
     return (*_rank_codes(Xc), yc, w), np.sort(rng.choice(n, size=n * 3 // 4, replace=False))
 
 
+@pytest.mark.usefixtures("four_cpus")
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("training_weight, sample_weight, counting", [
     (1.0, None, True), (0.1, None, False), (1.0, "integers", False), (2.5, "fractions", False),
@@ -311,9 +321,10 @@ def test_dry_groups_grow_the_trees_of_a_grower_that_never_groups(name, X, y):
                     (training_weight, bootstrap, depth)
 
 
+@pytest.mark.usefixtures("four_cpus")
 @pytest.mark.parametrize("threads", [1, 4])
 def test_dry_groups_on_rows_of_a_wider_coding_and_any_thread_count(threads):
-    # cv's folds share one coding and its dry-row mask; rows is a strict subset
+    # cv's folds share one coding; rows is a strict subset
     rng = np.random.default_rng(41)
     X, y = _dry_heavy(rng, 500)
     Xc, yc, w = check_training_inputs(X, y, None, 1.0)
@@ -322,9 +333,8 @@ def test_dry_groups_on_rows_of_a_wider_coding_and_any_thread_count(threads):
     params = ForestParams(n_trees=6, max_depth=None, min_samples_leaf=2)
     # a strict subset, and the set's other rows alone: no draw holds a dry row
     for rows in (np.sort(rng.choice(500, size=400, replace=False)), np.flatnonzero(~dry)):
-        expected = _tree_bytes(copying_grow_forest(codes, values, yc, w, rows, params, 1.0, 8))
-        for given in (None, dry):
-            assert _tree_bytes(grow_forest(codes, values, yc, w, rows, params, 1.0, 8, threads, given)) == expected
+        args = (codes, values, yc, w, rows, params, 1.0, 8, threads)
+        assert _tree_bytes(grow_forest(*args)) == _tree_bytes(copying_grow_forest(*args))
 
 
 def test_dry_groups_with_min_samples_leaf_above_a_nodes_other_rows():
@@ -355,7 +365,7 @@ def test_forest_cv_grid_on_dry_rows_equals_the_ungrouped_grid(monkeypatch):
 
     def ungrouped(*args):
         calls.append(trees._dry_rows(*args[:2]).mean())
-        return copying_grow_forest(*args[:9])
+        return copying_grow_forest(*args)
 
     monkeypatch.setattr(tuning, "grow_forest", ungrouped)
     assert grouped == grid_search_cv(windows, spec, grid, k=3, seed=2)
@@ -414,8 +424,6 @@ def test_the_dry_group_rides_counting_forests_only(monkeypatch):
 
 
 def test_map_indexed_asks_for_at_most_one_thread_a_cpu_and_a_task(monkeypatch):
-    import debris_ews._common as common
-
     asked = []
 
     class Recorder:
