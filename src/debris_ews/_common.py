@@ -293,11 +293,28 @@ def _quoted(field: str, alone: bool) -> str:
     return '""' if alone and not field else field
 
 
-def _column(column: Sequence, alone: bool) -> np.ndarray:
-    """A column as write_csv takes it: a numeric array as it is, any other column as
-    its str fields, each distinct one quoted once."""
+class CodedColumn:
+    """A CSV column given as its distinct str fields and one integer code a row:
+    row i holds text[code[i]]. write_csv looks the fields up a block of rows at a
+    time, so a column of few distinct fields costs its codes, not a field a row."""
+
+    def __init__(self, text: Sequence[str], code: np.ndarray) -> None:
+        self.text, self.code = np.asarray(text, dtype=object), code
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.text[self.code[rows]]
+
+
+def _column(column: Sequence | CodedColumn, alone: bool) -> np.ndarray | CodedColumn:
+    """A column as write_csv takes it: a numeric array as it is, a coded column with
+    its texts quoted, any other column as its str fields, each distinct one quoted once."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
         return column
+    if isinstance(column, CodedColumn):
+        return CodedColumn(_column(column.text, alone), column.code)
     quoted = {}
     for field in set(column):
         if not isinstance(field, str):
@@ -471,7 +488,7 @@ def _layout(digits: np.ndarray, point: np.ndarray, negative: np.ndarray) -> np.n
     return text.astype(np.uint32).view(f"U{_TEXT_WIDTH}")[:, 0].astype(object)
 
 
-def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence | CodedColumn]) -> None:
     """A CSV artifact: the header row, then row i of every column, in the bytes of
     csv's default dialect (minimal quoting, CRLF line ends), written in UTF-8.
     Columns are formatted as _column and _fields say, CSV_BLOCK_ROWS rows at a time."""

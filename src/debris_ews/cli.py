@@ -606,13 +606,8 @@ def _run_explain(opts: dict, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="debris-ews", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"debris-ews {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="<command>")
-
-    c = _Command(sub, "synth", "generate a seeded synthetic rainfall corpus", _run_synth)
-    c.opt("--seed", type=int, required=True, help="corpus seed")
+def _synth_opts(c: _Command) -> None:
+    c.opt("--seed", type=int, required=True, minimum=0, help="corpus seed")
     c.opt("--stations", type=int, default=SynthConfig.stations)
     c.opt("--weeks", type=int, default=SynthConfig.weeks_per_station)
     c.opt("--storms-per-week", type=float, default=SynthConfig.storms_per_week)
@@ -620,20 +615,23 @@ def build_parser() -> _Parser:
     c.opt("--trigger-steepness", type=float, default=SynthConfig.trigger_steepness)
     c.opt("--recent-rain-gain", type=float, default=SynthConfig.recent_rain_gain)
 
-    c = _Command(sub, "segment", "list main rainfall events per station", _run_segment)
+
+def _segment_opts(c: _Command) -> None:
     _add_corpus_opts(c, manifest=False)
     c.opt("--rain-threshold", type=float, default=RAIN_THRESHOLD_MM)
     c.opt("--quiet-hours", type=int, default=QUIET_HOURS)
 
-    c = _Command(sub, "ear", "per-hour effective accumulated rainfall", _run_ear)
+
+def _ear_opts(c: _Command) -> None:
     _add_corpus_opts(c, manifest=False)
     c.opt("--alpha", type=float, default=DEFAULT_ALPHA)
     c.opt("--daily-mode", default=DailyWindowMode.CALENDAR_DAY.value, choices=[m.value for m in DailyWindowMode])
 
-    c = _Command(sub, "build-dataset", "build labeled event windows and the train/test split", _run_build_dataset)
+
+def _build_dataset_opts(c: _Command) -> None:
     _add_corpus_opts(c, manifest=False)
     c.opt("--events", required=True, help="debris-flow events CSV")
-    c.opt("--seed", type=int, required=True, help="split seed")
+    c.opt("--seed", type=int, required=True, minimum=0, help="split seed")
     c.opt("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
     c.opt("--antecedent-hours", type=int, default=DEFAULT_ANTECEDENT_HOURS)
     c.opt("--tail-hours", type=int, default=DEFAULT_TAIL_HOURS)
@@ -643,9 +641,10 @@ def build_parser() -> _Parser:
     c.opt("--export-features", action="store_true", help="also write the feature matrix CSV")
     _add_feature_opts(c)
 
-    c = _Command(sub, "train", "fit a classifier on the training split", _run_train)
+
+def _train_opts(c: _Command) -> None:
     _add_corpus_opts(c)
-    c.opt("--seed", type=int, required=True)
+    c.opt("--seed", type=int, required=True, minimum=0)
     c.opt("--model", default="rf", choices=MODEL_KINDS)
     c.opt("--split", default="train", choices=["train", "test", "all"])
     c.opt("--trees", type=int, default=ForestParams.n_trees)
@@ -653,14 +652,15 @@ def build_parser() -> _Parser:
     c.opt("--min-samples-leaf", type=int, default=ForestParams.min_samples_leaf)
     c.opt("--max-features", type=_parse_depth, default=None, help="features tried per split (default sqrt)")
     c.opt("--learning-rate", type=float, default=0.1)
-    c.opt("--l2", type=float, default=0.0, help="L2 penalty for logistic (0 = none)")
+    c.opt("--l2", type=float, default=0.0, minimum=0, help="L2 penalty for logistic (0 = none)")
     c.opt("--training-weight", type=float, default=1.0)
     c.opt("--threads", type=int, default=1, minimum=1)
     _add_feature_opts(c)
 
-    c = _Command(sub, "cv", "grid-search cross-validation on the training split", _run_cv)
+
+def _cv_opts(c: _Command) -> None:
     _add_corpus_opts(c)
-    c.opt("--seed", type=int, required=True)
+    c.opt("--seed", type=int, required=True, minimum=0)
     c.opt("--model", default="rf", choices=MODEL_KINDS)
     c.opt("--split", default="train", choices=["train", "test", "all"])
     c.opt("--grid", default="default", help="'default' or a JSON file with a list of parameter objects")
@@ -669,13 +669,15 @@ def build_parser() -> _Parser:
     c.opt("--threads", type=int, default=1, minimum=1)
     _add_feature_opts(c)
 
-    c = _Command(sub, "eval", "score a trained model and emit curves and metrics", _run_eval)
+
+def _eval_opts(c: _Command) -> None:
     c.opt("--model", required=True)
     _add_corpus_opts(c)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
 
-    c = _Command(sub, "sweep-baselines", "EAR threshold baselines: curves and official points", _run_sweep_baselines)
+
+def _sweep_baselines_opts(c: _Command) -> None:
     _add_corpus_opts(c)
     c.opt("--thresholds", required=True, help="official threshold table CSV")
     c.opt("--split", default="test", choices=["train", "test", "all"])
@@ -683,28 +685,32 @@ def build_parser() -> _Parser:
     c.opt("--alpha", type=float, default=DEFAULT_ALPHA)
     c.opt("--daily-mode", default=DailyWindowMode.CALENDAR_DAY.value, choices=[m.value for m in DailyWindowMode])
 
-    c = _Command(sub, "bootstrap-ci", "circular block bootstrap CI for a scores file", _run_bootstrap_ci)
+
+def _bootstrap_ci_opts(c: _Command) -> None:
     c.opt("--scores", required=True, help="scores CSV from 'eval' or 'sweep-baselines'")
-    c.opt("--seed", type=int, required=True)
+    c.opt("--seed", type=int, required=True, minimum=0)
     c.opt("--stat", default="auprc", choices=["auprc", "auroc"])
     c.opt("--block-hours", type=int, default=6)
     c.opt("--reps", type=int, default=10000)
     c.opt("--level", type=float, default=0.95)
 
-    c = _Command(sub, "operating-points", "precision/recall trade-off table", _run_operating_points)
+
+def _operating_points_opts(c: _Command) -> None:
     c.opt("--scores", required=True)
     c.opt("--recall-targets", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     c.opt("--precision-targets", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
 
-    c = _Command(sub, "event-capture", "captured/missed debris flows per alert threshold", _run_event_capture)
+
+def _event_capture_opts(c: _Command) -> None:
     c.opt("--scores", required=True)
     _add_corpus_opts(c)
     c.opt("--lead", type=int, default=DEFAULT_LEAD_HOURS)
 
-    c = _Command(sub, "explain", "Shapley attributions and importance ranking", _run_explain)
+
+def _explain_opts(c: _Command) -> None:
     c.opt("--model", required=True)
     _add_corpus_opts(c)
-    c.opt("--seed", type=int, required=True)
+    c.opt("--seed", type=int, required=True, minimum=0)
     c.opt("--split", default="test", choices=["train", "test", "all"])
     c.opt("--lead", type=int, default=None, help="lead time in hours for positive labels (default: the model's lead_hours)")
     c.opt("--max-rows", type=int, default=500, minimum=1,
@@ -712,12 +718,43 @@ def build_parser() -> _Parser:
     c.opt("--background-rows", type=int, default=64, minimum=1)
     c.opt("--method", default="mean_abs_shap", choices=["mean_abs_shap", "permutation"])
 
+
+# Every subcommand, in help order: name -> (help text, handler, option declarations)
+_COMMANDS = {
+    "synth": ("generate a seeded synthetic rainfall corpus", _run_synth, _synth_opts),
+    "segment": ("list main rainfall events per station", _run_segment, _segment_opts),
+    "ear": ("per-hour effective accumulated rainfall", _run_ear, _ear_opts),
+    "build-dataset": ("build labeled event windows and the train/test split", _run_build_dataset, _build_dataset_opts),
+    "train": ("fit a classifier on the training split", _run_train, _train_opts),
+    "cv": ("grid-search cross-validation on the training split", _run_cv, _cv_opts),
+    "eval": ("score a trained model and emit curves and metrics", _run_eval, _eval_opts),
+    "sweep-baselines": ("EAR threshold baselines: curves and official points", _run_sweep_baselines,
+                        _sweep_baselines_opts),
+    "bootstrap-ci": ("circular block bootstrap CI for a scores file", _run_bootstrap_ci, _bootstrap_ci_opts),
+    "operating-points": ("precision/recall trade-off table", _run_operating_points, _operating_points_opts),
+    "event-capture": ("captured/missed debris flows per alert threshold", _run_event_capture, _event_capture_opts),
+    "explain": ("Shapley attributions and importance ranking", _run_explain, _explain_opts),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of `command` alone: the same parser for
+    any argument list that names `command` first."""
+    parser = _Parser(prog="debris-ews", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"debris-ews {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="<command>")
+    for name in _COMMANDS if command is None else [command]:
+        help_text, handler, declare = _COMMANDS[name]
+        declare(_Command(sub, name, help_text, handler))
     return parser
 
 
 def main(argv=None) -> int:
     setup_logging()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # each subcommand's options are its own, so a call that names one needs only
+    # its parser; help, --version and a bad command list every subcommand
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         command: _Command = args._command

@@ -25,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from ._common import (
-    HOUR, CsvColumn, InputError, cells, csv_row_ref, ensure_hour_aligned, format_ts, number_keys, parse_column,
-    parse_ts, read_csv_blocks, write_csv,
+    HOUR, CodedColumn, CsvColumn, InputError, cells, csv_row_ref, ensure_hour_aligned, format_ts, number_keys,
+    parse_column, parse_ts, read_csv_blocks, write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -307,14 +307,27 @@ def read_rainfall_csv(path: str | Path, impute_missing: bool = False) -> list[Ra
     return out
 
 
-def _station_columns(series: list[RainSeries]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _station_columns(series: list[RainSeries]) -> tuple[CodedColumn, CodedColumn, np.ndarray]:
     """The station id, the YYYY-MM-DDTHH:00:00Z stamp and the rainfall of every hour
-    of the series in turn; each distinct hour is formatted once, for every station."""
-    hours = np.concatenate([np.zeros(0, np.int64), *((s.start - _EPOCH) // HOUR + np.arange(len(s)) for s in series)])
-    distinct, index = np.unique(hours, return_inverse=True)
-    stamps = np.datetime_as_string(distinct.astype("datetime64[h]"), unit="s", timezone="UTC").astype(object)
-    ids = np.repeat(np.array([s.station_id for s in series], dtype=object), [len(s) for s in series])
-    return ids, stamps[index], np.concatenate([np.zeros(0), *(s.values for s in series)])
+    of the series in turn. Ids and stamps are coded columns: each distinct hour is
+    formatted once, for every station, and a row holds only two small codes."""
+    starts = [(s.start - _EPOCH) // HOUR for s in series]
+    lengths = [len(s) for s in series]
+    runs: list[list[int]] = []  # the stations' runs of hours, overlapping ones merged, ascending
+    for a, b in sorted((a, a + n) for a, n in zip(starts, lengths)):
+        if runs and a <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], b)
+        else:
+            runs.append([a, b])
+    hours = np.concatenate([np.zeros(0, np.int64), *(np.arange(a, b) for a, b in runs)])
+    stamps = np.datetime_as_string(hours.astype("datetime64[h]"), unit="s", timezone="UTC")
+    # a station's hours are consecutive, and so are their stamps' codes
+    code = np.min_scalar_type(hours.size)
+    at = np.searchsorted(hours, starts).tolist()
+    stamp_codes = [np.zeros(0, code), *(np.arange(a, a + n, dtype=code) for a, n in zip(at, lengths))]
+    id_codes = np.repeat(np.arange(len(series), dtype=np.min_scalar_type(len(series))), lengths)
+    return (CodedColumn([s.station_id for s in series], id_codes), CodedColumn(stamps, np.concatenate(stamp_codes)),
+            np.concatenate([np.zeros(0), *(s.values for s in series)]))
 
 
 def write_rainfall_csv(path: str | Path, series: Iterable[RainSeries]) -> None:

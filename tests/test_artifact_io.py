@@ -12,7 +12,9 @@ import pytest
 
 import debris_ews
 import debris_ews._common as _common
-from debris_ews._common import InputError, cell, cells, read_csv_blocks, read_json, write_csv, write_json
+from debris_ews._common import (
+    CodedColumn, InputError, cell, cells, read_csv_blocks, read_json, write_csv, write_json,
+)
 
 SRC = Path(debris_ews.__file__).parent
 
@@ -69,6 +71,20 @@ def test_write_csv_blocks_join_to_the_same_bytes(tmp_path, monkeypatch, n):
     write_csv(tmp_path / "fast.csv", _HEADER, columns)
     _reference_write_csv(tmp_path / "slow.csv", _HEADER, columns)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [7, 1 << 16])
+@pytest.mark.parametrize("alone", [True, False])
+def test_a_coded_column_writes_its_fields(tmp_path, monkeypatch, block_rows, alone):
+    monkeypatch.setattr(_common, "CSV_BLOCK_ROWS", block_rows)
+    code = np.random.default_rng(3).integers(0, len(_ADVERSARIAL_STRINGS), 60).astype(np.uint8)
+    fields = [_ADVERSARIAL_STRINGS[i] for i in code]
+    header, columns = ("text,coded",), [CodedColumn(_ADVERSARIAL_STRINGS, code)]
+    if not alone:
+        header, columns = (*header, "row"), [*columns, np.arange(60)]
+    write_csv(tmp_path / "coded.csv", header, columns)
+    _reference_write_csv(tmp_path / "slow.csv", header, [fields, *columns[1:]])
+    assert (tmp_path / "coded.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n", [100, 1000])

@@ -320,6 +320,18 @@ BAD_INPUTS = {
                            "config {cfg}: field 'model': invalid choice: 'svm' (choose from 'rf', 'gbt', 'logistic')"),
     "switch from config": (["train", *CORPUS, "--config", "{cfg}"], {"cfg": {"include_ear": "false"}},
                            "config {cfg}: field 'include_ear': expected true or false, got 'false'"),
+    # numpy's SeedSequence takes no negative seed
+    "synth negative seed": ([*SYNTH, "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+    "build-dataset negative seed": (["build-dataset", "--rainfall", "{rain}", "--events", "{ev}", "--seed", "-1"], {},
+                                    "seed must be >= 0, got -1"),
+    "train negative seed": (["train", *CORPUS, "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+    "cv negative seed from config": (["cv", "--rainfall", "{rain}", "--manifest", "{man}", "--config", "{cfg}"],
+                                     {"cfg": {"seed": -3}}, "seed must be >= 0, got -3"),
+    "bootstrap-ci negative seed": (["bootstrap-ci", "--scores", "{scores}", "--seed", "-1"], {},
+                                   "seed must be >= 0, got -1"),
+    "explain negative seed": (["explain", *CORPUS, "--model", "{model}", "--seed", "-1"], {},
+                              "seed must be >= 0, got -1"),
+    "negative l2": (["train", *CORPUS, "--model", "logistic", "--l2", "-1"], {}, "l2 must be >= 0, got -1.0"),
     "explain max rows": (["explain", *CORPUS, "--model", "{model}", "--max-rows", "-3"], {},
                          "max-rows must be >= 1, got -3"),
     "explain background rows from config": (["explain", *CORPUS, "--model", "{model}", "--config", "{cfg}"],

@@ -743,6 +743,9 @@ def test_bulk_writer_matches_reference(tmp_path, caplog, csv_blocks):
         series(np.r_[0.0, -0.0, 1e300, 5e-324, 0.1 + 0.2], "A", start=datetime(1969, 12, 31, 22, tzinfo=timezone.utc)),
         series(random_rain(rng, 50), 'q"x', start=datetime(2020, 2, 28, 20, tzinfo=timezone.utc)),
         series([1.0], "Z", start=datetime(9999, 12, 31, 22, tzinfo=timezone.utc)),
+        # hours that overlap another station's, within them and past their end
+        series(random_rain(rng, 20), "B", start=T0 + 100 * HOUR),
+        series(random_rain(rng, 60), "C", start=T0 + 280 * HOUR),
     ]
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     write_rainfall_csv(new, stations)
