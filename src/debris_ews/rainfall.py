@@ -341,18 +341,28 @@ def write_ear_csv(
     mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY,
 ) -> None:
     """Per-hour EAR of each station. Hours inside an event carry its index among the
-    station's events and its antecedent index; other hours leave both blank."""
+    station's events and its antecedent index; other hours leave both blank. Both are
+    coded columns, so a row holds two small codes, not two fields."""
     check_alpha(alpha)  # before the file is opened
     series = sorted(series, key=lambda s: s.station_id)
-    event_ids, ears, antes = [np.zeros(0, object)], [np.zeros(0)], [np.zeros(0, object)]
-    for s in series:
-        ear, events, ante = _ear_pass(s, alpha, mode)
-        owner = np.full(len(s), -1)
-        for i, ev in enumerate(events):
-            owner[ev.start_idx : ev.end_idx + 1] = i
-        # owner -1 picks the trailing blank
-        event_ids.append(np.array([*map(str, range(len(events))), ""], dtype=object)[owner])
-        antes.append(np.array([*cells(ante), ""], dtype=object)[owner])
-        ears.append(ear)
-    columns = (*_station_columns(series), np.concatenate(event_ids), np.concatenate(ears), np.concatenate(antes))
+    offsets = np.cumsum([0, *map(len, series)]).tolist()
+    ear = np.empty(offsets[-1])
+    station_events, ante_texts = [], [""]  # the stations' antecedents in turn, after the blank
+    for s, a in zip(series, offsets):
+        ear[a : a + len(s)], events, ante = _ear_pass(s, alpha, mode)
+        station_events.append(events)
+        ante_texts += cells(ante)
+    # code 0 is the blank; an event's hours hold 1 + its index in the station, and
+    # 1 + its index among all stations' events
+    event_code = np.zeros(ear.size, np.min_scalar_type(len(ante_texts)))
+    ante_code = np.zeros_like(event_code)
+    k = 0
+    for a, events in zip(offsets, station_events):
+        for i, ev in enumerate(events, start=1):
+            k += 1
+            event_code[a + ev.start_idx : a + ev.end_idx + 1] = i
+            ante_code[a + ev.start_idx : a + ev.end_idx + 1] = k
+    most = max(map(len, station_events), default=0)
+    columns = (*_station_columns(series), CodedColumn(["", *map(str, range(most))], event_code), ear,
+               CodedColumn(ante_texts, ante_code))
     write_csv(path, EAR_CSV_COLUMNS, columns)

@@ -19,7 +19,11 @@ it is exactly the float that a running sum gives. Otherwise (boosting gradients,
 fractional or per-row weights) the sort scan sorts code << b | position, b the
 bit length of the node's last position: positions break ties, so the sorted keys
 are the stable argsort of the codes, and the running sums of the weights follow
-that order.
+that order. Each block takes few passes: a block of every feature (each boosting
+node up to _BLOCK_ELEMENTS // m rows) gathers its codes along the rows with no flat
+index, the positions unpack straight to the intp order that gathers the weights,
+and the boundary mask is as wide as the block, so its flat indices address the
+running sums and the sort scan derives only the winner's feature row.
 A forest tree on the counting scan carries its dry rows, 0 in every feature, as
 one group when 0 is every feature's smallest value: its nodes hold one dry row of
 each label and count the others. The group sits at code 0 in every feature, left
@@ -45,14 +49,15 @@ _NO_FEATURE = -1
 MAX_WEIGHT_TOTAL = float(np.sqrt(np.finfo(np.float64).max))  # ~1.34e154
 _REL_EPS = 1e-12
 # Codes sorted together in one scan block (features x rows); bounds a node's
-# scratch memory whatever max_features is. The gather holds an int64 flat index
-# and the gathered code, 10 bytes a uint16 code (~2.6 MB). The sort scan then
-# keeps 33 bytes a code with uint32 keys (the key, its position bits, the intp
-# copy of those that take makes, a complex128 running sum and a boundary flag),
-# ~8.7 MB; uint64 keys take 41. The counting scan keeps 6 bytes with uint32 keys
-# (the key, a label bit and a boundary flag) plus 8 per positive, at most 14
-# (~3.7 MB); uint32 codes take 64-bit keys, 10 bytes plus 8 per positive. Twice
-# this budget raised the bench's peak RSS by ~8 MB through heap growth.
+# scratch memory whatever max_features is. A block of every feature gathers its
+# codes along the rows, 2 bytes a uint16 code; a block of some features also holds
+# an int64 flat index, 10 bytes (~2.6 MB). The sort scan then keeps 29 bytes a code
+# with uint32 keys (the key, its position bits as intp, a complex128 running sum
+# and a boundary flag), ~7.6 MB; uint64 keys take 33. The counting scan keeps 6
+# bytes with uint32 keys (the key, a label bit and a boundary flag) plus 8 per
+# positive, at most 14 (~3.7 MB); uint32 codes take 64-bit keys, 10 bytes plus 8
+# per positive. Twice this budget raised the bench's peak RSS by ~8 MB through
+# heap growth.
 _BLOCK_ELEMENTS = 1 << 18
 # Rows of X whose nonzero mask _rank_codes transposes at a time
 _MASK_BLOCK_ROWS = 1 << 14
@@ -348,8 +353,20 @@ class _GainCriterion:
         return _REL_EPS * max(1.0, abs(G * G / (H + self.lam)))
 
     def score(self, hl: np.ndarray, gl: np.ndarray, H: float, G: float) -> np.ndarray:
+        """gl * gl / (hl + lam) + (G - gl) ** 2 / (H - hl + lam) - G * G / (H + lam), in
+        that order of operations, in three arrays."""
         parent = G * G / (H + self.lam)
-        return gl * gl / (hl + self.lam) + (G - gl) ** 2 / (H - hl + self.lam) - parent
+        score = gl * gl
+        denom = hl + self.lam
+        score /= denom
+        right = G - gl
+        right *= right
+        np.subtract(H, hl, out=denom)
+        denom += self.lam
+        right /= denom
+        score += right
+        score -= parent
+        return score
 
 
 def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np.ndarray,
@@ -381,41 +398,49 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
     step = max(1, _BLOCK_ELEMENTS // nr)
     for start in range(0, features.size, step):
         fb = features[start:start + step]
-        block = np.left_shift(flat.take((fb * codes.shape[1])[:, None] + rows), shift, dtype=dtype)
+        # a block of every feature (fb is then 0..m-1) needs no flat index into the codes
+        if fb.size == codes.shape[0]:
+            block = np.left_shift(codes.take(rows, axis=1), shift, dtype=dtype)
+        else:
+            block = np.left_shift(flat.take((fb * codes.shape[1])[:, None] + rows), shift, dtype=dtype)
         block |= low
         block.sort(axis=1)
-        if counts is None:
-            order = block & ((1 << shift) - 1)
+        if counts is None:  # the positions, unpacked straight to the index type that take uses
+            order = np.bitwise_and(block, (1 << shift) - 1, dtype=np.intp, casting="unsafe")
         else:
             positives = np.flatnonzero(np.bitwise_and(block, 1, dtype=np.uint8, casting="unsafe").view(bool))
         block >>= shift  # the sorted codes
-        ok = block[:, 1:] != block[:, :-1]
+        # boundary p of feature row i, between sorted positions p and p + 1, is flat
+        # position i * nr + p of the block; the last column has no boundary
+        ok = np.empty(block.shape, dtype=bool)
+        np.not_equal(block[:, 1:], block[:, :-1], out=ok[:, :-1])
         ok[:, :max(min_leaf - 1 - e0 - e1, 0)] = False
         ok[:, max(nr - min_leaf, 0):] = False  # with a group, rows may be fewer than min_leaf
-        idx = np.flatnonzero(ok)
+        idx = ok.reshape(-1).nonzero()[0]
         if idx.size == 0:
             continue
-        fi = idx // (nr - 1)
         if counts is None:
             sums = data.take(order)
-            np.cumsum(sums, axis=1, out=sums)
-            sums = sums.take(idx + fi)  # ok has one column fewer
+            sums.cumsum(axis=1, out=sums)
+            sums = sums.take(idx)
             wl, pl = sums.real, sums.imag
         else:
-            # boundary p of feature row i is flat position i * nr + p; every row holds n_pos positives
-            pos_left = np.searchsorted(positives, idx + fi, side="right") - fi * n_pos
+            fi = idx // nr
+            # every feature row holds n_pos positives
+            pos_left = np.searchsorted(positives, idx, side="right") - fi * n_pos
             if e1:
                 pos_left += e1
             pl = pos_left * a1
-            wl = (idx - fi * (nr - 1) + (1 + e0 + e1) - pos_left) * a0 + pl
+            wl = (idx - fi * nr + (1 + e0 + e1) - pos_left) * a0 + pl
         score = criterion.score(wl, pl, A, B)
-        nan = np.isnan(score)
-        if nan.any():  # a NaN anywhere rules its feature out, as a per-feature argmax would
-            score[np.isin(fi, fi[nan])] = -np.inf
-        j = int(np.argmax(score))
+        j = int(score.argmax())
+        if np.isnan(score[j]):  # argmax finds the first NaN, if there is one
+            fi = idx // nr  # a NaN anywhere rules its feature out, as a per-feature argmax would
+            score[np.isin(fi, fi[np.isnan(score)])] = -np.inf
+            j = int(score.argmax())
         if score[j] > best_score:
             best_score = float(score[j])
-            i, p = divmod(int(idx[j]), nr - 1)
+            i, p = divmod(int(idx[j]), nr)
             lo, hi = values[fb[i]][block[i, p:p + 2]]
             thr = 0.5 * (lo + hi)
             if thr <= lo:  # adjacent floats can round the midpoint down

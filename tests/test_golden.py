@@ -63,6 +63,7 @@ GOLDEN_ARTIFACTS = {
         "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
         "run/cv_gbt/cv_results.csv": "f3f51ad034148154e6c0cc36737a1a2fc799539fb1c24868e3ca0a95aa566f36",
         "run/gbt/model.json": "52b05a5ae98d59e577acc6ace5d6274b41644c93ea16f4c7da5d6c2fb089322c",
+        "run/gbt_deep/model.json": "e7b61d4351a6d3fe711aee952794f039321c3ee1cfc21e856248ebfbe210438c",
         "run/rf_tw0.1/model.json": "cfd046f9ca9d3c687e40dfd4905e77e0bafd731f01e39ef5838aa722b3623d04",
         "run/rf_tw10/model.json": "d77101e86efef026288c1658d872a9fd452094dd2a4282938bd11d799a4553f4",
     },
@@ -131,8 +132,10 @@ def test_pipeline_fingerprints(pipeline):
 def test_artifact_fingerprints(corpus, pipeline, tmp_path):
     """Every other CSV and JSON artifact: the synthetic event and threshold
     tables, segment, ear, the exported features, curves, metrics, operating
-    points, importances, 2-cell forest and GBT CV tables, a GBT model, two forests whose
-    training weights (0.1 and 10) take the two split scans, and a permutation
+    points, importances, 2-cell forest and GBT CV tables, two GBT models (one
+    at depth 3, one shaped like the bench's: the default depth 15 and leaf 4 on
+    hourly, weighted daily and EAR features), two forests whose training
+    weights (0.1 and 10) take the two split scans, and a permutation
     importance ranking."""
     version = _numpy_version(GOLDEN_ARTIFACTS)
     corpus, data = corpus
@@ -154,6 +157,8 @@ def test_artifact_fingerprints(corpus, pipeline, tmp_path):
          "--k", "3", "--hours", "12", "--training-weight", "2.5"],
         ["train", *inputs, "--out", str(tmp_path / "gbt"), "--seed", "7", "--model", "gbt", "--trees", "3",
          "--max-depth", "3", "--hours", "12"],
+        ["train", *inputs, "--out", str(tmp_path / "gbt_deep"), "--seed", "7", "--model", "gbt", "--trees", "3",
+         "--hours", "6", "--daily", "7", "--daily-weighted", "--include-ear"],
         # fractional weights take the sort scan, integer ones the counting scan
         *(["train", *inputs, "--out", str(tmp_path / f"rf_tw{tw}"), "--seed", "7", "--trees", "3",
            "--training-weight", tw] for tw in ("0.1", "10")),

@@ -17,7 +17,9 @@ from debris_ews import (
 import debris_ews._common as _common
 from debris_ews._common import HOUR, ensure_hour_aligned, format_ts, parse_ts
 from debris_ews.cli import main
-from debris_ews.rainfall import RAINFALL_CSV_COLUMNS, daily_sums_matrix, read_rainfall_csv, write_rainfall_csv
+from debris_ews.rainfall import (
+    EAR_CSV_COLUMNS, RAINFALL_CSV_COLUMNS, daily_sums_matrix, read_rainfall_csv, write_ear_csv, write_rainfall_csv,
+)
 
 from conftest import T0, random_rain, series
 from oracles import ear_trace
@@ -754,6 +756,39 @@ def test_bulk_writer_matches_reference(tmp_path, caplog, csv_blocks):
     assert _read_both(new, caplog)[0][0] == [
         (s.station_id, s.start, timezone.utc, s.values.tobytes()) for s in sorted(stations, key=lambda s: s.station_id)
     ]
+
+
+def _reference_write_ear_csv(path, series, alpha):
+    """One row at a time: each event hour's index, EAR and antecedent from ear_trace."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EAR_CSV_COLUMNS)
+        for s in sorted(series, key=lambda s: s.station_id):
+            event, ear, ante = [""] * len(s), [0.0] * len(s), [""] * len(s)
+            for i, ev in enumerate(segment_events(s)):
+                tr = ear_trace(s, ev, alpha, DailyWindowMode.CALENDAR_DAY)
+                for k, t in enumerate(range(ev.start_idx, ev.end_idx + 1)):
+                    event[t], ear[t], ante[t] = str(i), float(tr.ear[k]), repr(float(tr.antecedent_mm))
+            for t in range(len(s)):
+                writer.writerow((s.station_id, format_ts(s.hour_at(t)), repr(float(s.values[t])), event[t],
+                                 repr(ear[t]), ante[t]))
+
+
+def test_ear_writer_matches_reference(tmp_path, csv_blocks):
+    # coded event and antecedent columns: a station with more than ten events,
+    # one with none, and one whose only event runs to the end of its record
+    rng = np.random.default_rng(6)
+    stations = [
+        series(random_rain(rng, 600), "S,2"),
+        series(np.zeros(40), "A", start=T0 + 5 * HOUR),
+        series(np.r_[np.zeros(30), 9.0, 0.0, 12.0], "B", start=T0 + 100 * HOUR),
+        series(random_rain(rng, 200, wet_prob=0.1), "C"),
+    ]
+    assert len(segment_events(stations[0])) > 10
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_ear_csv(new, stations, alpha=0.9)
+    _reference_write_ear_csv(ref, stations, 0.9)
+    assert new.read_bytes() == ref.read_bytes()
 
 
 def test_csv_round_trip_at_the_ends_of_the_calendar(tmp_path):
