@@ -67,8 +67,14 @@ def ensure_hour_aligned(dt: datetime, what: str = "timestamp") -> datetime:
 # file size, so the heap a large file grew is not left for the next step.
 CSV_BLOCK_CHARS = 1 << 21
 
-# _LOW_BYTES[k] keeps the low k bytes of a uint64
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+# _LOW_BYTES[k] keeps the low k bytes of a uint64 (k = 0..8)
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+# The odd multiplier of the hash that keys a field of 8 bytes or more (2^64
+# over the golden ratio): from 0, each 8-byte word of the field is xored in,
+# then the key is multiplied and its high half xored into its low half; last,
+# the field's length is xored in and the key multiplied once more.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 class Distinct(NamedTuple):
@@ -120,31 +126,60 @@ class CsvColumn:
 
     def distinct(self) -> Distinct:
         """The distinct fields, each decoded once. Fields are told apart by sorting one
-        key a field: its bytes and its length (so "A" and "A\\0" differ), in a uint64
-        when every field has at most 7 bytes and a fixed-width byte string otherwise.
-        Keys as wide as the longest field are made only while they take at most 8
-        bytes a byte of the block; past that, a dict of the fields tells them apart."""
+        uint64 key a field. When every field has at most 7 bytes the key is exact: the
+        bytes and the length (so "A" and "A\\0" differ). A wider column is keyed by a
+        hash of each field's zero-padded 8-byte words and its length, and every field
+        is then checked byte for byte against the first field of its key. Only the
+        first key of each run of equal keys is sorted, when the runs halve the sort.
+        A dict of the fields tells them apart when the words would take more than 8
+        bytes a byte of the block (a few long fields among many short ones) and when
+        two different fields share a hash."""
         length = self.end - self.start
-        width = int(length.max(initial=0))
+        n, width = len(self), int(length.max(initial=0))
+        size = -(-width // 8)  # the 8-byte words of the widest field
+        words = None
         if width < 8:
             key = self.windows(8).view("<u8")[:, 0] & _LOW_BYTES[length] | length.astype(np.uint64) << 56
-        elif len(self) * (width + 4) <= 8 * len(self.block):
-            key = self.windows(width + 4)
-            key[np.arange(width + 4) >= length[:, None]] = 0
-            key[:, width:] = length.astype(">u4").view(np.uint8).reshape(-1, 4)
-            key = key.view(f"S{width + 4}")[:, 0]
-        else:  # a few long fields among many short ones
-            seen: dict[bytes, int] = {}
-            spans = zip(self.start.tolist(), self.end.tolist())
-            index = np.fromiter((seen.setdefault(self.block[a:b], len(seen)) for a, b in spans), np.intp, len(self))
-            return Distinct([field.decode() for field in seen], index, np.unique(index, return_index=True)[1])
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        elif n * size <= len(self.block):
+            words = self.windows(8 * size).view("<u8")
+            key = np.zeros(n, np.uint64)
+            for j, word in enumerate(words.T):
+                word &= _LOW_BYTES[np.clip(length - 8 * j, 0, 8)]
+                key ^= word
+                key *= _HASH_MULTIPLIER
+                key ^= key >> 32
+            key ^= length.astype(np.uint64)
+            key *= _HASH_MULTIPLIER
+        else:
+            return self._by_dict()
+        head = np.empty(n, bool)  # the first field of each run of equal keys
+        head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        runs = 2 * heads.size <= n
+        _, first, inverse = np.unique(key[heads] if runs else key, return_index=True, return_inverse=True)
+        if runs:
+            first = heads[first]
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
+        index = rank[inverse.reshape(-1)]
+        if runs:
+            index = np.repeat(index, np.diff(heads, append=n))
         first = first[order]
+        if words is not None:
+            same = first[index]
+            if not ((length[same] == length).all() and (words[same] == words).all()):
+                return self._by_dict()
         text = [self.block[a:b].decode() for a, b in zip(self.start[first].tolist(), self.end[first].tolist())]
-        return Distinct(text, rank[inverse.reshape(-1)], first)
+        return Distinct(text, index, first)
+
+    def _by_dict(self) -> Distinct:
+        """distinct() by a dict of the fields' bytes."""
+        seen: dict[bytes, int] = {}
+        spans = zip(self.start.tolist(), self.end.tolist())
+        index = np.fromiter((seen.setdefault(self.block[a:b], len(seen)) for a, b in spans), np.intp, len(self))
+        return Distinct([field.decode() for field in seen], index, np.unique(index, return_index=True)[1])
 
 
 def read_csv_blocks(path: Path, required: Sequence[str], what: str) -> Iterator[dict[str, CsvColumn]]:
@@ -226,13 +261,31 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
 
 
 def _columns(block: bytes, width: int) -> list[CsvColumn]:
-    """The first `width` columns of the non-blank lines of a block that ends with a line end."""
+    """The first `width` columns of the non-blank lines of a block that ends with a line end.
+
+    A block of width - 1 commas a line, as in every file this program writes,
+    is split by one reshape of its comma positions: the check that it is one
+    is that they number width - 1 a line and that each line's share of them,
+    in order, starts and ends inside it. Any other block goes through
+    _ragged_columns."""
     data = np.frombuffer(block, np.uint8)
     end = np.flatnonzero((data == 10) | (data == 13))
     begin = np.concatenate(([0], end[:-1] + 1))
     filled = end > begin
     begin, end = begin[filled], end[filled]
     commas = np.flatnonzero(data == 44)
+    if commas.size == (width - 1) * end.size:
+        sep = commas.reshape(end.size, width - 1)
+        if (sep[:, :1] >= begin[:, None]).all() and (sep[:, -1:] < end[:, None]).all():
+            cuts = np.vstack((begin - 1, sep.T, end))  # row j + 1 ends field j, which starts after row j
+            return [CsvColumn(block, cuts[j] + 1, cuts[j + 1]) for j in range(width)]
+    return _ragged_columns(block, begin, end, commas, width)
+
+
+def _ragged_columns(block: bytes, begin: np.ndarray, end: np.ndarray, commas: np.ndarray,
+                    width: int) -> list[CsvColumn]:
+    """_columns of a block whose lines may hold any number of commas, given the
+    begin and end of its non-blank lines and the positions of its commas."""
     count = np.bincount(np.searchsorted(end, commas), minlength=end.size)  # the commas of each line
     sep = np.append(commas, 0)  # never empty, so that a clipped take works
     first = np.cumsum(count) - count  # the index in commas of each line's first comma

@@ -5,6 +5,7 @@ import ast
 import csv
 import json
 import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,10 @@ import debris_ews._common as _common
 from debris_ews._common import (
     CodedColumn, InputError, cell, cells, read_csv_blocks, read_json, write_csv, write_json,
 )
+from debris_ews.cli import read_scores_csv, write_scores_csv
+from debris_ews.rainfall import RainSeries, read_rainfall_csv, write_rainfall_csv
+
+from conftest import random_rain
 
 SRC = Path(debris_ews.__file__).parent
 
@@ -228,6 +233,84 @@ def test_read_csv_blocks_names_a_missing_or_unreadable_file(tmp_path):
         next(read_csv_blocks(gone, ("a", "b"), "rain"))
     with pytest.raises(InputError, match=f"^cannot read rain CSV {re.escape(str(tmp_path))}: Is a directory$"):
         next(read_csv_blocks(tmp_path, ("a", "b"), "rain"))
+
+
+def _reference_distinct(fields):
+    """CsvColumn.distinct by a dict of the fields' bytes: the texts in order of first
+    appearance, each field's number and each text's first field."""
+    seen, first = {}, {}
+    index = [seen.setdefault(field.encode(), len(seen)) for field in fields]
+    for i, k in enumerate(index):
+        first.setdefault(k, i)
+    return [b.decode() for b in seen], index, list(first.values())
+
+
+def _random_fields(rng, widest, runs):
+    """Fields of at most `widest` bytes drawn from a pool that holds a field of every
+    size up to it, each of those with a NUL appended, prefixes of them and non-ASCII
+    text: drawn one at a time, or in runs of up to 40 equal fields."""
+    sized = ["".join(rng.choice(list("ab-:.09Z"), size)) for size in range(widest + 1)]
+    pool = [*sized, *(f + "\0" for f in sized[:-1]), *(f[:k] for f in sized[widest // 2 :] for k in (1, 8)),
+            *("é" * k for k in range(1, widest // 2 + 1)), *("東" * k for k in range(1, widest // 3 + 1))]
+    draws = rng.integers(0, len(pool), 400)
+    if runs:
+        draws = np.repeat(draws, rng.integers(1, 41, draws.size))
+    return [pool[d] for d in draws]
+
+
+def _spy(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name from now on."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("runs", [False, True], ids=["no runs", "runs"])
+@pytest.mark.parametrize("widest", [7, 8, 9, 16, 17, 40])
+def test_distinct_matches_a_dict_of_the_fields(monkeypatch, widest, runs):
+    by_dict = _spy(monkeypatch, _common.CsvColumn, "_by_dict")
+    for seed in range(3):
+        fields = _random_fields(np.random.default_rng([widest, runs, seed]), widest, runs)
+        got = _common.CsvColumn.of(fields).distinct()
+        assert (got.text, got.index.tolist(), got.first.tolist()) == _reference_distinct(fields)
+    assert by_dict == []  # keyed, exactly or by the hash, not by the dict
+
+
+@pytest.mark.parametrize("widest", [8, 17, 40])
+def test_distinct_falls_back_to_the_dict_when_long_fields_share_a_hash(monkeypatch, widest):
+    monkeypatch.setattr(_common, "_HASH_MULTIPLIER", np.uint64(0))  # every field of 8 bytes or more keys 0
+    by_dict = _spy(monkeypatch, _common.CsvColumn, "_by_dict")
+    fields = _random_fields(np.random.default_rng(widest), widest, runs=True)
+    got = _common.CsvColumn.of(fields).distinct()
+    assert (got.text, got.index.tolist(), got.first.tolist()) == _reference_distinct(fields)
+    assert len(by_dict) == 1
+
+
+def test_written_csv_files_take_the_reshape_split_and_the_keyed_distinct(tmp_path, monkeypatch, csv_blocks):
+    """Every file this program writes is split by one reshape and keyed without the
+    dict, at any block size: the speed of every CSV read rests on it."""
+    ragged = _spy(monkeypatch, _common, "_ragged_columns")
+    by_dict = _spy(monkeypatch, _common.CsvColumn, "_by_dict")
+    rng = np.random.default_rng(11)
+    n = 480  # 4 windows of 120 hours, ids of 25 bytes and scores of up to 21 as the eval writes them
+    window_ids = [f"S{i // 120:03d}/2019-05-{1 + i // 120:02d}T00:00:00Z" for i in range(n)]
+    write_scores_csv(tmp_path / "scores.csv", window_ids, np.arange(n) % 120, rng.random(n) < 0.2, rng.random(n))
+    start = datetime(2019, 5, 1, tzinfo=timezone.utc)
+    series = [RainSeries(f"S{k:03d}", start, np.round(random_rain(rng, 150), 1 if k else 17)) for k in range(4)]
+    write_rainfall_csv(tmp_path / "rain.csv", series)
+    assert len(read_scores_csv(tmp_path / "scores.csv")) == 4
+    assert len(read_rainfall_csv(tmp_path / "rain.csv")) == 4
+    assert (ragged, by_dict) == ([], [])
+    # the spies see the other paths: a line with an extra field, and long fields that share a hash
+    monkeypatch.setattr(_common, "_HASH_MULTIPLIER", np.uint64(0))
+    (tmp_path / "ragged.csv").write_text((tmp_path / "scores.csv").read_text() + "S009/2019-05-09T00:00:00Z,0,0,1,x\n")
+    assert len(read_scores_csv(tmp_path / "ragged.csv")) == 5
+    assert ragged and by_dict
 
 
 def _reprs_outside_raise(tree: ast.AST, in_raise: bool = False):

@@ -732,9 +732,25 @@ SCORES_FILES = {
     # windows keep their order of first appearance, which feeds the bootstrap groups
     "first appearance unlike sorted order, non-ASCII ids":
         SCORES_HEADER + "wz,0,0,0.5\nwé,0,1,0.25\nwa,0,0,0.1\nwé,1,0,0.3\n東京,0,1,0.9\nwz,1,1,0.5\nw\x00,0,0,1\nw,0,1,2\n",
-    # fields of up to 7 bytes share a uint64 key with their length; 8 and more are byte strings
+    # fields of up to 7 bytes share a uint64 key with their length; a wider column is
+    # keyed by a hash of its 8-byte words, and each field is checked byte for byte
     "fields of 7, 8 and 9 bytes": SCORES_HEADER + "w234567,0,1,0.12345\nw2345678,0,0,0.123456\nw23456789,0,1,0.1234567\n"
                                   "w234567,1,0,0.1234567\nw2345678,1,1,0.12345\nw23456789,1,0,1234567.0\n",
+    # the blocks around it are split by one reshape, its own by each line's comma count
+    "one line with an extra field":
+        SCORES_HEADER + "".join(f"w1,{h},0,0.5\n" for h in range(6)) + "w1,6,1,0.25,x\n"
+        + "".join(f"w1,{h},0,0.5\n" for h in range(7, 12)),
+    # short lines that lack only "note", which the reader does not need
+    "one short line": "window_id,hour,label,score,note\n" + "".join(f"w1,{h},0,0.5,n\n" for h in range(6))
+                      + "w1,6,1,0.25\n" + "".join(f"w1,{h},0,0.5,n\n" for h in range(7, 12)),
+    "a short line and a long one, with the commas of two whole lines":
+        "window_id,hour,label,score,note\n" + "".join(f"w1,{h},0,0.5,n\n" for h in range(3))
+        + "w1,3,1,0.25\nw1,4,0,0.75,n,x\n" + "".join(f"w1,{h},0,0.5,n\n" for h in range(5, 9)),
+    "empty first fields": SCORES_HEADER + ",0,1,0.5\nw1,0,0,0.5\n,1,0,0.25\n",
+    "empty last field": SCORES_HEADER + "".join(f"w1,{h},0,0.5\n" for h in range(6)) + "w1,6,1,\n",
+    # the first 64-character block ends between the blank line's "\r" and "\n"
+    "crlf, a blank line across a block end":
+        SCORES_HEADER + "w1,0,1,0.5\r\nw1,1,0,0.5\r\nw1,2,1,0.5\r\n\r\n" + "".join(f"w1,{h},0,0.5\r\n" for h in range(3, 8)),
 }
 
 

@@ -541,7 +541,8 @@ READABLE = {
     "extreme years": (
         "A,1969-12-31T23:00:00Z,1\nA,1970-01-01T00:00:00Z,2\nB,0001-01-01T00:00:00Z,3\nC,9999-12-31T22:00:00Z,4\n",
         False),
-    # fields of up to 7 bytes share a uint64 key with their length; 8 and more are byte strings
+    # fields of up to 7 bytes share a uint64 key with their length; a wider column is
+    # keyed by a hash of its 8-byte words, and each field is checked byte for byte
     "fields of 7, 8 and 9 bytes": (
         "ABCDEFG,2019-05-01T00:00:00Z,1.00000\nABCDEFGH,2019-05-01T00:00:00Z,1.000000\n"
         "ABCDEFGHI,2019-05-01T00:00:00Z,1.0000000\nABCDEFG,2019-05-01T01:00:00Z,1.0000000\n"
@@ -561,6 +562,15 @@ READABLE = {
         + "L" * 1000 + ",2019-05-01T00:00:00Z,1\n" + "L" * 999 + ",2019-05-01T00:00:00Z,2\n", False),
     "one non-canonical stamp, in the last block": (
         "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(12)) + "A,2019-05-01T12:00:00+00:00,12\n", False),
+    # the blocks around it are split by one reshape, its own by each line's comma count
+    "one line with an extra field": (
+        "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(6)) + "A,2019-05-01T06:00:00Z,6,x\n"
+        + "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(7, 12)), False),
+    # after the plain header, the first 64-character block ends between the
+    # blank line's "\r" and "\n"
+    "crlf, a blank line across a block end": (
+        "A,2019-05-01T00:00:00Z,1.000\r\n\r\n"
+        + "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\r\n" for h in range(1, 6)), False),
 }
 
 
@@ -621,6 +631,11 @@ ROW_ERRORS = {
     "station order decides": "B,2019-05-01T00:00:00Z,1\nB,2019-05-01T00:00:00Z,1\n"
                              "A,2019-05-01T00:00:00Z,1\nA,2019-05-01T02:00:00Z,1\n",
     "no rows": "\n\n",
+    "empty first field": "A,2019-05-01T00:00:00Z,1\n,2019-05-01T01:00:00Z,1\n",
+    "empty last field": "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(4)) + "A,2019-05-01T04:00:00Z,\n",
+    # a short line reads "" in the fields it lacks; its blank station fails first
+    "a short line among whole ones": "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(4))
+                                     + " ,2019-05-01T04:00:00Z\nA,2019-05-01T05:00:00Z,5\n",
     "late row": "".join(f"A,2019-05-01T{h:02d}:00:00Z,{h}\n" for h in range(12)) + "\nB,2019-05-01T00:00:00Z,-1\n",
 }
 
