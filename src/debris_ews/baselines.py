@@ -1,14 +1,14 @@
 """EAR-threshold alert baselines.
 
 The station model (ETM) alerts when the EAR reaches a per-station threshold;
-the homogeneous model (HM) uses one threshold everywhere. Alerts can only fire
-inside main rainfall events (EAR is 0 elsewhere, below every official
-threshold). Each model is a per-hour score, EAR over the station threshold for
-the ETM and EAR itself for the HM, so its curves come from thresholding the
-score at every distinct value, and an alert rule is one point on them: the
-official ETM point is the ETM score >= 1, an HM threshold the HM score >= it.
-Inside an event the EAR never decreases, so an alert, once fired, lasts to the
-event's end.
+the homogeneous model (HM) uses one threshold everywhere. Alerts fire only
+inside main rainfall events, where the EAR is positive (it is 0 elsewhere).
+Each model is a per-hour score, EAR over the station threshold for the ETM
+and EAR itself for the HM, so its curves come from thresholding the score at
+every distinct value, and an alert rule is one point on them: the official ETM
+point is the ETM score >= 1, an HM threshold the HM score >= it. Inside an
+event the EAR never decreases, so an alert, once fired, lasts to the event's
+end. A window's EAR is its station record's, at the window's hours.
 """
 from __future__ import annotations
 
@@ -57,11 +57,10 @@ class ThresholdTable:
 
 @dataclass(frozen=True)
 class WindowEar:
-    """Full-window EAR (0 outside events) with event spans in window coordinates."""
+    """The EAR at each hour of a window (> 0 inside events, 0 outside)."""
 
     station_id: str
     ear: np.ndarray
-    events: tuple[tuple[int, int], ...]
 
 
 def compute_window_ear(
@@ -69,17 +68,14 @@ def compute_window_ear(
     alpha: float = DEFAULT_ALPHA,
     mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY,
 ) -> WindowEar:
-    ear, events = ear_series(window.series, alpha, mode)
-    return WindowEar(window.station_id, ear, tuple((e.start_idx, e.end_idx) for e in events))
+    return WindowEar(window.station_id, ear_series(window.series, alpha, mode)[0])
 
 
 def _alerts(wear: WindowEar, threshold: float) -> np.ndarray:
     if not np.isfinite(threshold) or threshold < 0:
         raise InputError(f"threshold must be finite and >= 0, got {threshold!r}")
-    out = np.zeros(wear.ear.size, dtype=bool)
-    for s, e in wear.events:
-        out[s : e + 1] = wear.ear[s : e + 1] >= threshold
-    return out
+    # an event's first hour is wet and its antecedent >= 0, so the EAR is > 0 exactly inside events
+    return (wear.ear >= threshold) & (wear.ear > 0)
 
 
 def etm_predict(wear: WindowEar, threshold: float) -> np.ndarray:

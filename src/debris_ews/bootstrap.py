@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,19 +35,8 @@ from .metrics import counts_area, rank_codes, threshold_counts
 # about an hour of work at a few tenths of a millisecond a replicate; the kept statistics take 80 MB
 MAX_REPLICATES = 10**7
 
-
-def _area(kind: str) -> Callable[[np.ndarray, np.ndarray], float]:
-    def area(thresholds: np.ndarray, counts: np.ndarray) -> float:
-        return counts_area(kind, counts)
-
-    return area
-
-
-# statistic of the output of metrics.threshold_counts
-_STATS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "auprc": _area("PR"),
-    "auroc": _area("ROC"),
-}
+# the curve whose area each statistic is
+_CURVES = {"auprc": "PR", "auroc": "ROC"}
 
 
 @dataclass(frozen=True)
@@ -125,9 +114,9 @@ def block_bootstrap_ci(
         raise InputError("level must be in (0, 1)")
 
     try:
-        stat_fn, stat_name = _STATS[stat.lower()], stat.lower()
+        kind, stat_name = _CURVES[stat.lower()], stat.lower()
     except KeyError:
-        raise InputError(f"unknown statistic {stat!r}; expected one of {sorted(_STATS)}") from None
+        raise InputError(f"unknown statistic {stat!r}; expected one of {sorted(_CURVES)}") from None
 
     prepared = []
     for scores, labels in groups:
@@ -142,15 +131,15 @@ def block_bootstrap_ci(
     if replicates < 100:
         warnings.append(f"only {replicates} replicates; interval endpoints are coarse")
 
-    point = float(stat_fn(*threshold_counts(thresholds, codes)))
+    point = float(counts_area(kind, threshold_counts(thresholds, codes)[1]))
     sampler = _CircularIndex(np.array([s.size for s, _ in prepared]), block_hours)
     padded_codes = codes[sampler.hours]
     stats = np.empty(replicates)
     kept = 0
     for r in range(replicates):
-        thr, counts = threshold_counts(thresholds, padded_codes.take(sampler.positions(derived_rng(seed, 3, r))))
+        _, counts = threshold_counts(thresholds, padded_codes.take(sampler.positions(derived_rng(seed, 3, r))))
         if counts[:, -1].all():  # both classes drawn
-            stats[kept] = stat_fn(thr, counts)
+            stats[kept] = counts_area(kind, counts)
             kept += 1
     skipped = replicates - kept
     if kept == 0:

@@ -11,7 +11,7 @@ Every window hour becomes one example, and window_rows alone orders and labels
 the rows: windows in order, hours ascending, positive for the debris flow hour
 and the lead_time hours before it. Features are, in order: the most recent
 hourly values (newest first), daily totals for full days before the hourly
-block, and optionally the EAR at the prediction hour.
+block (both window-local), and optionally the record's EAR at the hour.
 """
 from __future__ import annotations
 
@@ -116,7 +116,7 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class DatasetWindow:
-    """One self-contained window slice; features are computed within it."""
+    """One window, a slice of its station's record (see build_examples for its features)."""
 
     station_id: str
     series: RainSeries
@@ -307,7 +307,7 @@ def build_examples(
 
     Hourly features are the spec.hourly_hours most recent values, newest first,
     zero-padded before the window start. Daily sums cover full days strictly
-    before the hourly block. The EAR feature is 0 outside main events.
+    before the hourly block. The EAR feature is the record's (0 outside events).
     """
     window_ids, hours, y = window_rows(windows, labeling)
     X = np.zeros((y.size, spec.n_features))

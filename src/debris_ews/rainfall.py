@@ -10,12 +10,13 @@ The EAR at hour t of an event is the rain accumulated by the event through t
 plus a constant antecedent index: the seven daily totals preceding the event
 start, the i-th day back weighted by alpha**i (alpha = 0.7 by default). Hours
 outside any event carry an EAR of 0 so per-hour alert scores are defined over a
-whole record. Hours before the start of a record contribute 0 mm to daily
-totals.
+whole record; a slice of a record reads the record's EAR. Hours before the
+start of a record contribute 0 mm to daily totals.
 """
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -59,6 +60,7 @@ class RainSeries:
     station_id: str
     start: datetime
     values: np.ndarray
+    origin = None  # (record, hour offset) of a slice, set by slice_hours; None for a record
 
     def __post_init__(self) -> None:
         if not self.station_id:
@@ -103,9 +105,10 @@ class RainSeries:
         the slice is neither copied nor checked again."""
         if not (0 <= start_idx <= end_idx < len(self)):
             raise InputError(f"slice [{start_idx}, {end_idx}] out of range (len {len(self)})")
+        record, offset = self.origin or (self, 0)
         part = object.__new__(RainSeries)
         part.__dict__.update(station_id=self.station_id, start=self.hour_at(start_idx),
-                             values=self.values[start_idx : end_idx + 1])
+                             values=self.values[start_idx : end_idx + 1], origin=(record, offset + start_idx))
         return part
 
 
@@ -199,8 +202,20 @@ def _ear_pass(
 def ear_series(
     series: RainSeries, alpha: float = DEFAULT_ALPHA, mode: DailyWindowMode = DailyWindowMode.CALENDAR_DAY
 ) -> tuple[np.ndarray, list[MainEvent]]:
-    """Full-length EAR: event traces in place, 0 outside events."""
-    return _ear_pass(series, alpha, mode)[:2]
+    """The record's EAR at the series' hours (0 outside events) and the record's events
+    clipped to them; a record computes it once per alpha and mode, shared read-only."""
+    record, offset = series.origin or (series, 0)
+    ears = record.__dict__.setdefault("ears", {})  # by (alpha, daily mode), kept on the frozen record
+    key = (alpha, DailyWindowMode(mode))
+    if key not in ears:
+        ears[key] = _ear_pass(record, alpha, mode)
+        ears[key][0].flags.writeable = False
+    ear, events, _ = ears[key]
+    end = offset + len(series)
+    first = bisect_left(events, offset, key=lambda ev: ev.end_idx)  # events are sorted and disjoint
+    stop = bisect_left(events, end, key=lambda ev: ev.start_idx)
+    return ear[offset:end], [MainEvent(max(ev.start_idx, offset) - offset, min(ev.end_idx, end - 1) - offset)
+                             for ev in events[first:stop]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,38 +2,46 @@ import numpy as np
 import pytest
 
 from debris_ews import (
+    DailyWindowMode,
     DatasetWindow,
+    FeatureSpec,
     InputError,
+    MainEvent,
     ThresholdTable,
     WindowKind,
+    build_examples,
+    build_windows,
     compute_window_ear,
+    ear_series,
     etm_predict,
     etm_scores,
     hm_predict,
     hm_scores,
+    segment_events,
 )
+from debris_ews._common import HOUR
 from debris_ews.baselines import MARKED_THRESHOLDS_MM, WindowEar, read_threshold_csv, write_threshold_csv
 
-from conftest import random_rain, series
+from conftest import T0, random_rain, series
 
 
-def _wear(ear, events, sid="S000"):
-    return WindowEar(sid, np.asarray(ear, dtype=float), tuple(events))
+def _wear(ear, sid="S000"):
+    return WindowEar(sid, np.asarray(ear, dtype=float))
 
 
 def test_alert_at_crossing_hour():
-    w = _wear([100.0, 250.0, 310.0], [(0, 2)])
+    w = _wear([100.0, 250.0, 310.0])
     assert etm_predict(w, 300.0).tolist() == [False, False, True]
 
 
 def test_alert_threshold_edges():
-    w = _wear([100.0, 250.0, 310.0], [(0, 2)])
+    w = _wear([100.0, 250.0, 310.0])
     assert etm_predict(w, 1e-9).tolist() == [True, True, True]
     assert etm_predict(w, 1000.0).tolist() == [False, False, False]
 
 
 def test_alerts_only_inside_events():
-    w = _wear([50.0, 0.0, 0.0, 80.0], [(0, 0), (3, 3)])
+    w = _wear([50.0, 0.0, 0.0, 80.0])
     got = hm_predict(w, 10.0)
     assert got.tolist() == [True, False, False, True]
     # threshold zero still never alerts outside events
@@ -44,11 +52,9 @@ def test_etm_equals_hm_with_constant_table():
     rng = np.random.default_rng(2)
     wears = []
     for i in range(5):
-        from debris_ews import ear_series
-
         s = series(random_rain(rng, 200), station_id=f"S{i:03d}")
-        ear, events = ear_series(s)
-        wears.append(_wear(ear, [(e.start_idx, e.end_idx) for e in events], sid=f"S{i:03d}"))
+        ear = ear_series(s)[0]
+        wears.append(_wear(ear, sid=f"S{i:03d}"))
     table = ThresholdTable({f"S{i:03d}": 250.0 for i in range(5)})
     for w in wears:
         np.testing.assert_array_equal(etm_predict(w, table[w.station_id]), hm_predict(w, 250.0))
@@ -57,11 +63,9 @@ def test_etm_equals_hm_with_constant_table():
 def test_threshold_monotonicity_random_traces():
     rng = np.random.default_rng(4)
     for _ in range(30):
-        from debris_ews import ear_series
-
         s = series(random_rain(rng, 300))
-        ear, events = ear_series(s)
-        w = _wear(ear, [(e.start_idx, e.end_idx) for e in events])
+        ear = ear_series(s)[0]
+        w = _wear(ear)
         lo = hm_predict(w, 30.0)
         hi = hm_predict(w, 90.0)
         assert not (hi & ~lo).any()  # raising the threshold never adds alerts
@@ -69,32 +73,28 @@ def test_threshold_monotonicity_random_traces():
 
 def test_scores_match_swept_predictions():
     rng = np.random.default_rng(9)
-    from debris_ews import ear_series
-
     s = series(random_rain(rng, 400))
-    ear, events = ear_series(s)
-    w = _wear(ear, [(e.start_idx, e.end_idx) for e in events])
+    ear, events = ear_series(s)[0], segment_events(s)
+    w = _wear(ear)
     table = ThresholdTable({"S000": 250.0})
     scores = etm_scores([w], table)
     for scale in (0.1, 0.5, 1.0, 2.0):
         direct = etm_predict(w, scale * 250.0)
         via_scores = np.zeros_like(direct)
-        for a, b in w.events:
-            via_scores[a : b + 1] = scores[a : b + 1] >= scale
+        for ev in events:
+            via_scores[ev.start_idx : ev.end_idx + 1] = scores[ev.start_idx : ev.end_idx + 1] >= scale
         np.testing.assert_array_equal(direct, via_scores)
     # the homogeneous model at any uniform threshold, the marked ones included,
     # is its EAR score thresholded; outside events the score is 0 and never alerts
     ear_scores = hm_scores([w])
-    inside = np.zeros(ear_scores.size, dtype=bool)
-    for a, b in w.events:
-        inside[a : b + 1] = True
+    inside = ear > 0
     for thr in (1e-9, 30.0, *MARKED_THRESHOLDS_MM, ear_scores.max(), ear_scores.max() + 1.0):
         np.testing.assert_array_equal(hm_predict(w, float(thr)), inside & (ear_scores >= thr))
 
 
 def test_scores_follow_the_order_of_the_windows_given():
-    a = _wear([0.0, 120.0, 300.0], [(1, 2)], sid="S000")
-    b = _wear([400.0, 0.0], [(0, 0)], sid="S001")
+    a = _wear([0.0, 120.0, 300.0], sid="S000")
+    b = _wear([400.0, 0.0], sid="S001")
     table = ThresholdTable({"S000": 200.0, "S001": 400.0})
     np.testing.assert_array_equal(etm_scores([a, b], table), [0.0, 0.6, 1.5, 1.0, 0.0])
     np.testing.assert_array_equal(hm_scores([a, b]), [0.0, 120.0, 300.0, 400.0, 0.0])
@@ -114,7 +114,7 @@ def test_official_table_validation():
 
 
 def test_missing_station_is_actionable():
-    w = _wear([10.0], [(0, 0)], sid="S999")
+    w = _wear([10.0], sid="S999")
     table = ThresholdTable({"S000": 300.0})
     with pytest.raises(InputError, match="S999"):
         etm_scores([w], table)
@@ -177,6 +177,46 @@ def test_window_ear_pipeline():
     values[200:210] = 20.0
     w = DatasetWindow("S000", series(values), WindowKind.NEGATIVE)
     wear = compute_window_ear(w)
-    assert wear.events == ((200, 209),)
     assert wear.ear[:200].tolist() == [0.0] * 200
     assert wear.ear[209] == pytest.approx(200.0)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.35])
+@pytest.mark.parametrize("mode", list(DailyWindowMode))
+def test_windows_read_their_records_ear(mode, alpha):
+    """The window EAR and the EAR feature of every window, and of slices that start
+    inside an event or up to 7 days after one, are the record's EAR at the window's
+    hours, bit for bit; the events are the record's, clipped to the window."""
+    rng = np.random.default_rng(29)
+    spec = FeatureSpec(hourly_hours=0, include_ear=True, daily_mode=mode, alpha=alpha)
+    for trial in range(6):
+        values = random_rain(rng, int(rng.integers(800, 1600)), wet_prob=0.06)
+        record = series(values, start=T0 + int(rng.integers(24)) * HOUR)
+        want = ear_series(series(values, start=record.start), alpha, mode)[0]  # over a fresh copy of the record
+        events = segment_events(record)
+        flows = [record.hour_at(int(rng.integers(ev.start_idx, ev.end_idx + 1))) for ev in events[1::3]]
+        windows = build_windows(record, flows)
+        spans = [(w, record.index_of(w.series.start)) for w in windows]
+        for i in rng.choice(len(events), size=min(len(events), 8), replace=False):
+            ev = events[i]
+            inside = int(rng.integers(ev.start_idx, ev.end_idx + 1))
+            after = min(ev.end_idx + int(rng.integers(1, 7 * 24 + 1)), len(record) - 1)  # within 7 days
+            a = inside if rng.random() < 0.5 else after
+            b = min(a + int(rng.integers(0, 400)), len(record) - 1)
+            spans.append((DatasetWindow(record.station_id, record.slice_hours(a, b), WindowKind.NEGATIVE), a))
+            k = int(rng.integers(0, b - a + 1))  # a slice of the slice, cut at its own hour k
+            spans.append((DatasetWindow(record.station_id, spans[-1][0].series.slice_hours(k, b - a),
+                                        WindowKind.NEGATIVE), a + k))
+        column = build_examples([w for w, _ in spans], spec).X[:, -1]
+        for w, a in spans:
+            b = a + len(w)
+            assert compute_window_ear(w, alpha, mode).ear.tobytes() == want[a:b].tobytes(), (trial, w.id)
+            assert column[: len(w)].tobytes() == want[a:b].tobytes(), (trial, w.id)
+            column = column[len(w):]
+            assert ear_series(w.series, alpha, mode)[1] == [
+                MainEvent(max(ev.start_idx, a) - a, min(ev.end_idx, b - 1) - a)
+                for ev in events if ev.end_idx >= a and ev.start_idx < b
+            ], (trial, w.id)
+        for s in (record, *(w.series for w, _ in spans)):  # one array, shared by the record and its slices
+            with pytest.raises(ValueError, match="read-only"):
+                ear_series(s, alpha, mode)[0][0] = 1.0

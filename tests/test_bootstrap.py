@@ -29,7 +29,7 @@ def test_deterministic_given_seed():
 
 
 def test_zero_width_for_constant_statistic(monkeypatch):
-    monkeypatch.setitem(bootstrap._STATS, "auprc", lambda s, y: 0.42)
+    monkeypatch.setattr(bootstrap, "counts_area", lambda kind, counts: 0.42)
     groups = [(np.array([0.9, 0.1, 0.8, 0.2]), np.array([1, 0, 1, 0]))]
     ci = block_bootstrap_ci(groups, "auprc", replicates=50, seed=1)
     assert ci.lower == ci.upper == 0.42

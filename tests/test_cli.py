@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from debris_ews import InputError, __version__, segment_events
+from debris_ews._common import HOUR, format_ts, parse_ts
 from debris_ews.cli import SCORES_CSV_COLUMNS, main, read_scores_csv, write_scores_csv
 from debris_ews.rainfall import read_rainfall_csv
 
@@ -122,6 +123,30 @@ def test_ear_csv_columns_match_ear_trace(pipeline, tmp_path, mode):
         assert [r["event_id"] for r in mine] == owner
         assert all(r["ear_mm"] == "0.0" and r["antecedent_mm"] == "" for r, o in zip(mine, owner) if o == "")
     assert rows == [] and events > 20
+
+
+def test_ear_csv_hm_scores_and_ear_feature_agree(golden, tmp_path):
+    """ear.csv's EAR, the HM scores and the --include-ear feature are one quantity:
+    at every window hour of the golden corpus they hold the same float."""
+    for argv in (
+        cli_argv("ear", golden, tmp_path / "ear"),
+        cli_argv("sweep-baselines", golden, tmp_path / "base") + ["--split", "all"],
+        cli_argv("build-dataset", golden, tmp_path / "data") + ["--export-features", "--hours", "0", "--include-ear"],
+    ):
+        assert main(argv) == 0, argv
+
+    def rows(path):
+        with path.open(newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    ear = {(r["station_id"], r["timestamp"]): r["ear_mm"] for r in rows(tmp_path / "ear" / "ear.csv")}
+    hm, features = rows(tmp_path / "base" / "hm_scores.csv"), rows(tmp_path / "data" / "features.csv")
+    assert [(r["window_id"], r["hour"]) for r in hm] == [(r["window_id"], r["hour"]) for r in features]
+    for score, feature in zip(hm, features):
+        sid, start = score["window_id"].split("/")
+        ts = format_ts(parse_ts(start) + int(score["hour"]) * HOUR)
+        assert float(score["score"]) == float(feature["f0"]) == float(ear[sid, ts]), (sid, ts)
+    assert len(hm) > 2000
 
 
 def test_manifest_and_split(pipeline):

@@ -27,10 +27,10 @@ GOLDEN_PIPELINE = {
     "2.4": {
         "model/model.json": "6b6488ecfb4ddee38c8bbba727eedfcbbc3a62b3d88a4e70b3ca3a562809cfc3",
         "eval/scores.csv": "f43aa7b0066ce71dd44873f49989ed907bab92815bbd495f6a75ea695748e1a3",
-        "baselines/etm_scores.csv": "9a60ef1b336afe1cf19ff47cde97d0a6002e7d461e1ab6dfc03c052b4f71a023",
-        "baselines/hm_scores.csv": "2eda2231203bb95da63e1de90427774ea09c7deaa33101f2003a77a7fd2a0666",
-        "baselines/baselines.json": "4bcbd2b5bd86129790496e3c9d9ab860b453b60d76d856510e19064b91dde38d",
-        "baselines/hm_marked.csv": "9ed39b7e7394aa17b41bcf04d9d878a4926a95b1d6629f215da47f0b82408818",
+        "baselines/etm_scores.csv": "8b3bf38e9e9fd83ac5a478abfb706e6deef08402ccb908f8cb6e6d9eb8317456",
+        "baselines/hm_scores.csv": "5df6cbb0b9eb4f3b1e43ed998b4b23051851580122b51eb339c4bbe1dc8e1eee",
+        "baselines/baselines.json": "14ac73ab623b035379ea99cdeffb1cc09430f398d96a76530162032157dceba3",
+        "baselines/hm_marked.csv": "9f86531a3a4be6f9f2d4c55a0abd9692b4844afa7be3340c75a7df823a4403b7",
         "ci/ci.json": "75da0b14c95259e08e33e6de53a4b0d3617afdde2895127b32719ad6f5baddbc",
         "capture/event_capture.csv": "5fc7a0b09fa5973f7f14aa97d674c4914fad9154f2397edf47c50f23f6e2d1c5",
         "explain/attributions.csv": "3b8bcb86229e91d31612cc9f923758d10073daaae21a40b51e90044d3dda17cf",
@@ -51,10 +51,10 @@ GOLDEN_ARTIFACTS = {
         "pipeline/eval/model_roc.csv": "d225cac6e609eef11e8196d016a0bcb6fa38f93c7f261a1f53cd2129271e50d5",
         "pipeline/eval/model_pr.csv": "76844b57a0c8e4de57c7bd73bca1c1037ab62ef8cae39bdd137317432d5500a7",
         "pipeline/eval/metrics.json": "b42449ca0d759a1d2e3a455016dcb723799e99acb10a0424d9283709fea7ddba",
-        "pipeline/baselines/etm_roc.csv": "7181d0ce8a7247e6d8777d96fd88ebe3382fccf2988fad637a3b060684a1478c",
-        "pipeline/baselines/etm_pr.csv": "4d0aa81734b66995f8bf6178d3ebf2ef843025ba84b0429224a62a1522bd2362",
-        "pipeline/baselines/hm_roc.csv": "4d77ade1960919219147117649881a0d54b823fd9bbb93f3bbdbfe62fd2f7ccf",
-        "pipeline/baselines/hm_pr.csv": "34dd64f628c9605bc6e022a2ec494350b7bd2a30e0498f4830c27b4075744ed8",
+        "pipeline/baselines/etm_roc.csv": "e16041187659ef8aeef77fe5ab3d553805025776dce2d2c7e80f66d1011e03c0",
+        "pipeline/baselines/etm_pr.csv": "c74eb7ab32ed967b53c0028615cc20278e19f3b8f8e572f49f4d38a48193e168",
+        "pipeline/baselines/hm_roc.csv": "1571d1c1bd65260dad2d028f490a0b54846a9be0f8f884c7d0e47311ebb59ec3",
+        "pipeline/baselines/hm_pr.csv": "15ae9f9635e0089df17cd605ae3b6d2f494285bf4eec0384f1338afdfbfb2362",
         "pipeline/op/operating_points.csv": "cbba4b823dcb9550b4144cf08fed583ecda39d6a32f7de75dfdfdcb70a4c6020",
         "pipeline/explain/importance.csv": "2cdc8e122ff895e243c1d95e797d0587a1634c11098fba477e618381acb3cd95",
         "pipeline/explain/explain.json": "9eac82622e379ba63d289ec87220495c6d276cd0cd7c2851a8ddba20df812246",
@@ -63,7 +63,7 @@ GOLDEN_ARTIFACTS = {
         "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
         "run/cv_gbt/cv_results.csv": "f3f51ad034148154e6c0cc36737a1a2fc799539fb1c24868e3ca0a95aa566f36",
         "run/gbt/model.json": "52b05a5ae98d59e577acc6ace5d6274b41644c93ea16f4c7da5d6c2fb089322c",
-        "run/gbt_deep/model.json": "e7b61d4351a6d3fe711aee952794f039321c3ee1cfc21e856248ebfbe210438c",
+        "run/gbt_deep/model.json": "064fc1b28df28661545c8c5aa34006e6252b6e931af3f455925357c729c5d4ad",
         "run/rf_tw0.1/model.json": "cfd046f9ca9d3c687e40dfd4905e77e0bafd731f01e39ef5838aa722b3623d04",
         "run/rf_tw10/model.json": "d77101e86efef026288c1658d872a9fd452094dd2a4282938bd11d799a4553f4",
     },
