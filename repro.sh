@@ -3,6 +3,7 @@
 #
 # Emits, under $OUT (default ./repro_out):
 #   eval_rf/model_{roc,pr}.csv + eval_baselines/{etm,hm}_{roc,pr}.csv   (curve comparison)
+#   eval_logistic/metrics.json                                          (logistic regression)
 #   ci_{rf,etm,hm}/ci.json                                              (block-bootstrap CIs)
 #   op_{rf,etm,hm}/operating_points.csv                                 (trade-off tables)
 #   capture/event_capture.csv                                           (captured/missed flows)
@@ -48,6 +49,15 @@ $EWS eval \
   --model "$OUT/model_rf/model.json" \
   --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
   --out "$OUT/eval_rf" --split test
+
+section "logistic regression (48 most recent hours) and its test-split evaluation"
+$EWS train \
+  --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
+  --out "$OUT/model_logistic" --seed $SEED --hours 48 --model logistic
+$EWS eval \
+  --model "$OUT/model_logistic/model.json" \
+  --rainfall "$OUT/corpus/rainfall.csv" --manifest "$OUT/data/manifest.json" \
+  --out "$OUT/eval_logistic" --split test
 
 section "EAR threshold baselines"
 $EWS sweep-baselines \

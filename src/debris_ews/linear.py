@@ -1,22 +1,27 @@
-"""Logistic regression fit by full-batch gradient descent with backtracking.
+"""Logistic regression fit by damped Newton steps (IRLS; *The Elements of
+Statistical Learning*, section 4.4.1).
 
 The objective is the weighted negative log-likelihood plus an optional L2
-penalty on the weights (never the bias). The loss is convex, so any step
-sequence with non-increasing accepted loss converges; iteration stops when the
-gradient norm drops below tol or after max_iter steps.
+penalty on the weights (never the bias). Each step solves the Hessian system
+on [X 1] by least squares, which a duplicate or all-zero column leaves
+solvable, then backtracks to the Armijo condition. The fit converges once the
+Newton decrement, the gradient times the step, falls to tol times the loss, so
+the scale of the features or of the sample weights does not move the stop;
+below a loss of 1 the bound is tol itself, since separable data has no optimum.
+It also stops after max_iter steps or at a step that does not lower the loss.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._common import InputError
-from .trees import check_training_inputs
+from .trees import check_rows, check_training_inputs
 
-log = logging.getLogger(__name__)
+# Rows of [X 1] whose Hessian terms are summed at a time
+_HESSIAN_BLOCK_ROWS = 1 << 12
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -32,8 +37,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 class LogisticParams:
     penalty: str = "none"  # "none" | "l2"
     l2: float = 0.0
-    max_iter: int = 10000
-    tol: float = 1e-6
+    max_iter: int = 10000  # Newton steps
+    tol: float = 1e-6  # on the Newton decrement, relative to max(loss, 1)
 
     def __post_init__(self) -> None:
         if self.penalty not in ("none", "l2"):
@@ -42,6 +47,10 @@ class LogisticParams:
             raise InputError("l2 penalty requires a positive coefficient")
         if self.penalty == "none" and self.l2:
             raise InputError("l2 coefficient given but penalty is none")
+        if self.max_iter < 1:
+            raise InputError("max_iter must be >= 1")
+        if not self.tol > 0:
+            raise InputError("tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,7 @@ class LinearModel:
     converged: bool = True
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.weights.size:
-            raise InputError(f"expected {self.weights.size} features, got shape {X.shape}")
-        return sigmoid(X @ self.weights + self.bias)
+        return sigmoid(check_rows(X, self.weights.size) @ self.weights + self.bias)
 
 
 def logistic_loss(
@@ -72,18 +78,6 @@ def logistic_loss(
     return nll + 0.5 * l2 * float(np.dot(weights, weights))
 
 
-def logistic_gradient(
-    weights: np.ndarray,
-    bias: float,
-    X: np.ndarray,
-    y: np.ndarray,
-    sample_weight: np.ndarray,
-    l2: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    r = sample_weight * (sigmoid(X @ weights + bias) - y)
-    return X.T @ r + l2 * weights, float(r.sum())
-
-
 def fit_logistic(
     X: np.ndarray,
     y: Sequence[int],
@@ -92,39 +86,41 @@ def fit_logistic(
     training_weight: float = 1.0,
 ) -> LinearModel:
     X, y, w = check_training_inputs(X, y, sample_weight, training_weight)
-    l2 = params.l2  # 0 unless the penalty is l2, as __post_init__ checks
-
-    weights = np.zeros(X.shape[1])
-    bias = 0.0
-    loss = logistic_loss(weights, bias, X, y, w, l2)
+    n = X.shape[1]
+    ridge = np.r_[np.full(n, params.l2), 0.0]  # 0 unless the penalty is l2, as __post_init__ checks
+    theta = np.zeros(n + 1)  # the weights, then the bias
+    loss = logistic_loss(theta[:n], 0.0, X, y, w, params.l2)
     if not np.isfinite(loss):
         raise InputError("non-finite initial loss")
-    step = 1.0 / max(1.0, float(np.abs(X).sum(axis=1).max()))  # crude curvature bound
-    converged = False
     for _ in range(params.max_iter):
-        gw, gb = logistic_gradient(weights, bias, X, y, w, l2)
-        gnorm = float(np.sqrt(np.dot(gw, gw) + gb * gb))
-        if gnorm < params.tol:
-            converged = True
-            break
+        p = sigmoid(X @ theta[:n] + theta[n])
+        r = w * (p - y)
+        grad = np.r_[X.T @ r, r.sum()] + ridge * theta
+        s = w * p * (1.0 - p)
+        hess = np.diag(ridge)
+        with np.errstate(over="ignore"):  # checked below
+            for lo in range(0, len(X), _HESSIAN_BLOCK_ROWS):
+                rows = slice(lo, lo + _HESSIAN_BLOCK_ROWS)
+                block = np.c_[X[rows], np.ones(len(s[rows]))]
+                hess += block.T @ (s[rows, None] * block)
+        if not np.isfinite(hess).all():
+            raise InputError("feature values too large for a logistic fit: its Hessian overflows")
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        decrement = float(grad @ step)
+        converged = decrement <= params.tol * max(loss, 1.0)
         # backtracking line search with the Armijo condition
-        g2 = gnorm * gnorm
-        alpha = step
+        alpha = 1.0
         for _ in range(60):
-            cand_w = weights - alpha * gw
-            cand_b = bias - alpha * gb
-            cand_loss = logistic_loss(cand_w, cand_b, X, y, w, l2)
-            if np.isfinite(cand_loss) and cand_loss <= loss - 1e-4 * alpha * g2:
+            cand = theta - alpha * step
+            cand_loss = logistic_loss(cand[:n], cand[n], X, y, w, params.l2)
+            if np.isfinite(cand_loss) and cand_loss <= loss - 1e-4 * alpha * decrement:
                 break
             alpha *= 0.5
         else:
             break  # no productive step at float resolution
-        if cand_loss > loss:
-            raise AssertionError("accepted line-search step increased the loss")
-        weights, bias, loss = cand_w, cand_b, cand_loss
-        step = min(alpha * 2.0, 1e6)
-    if not np.isfinite(loss):
-        raise InputError("logistic training diverged to a non-finite loss")
-    if not converged:
-        log.debug("logistic fit stopped before the gradient tolerance was reached")
-    return LinearModel(weights, float(bias), params, converged)
+        if not cand_loss < loss:
+            break
+        theta, loss = cand, cand_loss
+        if converged:  # after its last step, whose decrement met tol
+            break
+    return LinearModel(theta[:n].copy(), float(theta[n]), params, converged)

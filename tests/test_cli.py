@@ -490,6 +490,12 @@ def test_train_rejects_weights_whose_total_squared_overflows(pipeline, tmp_path,
     assert not (out / "model.json").exists()
 
 
+def test_train_logistic_converges_on_the_golden_corpus(golden, tmp_path):
+    assert main(cli_argv("train", golden, tmp_path) + ["--model", "logistic", "--hours", "48"]) == 0
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert doc["kind"] == "logistic" and doc["converged"] is True
+
+
 def test_python_m_runs_the_cli_from_the_sources():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}

@@ -650,7 +650,7 @@ def test_level_walk_matches_the_compacting_walk_on_loaded_trees(tmp_path):
         assert loaded.predict_proba(X_test).tobytes() == model.predict_proba(X_test).tobytes()
 
 
-@pytest.mark.parametrize("bad, message", [
+BAD_MATRICES = pytest.mark.parametrize("bad, message", [
     ([[0.0, np.nan, 1.0, 2.0]], "feature matrix contains NaN or infinite values"),
     ([[0.0, np.inf, 1.0]], "feature matrix contains NaN or infinite values"),
     (np.ones((3, 5)), "expected 4 features, got 5"),
@@ -659,6 +659,9 @@ def test_level_walk_matches_the_compacting_walk_on_loaded_trees(tmp_path):
     (np.zeros((2, 0)), "feature matrix must be non-empty 2-D, got shape (2, 0)"),
     (np.ones(4), "feature matrix must be non-empty 2-D, got shape (4,)"),
 ], ids=["nan", "inf", "wide", "narrow view", "no rows", "no columns", "1-D"])
+
+
+@BAD_MATRICES
 def test_every_tree_scorer_rejects_a_bad_matrix_before_any_walk(monkeypatch, bad, message):
     X, y = _rand_data(np.random.default_rng(33), n=60)
     tree = fit_tree(X, y, params=TreeParams(max_depth=3))
@@ -673,6 +676,14 @@ def test_every_tree_scorer_rejects_a_bad_matrix_before_any_walk(monkeypatch, bad
         with pytest.raises(InputError) as err:
             score(bad)
         assert str(err.value) == message
+
+
+@BAD_MATRICES
+def test_the_logistic_scorer_rejects_a_bad_matrix_as_the_trees_do(bad, message):
+    X, y = _rand_data(np.random.default_rng(33), n=60)
+    with pytest.raises(InputError) as err:
+        fit_logistic(X, y).predict_proba(bad)
+    assert str(err.value) == message
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf gains of zero-hessian children
