@@ -410,6 +410,10 @@ def _run_train(opts: dict, out: Path) -> None:
     chosen, _ = _load_windows(opts, opts["split"])
     spec = _feature_spec(opts)
     examples = build_examples(chosen, spec, LabelingConfig(opts["lead"]))
+    # the windows hold their station records and the records' EAR caches; the fit
+    # reads only the example matrix, so they are freed before it
+    n_windows = len(chosen)
+    del chosen
     X, y, kind, tw = examples.X, examples.y, opts["model"], opts["training_weight"]
     tree_opts = {"max_depth": opts["max_depth"], "min_samples_leaf": opts["min_samples_leaf"]}
     if kind == "rf":
@@ -423,7 +427,7 @@ def _run_train(opts: dict, out: Path) -> None:
         model = fit_logistic(X, y, params=params, training_weight=tw)
     meta = {"trained_on": opts["split"], "n_examples": len(examples), "lead_hours": opts["lead"], "seed": opts["seed"]}
     save_model(out / "model.json", model, feature_spec=spec, meta=meta)
-    print(f"train: {kind} on {len(examples)} examples from {len(chosen)} windows -> {out / 'model.json'}")
+    print(f"train: {kind} on {len(examples)} examples from {n_windows} windows -> {out / 'model.json'}")
 
 
 def _run_cv(opts: dict, out: Path) -> None:

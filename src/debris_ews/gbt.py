@@ -14,7 +14,8 @@ import numpy as np
 
 from ._common import InputError
 from .linear import sigmoid
-from .trees import DecisionTree, TreeParams, check_rows, check_training_inputs, _grow, _rank_codes, _GainCriterion
+from .trees import (DecisionTree, TreeParams, check_rows, check_training_inputs, _dry_rows, _grouped_root, _grow,
+                    _label_weights, _rank_codes, _GainCriterion)
 
 _PRIOR_CLIP = 1e-12
 
@@ -83,8 +84,13 @@ def grow_gbt(
     """The model fit_gbt boosts on the training set of the given rows, from the output
     of check_training_inputs and _rank_codes for a set that holds them. The codes may
     rank more rows than these; the trees are the same, as in forest.grow_forest. Every
-    stage grows on the shared codes through the rows' ids: scores, gradients and
-    hessians are indexed by row id, and only the training rows' scores move."""
+    stage grows on the shared codes through its root's ids: scores, gradients and
+    hessians are indexed by row id, and only the root's scores move. Where each label's
+    dry rows (see trees._dry_rows) weigh the same, the root holds the other rows and one
+    dry row of each label (see trees._grouped_root), weighted by its label's dry count,
+    so the prior, gradients and hessians carry the whole group. The group reaches one
+    leaf of every stage, so each of its rows scores as its representatives do."""
+    rows, group, w = _dry_group(codes, values, y, w, rows)
     wr = w[rows]
     prior = float(np.dot(wr, y[rows]) / wr.sum())
     prior = min(max(prior, _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
@@ -98,9 +104,26 @@ def grow_gbt(
         p = sigmoid(score)
         grad = w * (p - y)
         hess = w * p * (1.0 - p)
-        tree = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, rows, tree_params, None, leaf=leaf)
+        tree = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, rows, tree_params, None, group, leaf)
         trees.append(tree)
         score[rows] += params.learning_rate * tree.value[leaf[rows]]
         if not np.isfinite(score).all():
             raise InputError("boosting diverged to non-finite scores")
     return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])
+
+
+def _dry_group(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray, w: np.ndarray,
+               rows: np.ndarray) -> tuple[np.ndarray, tuple[int, int], np.ndarray]:
+    """(root, group, weights) of a fit on rows. Where the rows hold dry rows and each
+    label's weigh the same, the grouped root and its group (see trees._grouped_root), and
+    w with each representative's weight multiplied by its label's dry count, so that a
+    stage's gradient and hessian sums are the group's; otherwise (rows, (0, 0), w)."""
+    dry = _dry_rows(codes, values)
+    ids = rows[dry.take(rows)]
+    if ids.size == 0 or _label_weights(y.take(ids), w.take(ids)) is None:
+        return rows, (0, 0), w
+    root, (e0, e1) = _grouped_root(y, rows, dry)
+    reps = root[dry.take(root)]
+    w = w.copy()
+    w[reps] *= np.where(y.take(reps) == 1.0, e1 + 1, e0 + 1)
+    return root, (e0, e1), w

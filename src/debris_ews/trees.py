@@ -24,16 +24,19 @@ node up to _BLOCK_ELEMENTS // m rows) gathers its codes along the rows with no f
 index, the positions unpack straight to the intp order that gathers the weights,
 and the boundary mask is as wide as the block, so its flat indices address the
 running sums and the sort scan derives only the winner's feature row.
-A forest tree on the counting scan carries its dry rows, 0 in every feature, as
-one group when 0 is every feature's smallest value: its nodes hold one dry row of
-each label and count the others. The group sits at code 0 in every feature, left
-of every boundary, so it always goes left, and adding its counts to each side's
-integer counts gives the sums that scanning its rows would.
-min_samples_leaf bounds the raw (unweighted) row count of every leaf, which
-keeps tree structure invariant under rescaling of the sample weights, as long
-as their total W stays at most MAX_WEIGHT_TOTAL = sqrt(largest float) ~ 1.34e154:
-past it the impurity product P * (W - P) and the gain's G * G overflow, so
-check_training_inputs rejects such totals.
+Dry rows, 0 in every feature, ride a tree as one group when 0 is every feature's
+smallest value: its nodes hold one dry row of each label and count the others.
+The group sits at code 0 in every feature, left of every boundary, so it always
+goes left. A forest tree groups on the counting scan, where adding the group's
+counts to each side's integer counts gives the sums that scanning its rows would.
+A boosting stage groups when each label's dry rows weigh the same: each
+representative weighs its label's whole dry count, so the stage's gradients and
+hessians carry the group's totals and the sort scan runs unchanged.
+min_samples_leaf bounds the raw (unweighted) row count of every leaf, group
+included, which keeps tree structure invariant under rescaling of the sample
+weights, as long as their total W stays at most MAX_WEIGHT_TOTAL = sqrt(largest
+float) ~ 1.34e154: past it the impurity product P * (W - P) and the gain's G * G
+overflow, so check_training_inputs rejects such totals.
 """
 from __future__ import annotations
 
@@ -246,11 +249,12 @@ def _dry_rows(codes: np.ndarray, values: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _grouped_root(labels: np.ndarray, rows: np.ndarray, dry: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
-    """The root of a counting-scan tree on rows (ids that may repeat) that carries its dry
-    rows as a group: the sorted ids of its other rows, then one dry id of each label that
-    the group holds, and (e0, e1), the count of the group's other rows of each label. A dry
-    row sits at code 0 in every feature, so the group lies left of every boundary and its
-    two representatives keep code 0 and both labels in each node that holds it."""
+    """The root of a tree on rows (ids that may repeat) that carries its dry rows as a
+    group: the sorted ids of its other rows, then one dry id of each label that the group
+    holds, and (e0, e1), the count of the group's other rows of each label. labels is by
+    row id, nonzero for a positive. A dry row sits at code 0 in every feature, so the
+    group lies left of every boundary and its representatives keep code 0 and both
+    labels in each node that holds it."""
     is_dry = dry.take(rows)
     group = rows[is_dry]
     lab = labels.take(group)
@@ -261,19 +265,25 @@ def _grouped_root(labels: np.ndarray, rows: np.ndarray, dry: np.ndarray) -> tupl
     return root, (max(n0 - 1, 0), max(n1 - 1, 0))
 
 
-def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
-    """(a0, a1) when every negative weighs a0 and every positive a1, both integers with
-    n * max(a0, a1) < 2**53, so that every weight sum of a node is exact; otherwise None."""
+def _label_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
+    """(a0, a1) when every negative weighs a0 and every positive a1 (0.0 for a label
+    with no row); otherwise None."""
     positive = y == 1.0
     a = []
     for v in (w[~positive], w[positive]):
         if v.size and v.min() != v.max():
             return None
         a.append(float(v[0]) if v.size else 0.0)
-    a0, a1 = a
-    if not (a0.is_integer() and a1.is_integer() and y.size * max(a0, a1) < 2.0 ** 53):
+    return a[0], a[1]
+
+
+def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
+    """(a0, a1) of _label_weights when both are integers with n * max(a0, a1) < 2**53,
+    so that every weight sum of a node is exact; otherwise None."""
+    a = _label_weights(y, w)
+    if a is None or not (a[0].is_integer() and a[1].is_integer() and y.size * max(a) < 2.0 ** 53):
         return None
-    return a0, a1
+    return a
 
 
 def _channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,8 +310,8 @@ class _GiniCriterion:
 
     def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, object]:
         """(W, P, pure, scan data) of a node: its weight and positive weight, whether it
-        holds one class, and the gathered labels, positive count and group (counting scan)
-        or channels (sort scan). group = (e0, e1) counts the node's dry rows of each label
+        holds one class, and the gathered labels and positive count (counting scan) or
+        channels (sort scan). group = (e0, e1) counts the node's dry rows of each label
         that rows leaves out (see _grouped_root); only the counting scan carries them."""
         lab = self.labels.take(rows)
         n_pos = int(np.count_nonzero(lab))
@@ -312,7 +322,7 @@ class _GiniCriterion:
         a0, a1 = self.counts
         e0, e1 = group
         # integers below 2**53: the same floats as running sums of the weights
-        return (rows.size - n_pos + e0) * a0 + (n_pos + e1) * a1, (n_pos + e1) * a1, pure, (lab, n_pos, e0, e1)
+        return (rows.size - n_pos + e0) * a0 + (n_pos + e1) * a1, (n_pos + e1) * a1, pure, (lab, n_pos)
 
     def leaf(self, W: float, P: float) -> float:
         return P / W
@@ -337,7 +347,8 @@ class _GainCriterion:
 
     def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, np.ndarray]:
         """(H, G, pure, gathered channels); a node with H + lam == 0 has no Newton step.
-        A stage carries no dry group: group is always (0, 0)."""
+        A stage's dry group (see gbt.grow_gbt) is in its representatives' weights, so the
+        channels already hold the group's totals and group is not read."""
         ab = self.ab.take(rows)
         H = float(ab.real.sum())
         return H, float(ab.imag.sum()), H + self.lam == 0, ab
@@ -370,9 +381,11 @@ class _GainCriterion:
 
 
 def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np.ndarray,
-                features: np.ndarray, min_leaf: int) -> tuple[int, float, int] | None:
+                features: np.ndarray, min_leaf: int,
+                group: tuple[int, int] = (0, 0)) -> tuple[int, float, int] | None:
     """Exact scan of all candidate features of a node, _BLOCK_ELEMENTS codes at a time;
-    node is criterion.node(rows).
+    node is criterion.node(rows, group). The node's dry group (see _grouped_root) sits
+    left of every boundary, and its rows count toward min_leaf on the left.
 
     Returns (feature, threshold, code) of the first best-scoring boundary in
     (feature, position) order, or None if none beats the criterion's floor.
@@ -381,14 +394,13 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
     A, B, _, data = node
     nr = rows.size
     counts = criterion.counts
-    e0 = e1 = 0
+    e0, e1 = group
     if counts is None:
         # code << shift | position: positions break ties, so one sort is a stable argsort
         shift = (nr - 1).bit_length()
     else:
         a0, a1 = counts
-        # the node's dry group (see _grouped_root) sits left of every boundary
-        lab, n_pos, e0, e1 = data
+        lab, n_pos = data
         shift = 1  # code << 1 | label: rows with one key are alike to the scan
     dtype = np.uint32 if 8 * codes.itemsize + shift <= 32 else np.uint64
     low = np.arange(nr, dtype=dtype) if counts is None else lab
@@ -453,12 +465,13 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np
           rng: np.random.Generator | None, group: tuple[int, int] = (0, 0),
           leaf: np.ndarray | None = None) -> DecisionTree:
     """The tree grown on the root's rows, ids of codes' columns that may repeat, and on
-    the root's dry group of a counting-scan tree (see _grouped_root). Given leaf, an array
-    by row id, it is filled with the leaf of each of the root's rows (the node that
-    leaves() routes it to). The codes are only read, so trees can share them. The
-    counting scan only counts, so the order of the root's rows cannot change its tree;
-    the sort scan breaks ties by position, so its running sums follow that order.
-    The group goes left at every split: its code 0 is left of every boundary."""
+    the root's dry group (see _grouped_root), which counts toward min_samples_leaf and,
+    on the counting scan, toward the node's weights. Given leaf, an array by row id, it
+    is filled with the leaf of each of the root's rows (the node that leaves() routes it
+    to). The codes are only read, so trees can share them. The counting scan only
+    counts, so the order of the root's rows cannot change its tree; the sort scan breaks
+    ties by position, so its running sums follow that order. The group goes left at
+    every split: its code 0 is left of every boundary."""
     m = codes.shape[0]
     m_try = m if params.max_features is None else params.max_features
     if m_try > m:
@@ -484,7 +497,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np
         split = None
         if depth < max_depth and rows.size + sum(group) >= 2 * params.min_samples_leaf and not stats[2]:
             feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
-            split = _best_split(criterion, stats, codes, values, rows, feats, params.min_samples_leaf)
+            split = _best_split(criterion, stats, codes, values, rows, feats, params.min_samples_leaf, group)
         if split is None:
             if leaf is not None:
                 leaf[rows] = slot

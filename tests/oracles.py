@@ -1,8 +1,9 @@
 """Slow, direct implementations the tests check the package against: a tree walk
 that drops the rows at a leaf after each level, Shapley values by full coalition
 enumeration and by one tree leaf at a time, the EAR of one event on its own,
-station windows built from event intervals, and forests and boosted models grown
-on copies of their rows' codes."""
+station windows built from event intervals, forests and boosted models grown on
+copies of their rows' codes, and the compressed set that a boosted fit grouping its
+dry rows trains on."""
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,3 +306,29 @@ def copying_grow_gbt(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.nd
         trees.append(tree)
         score = score + params.learning_rate * tree.value[leaf]
     return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])
+
+
+def dry_group_set(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of X a boosted fit on rows trains on when it groups its dry rows (0 in
+    every feature): the others, sorted, then the first dry row of each label; and by each
+    of them, the count of rows it stands for (its label's dry rows, or 1)."""
+    dry = (X[rows] == 0.0).all(axis=1)
+    kept, sizes = [np.sort(rows[~dry])], [np.ones(np.count_nonzero(~dry))]
+    for label in (0, 1):
+        group = rows[dry & (y[rows] == label)]
+        if group.size:
+            kept.append(group[:1])
+            sizes.append([float(group.size)])
+    return np.concatenate(kept), np.concatenate(sizes)
+
+
+def grouped_grow_gbt(X: np.ndarray, codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray,
+                     w: np.ndarray, rows: np.ndarray, params: GbtParams, training_weight: float) -> GbtModel:
+    """gbt.grow_gbt with min_samples_leaf 1 on a set whose dry rows of each label weigh the
+    same: copying_grow_gbt on dry_group_set's rows, each weighted by the rows it stands
+    for. With min_samples_leaf 1 a node's row count never bars a split that has a
+    boundary, so counting a representative as one row grows the same trees."""
+    root, sizes = dry_group_set(X, y, rows)
+    w = w.copy()
+    w[root] *= sizes
+    return copying_grow_gbt(codes, values, y, w, root, params, training_weight)

@@ -384,10 +384,9 @@ def _spy_scans(monkeypatch):
         scans.append([])
         return grow(*args, **kwargs)
 
-    def scan_spy(criterion, node, codes, values, rows, *args):
-        group = node[3][2:] if criterion.counts is not None else (0, 0)
+    def scan_spy(criterion, node, codes, values, rows, features, min_leaf, group=(0, 0)):
         scans[-1].append((rows, group))
-        return scan(criterion, node, codes, values, rows, *args)
+        return scan(criterion, node, codes, values, rows, features, min_leaf, group)
 
     for module in (forest, gbt):
         monkeypatch.setattr(module, "_grow", grow_spy)
@@ -395,7 +394,7 @@ def _spy_scans(monkeypatch):
     return scans
 
 
-def test_the_dry_group_rides_counting_forests_only(monkeypatch):
+def test_the_dry_group_rides_counting_forests_and_boosting_stages(monkeypatch):
     scans = _spy_scans(monkeypatch)
     rng = np.random.default_rng(43)
     X, y = _dry_heavy(rng, 400, m=6)
@@ -411,6 +410,18 @@ def test_the_dry_group_rides_counting_forests_only(monkeypatch):
         assert root.size + e0 + e1 == n and e0 + e1 > 0
         assert all(e in ((0, 0), (e0, e1)) for _, e in tree_scans)  # the group never splits
 
+    # a stage's root: the other rows in order, then one dry row of each label
+    scans.clear()
+    fit_gbt(X, y, params=GbtParams(n_trees=2, max_depth=3, min_samples_leaf=3))
+    dry_counts = (np.count_nonzero(dry & (y == 0)), np.count_nonzero(dry & (y == 1)))
+    assert len(scans) == 2 and min(dry_counts) > 1
+    for stage_scans in scans:
+        root, (e0, e1) = stage_scans[0]
+        np.testing.assert_array_equal(root[:-2], np.flatnonzero(~dry))
+        assert dry[root[-2:]].all() and y[root[-2:]].tolist() == [0, 1]
+        assert (e0 + 1, e1 + 1) == dry_counts
+        assert all(e in ((0, 0), (e0, e1)) for _, e in stage_scans)  # the group never splits
+
     def ungrouped(run):
         scans.clear()
         run()
@@ -420,7 +431,10 @@ def test_the_dry_group_rides_counting_forests_only(monkeypatch):
     X_neg = X.copy()
     X_neg[0, 0] = -1.0
     ungrouped(lambda: fit_forest(X_neg, y, params, seed=seed))  # a negative value
-    ungrouped(lambda: fit_gbt(X, y, params=GbtParams(n_trees=2, max_depth=3)))
+    gbt_params = GbtParams(n_trees=2, max_depth=3)
+    ungrouped(lambda: fit_gbt(X_neg, y, params=gbt_params))
+    uneven = np.where(dry & (np.arange(n) % 2 == 0), 2.0, 1.0)  # dry rows of a label weigh differently
+    ungrouped(lambda: fit_gbt(X, y, uneven, params=gbt_params))
 
 
 def test_map_indexed_asks_for_at_most_one_thread_a_cpu_and_a_task(monkeypatch):

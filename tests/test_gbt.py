@@ -1,15 +1,19 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from debris_ews import GbtParams, InputError, fit_gbt
-from debris_ews.gbt import grow_gbt
+import debris_ews.gbt as gbt
+from debris_ews import DecisionTree, GbtParams, InputError, fit_gbt
+from debris_ews.gbt import _PRIOR_CLIP, grow_gbt
 from debris_ews.linear import sigmoid
 from debris_ews.modelio import model_to_doc
-from debris_ews.trees import _rank_codes, check_training_inputs
+from debris_ews.trees import NODE_ARRAYS, _dry_rows, _rank_codes, check_rows, check_training_inputs
 
-from oracles import compacting_leaves
+from oracles import compacting_leaves, copying_grow_gbt, dry_group_set, grouped_grow_gbt
+from test_forest import DRY_SETS, GROUPED, _dry_heavy
+from test_trees import _assert_same_nodes, _gain_leaf, _reference_gain, _reference_grow
 
 
 def staged_decision_scores(model, X):
@@ -147,3 +151,126 @@ def test_gbt_on_rows_of_a_wider_coding_equals_fit_on_the_rows(training_weight, w
     grown = grow_gbt(codes, values, yc, w, rows, params, training_weight)
     fit = fit_gbt(X[rows], y[rows], params=params, training_weight=training_weight)
     assert json.dumps(model_to_doc(grown)) == json.dumps(model_to_doc(fit))
+
+
+# Dry rows (0 in every feature) ride each boosting stage as one group when each label's
+# dry rows weigh the same: the fit is that of dry_group_set's compressed set, whose
+# representatives weigh their label's dry count and count as its rows toward
+# min_samples_leaf. Any other set boosts as the copying grower, which never groups.
+
+def _model_bytes(model):
+    return json.dumps(model_to_doc(model))
+
+
+GROUPED_SETS = [s for s in DRY_SETS if s[0] in GROUPED]
+
+
+def _fit_rows(n):
+    """Every row, and a strict subset of the rows, as cv passes one."""
+    return np.arange(n), np.sort(np.random.default_rng(51).choice(n, size=n * 2 // 3, replace=False))
+
+
+@pytest.mark.parametrize("training_weight", [1.0, 2.5])
+@pytest.mark.parametrize("name, X, y", GROUPED_SETS, ids=[s[0] for s in GROUPED_SETS])
+def test_grouped_stages_boost_the_compressed_set(name, X, y, training_weight):
+    Xc, yc, w = check_training_inputs(X, y, None, training_weight)
+    codes, values = _rank_codes(Xc)
+    for rows in _fit_rows(X.shape[0]):
+        assert dry_group_set(X, yc, rows)[0].size < rows.size
+        for depth in (None, 3):
+            params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=depth, min_samples_leaf=1)
+            args = (codes, values, yc, w, rows, params, training_weight)
+            assert _model_bytes(grow_gbt(*args)) == _model_bytes(grouped_grow_gbt(X, *args)), depth
+
+
+def _reference_grouped_fit(X, y, w, rows, params):
+    """(base log-odds, each stage's node lists) of a grouped fit, each stage grown by
+    test_trees' per-feature reference on the compressed set, in which a representative
+    counts as its label's dry rows toward min_samples_leaf."""
+    root, sizes = dry_group_set(X, y, rows)
+    X, y, w = X[root], y[root], w[root] * sizes
+    prior = min(max(float(np.dot(w, y) / w.sum()), _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
+    base = float(np.log(prior / (1.0 - prior)))
+    tree_params, lam = params.tree_params(), params.leaf_l2
+    score = np.full(root.size, base)
+    stages = []
+    for _ in range(params.n_trees):
+        p = sigmoid(score)
+        g, h = w * (p - y), w * p * (1.0 - p)
+        nodes = _reference_grow(
+            X, _gain_leaf(g, h, lam),
+            lambda r, f: _reference_gain(X, g, h, lam, tree_params.min_samples_leaf, r, f, sizes), tree_params,
+            sizes=sizes)
+        tree = DecisionTree(*(np.asarray(c, dtype=dt) for c, dt in zip(nodes, NODE_ARRAYS.values())), X.shape[1])
+        score = score + params.learning_rate * tree.value[compacting_leaves(tree, X)]
+        stages.append(nodes)
+    return base, stages
+
+
+@pytest.mark.parametrize("training_weight", [1.0, 2.5])
+@pytest.mark.parametrize("name, X, y", GROUPED_SETS, ids=[s[0] for s in GROUPED_SETS])
+def test_grouped_stages_with_min_samples_leaf_match_the_per_feature_reference(name, X, y, training_weight):
+    # a leaf of 40 rows holds most of a set's dry group, or none of it: a grower that
+    # counted the representatives as one row each would stop short
+    Xc, yc, w = check_training_inputs(X, y, None, training_weight)
+    codes, values = _rank_codes(Xc)
+    for rows in _fit_rows(X.shape[0]):
+        for min_leaf in (2, 5, 40):
+            params = GbtParams(n_trees=3, learning_rate=0.3, max_depth=None, min_samples_leaf=min_leaf)
+            model = grow_gbt(codes, values, yc, w, rows, params, training_weight)
+            base, stages = _reference_grouped_fit(X, yc, w, rows, params)
+            assert model.base_log_odds == base and len(model.trees) == len(stages)
+            for tree, nodes in zip(model.trees, stages):
+                _assert_same_nodes(tree, nodes)
+
+
+def _ungrouped_sets():
+    """(name, X, y, sample_weight) of sets whose dry rows do not group."""
+    sets = [(name, X, y, None) for name, X, y in DRY_SETS if name not in GROUPED]
+    X, y = _dry_heavy(np.random.default_rng(52), 300)
+    sets.append(("uneven dry weights", X, y.astype(int), np.where(np.arange(300) % 4 == 0, 2.0, 1.0)))
+    return sets
+
+
+UNGROUPED_SETS = _ungrouped_sets()
+
+
+@pytest.mark.parametrize("name, X, y, sample_weight", UNGROUPED_SETS, ids=[s[0] for s in UNGROUPED_SETS])
+def test_sets_without_a_group_boost_as_the_copying_grower(name, X, y, sample_weight):
+    Xc, yc, w = check_training_inputs(X, y, sample_weight, 2.5)
+    codes, values = _rank_codes(Xc)
+    assert _dry_rows(codes, values).any() == (name == "uneven dry weights")
+    for rows in _fit_rows(X.shape[0]):
+        root, group, _ = gbt._dry_group(codes, values, yc, w, rows)
+        assert root is rows and group == (0, 0)
+        for min_leaf in (1, 3):
+            params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=6, min_samples_leaf=min_leaf)
+            args = (codes, values, yc, w, rows, params, 2.5)
+            assert _model_bytes(grow_gbt(*args)) == _model_bytes(copying_grow_gbt(*args))
+
+
+def test_every_dry_row_reaches_its_representatives_leaf_in_every_stage(monkeypatch):
+    # a stage moves only its root's scores; each dry row must score as its
+    # representative, so the leaf the grower gives a representative is every dry row's
+    rng = np.random.default_rng(53)
+    X, y = _dry_heavy(rng, 400, m=6)
+    dry = (X == 0.0).all(axis=1)
+    grow, signature = gbt._grow, inspect.signature(gbt._grow)
+    fills = []
+
+    def spy(*args, **kwargs):
+        tree = grow(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs).arguments
+        fills.append((bound["rows"], bound["leaf"].take(bound["rows"])))
+        return tree
+
+    monkeypatch.setattr(gbt, "_grow", spy)
+    model = fit_gbt(X, y, params=GbtParams(n_trees=6, learning_rate=0.3, max_depth=None, min_samples_leaf=2))
+    assert len(fills) == len(model.trees)
+    Xr = check_rows(X, X.shape[1])
+    for tree, (root, filled) in zip(model.trees, fills):
+        leaves = tree.leaves(Xr)
+        np.testing.assert_array_equal(filled, leaves[root])
+        reps = root[dry[root]]
+        assert reps.size == 2 and tree.n_leaves > 2
+        assert (leaves[dry] == leaves[reps[0]]).all()

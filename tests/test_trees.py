@@ -208,8 +208,9 @@ def _reference_gini(X, y, w, min_leaf, rows, features):
     return best
 
 
-def _reference_gain(X, g, h, lam, min_leaf, rows, features):
-    nr = rows.size
+def _reference_gain(X, g, h, lam, min_leaf, rows, features, sizes=None):
+    """sizes, by row of X, counts the rows each stands for toward min_leaf (1 by default)."""
+    sizes = np.ones(X.shape[0]) if sizes is None else sizes
     gv = g[rows]
     hv = h[rows]
     G = float(gv.sum())
@@ -225,8 +226,8 @@ def _reference_gain(X, g, h, lam, min_leaf, rows, features):
         ch = np.cumsum(hv[order])[:-1]
         ok = v[1:] > v[:-1]
         if min_leaf > 1:
-            k = np.arange(1, nr)
-            ok &= (k >= min_leaf) & (nr - k >= min_leaf)
+            k = np.cumsum(sizes[rows][order])[:-1]
+            ok &= (k >= min_leaf) & (sizes[rows].sum() - k >= min_leaf)
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             continue
@@ -261,10 +262,12 @@ def _gain_leaf(g, h, lam):
     return leaf
 
 
-def _reference_grow(X, leaf, split, params, rng=None):
+def _reference_grow(X, leaf, split, params, rng=None, sizes=None):
     """Depth-first, left subtree first, rows partitioned on the float values; leaf(rows)
-    gives a node's (value, pure)."""
+    gives a node's (value, pure). sizes, by row of X, counts the rows each stands for
+    toward min_samples_leaf (1 by default)."""
     n, m = X.shape
+    sizes = np.ones(n) if sizes is None else sizes
     m_try = m if params.max_features is None else params.max_features
     max_depth = np.inf if params.max_depth is None else params.max_depth
     nodes = ([], [], [], [], [])  # feature, threshold, left, right, value
@@ -276,7 +279,7 @@ def _reference_grow(X, leaf, split, params, rng=None):
 
     def grow(slot, rows, depth):
         nodes[4][slot], pure = leaf(rows)
-        if depth >= max_depth or rows.size < 2 * params.min_samples_leaf or pure:
+        if depth >= max_depth or sizes[rows].sum() < 2 * params.min_samples_leaf or pure:
             return
         feats = np.arange(m) if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
         best = split(rows, feats)
