@@ -77,6 +77,28 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
+def sorted_runs(order: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, run) of items that order sorts into runs of equal items, new flagging each
+    sorted position that starts a run: the smallest index of each run, in run order, and
+    each item's run."""
+    first = np.minimum.reduceat(order, np.flatnonzero(new)) if order.size else order
+    run = np.empty(order.size, dtype=np.intp)
+    run[order] = np.cumsum(new) - 1
+    return first, run
+
+
+def key_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sorted_runs of the distinct keys: the index of each key's first appearance, in key
+    order, and each item's rank among the distinct keys, as np.unique's return_index and
+    return_inverse give them, from the default argsort rather than a stable one."""
+    order = np.argsort(key)
+    sorted_key = key.take(order)
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    return sorted_runs(order, new)
+
+
 class Distinct(NamedTuple):
     """A column's distinct fields in order of first appearance: field i is
     text[index[i]], and text[k] first appears in field first[k]."""
@@ -157,7 +179,7 @@ class CsvColumn:
         np.not_equal(key[1:], key[:-1], out=head[1:])
         heads = np.flatnonzero(head)
         runs = 2 * heads.size <= n
-        _, first, inverse = np.unique(key[heads] if runs else key, return_index=True, return_inverse=True)
+        first, inverse = key_runs(key[heads] if runs else key)
         if runs:
             first = heads[first]
         order = np.argsort(first)

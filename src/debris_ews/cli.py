@@ -84,7 +84,7 @@ from .rainfall import (
     write_rainfall_csv,
 )
 from .synth import SynthConfig, generate_corpus
-from .tuning import MODEL_KINDS, default_grid, grid_search_cv, write_grid_csv
+from .tuning import MODEL_KINDS, check_grid, default_grid, fold_examples, search_folds, write_grid_csv
 
 log = logging.getLogger(__name__)
 
@@ -440,18 +440,12 @@ def _run_cv(opts: dict, out: Path) -> None:
         grid = read_json(grid_path, "grid file")
         if not isinstance(grid, list):
             raise InputError(f"{grid_path}: grid must be a JSON list of objects")
-    result = grid_search_cv(
-        chosen,
-        spec,
-        grid,
-        model_kind=opts["model"],
-        k=opts["k"],
-        seed=opts["seed"],
-        labeling=LabelingConfig(opts["lead"]),
-        training_weight=opts["training_weight"],
-        threads=opts["threads"],
-        grid_source=opts["grid"],
-    )
+    cell_params = check_grid(opts["model"], grid, opts["grid"])
+    examples, fold_of_row = fold_examples(chosen, spec, opts["k"], opts["seed"], LabelingConfig(opts["lead"]))
+    # as in train, the windows and their records' EAR caches are freed before the fits
+    del chosen
+    result = search_folds(examples, fold_of_row, grid, cell_params, opts["model"], opts["k"], opts["seed"],
+                          opts["training_weight"], opts["threads"])
     write_grid_csv(out / "cv_results.csv", result)
     write_json(out / "best_params.json", {"model": result.model_kind, "params": result.best})
     best = max(c.mean_auprc for c in result.cells)

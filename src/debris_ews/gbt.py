@@ -3,7 +3,8 @@
 Stages fit regression trees to the loss gradients and hessians of the current
 score; leaf values use the second-order formula -G/(H + leaf_l2). The model
 score is sigmoid(base log-odds + learning_rate * sum of tree outputs).
-Training is fully deterministic: there is no row or feature subsampling.
+Training is fully deterministic: there is no row or feature subsampling. Each
+stage grows on each distinct training row once, weighted by its count.
 """
 from __future__ import annotations
 
@@ -12,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import InputError
+from ._common import _HASH_MULTIPLIER, InputError, key_runs, sorted_runs
 from .linear import sigmoid
-from .trees import (DecisionTree, TreeParams, check_rows, check_training_inputs, _dry_rows, _grouped_root, _grow,
-                    _label_weights, _rank_codes, _GainCriterion)
+from .trees import (DecisionTree, TreeParams, check_rows, check_training_inputs, _channels, _grow, _rank_codes,
+                    _GainCriterion)
 
 _PRIOR_CLIP = 1e-12
 
@@ -84,46 +85,81 @@ def grow_gbt(
     """The model fit_gbt boosts on the training set of the given rows, from the output
     of check_training_inputs and _rank_codes for a set that holds them. The codes may
     rank more rows than these; the trees are the same, as in forest.grow_forest. Every
-    stage grows on the shared codes through its root's ids: scores, gradients and
-    hessians are indexed by row id, and only the root's scores move. Where each label's
-    dry rows (see trees._dry_rows) weigh the same, the root holds the other rows and one
-    dry row of each label (see trees._grouped_root), weighted by its label's dry count,
-    so the prior, gradients and hessians carry the whole group. The group reaches one
-    leaf of every stage, so each of its rows scores as its representatives do."""
-    rows, group, w = _dry_group(codes, values, y, w, rows)
-    wr = w[rows]
-    prior = float(np.dot(wr, y[rows]) / wr.sum())
+    stage grows on the shared codes through its root's ids: the sorted first id of each
+    distinct (codes, label, weight) among the rows (see _distinct_rows), weighted by its
+    count, so the prior, gradients and hessians carry its copies, and counted as its
+    copies toward min_samples_leaf. The copies of a row reach its leaf in every stage, so
+    each scores as its first id; scores, gradients and hessians are kept for the root's
+    ids only."""
+    root, copies, w = _distinct_rows(codes, y, w, rows)
+    wr, yr = w.take(root), y.take(root)
+    prior = float(np.dot(wr, yr) / wr.sum())
     prior = min(max(prior, _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
     base = float(np.log(prior / (1.0 - prior)))
 
-    score = np.full(y.size, base)
-    leaf = np.empty(y.size, dtype=np.intp)  # each stage's leaf of each training row, by row id
+    score = np.full(root.size, base)  # by position in the root
+    leaf = np.empty(y.size, dtype=np.intp)  # each stage's leaf of each root id, by row id
+    ab = np.empty(y.size, dtype=np.complex128)  # each stage's channels, set at the root's ids only
+    # with a leaf of 1, a node of one id has no boundary, however many rows it stands for
+    criterion = _GainCriterion(ab, params.leaf_l2, copies if params.min_samples_leaf > 1 else None)
     trees: list[DecisionTree] = []
     tree_params = params.tree_params()
     for _ in range(params.n_trees):
         p = sigmoid(score)
-        grad = w * (p - y)
-        hess = w * p * (1.0 - p)
-        tree = _grow(_GainCriterion(grad, hess, params.leaf_l2), codes, values, rows, tree_params, None, group, leaf)
+        ab[root] = _channels(wr * p * (1.0 - p), wr * (p - yr))
+        tree = _grow(criterion, codes, values, root, tree_params, None, leaf=leaf)
         trees.append(tree)
-        score[rows] += params.learning_rate * tree.value[leaf[rows]]
+        score += params.learning_rate * tree.value[leaf.take(root)]
         if not np.isfinite(score).all():
             raise InputError("boosting diverged to non-finite scores")
     return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])
 
 
-def _dry_group(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray, w: np.ndarray,
-               rows: np.ndarray) -> tuple[np.ndarray, tuple[int, int], np.ndarray]:
-    """(root, group, weights) of a fit on rows. Where the rows hold dry rows and each
-    label's weigh the same, the grouped root and its group (see trees._grouped_root), and
-    w with each representative's weight multiplied by its label's dry count, so that a
-    stage's gradient and hessian sums are the group's; otherwise (rows, (0, 0), w)."""
-    dry = _dry_rows(codes, values)
-    ids = rows[dry.take(rows)]
-    if ids.size == 0 or _label_weights(y.take(ids), w.take(ids)) is None:
-        return rows, (0, 0), w
-    root, (e0, e1) = _grouped_root(y, rows, dry)
-    reps = root[dry.take(root)]
+def _row_columns(codes: np.ndarray, y: np.ndarray, w: np.ndarray, ids: np.ndarray):
+    """The weight bits, label bits and codes of the rows with the given ids, one column
+    at a time."""
+    yield w.take(ids).view(np.uint64)
+    yield y.take(ids).view(np.uint64)
+    for column in codes:
+        yield column.take(ids)
+
+
+def _distinct_rows(codes: np.ndarray, y: np.ndarray, w: np.ndarray,
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(root, copies, weights) of a fit on rows: the sorted first id of each distinct
+    (codes column, label, weight) among the rows; by row id, the count of the rows each
+    stands for (None when no row repeats); and w with each first id's weight multiplied
+    by its count. Rows with one codes column reach one leaf of every tree. Rows are keyed
+    by a 64-bit hash built one column at a time and sorted by key; every row is then
+    checked against the first row of its key, and a collision falls back to a
+    lexicographic sort of the columns themselves."""
+    n = rows.size
+    key = np.zeros(n, dtype=np.uint64)
+    for column in _row_columns(codes, y, w, rows):
+        key ^= column
+        key *= _HASH_MULTIPLIER
+        key ^= key >> np.uint64(32)
+    first, run = key_runs(key)
+    later = np.flatnonzero(first.take(run) != np.arange(n))  # positions whose row came earlier
+    if later.size:
+        earlier = rows.take(first.take(run.take(later)))
+        if not all((a == b).all() for a, b in zip(_row_columns(codes, y, w, rows.take(later)),
+                                                  _row_columns(codes, y, w, earlier))):
+            columns = list(_row_columns(codes, y, w, rows))
+            order = np.lexsort(columns)
+            new = np.zeros(n, dtype=bool)
+            new[:1] = True
+            for column in columns:
+                column = column.take(order)
+                new[1:] |= column[1:] != column[:-1]
+            first, run = sorted_runs(order, new)
+    if first.size == n:
+        return rows, None, w
+    ids = rows.take(first)
+    copies = np.zeros(y.size, dtype=np.intp)
+    copies[ids] = np.bincount(run, minlength=first.size)  # a repeated id is one group
+    root = np.sort(ids)
     w = w.copy()
-    w[reps] *= np.where(y.take(reps) == 1.0, e1 + 1, e0 + 1)
-    return root, (e0, e1), w
+    w[root] *= copies.take(root)
+    return root, copies, w
+

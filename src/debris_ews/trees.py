@@ -24,16 +24,17 @@ node up to _BLOCK_ELEMENTS // m rows) gathers its codes along the rows with no f
 index, the positions unpack straight to the intp order that gathers the weights,
 and the boundary mask is as wide as the block, so its flat indices address the
 running sums and the sort scan derives only the winner's feature row.
-Dry rows, 0 in every feature, ride a tree as one group when 0 is every feature's
-smallest value: its nodes hold one dry row of each label and count the others.
-The group sits at code 0 in every feature, left of every boundary, so it always
-goes left. A forest tree groups on the counting scan, where adding the group's
-counts to each side's integer counts gives the sums that scanning its rows would.
-A boosting stage groups when each label's dry rows weigh the same: each
-representative weighs its label's whole dry count, so the stage's gradients and
-hessians carry the group's totals and the sort scan runs unchanged.
-min_samples_leaf bounds the raw (unweighted) row count of every leaf, group
-included, which keeps tree structure invariant under rescaling of the sample
+Dry rows, 0 in every feature, ride a forest tree on the counting scan as one
+group when 0 is every feature's smallest value: its nodes hold one dry row of
+each label and count the others. The group sits at code 0 in every feature, left
+of every boundary, so it always goes left, and adding its counts to each side's
+integer counts gives the sums that scanning its rows would. A boosting stage
+grows on the first id of each distinct row instead (see gbt.grow_gbt): each
+weighs all its copies, so the stage's gradients and hessians carry their totals
+and the sort scan runs unchanged, and the criterion's copies count each id as
+its copies toward min_samples_leaf.
+min_samples_leaf bounds the raw (unweighted) row count of every leaf, group and
+copies included, which keeps tree structure invariant under rescaling of the sample
 weights, as long as their total W stays at most MAX_WEIGHT_TOTAL = sqrt(largest
 float) ~ 1.34e154: past it the impurity product P * (W - P) and the gain's G * G
 overflow, so check_training_inputs rejects such totals.
@@ -265,25 +266,19 @@ def _grouped_root(labels: np.ndarray, rows: np.ndarray, dry: np.ndarray) -> tupl
     return root, (max(n0 - 1, 0), max(n1 - 1, 0))
 
 
-def _label_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
+def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
     """(a0, a1) when every negative weighs a0 and every positive a1 (0.0 for a label
-    with no row); otherwise None."""
+    with no row), both integers with n * max(a0, a1) < 2**53, so that every weight sum
+    of a node is exact; otherwise None."""
     positive = y == 1.0
     a = []
     for v in (w[~positive], w[positive]):
         if v.size and v.min() != v.max():
             return None
         a.append(float(v[0]) if v.size else 0.0)
-    return a[0], a[1]
-
-
-def _counting_weights(y: np.ndarray, w: np.ndarray) -> tuple[float, float] | None:
-    """(a0, a1) of _label_weights when both are integers with n * max(a0, a1) < 2**53,
-    so that every weight sum of a node is exact; otherwise None."""
-    a = _label_weights(y, w)
-    if a is None or not (a[0].is_integer() and a[1].is_integer() and y.size * max(a) < 2.0 ** 53):
+    if not (a[0].is_integer() and a[1].is_integer() and y.size * max(a) < 2.0 ** 53):
         return None
-    return a
+    return a[0], a[1]
 
 
 def _channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,21 +303,23 @@ class _GiniCriterion:
         self.counts = _counting_weights(y, w) if rows is None else _counting_weights(y[rows], w[rows])
         self.ab = _channels(w, w * y) if self.counts is None else None
 
-    def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, object]:
-        """(W, P, pure, scan data) of a node: its weight and positive weight, whether it
-        holds one class, and the gathered labels and positive count (counting scan) or
-        channels (sort scan). group = (e0, e1) counts the node's dry rows of each label
-        that rows leaves out (see _grouped_root); only the counting scan carries them."""
+    def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, object, int]:
+        """(W, P, pure, scan data, size) of a node: its weight and positive weight, whether
+        it holds one class, the gathered labels and positive count (counting scan) or
+        channels (sort scan), and its row count. group = (e0, e1) counts the node's dry
+        rows of each label that rows leaves out (see _grouped_root); they count toward its
+        size, and only the counting scan carries them in its sums."""
         lab = self.labels.take(rows)
         n_pos = int(np.count_nonzero(lab))
         pure = n_pos == 0 or n_pos == rows.size  # rows hold a representative of each grouped label
+        e0, e1 = group
+        size = rows.size + e0 + e1
         if self.counts is None:
             ab = self.ab.take(rows)
-            return float(ab.real.sum()), float(ab.imag.sum()), pure, ab
+            return float(ab.real.sum()), float(ab.imag.sum()), pure, ab, size
         a0, a1 = self.counts
-        e0, e1 = group
         # integers below 2**53: the same floats as running sums of the weights
-        return (rows.size - n_pos + e0) * a0 + (n_pos + e1) * a1, (n_pos + e1) * a1, pure, (lab, n_pos)
+        return (rows.size - n_pos + e0) * a0 + (n_pos + e1) * a1, (n_pos + e1) * a1, pure, (lab, n_pos), size
 
     def leaf(self, W: float, P: float) -> float:
         return P / W
@@ -337,21 +334,28 @@ class _GiniCriterion:
 
 
 class _GainCriterion:
-    """Second-order boosting gain with L2 leaf regularization; channels are hessians and gradients."""
+    """Second-order boosting gain with L2 leaf regularization. ab is the channels
+    h + ig of the hessians and gradients by row id (see _channels); only the ids that
+    nodes hold are read. copies, by row id, counts the training rows that each id
+    stands for toward min_samples_leaf (None: one each, as with min_samples_leaf 1
+    they may be, since a node of one id has no boundary)."""
 
     counts = None  # gradients are not label weights: always the sort scan
 
-    def __init__(self, g: np.ndarray, h: np.ndarray, lam: float):
-        self.ab = _channels(h, g)
+    def __init__(self, ab: np.ndarray, lam: float, copies: np.ndarray | None = None):
+        self.ab = ab
         self.lam = lam
+        self.copies = copies
 
-    def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, np.ndarray]:
-        """(H, G, pure, gathered channels); a node with H + lam == 0 has no Newton step.
-        A stage's dry group (see gbt.grow_gbt) is in its representatives' weights, so the
-        channels already hold the group's totals and group is not read."""
+    def node(self, rows: np.ndarray, group: tuple[int, int] = (0, 0)) -> tuple[float, float, bool, np.ndarray, int]:
+        """(H, G, pure, gathered channels, size); a node with H + lam == 0 has no Newton
+        step. A stage's repeated rows (see gbt.grow_gbt) are in their first ids' weights,
+        so the channels already hold their totals, and in the copies that give the size;
+        group is not read."""
         ab = self.ab.take(rows)
         H = float(ab.real.sum())
-        return H, float(ab.imag.sum()), H + self.lam == 0, ab
+        size = rows.size if self.copies is None else int(self.copies.take(rows).sum())
+        return H, float(ab.imag.sum()), H + self.lam == 0, ab, size
 
     def leaf(self, H: float, G: float) -> float:
         # With no curvature (hessians summing to 0 under leaf_l2=0) the Newton
@@ -385,13 +389,15 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
                 group: tuple[int, int] = (0, 0)) -> tuple[int, float, int] | None:
     """Exact scan of all candidate features of a node, _BLOCK_ELEMENTS codes at a time;
     node is criterion.node(rows, group). The node's dry group (see _grouped_root) sits
-    left of every boundary, and its rows count toward min_leaf on the left.
+    left of every boundary, and its rows count toward min_leaf on the left. Where the
+    node's size passes its ids and group, its ids stand for copies (see
+    _GainCriterion), and each counts as its copies toward min_leaf.
 
     Returns (feature, threshold, code) of the first best-scoring boundary in
     (feature, position) order, or None if none beats the criterion's floor.
     The rows with value < threshold are those with code <= code.
     """
-    A, B, _, data = node
+    A, B, _, data, size = node
     nr = rows.size
     counts = criterion.counts
     e0, e1 = group
@@ -404,6 +410,10 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
         shift = 1  # code << 1 | label: rows with one key are alike to the scan
     dtype = np.uint32 if 8 * codes.itemsize + shift <= 32 else np.uint64
     low = np.arange(nr, dtype=dtype) if counts is None else lab
+    # each id counts at least once, so only a feature row's first and last k boundaries
+    # can leave a side short; their counts gather the copies of their k sorted ids
+    k = min(min_leaf - 1, nr - 1)
+    copies = criterion.copies.take(rows) if size > nr + e0 + e1 and k else None
     flat = codes.reshape(-1)
     best_score = criterion.floor(A, B)
     best = None
@@ -426,8 +436,13 @@ def _best_split(criterion, node: tuple, codes: np.ndarray, values: tuple[np.ndar
         # position i * nr + p of the block; the last column has no boundary
         ok = np.empty(block.shape, dtype=bool)
         np.not_equal(block[:, 1:], block[:, :-1], out=ok[:, :-1])
-        ok[:, :max(min_leaf - 1 - e0 - e1, 0)] = False
-        ok[:, max(nr - min_leaf, 0):] = False  # with a group, rows may be fewer than min_leaf
+        if copies is None:
+            ok[:, :max(min_leaf - 1 - e0 - e1, 0)] = False
+            ok[:, max(nr - min_leaf, 0):] = False  # with a group, rows may be fewer than min_leaf
+        else:
+            ok[:, :k] &= copies.take(order[:, :k]).cumsum(axis=1) >= min_leaf
+            ok[:, nr - 1 - k:-1] &= copies.take(order[:, nr - k:])[:, ::-1].cumsum(axis=1)[:, ::-1] >= min_leaf
+            ok[:, -1] = False
         idx = ok.reshape(-1).nonzero()[0]
         if idx.size == 0:
             continue
@@ -466,12 +481,13 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np
           leaf: np.ndarray | None = None) -> DecisionTree:
     """The tree grown on the root's rows, ids of codes' columns that may repeat, and on
     the root's dry group (see _grouped_root), which counts toward min_samples_leaf and,
-    on the counting scan, toward the node's weights. Given leaf, an array by row id, it
-    is filled with the leaf of each of the root's rows (the node that leaves() routes it
-    to). The codes are only read, so trees can share them. The counting scan only
-    counts, so the order of the root's rows cannot change its tree; the sort scan breaks
-    ties by position, so its running sums follow that order. The group goes left at
-    every split: its code 0 is left of every boundary."""
+    on the counting scan, toward the node's weights. Where the criterion has copies,
+    each id counts as its copies toward min_samples_leaf (see _GainCriterion). Given
+    leaf, an array by row id, it is filled with the leaf of each of the root's rows (the
+    node that leaves() routes it to). The codes are only read, so trees can share them.
+    The counting scan only counts, so the order of the root's rows cannot change its
+    tree; the sort scan breaks ties by position, so its running sums follow that order.
+    The group goes left at every split: its code 0 is left of every boundary."""
     m = codes.shape[0]
     m_try = m if params.max_features is None else params.max_features
     if m_try > m:
@@ -495,7 +511,7 @@ def _grow(criterion, codes: np.ndarray, values: tuple[np.ndarray, ...], rows: np
         stats = criterion.node(rows, group)
         node[4] = criterion.leaf(stats[0], stats[1])
         split = None
-        if depth < max_depth and rows.size + sum(group) >= 2 * params.min_samples_leaf and not stats[2]:
+        if depth < max_depth and stats[4] >= 2 * params.min_samples_leaf and not stats[2]:
             feats = all_features if m_try == m else np.sort(rng.choice(m, size=m_try, replace=False))
             split = _best_split(criterion, stats, codes, values, rows, feats, params.min_samples_leaf, group)
         if split is None:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._common import InputError, build_params, cell, derived_rng, write_csv
-from .dataset import DatasetWindow, FeatureSpec, LabelingConfig, build_examples, kfold_windows
+from .dataset import DatasetWindow, ExampleSet, FeatureSpec, LabelingConfig, build_examples, kfold_windows
 from .forest import ForestParams, grow_forest
 from .gbt import GbtParams, grow_gbt
 from .linear import LogisticParams, fit_logistic
@@ -55,7 +55,7 @@ def default_grid(model_kind: str) -> list[dict]:
     raise InputError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
 
 
-def _cell_params(model_kind: str, grid: Sequence, source: str) -> list:
+def check_grid(model_kind: str, grid: Sequence, source: str) -> list:
     """Each cell's parameters, checked before any fit; an error names the source,
     the cell index and the field."""
     if model_kind not in _PARAMS:
@@ -100,6 +100,20 @@ class GridResult:
     seed: int
 
 
+def fold_examples(
+    windows: Sequence[DatasetWindow],
+    spec: FeatureSpec,
+    k: int = 10,
+    seed: int = 0,
+    labeling: LabelingConfig = LabelingConfig(),
+) -> tuple[ExampleSet, np.ndarray]:
+    """The examples of the stratified window k-fold as one matrix in fold order, and the
+    fold of each row. They hold no window, so the windows' station records can be freed."""
+    folds = kfold_windows(windows, k, seed)
+    examples = build_examples([w for fold in folds for w in fold], spec, labeling)
+    return examples, np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
+
+
 def grid_search_cv(
     windows: Sequence[DatasetWindow],
     spec: FeatureSpec,
@@ -115,11 +129,24 @@ def grid_search_cv(
     """The CV table of grid; grid_source names the grid in errors about its cells."""
     if grid is None:
         grid = default_grid(model_kind)
-    cell_params = _cell_params(model_kind, grid, grid_source)
-    folds = kfold_windows(windows, k, seed)
-    # one matrix in fold order: fold fi's rows are held out, the rest train in fold order
-    examples = build_examples([w for fold in folds for w in fold], spec, labeling)
-    fold_of_row = np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
+    cell_params = check_grid(model_kind, grid, grid_source)
+    return search_folds(*fold_examples(windows, spec, k, seed, labeling), grid, cell_params, model_kind, k, seed,
+                        training_weight, threads)
+
+
+def search_folds(
+    examples: ExampleSet,
+    fold_of_row: np.ndarray,
+    grid: Sequence[Mapping],
+    cell_params: list,
+    model_kind: str,
+    k: int,
+    seed: int,
+    training_weight: float,
+    threads: int,
+) -> GridResult:
+    """grid_search_cv on fold_examples' output and check_grid's cells: each fit trains
+    on the rows outside its held-out fold."""
     coded = None
     if model_kind != "logistic":  # every tree fold fit grows on rows of one coding
         X, y, w = check_training_inputs(examples.X, examples.y, None, training_weight)

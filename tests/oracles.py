@@ -2,8 +2,8 @@
 that drops the rows at a leaf after each level, Shapley values by full coalition
 enumeration and by one tree leaf at a time, the EAR of one event on its own,
 station windows built from event intervals, forests and boosted models grown on
-copies of their rows' codes, and the compressed set that a boosted fit grouping its
-dry rows trains on."""
+copies of their rows' codes, and the set of distinct rows with counts that a boosted
+fit trains on."""
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +20,7 @@ from debris_ews.explain import _as_trees, _check_background, _weight_table
 from debris_ews.gbt import _PRIOR_CLIP
 from debris_ews.linear import sigmoid
 from debris_ews.rainfall import DEFAULT_ALPHA, _antecedents
-from debris_ews.trees import DecisionTree, _GainCriterion, _GiniCriterion, _grow
+from debris_ews.trees import DecisionTree, _GainCriterion, _GiniCriterion, _channels, _grow
 
 BRUTE_MAX_FEATURES = 15
 
@@ -290,8 +290,11 @@ def copying_grow_forest(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np
 
 
 def copying_grow_gbt(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray, w: np.ndarray,
-                     rows: np.ndarray, params: GbtParams, training_weight: float) -> GbtModel:
-    """gbt.grow_gbt as it copied the training rows' codes, labels and weights once per fit."""
+                     rows: np.ndarray, params: GbtParams, training_weight: float,
+                     copies: np.ndarray | None = None) -> GbtModel:
+    """gbt.grow_gbt as it copied the training rows' codes, labels and weights once per fit
+    and grew each stage on every copied row; copies, by position in rows, counts the
+    rows each stands for toward min_samples_leaf."""
     codes, y, w = codes.take(rows, axis=1), y[rows], w[rows]
     prior = float(np.dot(w, y) / w.sum())
     prior = min(max(prior, _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
@@ -301,34 +304,31 @@ def copying_grow_gbt(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.nd
     for _ in range(params.n_trees):
         p = sigmoid(score)
         leaf = np.empty(rows.size, dtype=np.intp)
-        tree = _grow(_GainCriterion(w * (p - y), w * p * (1.0 - p), params.leaf_l2), codes, values,
-                     np.arange(rows.size), params.tree_params(), None, leaf=leaf)
+        criterion = _GainCriterion(_channels(w * p * (1.0 - p), w * (p - y)), params.leaf_l2, copies)
+        tree = _grow(criterion, codes, values, np.arange(rows.size), params.tree_params(), None, leaf=leaf)
         trees.append(tree)
         score = score + params.learning_rate * tree.value[leaf]
     return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])
 
 
-def dry_group_set(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of X a boosted fit on rows trains on when it groups its dry rows (0 in
-    every feature): the others, sorted, then the first dry row of each label; and by each
-    of them, the count of rows it stands for (its label's dry rows, or 1)."""
-    dry = (X[rows] == 0.0).all(axis=1)
-    kept, sizes = [np.sort(rows[~dry])], [np.ones(np.count_nonzero(~dry))]
-    for label in (0, 1):
-        group = rows[dry & (y[rows] == label)]
-        if group.size:
-            kept.append(group[:1])
-            sizes.append([float(group.size)])
-    return np.concatenate(kept), np.concatenate(sizes)
+def distinct_row_set(codes: np.ndarray, y: np.ndarray, w: np.ndarray,
+                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a boosted fit on rows trains on: the first of each distinct (codes column,
+    label, weight) among rows, sorted, and by each of them the count of rows it stands for."""
+    first: dict[tuple, int] = {}
+    count: dict[int, int] = {}
+    for r in rows.tolist():
+        f = first.setdefault((codes[:, r].tobytes(), float(y[r]), float(w[r])), r)
+        count[f] = count.get(f, 0) + 1
+    root = np.array(sorted(count), dtype=np.intp)
+    return root, np.array([count[r] for r in root.tolist()], dtype=np.intp)
 
 
-def grouped_grow_gbt(X: np.ndarray, codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray,
-                     w: np.ndarray, rows: np.ndarray, params: GbtParams, training_weight: float) -> GbtModel:
-    """gbt.grow_gbt with min_samples_leaf 1 on a set whose dry rows of each label weigh the
-    same: copying_grow_gbt on dry_group_set's rows, each weighted by the rows it stands
-    for. With min_samples_leaf 1 a node's row count never bars a split that has a
-    boundary, so counting a representative as one row grows the same trees."""
-    root, sizes = dry_group_set(X, y, rows)
+def grouped_grow_gbt(codes: np.ndarray, values: tuple[np.ndarray, ...], y: np.ndarray, w: np.ndarray,
+                     rows: np.ndarray, params: GbtParams, training_weight: float) -> GbtModel:
+    """gbt.grow_gbt as copying_grow_gbt on distinct_row_set's rows, each weighted by the
+    count of rows it stands for and counted as them toward min_samples_leaf."""
+    root, sizes = distinct_row_set(codes, y, w, rows)
     w = w.copy()
     w[root] *= sizes
-    return copying_grow_gbt(codes, values, y, w, root, params, training_weight)
+    return copying_grow_gbt(codes, values, y, w, root, params, training_weight, sizes)

@@ -22,7 +22,7 @@ from debris_ews.gbt import grow_gbt
 from debris_ews.modelio import model_to_doc
 from debris_ews.trees import NODE_ARRAYS, _GiniCriterion, _counting_weights, _rank_codes, check_training_inputs
 
-from oracles import copying_grow_forest, copying_grow_gbt
+from oracles import copying_grow_forest, distinct_row_set, grouped_grow_gbt
 
 
 def _imbalanced(rng, n=400, m=5, pos_rate=0.08):
@@ -202,11 +202,15 @@ def test_tiny_sets_whose_draws_are_uniform_grow_the_copying_growers_trees():
 
 @pytest.mark.parametrize("training_weight, sample_weight", [(1.0, None), (2.5, "fractions")])
 def test_gbt_on_shared_codes_equals_the_copying_grower(training_weight, sample_weight):
+    # rows repeat under uniform weights and group; fractional per-row weights keep
+    # every row apart, so the copying grower then grows on every row
     coded, subset = _coded_subset(21, 400, training_weight, sample_weight)
     params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=5, min_samples_leaf=2)
     for rows in (np.arange(400), subset):
+        repeats = distinct_row_set(coded[0], *coded[2:], rows)[0].size < rows.size
+        assert repeats == (sample_weight is None)
         grown = grow_gbt(*coded, rows, params, training_weight)
-        copied = copying_grow_gbt(*coded, rows, params, training_weight)
+        copied = grouped_grow_gbt(*coded, rows, params, training_weight)
         assert json.dumps(model_to_doc(grown)) == json.dumps(model_to_doc(copied))
 
 
@@ -410,18 +414,6 @@ def test_the_dry_group_rides_counting_forests_and_boosting_stages(monkeypatch):
         assert root.size + e0 + e1 == n and e0 + e1 > 0
         assert all(e in ((0, 0), (e0, e1)) for _, e in tree_scans)  # the group never splits
 
-    # a stage's root: the other rows in order, then one dry row of each label
-    scans.clear()
-    fit_gbt(X, y, params=GbtParams(n_trees=2, max_depth=3, min_samples_leaf=3))
-    dry_counts = (np.count_nonzero(dry & (y == 0)), np.count_nonzero(dry & (y == 1)))
-    assert len(scans) == 2 and min(dry_counts) > 1
-    for stage_scans in scans:
-        root, (e0, e1) = stage_scans[0]
-        np.testing.assert_array_equal(root[:-2], np.flatnonzero(~dry))
-        assert dry[root[-2:]].all() and y[root[-2:]].tolist() == [0, 1]
-        assert (e0 + 1, e1 + 1) == dry_counts
-        assert all(e in ((0, 0), (e0, e1)) for _, e in stage_scans)  # the group never splits
-
     def ungrouped(run):
         scans.clear()
         run()
@@ -431,10 +423,20 @@ def test_the_dry_group_rides_counting_forests_and_boosting_stages(monkeypatch):
     X_neg = X.copy()
     X_neg[0, 0] = -1.0
     ungrouped(lambda: fit_forest(X_neg, y, params, seed=seed))  # a negative value
-    gbt_params = GbtParams(n_trees=2, max_depth=3)
-    ungrouped(lambda: fit_gbt(X_neg, y, params=gbt_params))
-    uneven = np.where(dry & (np.arange(n) % 2 == 0), 2.0, 1.0)  # dry rows of a label weigh differently
-    ungrouped(lambda: fit_gbt(X, y, uneven, params=gbt_params))
+
+    # a stage's root: the sorted first id of each distinct (row, label, weight), with a
+    # negative value or dry rows of one label that weigh differently too; no dry group
+    gbt_params = GbtParams(n_trees=2, max_depth=3, min_samples_leaf=3)
+    uneven = np.where(dry & (np.arange(n) % 2 == 0), 2.0, 1.0)
+    for Xs, weights in ((X, None), (X_neg, None), (X, uneven)):
+        scans.clear()
+        fit_gbt(Xs, y, weights, params=gbt_params)
+        Xc, yc, w = check_training_inputs(Xs, y, weights)
+        root, _ = distinct_row_set(_rank_codes(Xc)[0], yc, w, np.arange(n))
+        assert len(scans) == 2 and root.size < n - np.count_nonzero(dry) + 5
+        for stage_scans in scans:
+            np.testing.assert_array_equal(stage_scans[0][0], root)
+            assert all(e == (0, 0) for _, e in stage_scans)
 
 
 def test_map_indexed_asks_for_at_most_one_thread_a_cpu_and_a_task(monkeypatch):

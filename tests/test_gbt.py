@@ -9,10 +9,10 @@ from debris_ews import DecisionTree, GbtParams, InputError, fit_gbt
 from debris_ews.gbt import _PRIOR_CLIP, grow_gbt
 from debris_ews.linear import sigmoid
 from debris_ews.modelio import model_to_doc
-from debris_ews.trees import NODE_ARRAYS, _dry_rows, _rank_codes, check_rows, check_training_inputs
+from debris_ews.trees import NODE_ARRAYS, _rank_codes, check_rows, check_training_inputs
 
-from oracles import compacting_leaves, copying_grow_gbt, dry_group_set, grouped_grow_gbt
-from test_forest import DRY_SETS, GROUPED, _dry_heavy
+from oracles import compacting_leaves, copying_grow_gbt, distinct_row_set, grouped_grow_gbt
+from test_forest import DRY_SETS, _dry_heavy
 from test_trees import _assert_same_nodes, _gain_leaf, _reference_gain, _reference_grow
 
 
@@ -153,16 +153,25 @@ def test_gbt_on_rows_of_a_wider_coding_equals_fit_on_the_rows(training_weight, w
     assert json.dumps(model_to_doc(grown)) == json.dumps(model_to_doc(fit))
 
 
-# Dry rows (0 in every feature) ride each boosting stage as one group when each label's
-# dry rows weigh the same: the fit is that of dry_group_set's compressed set, whose
-# representatives weigh their label's dry count and count as its rows toward
-# min_samples_leaf. Any other set boosts as the copying grower, which never groups.
+# Each boosting stage grows on the first id of each distinct (codes column, label,
+# weight) of its fit, weighted by its count and counted as its copies toward
+# min_samples_leaf: the fit is that of distinct_row_set's set. A set with no repeated
+# row boosts as the copying grower.
 
 def _model_bytes(model):
     return json.dumps(model_to_doc(model))
 
 
-GROUPED_SETS = [s for s in DRY_SETS if s[0] in GROUPED]
+def _repeat_sets():
+    """(name, X, y, sample_weight) of sets whose rows repeat: the dry-row edge cases, and
+    dry rows of one label that weigh 1 or 2."""
+    sets = [(name, X, y, None) for name, X, y in DRY_SETS]
+    X, y = _dry_heavy(np.random.default_rng(52), 300)
+    sets.append(("uneven dry weights", X, y.astype(int), np.where(np.arange(300) % 4 == 0, 2.0, 1.0)))
+    return sets
+
+
+REPEAT_SETS = _repeat_sets()
 
 
 def _fit_rows(n):
@@ -171,23 +180,23 @@ def _fit_rows(n):
 
 
 @pytest.mark.parametrize("training_weight", [1.0, 2.5])
-@pytest.mark.parametrize("name, X, y", GROUPED_SETS, ids=[s[0] for s in GROUPED_SETS])
-def test_grouped_stages_boost_the_compressed_set(name, X, y, training_weight):
-    Xc, yc, w = check_training_inputs(X, y, None, training_weight)
+@pytest.mark.parametrize("name, X, y, sample_weight", REPEAT_SETS, ids=[s[0] for s in REPEAT_SETS])
+def test_grouped_stages_boost_the_compressed_set(name, X, y, sample_weight, training_weight):
+    Xc, yc, w = check_training_inputs(X, y, sample_weight, training_weight)
     codes, values = _rank_codes(Xc)
     for rows in _fit_rows(X.shape[0]):
-        assert dry_group_set(X, yc, rows)[0].size < rows.size
-        for depth in (None, 3):
-            params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=depth, min_samples_leaf=1)
+        assert distinct_row_set(codes, yc, w, rows)[0].size < rows.size
+        for depth, min_leaf in ((None, 1), (3, 1), (6, 3)):
+            params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=depth, min_samples_leaf=min_leaf)
             args = (codes, values, yc, w, rows, params, training_weight)
-            assert _model_bytes(grow_gbt(*args)) == _model_bytes(grouped_grow_gbt(X, *args)), depth
+            assert _model_bytes(grow_gbt(*args)) == _model_bytes(grouped_grow_gbt(*args)), (depth, min_leaf)
 
 
-def _reference_grouped_fit(X, y, w, rows, params):
+def _reference_grouped_fit(X, codes, y, w, rows, params):
     """(base log-odds, each stage's node lists) of a grouped fit, each stage grown by
-    test_trees' per-feature reference on the compressed set, in which a representative
-    counts as its label's dry rows toward min_samples_leaf."""
-    root, sizes = dry_group_set(X, y, rows)
+    test_trees' per-feature reference on the distinct-row set, in which a row counts as
+    its copies toward min_samples_leaf."""
+    root, sizes = distinct_row_set(codes, y, w, rows)
     X, y, w = X[root], y[root], w[root] * sizes
     prior = min(max(float(np.dot(w, y) / w.sum()), _PRIOR_CLIP), 1.0 - _PRIOR_CLIP)
     base = float(np.log(prior / (1.0 - prior)))
@@ -208,53 +217,96 @@ def _reference_grouped_fit(X, y, w, rows, params):
 
 
 @pytest.mark.parametrize("training_weight", [1.0, 2.5])
-@pytest.mark.parametrize("name, X, y", GROUPED_SETS, ids=[s[0] for s in GROUPED_SETS])
-def test_grouped_stages_with_min_samples_leaf_match_the_per_feature_reference(name, X, y, training_weight):
-    # a leaf of 40 rows holds most of a set's dry group, or none of it: a grower that
-    # counted the representatives as one row each would stop short
-    Xc, yc, w = check_training_inputs(X, y, None, training_weight)
+@pytest.mark.parametrize("name, X, y, sample_weight", REPEAT_SETS, ids=[s[0] for s in REPEAT_SETS])
+def test_grouped_stages_with_min_samples_leaf_match_the_per_feature_reference(name, X, y, sample_weight,
+                                                                               training_weight):
+    # a leaf of 40 rows holds most of a set's dry rows, or none of them: a grower that
+    # counted each distinct row as one row would stop short
+    Xc, yc, w = check_training_inputs(X, y, sample_weight, training_weight)
     codes, values = _rank_codes(Xc)
     for rows in _fit_rows(X.shape[0]):
         for min_leaf in (2, 5, 40):
             params = GbtParams(n_trees=3, learning_rate=0.3, max_depth=None, min_samples_leaf=min_leaf)
             model = grow_gbt(codes, values, yc, w, rows, params, training_weight)
-            base, stages = _reference_grouped_fit(X, yc, w, rows, params)
+            base, stages = _reference_grouped_fit(Xc, codes, yc, w, rows, params)
             assert model.base_log_odds == base and len(model.trees) == len(stages)
             for tree, nodes in zip(model.trees, stages):
                 _assert_same_nodes(tree, nodes)
 
 
-def _ungrouped_sets():
-    """(name, X, y, sample_weight) of sets whose dry rows do not group."""
-    sets = [(name, X, y, None) for name, X, y in DRY_SETS if name not in GROUPED]
-    X, y = _dry_heavy(np.random.default_rng(52), 300)
-    sets.append(("uneven dry weights", X, y.astype(int), np.where(np.arange(300) % 4 == 0, 2.0, 1.0)))
-    return sets
+def _coded(X, y, sample_weight=None, training_weight=1.0):
+    Xc, yc, w = check_training_inputs(X, y, sample_weight, training_weight)
+    return (*_rank_codes(Xc), yc, w)
 
 
-UNGROUPED_SETS = _ungrouped_sets()
+def test_duplicates_with_unequal_weights_stay_apart():
+    name, X, y, sample_weight = REPEAT_SETS[-1]
+    codes, values, yc, w = _coded(X, y, sample_weight)
+    dry = (X == 0.0).all(axis=1)
+    root, copies, wg = gbt._distinct_rows(codes, yc, w, np.arange(X.shape[0]))
+    # one first id for each (label, weight) of the dry rows
+    pairs = {(yc[r], w[r]) for r in np.flatnonzero(dry)}
+    assert len(pairs) == 4
+    kept = root[dry[root]]
+    assert sorted((yc[r], w[r]) for r in kept) == sorted(pairs)
+    for r in kept:
+        same = dry & (yc == yc[r]) & (w == w[r])
+        assert copies[r] == np.count_nonzero(same) and wg[r] == w[r] * copies[r]
 
 
-@pytest.mark.parametrize("name, X, y, sample_weight", UNGROUPED_SETS, ids=[s[0] for s in UNGROUPED_SETS])
-def test_sets_without_a_group_boost_as_the_copying_grower(name, X, y, sample_weight):
-    Xc, yc, w = check_training_inputs(X, y, sample_weight, 2.5)
-    codes, values = _rank_codes(Xc)
-    assert _dry_rows(codes, values).any() == (name == "uneven dry weights")
+def test_a_set_with_a_negative_value_still_groups():
+    name, X, y = next(s for s in DRY_SETS if s[0] == "a negative value")
+    assert (X < 0).any()
+    codes, values, yc, w = _coded(X, y)
+    rows = np.arange(X.shape[0])
+    root, copies, _ = gbt._distinct_rows(codes, yc, w, rows)
+    expected, sizes = distinct_row_set(codes, yc, w, rows)
+    np.testing.assert_array_equal(root, expected)
+    np.testing.assert_array_equal(copies[root], sizes)
+    dry = (X == 0.0).all(axis=1)
+    assert np.count_nonzero(dry[root]) == np.unique(yc[dry]).size < np.count_nonzero(dry)
+
+
+def test_a_forced_hash_collision_still_groups_exactly(monkeypatch):
+    # with a zero multiplier every row keys 0; the exact check finds the collision and the
+    # rows group by their columns themselves
+    name, X, y, sample_weight = REPEAT_SETS[-1]
+    codes, values, yc, w = _coded(X, y, sample_weight, 2.5)
+    params = GbtParams(n_trees=3, learning_rate=0.3, max_depth=6, min_samples_leaf=3)
     for rows in _fit_rows(X.shape[0]):
-        root, group, _ = gbt._dry_group(codes, values, yc, w, rows)
-        assert root is rows and group == (0, 0)
+        hashed = gbt._distinct_rows(codes, yc, w, rows)
+        model = _model_bytes(grow_gbt(codes, values, yc, w, rows, params, 2.5))
+        with monkeypatch.context() as patch:
+            patch.setattr(gbt, "_HASH_MULTIPLIER", np.uint64(0))
+            runs, calls = gbt.sorted_runs, []
+            patch.setattr(gbt, "sorted_runs", lambda *args: calls.append(1) or runs(*args))
+            exact = gbt._distinct_rows(codes, yc, w, rows)
+            assert len(calls) == 1  # the runs of the columns themselves
+            assert _model_bytes(grow_gbt(codes, values, yc, w, rows, params, 2.5)) == model
+        for a, b in zip(hashed, exact):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(exact[0], distinct_row_set(codes, yc, w, rows)[0])
+
+
+def test_sets_without_a_repeated_row_boost_as_the_copying_grower():
+    rng = np.random.default_rng(54)
+    X = rng.normal(size=(300, 4)).round(2)
+    y = (X[:, 0] + rng.normal(size=300) > 0.5).astype(int)
+    codes, values, yc, w = _coded(X, y, None, 2.5)
+    for rows in _fit_rows(X.shape[0]):
+        root, copies, wg = gbt._distinct_rows(codes, yc, w, rows)
+        assert root is rows and copies is None and wg is w
         for min_leaf in (1, 3):
             params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=6, min_samples_leaf=min_leaf)
             args = (codes, values, yc, w, rows, params, 2.5)
             assert _model_bytes(grow_gbt(*args)) == _model_bytes(copying_grow_gbt(*args))
 
 
-def test_every_dry_row_reaches_its_representatives_leaf_in_every_stage(monkeypatch):
-    # a stage moves only its root's scores; each dry row must score as its
-    # representative, so the leaf the grower gives a representative is every dry row's
+def test_every_training_row_reaches_its_representatives_leaf_in_every_stage(monkeypatch):
+    # a stage moves only its root's scores; each row must score as the first id of its
+    # distinct row, so the leaf the grower gives that id is every copy's
     rng = np.random.default_rng(53)
     X, y = _dry_heavy(rng, 400, m=6)
-    dry = (X == 0.0).all(axis=1)
     grow, signature = gbt._grow, inspect.signature(gbt._grow)
     fills = []
 
@@ -268,9 +320,12 @@ def test_every_dry_row_reaches_its_representatives_leaf_in_every_stage(monkeypat
     model = fit_gbt(X, y, params=GbtParams(n_trees=6, learning_rate=0.3, max_depth=None, min_samples_leaf=2))
     assert len(fills) == len(model.trees)
     Xr = check_rows(X, X.shape[1])
+    first = {}
+    representative = np.array([first.setdefault((X[r].tobytes(), y[r]), r) for r in range(X.shape[0])])
+    assert np.unique(representative).size < X.shape[0] / 2
     for tree, (root, filled) in zip(model.trees, fills):
+        np.testing.assert_array_equal(root, np.unique(representative))
         leaves = tree.leaves(Xr)
         np.testing.assert_array_equal(filled, leaves[root])
-        reps = root[dry[root]]
-        assert reps.size == 2 and tree.n_leaves > 2
-        assert (leaves[dry] == leaves[reps[0]]).all()
+        assert tree.n_leaves > 2
+        np.testing.assert_array_equal(leaves, leaves[representative])

@@ -61,9 +61,9 @@ GOLDEN_ARTIFACTS = {
         "run/explain_perm/importance.csv": "26c09cc0a5168effb06ba8e27aec07b5a32efd8daf52ecb18ea4c22b06248d05",
         "run/cv/cv_results.csv": "b83b40afd47ac682f5e1ac273dec23e4ceb6b9d003b27077270c9a9c130a835b",
         "run/cv/best_params.json": "71472e95e1b3ebfef0d90407e4c25d48ddf460c10798ed54c206d7199f485ff4",
-        "run/cv_gbt/cv_results.csv": "50958e768abde1577415ccfabdbdb1d56e4899e41b5c7a0ff7e8a7e2dd855916",
-        "run/gbt/model.json": "2d8a7288749ea53a5ae23e28e65d9b71824c677e5449eeeff30bc7f6b65d5509",
-        "run/gbt_deep/model.json": "7758f9a5bacde8d810d6764da110f9798d9469d0fb4c8757096faba32d6f4f8f",
+        "run/cv_gbt/cv_results.csv": "f3f51ad034148154e6c0cc36737a1a2fc799539fb1c24868e3ca0a95aa566f36",
+        "run/gbt/model.json": "a44dedec97eca8bdcc6e798ce7ab6c24bf8bdeab62ff1883e0b0404812819933",
+        "run/gbt_deep/model.json": "10cfffaf6de2061846ba14ed157bf45277614eeab4a4c753389b04ca004d44e4",
         "run/rf_tw0.1/model.json": "cfd046f9ca9d3c687e40dfd4905e77e0bafd731f01e39ef5838aa722b3623d04",
         "run/rf_tw10/model.json": "d77101e86efef026288c1658d872a9fd452094dd2a4282938bd11d799a4553f4",
     },

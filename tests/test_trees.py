@@ -6,7 +6,8 @@ from debris_ews import (DecisionTree, ForestParams, GbtParams, InputError, TreeP
                         fit_logistic, fit_tree)
 from debris_ews._common import derived_rng
 from debris_ews.modelio import load_model, save_model
-from debris_ews.trees import _GainCriterion, _GiniCriterion, _counting_weights, _grow, _rank_codes, check_rows
+from debris_ews.trees import (_GainCriterion, _GiniCriterion, _channels, _counting_weights, _grow, _rank_codes,
+                               check_rows)
 
 from oracles import compacting_leaves
 
@@ -14,7 +15,7 @@ from oracles import compacting_leaves
 def fit_gradient_tree(X, grad, hess, params=TreeParams(), leaf_l2=1.0):
     """One boosting stage on its own: the regression tree fit_gbt grows on gradient/hessian sums."""
     X, grad, hess = (np.asarray(a, dtype=np.float64) for a in (X, grad, hess))
-    return _grow(_GainCriterion(grad, hess, leaf_l2), *_rank_codes(X), np.arange(X.shape[0]), params, None)
+    return _grow(_GainCriterion(_channels(hess, grad), leaf_l2), *_rank_codes(X), np.arange(X.shape[0]), params, None)
 
 
 def _rand_data(rng, n=80, m=4):
@@ -336,7 +337,7 @@ def test_scan_matches_reference_on_random_nodes(scan_paths):
             for lam in (1.0, 0.0):
                 if h[rows].sum() + lam == 0.0:
                     continue
-                got = _scan(_GainCriterion(g, h, lam), codes, values, rows, feats, min_leaf)
+                got = _scan(_GainCriterion(_channels(h, g), lam), codes, values, rows, feats, min_leaf)
                 assert (got and got[:2]) == _reference_gain(X, g, h, lam, min_leaf, rows, feats)
     scan_paths({"sort", "counting"})
 
@@ -552,7 +553,7 @@ def test_grower_leaves_are_where_predict_routes_rows():
     y = _hard_labels(rng, X).astype(float)
     g, h = rng.normal(size=600), rng.uniform(0.05, 1.0, size=600)
     assert (X == 0.0).any() and np.signbit(X[X == 0.0]).any()  # rows with -0.0
-    for criterion in (_GiniCriterion(y, np.ones(600)), _GainCriterion(g, h, 1.0)):
+    for criterion in (_GiniCriterion(y, np.ones(600)), _GainCriterion(_channels(h, g), 1.0)):
         leaf = np.full(600, -1, dtype=np.intp)
         tree = _grow(criterion, *_rank_codes(X), np.arange(600), TreeParams(max_depth=12), None, leaf=leaf)
         np.testing.assert_array_equal(leaf, compacting_leaves(tree, X))
