@@ -86,10 +86,6 @@ class _CircularIndex:
         pos += self.offset
         return pos
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """A replicate's pooled hours."""
-        return self.hours[self.positions(rng)]
-
 
 def block_bootstrap_ci(
     groups: Sequence[tuple[np.ndarray, np.ndarray]],

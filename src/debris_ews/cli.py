@@ -84,7 +84,7 @@ from .rainfall import (
     write_rainfall_csv,
 )
 from .synth import SynthConfig, generate_corpus
-from .tuning import MODEL_KINDS, check_grid, default_grid, fold_examples, search_folds, write_grid_csv
+from .tuning import MODEL_KINDS, grid_search_cv, write_grid_csv
 
 log = logging.getLogger(__name__)
 
@@ -430,22 +430,23 @@ def _run_train(opts: dict, out: Path) -> None:
     print(f"train: {kind} on {len(examples)} examples from {n_windows} windows -> {out / 'model.json'}")
 
 
-def _run_cv(opts: dict, out: Path) -> None:
-    chosen, _ = _load_windows(opts, opts["split"])
-    spec = _feature_spec(opts)
+def _read_grid(opts: dict) -> list | None:
+    """The --grid file's cells, or None for the model's default grid."""
     if opts["grid"] == "default":
-        grid = default_grid(opts["model"])
-    else:
-        grid_path = Path(opts["grid"])
-        grid = read_json(grid_path, "grid file")
-        if not isinstance(grid, list):
-            raise InputError(f"{grid_path}: grid must be a JSON list of objects")
-    cell_params = check_grid(opts["model"], grid, opts["grid"])
-    examples, fold_of_row = fold_examples(chosen, spec, opts["k"], opts["seed"], LabelingConfig(opts["lead"]))
-    # as in train, the windows and their records' EAR caches are freed before the fits
-    del chosen
-    result = search_folds(examples, fold_of_row, grid, cell_params, opts["model"], opts["k"], opts["seed"],
-                          opts["training_weight"], opts["threads"])
+        return None
+    grid_path = Path(opts["grid"])
+    grid = read_json(grid_path, "grid file")
+    if not isinstance(grid, list):
+        raise InputError(f"{grid_path}: grid must be a JSON list of objects")
+    return grid
+
+
+def _run_cv(opts: dict, out: Path) -> None:
+    # as in train, the windows and their records' EAR caches are freed before the fits:
+    # passed unnamed, they are dropped by grid_search_cv once the fold matrix exists
+    result = grid_search_cv(_load_windows(opts, opts["split"])[0], _feature_spec(opts), _read_grid(opts),
+                            opts["model"], opts["k"], opts["seed"], LabelingConfig(opts["lead"]),
+                            opts["training_weight"], opts["threads"], opts["grid"])
     write_grid_csv(out / "cv_results.csv", result)
     write_json(out / "best_params.json", {"model": result.model_kind, "params": result.best})
     best = max(c.mean_auprc for c in result.cells)

@@ -57,20 +57,10 @@ def _weight_table(depth: int) -> tuple[np.ndarray, int]:
     return w, scale
 
 
-def _as_trees(model: ForestModel | DecisionTree) -> tuple[DecisionTree, ...]:
-    if isinstance(model, ForestModel):
-        return model.trees
-    if isinstance(model, DecisionTree):
-        return (model,)
-    raise InputError(f"tree attributions support forest models only, got {type(model).__name__}")
-
-
-def _score(model, X: np.ndarray) -> np.ndarray:
-    if hasattr(model, "predict_proba"):
-        return model.predict_proba(X)
-    if isinstance(model, DecisionTree):
-        return model.predict_value(X)
-    raise InputError(f"cannot score model of type {type(model).__name__}")
+def _as_trees(model: ForestModel) -> tuple[DecisionTree, ...]:
+    if not isinstance(model, ForestModel):
+        raise InputError(f"tree attributions support forest models only, got {type(model).__name__}")
+    return model.trees
 
 
 def _check_background(model_features: int, background: np.ndarray) -> np.ndarray:
@@ -197,7 +187,7 @@ def _add_chunk(values: np.ndarray, value: np.ndarray, lo: np.ndarray, hi: np.nda
 
 
 def tree_shap_batch(
-    model: ForestModel | DecisionTree, X: np.ndarray, background: np.ndarray
+    model: ForestModel, X: np.ndarray, background: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Attribution matrix for many rows; returns (values, shared base)."""
     trees = _as_trees(model)
@@ -237,7 +227,7 @@ def permutation_ranking(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -> l
         raise InputError("permutation ranking needs a non-empty matrix and one label per row")
     if y.min() == y.max():
         raise InputError("permutation importance needs both label classes")
-    base = auprc(_score(model, X), y)
+    base = auprc(model.predict_proba(X), y)
     scores = np.empty(X.shape[1])
     for f in range(X.shape[1]):
         drops = []
@@ -245,7 +235,7 @@ def permutation_ranking(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -> l
             perm = derived_rng(seed, 8, f, r).permutation(X.shape[0])
             Xp = X.copy()
             Xp[:, f] = X[perm, f]
-            drops.append(base - auprc(_score(model, Xp), y))
+            drops.append(base - auprc(model.predict_proba(Xp), y))
         scores[f] = np.mean(drops)
     return _ranked(scores)
 

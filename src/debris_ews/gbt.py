@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._common import _HASH_MULTIPLIER, InputError, key_runs, sorted_runs
+from ._common import InputError, sorted_runs
 from .linear import sigmoid
 from .trees import (DecisionTree, TreeParams, check_rows, check_training_inputs, _channels, _grow, _rank_codes,
                     _GainCriterion)
@@ -86,11 +86,11 @@ def grow_gbt(
     of check_training_inputs and _rank_codes for a set that holds them. The codes may
     rank more rows than these; the trees are the same, as in forest.grow_forest. Every
     stage grows on the shared codes through its root's ids: the sorted first id of each
-    distinct (codes, label, weight) among the rows (see _distinct_rows), weighted by its
-    count, so the prior, gradients and hessians carry its copies, and counted as its
-    copies toward min_samples_leaf. The copies of a row reach its leaf in every stage, so
-    each scores as its first id; scores, gradients and hessians are kept for the root's
-    ids only."""
+    distinct (codes, label, weight) among the rows, found by one sort (_distinct_rows),
+    weighted by its count, so the prior, gradients and hessians carry its copies, and
+    counted as its copies toward min_samples_leaf. The copies of a row reach its leaf in
+    every stage, so each scores as its first id; scores, gradients and hessians are kept
+    for the root's ids only."""
     root, copies, w = _distinct_rows(codes, y, w, rows)
     wr, yr = w.take(root), y.take(root)
     prior = float(np.dot(wr, yr) / wr.sum())
@@ -115,45 +115,22 @@ def grow_gbt(
     return GbtModel(tuple(trees), params, base, float(training_weight), codes.shape[0])
 
 
-def _row_columns(codes: np.ndarray, y: np.ndarray, w: np.ndarray, ids: np.ndarray):
-    """The weight bits, label bits and codes of the rows with the given ids, one column
-    at a time."""
-    yield w.take(ids).view(np.uint64)
-    yield y.take(ids).view(np.uint64)
-    for column in codes:
-        yield column.take(ids)
-
-
 def _distinct_rows(codes: np.ndarray, y: np.ndarray, w: np.ndarray,
                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(root, copies, weights) of a fit on rows: the sorted first id of each distinct
     (codes column, label, weight) among the rows; by row id, the count of the rows each
     stands for (None when no row repeats); and w with each first id's weight multiplied
-    by its count. Rows with one codes column reach one leaf of every tree. Rows are keyed
-    by a 64-bit hash built one column at a time and sorted by key; every row is then
-    checked against the first row of its key, and a collision falls back to a
-    lexicographic sort of the columns themselves."""
-    n = rows.size
-    key = np.zeros(n, dtype=np.uint64)
-    for column in _row_columns(codes, y, w, rows):
-        key ^= column
-        key *= _HASH_MULTIPLIER
-        key ^= key >> np.uint64(32)
-    first, run = key_runs(key)
-    later = np.flatnonzero(first.take(run) != np.arange(n))  # positions whose row came earlier
-    if later.size:
-        earlier = rows.take(first.take(run.take(later)))
-        if not all((a == b).all() for a, b in zip(_row_columns(codes, y, w, rows.take(later)),
-                                                  _row_columns(codes, y, w, earlier))):
-            columns = list(_row_columns(codes, y, w, rows))
-            order = np.lexsort(columns)
-            new = np.zeros(n, dtype=bool)
-            new[:1] = True
-            for column in columns:
-                column = column.take(order)
-                new[1:] |= column[1:] != column[:-1]
-            first, run = sorted_runs(order, new)
-    if first.size == n:
+    by its count. Rows with one codes column reach one leaf of every tree. One lexicographic
+    sort of the rows' weight bits, label bits and codes puts equal rows next to each other."""
+    columns = (w.take(rows).view(np.uint64), y.take(rows).view(np.uint64), *codes.take(rows, axis=1))
+    order = np.lexsort(columns)
+    new = np.zeros(rows.size, dtype=bool)
+    new[:1] = True
+    for column in columns:
+        column = column.take(order)
+        new[1:] |= column[1:] != column[:-1]
+    first, run = sorted_runs(order, new)
+    if first.size == rows.size:
         return rows, None, w
     ids = rows.take(first)
     copies = np.zeros(y.size, dtype=np.intp)

@@ -1,12 +1,14 @@
 """Seeded grid-search cross-validation, grouped by whole windows.
 
-Every grid cell is scored by the mean AUPRC over k held-out folds; folds come
-from the stratified window k-fold, so no window contributes hours to both
-sides of a fit. One example matrix holds the folds in fold order, and a fit
+grid_search_cv scores every grid cell by the mean AUPRC over k held-out folds;
+folds come from the stratified window k-fold, so no window contributes hours to
+both sides of a fit. One example matrix holds the folds in fold order, and a fit
 trains on the rows outside its held-out fold; forests and boosted models grow on
-those rows of one rank coding of the whole matrix, made once per run. Ties on
-mean AUPRC go to the smaller model: fewer trees, then shallower, then larger
-leaves.
+those rows of one rank coding of the whole matrix, made once per run. The matrix
+holds no window, so the windows are dropped before the first fit. A fold skipped
+for single-class labels, and a logistic fold fit that stops unconverged, are
+logged as warnings. Ties on mean AUPRC go to the smaller model: fewer trees,
+then shallower, then larger leaves.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._common import InputError, build_params, cell, derived_rng, write_csv
-from .dataset import DatasetWindow, ExampleSet, FeatureSpec, LabelingConfig, build_examples, kfold_windows
+from .dataset import DatasetWindow, FeatureSpec, LabelingConfig, build_examples, kfold_windows
 from .forest import ForestParams, grow_forest
 from .gbt import GbtParams, grow_gbt
 from .linear import LogisticParams, fit_logistic
@@ -100,20 +102,6 @@ class GridResult:
     seed: int
 
 
-def fold_examples(
-    windows: Sequence[DatasetWindow],
-    spec: FeatureSpec,
-    k: int = 10,
-    seed: int = 0,
-    labeling: LabelingConfig = LabelingConfig(),
-) -> tuple[ExampleSet, np.ndarray]:
-    """The examples of the stratified window k-fold as one matrix in fold order, and the
-    fold of each row. They hold no window, so the windows' station records can be freed."""
-    folds = kfold_windows(windows, k, seed)
-    examples = build_examples([w for fold in folds for w in fold], spec, labeling)
-    return examples, np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
-
-
 def grid_search_cv(
     windows: Sequence[DatasetWindow],
     spec: FeatureSpec,
@@ -126,27 +114,17 @@ def grid_search_cv(
     threads: int = 1,
     grid_source: str = "grid",
 ) -> GridResult:
-    """The CV table of grid; grid_source names the grid in errors about its cells."""
+    """The CV table of grid; grid_source names the grid in errors about its cells, which
+    are all checked before any fit. windows is dropped once the fold matrix exists, so
+    windows passed unnamed free their station records before the fits."""
     if grid is None:
         grid = default_grid(model_kind)
     cell_params = check_grid(model_kind, grid, grid_source)
-    return search_folds(*fold_examples(windows, spec, k, seed, labeling), grid, cell_params, model_kind, k, seed,
-                        training_weight, threads)
+    folds = kfold_windows(windows, k, seed)
+    examples = build_examples([w for fold in folds for w in fold], spec, labeling)
+    fold_of_row = np.repeat(np.arange(k), [sum(len(w) for w in fold) for fold in folds])
+    del windows, folds
 
-
-def search_folds(
-    examples: ExampleSet,
-    fold_of_row: np.ndarray,
-    grid: Sequence[Mapping],
-    cell_params: list,
-    model_kind: str,
-    k: int,
-    seed: int,
-    training_weight: float,
-    threads: int,
-) -> GridResult:
-    """grid_search_cv on fold_examples' output and check_grid's cells: each fit trains
-    on the rows outside its held-out fold."""
     coded = None
     if model_kind != "logistic":  # every tree fold fit grows on rows of one coding
         X, y, w = check_training_inputs(examples.X, examples.y, None, training_weight)
@@ -163,6 +141,8 @@ def search_folds(
                 continue
             fit_seed = int(derived_rng(seed, 5, ci, fi).integers(2**63))
             model = _fit_cell(params, examples, ~held, coded, training_weight, fit_seed, threads)
+            if not getattr(model, "converged", True):
+                log.warning("fold %d fit did not converge in cell %s; its AUPRC is kept", fi, cell)
             scores.append(auprc(model.predict_proba(examples.X[held]), y_held))
         if not scores:
             raise InputError("every fold was single-class; cannot score the grid")

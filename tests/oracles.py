@@ -51,13 +51,18 @@ def compacting_leaves(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
         idx[active] = np.where(go_left, tree.left[cur], tree.right[cur])
 
 
-def tree_shap(model: ForestModel | DecisionTree, x: np.ndarray, background: np.ndarray) -> ShapAttribution:
+def one_tree_forest(tree: DecisionTree) -> ForestModel:
+    """The forest of one tree, which scores and attributes as the tree alone."""
+    return ForestModel((tree,), ForestParams(n_trees=1), 0, 1.0, tree.n_features)
+
+
+def tree_shap(model: ForestModel, x: np.ndarray, background: np.ndarray) -> ShapAttribution:
     """Exact interventional Shapley values for one row."""
     values, base = tree_shap_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1), background)
     return ShapAttribution(values[0], base)
 
 
-def brute_shap(model: ForestModel | DecisionTree, x: np.ndarray, background: np.ndarray) -> ShapAttribution:
+def brute_shap(model: ForestModel, x: np.ndarray, background: np.ndarray) -> ShapAttribution:
     """Shapley values by exhaustive coalition enumeration (<= 15 features)."""
     trees = _as_trees(model)
     n = trees[0].n_features
@@ -117,7 +122,7 @@ def per_leaf_boxes(tree: DecisionTree):
 
 
 def per_leaf_tree_shap_batch(
-    model: ForestModel | DecisionTree, X: np.ndarray, background: np.ndarray
+    model: ForestModel, X: np.ndarray, background: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """tree_shap_batch's attributions worked one leaf at a time, each leaf's
     contributions added to the rows that reach it before the next leaf's, in each

@@ -91,7 +91,7 @@ def test_blocks_preserve_within_window_pairs():
     window = np.repeat(np.arange(lengths.size), lengths)
     sampler = bootstrap._CircularIndex(lengths, block)
     for r in range(20):
-        idx = sampler.draw(derived_rng(7, 3, r))
+        idx = sampler.hours[sampler.positions(derived_rng(7, 3, r))]
         assert idx.shape == window.shape
         assert (window[idx] == window).all()  # so each window also keeps its length
         for b, n in zip(base, lengths):

@@ -1,14 +1,16 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from debris_ews import InputError, __version__, segment_events
+from debris_ews import InputError, __version__, cli, segment_events, tuning
 from debris_ews._common import HOUR, format_ts, parse_ts
 from debris_ews.cli import SCORES_CSV_COLUMNS, main, read_scores_csv, write_scores_csv
 from debris_ews.rainfall import read_rainfall_csv
@@ -494,6 +496,43 @@ def test_train_logistic_converges_on_the_golden_corpus(golden, tmp_path):
     assert main(cli_argv("train", golden, tmp_path) + ["--model", "logistic", "--hours", "48"]) == 0
     doc = json.loads((tmp_path / "model.json").read_text())
     assert doc["kind"] == "logistic" and doc["converged"] is True
+
+
+@pytest.mark.parametrize("model", ["rf", "gbt"])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_station_records_are_freed_before_the_fits(golden, tmp_path, monkeypatch, command, model):
+    """train and cv fit on the example matrix alone: no record that read_rainfall_csv
+    returned is alive when a forest or boosted fit starts."""
+    records, alive = [], []
+
+    def reading(*args, **kwargs):
+        series = read_rainfall_csv(*args, **kwargs)
+        records.extend(weakref.ref(s) for s in series)
+        return series
+
+    def checking(fit):
+        def checked(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(r() is not None for r in records))
+            return fit(*args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(cli, "read_rainfall_csv", reading)
+    for module, name in ((cli, "fit_forest"), (cli, "fit_gbt"), (tuning, "grow_forest"), (tuning, "grow_gbt")):
+        monkeypatch.setattr(module, name, checking(getattr(module, name)))
+    assert main(cli_argv(command, golden, tmp_path) + ["--model", model]) == 0
+    assert records and alive and alive == [0] * len(alive)
+
+
+def test_cv_warns_of_each_unconverged_logistic_fold_fit(golden, tmp_path, caplog):
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"penalty": "l2", "l2": 1.0}, {"penalty": "l2", "l2": 1.0, "max_iter": 1}]')
+    argv = cli_argv("cv", golden, tmp_path / "cv") + ["--model", "logistic", "--grid", str(grid)]
+    with caplog.at_level("WARNING", logger="debris_ews.tuning"):
+        assert main(argv) == 0
+    unconverged = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
+    assert unconverged == [f"fold {fi} fit did not converge in cell {{'penalty': 'l2', 'l2': 1.0, 'max_iter': 1}}; "
+                           "its AUPRC is kept" for fi in range(3)]
 
 
 def test_python_m_runs_the_cli_from_the_sources():

@@ -19,7 +19,7 @@ import debris_ews.explain as explain
 from debris_ews.explain import _weight_table, mean_abs_ranking, write_attribution_csv
 from debris_ews.trees import DecisionTree
 
-from oracles import brute_shap, per_leaf_boxes, per_leaf_tree_shap_batch, tree_shap
+from oracles import brute_shap, one_tree_forest, per_leaf_boxes, per_leaf_tree_shap_batch, tree_shap
 
 
 def _stump(feature, threshold, left_value, right_value, n_features):
@@ -37,7 +37,7 @@ def test_constant_model_all_zero():
     tree = fit_tree(np.ones((6, 3)), np.ones(6, dtype=int))
     x = np.zeros(3)
     Z = np.random.default_rng(0).normal(size=(8, 3))
-    att = tree_shap(tree, x, Z)
+    att = tree_shap(one_tree_forest(tree), x, Z)
     assert att.values.tolist() == [0.0, 0.0, 0.0]
     assert att.base == 1.0
     assert att.total == 1.0
@@ -47,7 +47,7 @@ def test_depth_one_stump_two_player_shapley():
     stump = _stump(0, 0.0, left_value=0.2, right_value=0.9, n_features=3)
     Z = np.array([[1.0, 5.0, 5.0]])  # background goes right
     x = np.array([-1.0, 0.0, 0.0])  # x goes left
-    att = tree_shap(stump, x, Z)
+    att = tree_shap(one_tree_forest(stump), x, Z)
     assert att.base == pytest.approx(0.9)
     assert att.values[0] == pytest.approx(0.2 - 0.9)
     assert att.values[1] == att.values[2] == 0.0
@@ -88,8 +88,8 @@ def test_additivity_of_disjoint_stumps():
     Z = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     x = np.array([-1.0, 1.0])
     att = tree_shap(forest, x, Z)
-    att0 = tree_shap(s0, x, Z)
-    att1 = tree_shap(s1, x, Z)
+    att0 = tree_shap(one_tree_forest(s0), x, Z)
+    att1 = tree_shap(one_tree_forest(s1), x, Z)
     np.testing.assert_allclose(att.values, (att0.values + att1.values) / 2.0, atol=1e-12)
     assert att.base == pytest.approx((att0.base + att1.base) / 2.0)
 
@@ -176,7 +176,7 @@ def test_permutation_importance_of_unused_feature_is_zero():
     y = (X[:, 0] > 0).astype(int)
     tree = fit_tree(X, y, params=TreeParams(max_depth=1))
     assert set(tree.feature[tree.feature >= 0].tolist()) == {0}
-    ranking = dict(permutation_ranking(tree, X, y, seed=1))
+    ranking = dict(permutation_ranking(one_tree_forest(tree), X, y, seed=1))
     assert ranking[1] == pytest.approx(0.0, abs=1e-12)
     assert ranking[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -234,7 +234,7 @@ def test_attribution_csv(tmp_path):
 
 
 def _reference_tree_shap_batch(model, X, background):
-    trees = model.trees if isinstance(model, ForestModel) else (model,)
+    trees = model.trees
     Z = np.asarray(background, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     size = max(t.depth() for t in trees) + 1
@@ -336,12 +336,13 @@ def _redundant_splits_tree():
 @pytest.mark.parametrize("tree", [_one_feature_zigzag_tree(), _redundant_splits_tree()], ids=["zigzag", "redundant"])
 def test_feature_split_several_times_on_one_path(tree):
     grid = np.array([(x0, x1, 0.0) for x0 in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0) for x1 in (-1.0, 0.0, 1.0)])
-    values, base = tree_shap_batch(tree, grid, grid)  # rows and background on every threshold
-    ref_values, ref_base = _reference_tree_shap_batch(tree, grid, grid)
+    forest = one_tree_forest(tree)
+    values, base = tree_shap_batch(forest, grid, grid)  # rows and background on every threshold
+    ref_values, ref_base = _reference_tree_shap_batch(forest, grid, grid)
     np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-15)
     assert base == ref_base
     for i, x in enumerate(grid):
-        np.testing.assert_allclose(values[i], brute_shap(tree, x, grid).values, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(values[i], brute_shap(forest, x, grid).values, rtol=0, atol=1e-15)
     np.testing.assert_allclose(values.sum(1) + base, tree.predict_value(grid), rtol=0, atol=1e-15)
     assert (values[:, 2] == 0.0).all() and np.abs(values[:, :2]).max() > 0.1
 
@@ -360,13 +361,19 @@ def test_sums_do_not_depend_on_order():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_and_background_are_rejected(bad):
-    tree = _one_feature_zigzag_tree()
+    forest = one_tree_forest(_one_feature_zigzag_tree())
     X = np.zeros((4, 3))
     X[2, 0] = bad
     with pytest.raises(InputError, match="NaN or infinite"):
-        tree_shap_batch(tree, X, np.zeros((3, 3)))
+        tree_shap_batch(forest, X, np.zeros((3, 3)))
     with pytest.raises(InputError, match="NaN or infinite"):
-        tree_shap_batch(tree, np.zeros((3, 3)), X)
+        tree_shap_batch(forest, np.zeros((3, 3)), X)
+
+
+def test_a_model_that_is_not_a_forest_is_rejected():
+    tree = _one_feature_zigzag_tree()
+    with pytest.raises(InputError, match="forest models only, got DecisionTree"):
+        tree_shap_batch(tree, np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def test_weight_table_is_exact():
@@ -444,18 +451,18 @@ def test_root_only_and_zero_value_trees_add_nothing():
     X, Z = rng.uniform(-1.0, 6.0, size=(11, 3)), rng.uniform(-1.0, 6.0, size=(5, 3))
     values, base = _same_as_per_leaf(forest, X, Z)
     assert (values[:, 2] == 0.0).all()  # only all_zero splits on x2
-    np.testing.assert_array_equal(_same_as_per_leaf(root_only, X, Z)[0], np.zeros_like(X))
+    np.testing.assert_array_equal(_same_as_per_leaf(one_tree_forest(root_only), X, Z)[0], np.zeros_like(X))
     np.testing.assert_allclose(values.sum(1) + base, forest.predict_proba(X), rtol=0, atol=1e-15)
 
 
 def test_one_background_row_and_rows_with_no_live_pair():
-    tree = _one_feature_zigzag_tree()
+    forest = one_tree_forest(_one_feature_zigzag_tree())
     z = np.array([[0.5, 1.0, 0.0]])  # x0 < 2: z leaves every leaf box below x0 >= 2 on x0
     X = np.array([[0.0, 1.0, 0.0], [1.5, -1.0, 0.0], [3.0, -1.0, 0.0], [5.5, 1.0, 0.0]])
     # the first two rows leave those boxes on x0 too, so no pair (x, z) reaches them
-    values, _ = _same_as_per_leaf(tree, X, z)
+    values, _ = _same_as_per_leaf(forest, X, z)
     np.testing.assert_array_equal(values[:2], 0.0)
     assert np.abs(values[2:]).max() > 0.1
-    assert _same_as_per_leaf(tree, X[:0], z)[0].shape == (0, 3)
+    assert _same_as_per_leaf(forest, X[:0], z)[0].shape == (0, 3)
     model, data, rng = _rain_like_forest(9)
     _same_as_per_leaf(model, data[rng.choice(len(data), 25, replace=False)], data[:1])

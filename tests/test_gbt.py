@@ -185,7 +185,9 @@ def test_grouped_stages_boost_the_compressed_set(name, X, y, sample_weight, trai
     Xc, yc, w = check_training_inputs(X, y, sample_weight, training_weight)
     codes, values = _rank_codes(Xc)
     for rows in _fit_rows(X.shape[0]):
-        assert distinct_row_set(codes, yc, w, rows)[0].size < rows.size
+        expected = distinct_row_set(codes, yc, w, rows)[0]
+        assert expected.size < rows.size
+        np.testing.assert_array_equal(gbt._distinct_rows(codes, yc, w, rows)[0], expected)
         for depth, min_leaf in ((None, 1), (3, 1), (6, 3)):
             params = GbtParams(n_trees=4, learning_rate=0.3, max_depth=depth, min_samples_leaf=min_leaf)
             args = (codes, values, yc, w, rows, params, training_weight)
@@ -265,27 +267,6 @@ def test_a_set_with_a_negative_value_still_groups():
     np.testing.assert_array_equal(copies[root], sizes)
     dry = (X == 0.0).all(axis=1)
     assert np.count_nonzero(dry[root]) == np.unique(yc[dry]).size < np.count_nonzero(dry)
-
-
-def test_a_forced_hash_collision_still_groups_exactly(monkeypatch):
-    # with a zero multiplier every row keys 0; the exact check finds the collision and the
-    # rows group by their columns themselves
-    name, X, y, sample_weight = REPEAT_SETS[-1]
-    codes, values, yc, w = _coded(X, y, sample_weight, 2.5)
-    params = GbtParams(n_trees=3, learning_rate=0.3, max_depth=6, min_samples_leaf=3)
-    for rows in _fit_rows(X.shape[0]):
-        hashed = gbt._distinct_rows(codes, yc, w, rows)
-        model = _model_bytes(grow_gbt(codes, values, yc, w, rows, params, 2.5))
-        with monkeypatch.context() as patch:
-            patch.setattr(gbt, "_HASH_MULTIPLIER", np.uint64(0))
-            runs, calls = gbt.sorted_runs, []
-            patch.setattr(gbt, "sorted_runs", lambda *args: calls.append(1) or runs(*args))
-            exact = gbt._distinct_rows(codes, yc, w, rows)
-            assert len(calls) == 1  # the runs of the columns themselves
-            assert _model_bytes(grow_gbt(codes, values, yc, w, rows, params, 2.5)) == model
-        for a, b in zip(hashed, exact):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(exact[0], distinct_row_set(codes, yc, w, rows)[0])
 
 
 def test_sets_without_a_repeated_row_boost_as_the_copying_grower():
